@@ -33,7 +33,14 @@ from pflens.dipole import (
     collection_probability,
     polarization_fidelity_collected,
 )
-from pflens.filtering import EtalonSpec, FrequencyLayout, scheme_error_budget, suppression_factor
+from pflens.filtering import (
+    PI_ETALON_FINESSE,
+    SIGMA_ETALON_FINESSE,
+    EtalonSpec,
+    FrequencyLayout,
+    scheme_error_budget,
+    suppression_factor,
+)
 from pflens.geometry import LensGeometry, cone_from_na, na_from_geometry
 
 FOCAL_LENGTH = 3e-3
@@ -77,8 +84,10 @@ def main():
         print(f"  NA {na_probe:.2f}   F = {fidelity:.4f}")
 
     layout = FrequencyLayout()
-    pi_etalon = EtalonSpec(finesse=50, free_spectral_range=2 * layout.raman_shift)
-    sigma_etalon = EtalonSpec(finesse=16, free_spectral_range=2 * layout.zeeman_splitting)
+    pi_etalon = EtalonSpec(finesse=PI_ETALON_FINESSE, free_spectral_range=2 * layout.raman_shift)
+    sigma_etalon = EtalonSpec(
+        finesse=SIGMA_ETALON_FINESSE, free_spectral_range=2 * layout.zeeman_splitting
+    )
     print(f"\netalon suppression: pi line {suppression_factor(pi_etalon, layout.raman_shift):.0f}x, "
           f"wrong-sigma line {suppression_factor(sigma_etalon, layout.zeeman_splitting):.0f}x")
     budget = scheme_error_budget(0.95, pi_etalon, layout, sigma_etalon)

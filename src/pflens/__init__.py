@@ -58,7 +58,6 @@ from .diffraction import (
     RadialField,
     apply_binary_pfl,
     apply_ideal_lens,
-    cross_section_csv_text,
     efficiency_into_focus,
     focal_scan,
     focal_scan_csv_text,

@@ -384,10 +384,11 @@ def cmd_budget(args) -> int:
 
     layout = config.frequency_layout()
     etalon_pi = filtering.EtalonSpec(
-        finesse=50.0, free_spectral_range=2.0 * layout.raman_shift
+        finesse=filtering.PI_ETALON_FINESSE, free_spectral_range=2.0 * layout.raman_shift
     )
     etalon_sigma = filtering.EtalonSpec(
-        finesse=16.0, free_spectral_range=2.0 * layout.zeeman_splitting
+        finesse=filtering.SIGMA_ETALON_FINESSE,
+        free_spectral_range=2.0 * layout.zeeman_splitting,
     )
     filter_budget = filtering.scheme_error_budget(
         array_na, etalon_pi, layout, etalon_sigma
@@ -551,9 +552,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_filt = subparsers.add_parser("filter", help="etalon suppression and error budget")
     p_filt.add_argument("--na", type=float, default=None)
-    p_filt.add_argument("--finesse-pi", type=float, default=50.0)
+    p_filt.add_argument("--finesse-pi", type=float, default=filtering.PI_ETALON_FINESSE)
     p_filt.add_argument("--fsr-pi-ghz", type=float, default=None)
-    p_filt.add_argument("--finesse-sigma", type=float, default=16.0)
+    p_filt.add_argument("--finesse-sigma", type=float, default=filtering.SIGMA_ETALON_FINESSE)
     p_filt.add_argument("--fsr-sigma-mhz", type=float, default=None)
     p_filt.add_argument("--no-sigma-etalon", action="store_true")
     p_filt.add_argument("--output", default=None)
@@ -579,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_curves = subparsers.add_parser("curves", help="figure-data CSV emitter")
     p_curves.add_argument("--kind", choices=("collection", "fidelity", "etalon"), required=True)
     p_curves.add_argument("--steps", type=int, default=101)
-    p_curves.add_argument("--finesse", type=float, default=50.0)
+    p_curves.add_argument("--finesse", type=float, default=filtering.PI_ETALON_FINESSE)
     p_curves.add_argument("--fsr-ghz", type=float, default=None)
     p_curves.add_argument("--output", default=None)
     p_curves.set_defaults(func=cmd_curves)

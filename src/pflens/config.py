@@ -13,6 +13,7 @@ reading it back is bit-exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -59,6 +60,10 @@ class ProjectConfig:
         def need(condition: bool, key: str, message: str):
             if not condition:
                 raise ConfigError(message, key=key)
+
+        for spec in fields(self):
+            if spec.type in ("float", float):
+                need(math.isfinite(getattr(self, spec.name)), spec.name, "must be finite")
 
         need(self.focal_length_mm > 0, "focal_length_mm", "must be > 0")
         need(self.aperture_diameter_mm > 0, "aperture_diameter_mm", "must be > 0")

@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,27 +41,24 @@ _GUARD_BAND_MAX_POWER = 1e-2
 
 @dataclass(frozen=True)
 class RadialField:
-    """Complex field samples on a radial collocation grid.
+    """Complex field samples on the collocation grid of a HankelTransform.
 
-    radial_grid and amplitude have equal length; wavelength in meters.
-    transform is the HankelTransform whose collocation points the grid
-    consists of; fields built by the factories below always carry it.
+    A field is (transform, amplitude, wavelength). amplitude[n] is the
+    field at transform.radii[n]; the transform is the only copy of the
+    grid. wavelength in meters.
     """
 
-    radial_grid: np.ndarray
+    transform: HankelTransform
     amplitude: np.ndarray
     wavelength: float
-    transform: HankelTransform = dataclass_field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        grid = np.asarray(self.radial_grid, dtype=float)
         amp = np.asarray(self.amplitude, dtype=complex)
-        object.__setattr__(self, "radial_grid", grid)
         object.__setattr__(self, "amplitude", amp)
-        if grid.ndim != 1 or amp.shape != grid.shape:
-            raise DomainError("radial_grid and amplitude must be 1-D and equal length")
-        if grid.size < 4 or np.any(np.diff(grid) <= 0) or grid[0] < 0:
-            raise DomainError("radial_grid must be increasing and non-negative")
+        if amp.shape != (self.transform.n_points,):
+            raise DomainError(
+                f"amplitude must have shape ({self.transform.n_points},), got {amp.shape}"
+            )
         if not (self.wavelength > 0):
             raise DomainError(f"wavelength must be > 0, got {self.wavelength}")
         if not np.all(np.isfinite(amp)):
@@ -73,34 +70,24 @@ class RadialField:
 
     def power(self) -> float:
         """Total power 2 pi int |E|^2 r dr on the collocation grid."""
-        self._require_transform()
         return self.transform.radial_power(self.amplitude)
 
     def with_amplitude(self, amplitude: np.ndarray) -> "RadialField":
-        return RadialField(self.radial_grid, amplitude, self.wavelength, self.transform)
-
-    def _require_transform(self) -> HankelTransform:
-        if self.transform is None:
-            raise DomainError(
-                "field carries no transform; construct it with plane_wave/gaussian_beam"
-            )
-        return self.transform
+        return RadialField(self.transform, amplitude, self.wavelength)
 
 
 def plane_wave(transform: HankelTransform, wavelength: float, amplitude: float = 1.0) -> RadialField:
     """Uniform field of the given amplitude on the whole grid."""
     values = np.full(transform.n_points, amplitude, dtype=complex)
-    return RadialField(transform.radii, values, wavelength, transform)
+    return RadialField(transform, values, wavelength)
 
 
-def gaussian_beam(
-    transform: HankelTransform, waist: float, wavelength: float, amplitude: float = 1.0
-) -> RadialField:
-    """Collimated Gaussian beam at its waist: E(r) = A exp(-r^2 / w^2)."""
+def gaussian_beam(transform: HankelTransform, waist: float, wavelength: float) -> RadialField:
+    """Collimated unit-amplitude Gaussian beam at its waist: E(r) = exp(-r^2 / w^2)."""
     if not (waist > 0):
         raise DomainError(f"waist must be > 0, got {waist}")
-    values = amplitude * np.exp(-((transform.radii / waist) ** 2)).astype(complex)
-    return RadialField(transform.radii, values, wavelength, transform)
+    values = np.exp(-((transform.radii / waist) ** 2)).astype(complex)
+    return RadialField(transform, values, wavelength)
 
 
 def _grid_max_spacing(grid: np.ndarray) -> float:
@@ -121,14 +108,14 @@ def apply_binary_pfl(field: RadialField, layout: ZoneLayout) -> RadialField:
     Raises ResolutionError when the grid provides fewer than 4 samples
     across the outermost ring period.
     """
-    transform = field._require_transform()
+    transform = field.transform
     if transform.max_radius < layout.aperture_radius * (1 - 1e-12):
         raise DomainError(
             "field grid must cover the layout aperture: grid extends to "
             f"{transform.max_radius:.6g} m, aperture radius is {layout.aperture_radius:.6g} m"
         )
 
-    r = field.radial_grid
+    r = transform.radii
     inside = r <= layout.aperture_radius
     amplitude = np.where(inside, field.amplitude, 0.0)
 
@@ -171,7 +158,7 @@ def apply_ideal_lens(
     """
     if not (focal_length > 0 and aperture_radius > 0):
         raise DomainError("focal_length and aperture_radius must be > 0")
-    r = field.radial_grid
+    r = field.transform.radii
     # steepest phase gradient (at the rim) must stay below grid Nyquist
     if paraxial:
         rim_gradient = field.wavenumber * aperture_radius / focal_length
@@ -246,7 +233,7 @@ def propagate(field: RadialField, distance: float, paraxial: bool = False) -> Ra
     """Propagate a field forward by the given distance [m]."""
     if distance < 0:
         raise DomainError(f"distance must be >= 0, got {distance}")
-    transform = field._require_transform()
+    transform = field.transform
     spectrum = transform.forward(field.amplitude)
     _check_spectrum_resolved(transform, spectrum, field.wavenumber)
     if distance == 0.0:
@@ -291,18 +278,16 @@ def _composite_radial_intensity(
     transform: HankelTransform,
     spectrum: np.ndarray,
     fine_max_radius: float,
-    fine_points: int,
-    resampler: np.ndarray | None = None,
+    resampler: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Intensity on a grid refined near the axis.
 
     The inner region [0, fine_max_radius] is evaluated by Fourier-Bessel
-    resummation of the angular spectrum; outside it the native
-    collocation samples are used.
+    resummation of the angular spectrum through resampler, the
+    transform's resample_matrix on evenly spaced radii over that region;
+    outside it the native collocation samples are used.
     """
-    fine_r = np.linspace(0.0, fine_max_radius, fine_points)
-    if resampler is None:
-        resampler = transform.resample_matrix(fine_r)
+    fine_r = np.linspace(0.0, fine_max_radius, resampler.shape[0])
     fine_values = resampler @ spectrum.real + 1j * (resampler @ spectrum.imag)
     outer = transform.radii > fine_max_radius
     radii = np.concatenate([fine_r, transform.radii[outer]])
@@ -359,12 +344,12 @@ def measure_waist_knife_edge(
     is generated over +-2.5 half-power radii and fitted with the same
     error-function model applied to measured scans.
     """
-    transform = field._require_transform()
+    transform = field.transform
     values = field.amplitude
     native_intensity = np.abs(values) ** 2
 
-    w_est = _spot_radius_estimate(field.radial_grid, native_intensity)
-    spacing = _grid_max_spacing(field.radial_grid)
+    w_est = _spot_radius_estimate(transform.radii, native_intensity)
+    spacing = _grid_max_spacing(transform.radii)
     if w_est < 25 * spacing:
         if spectrum is None:
             spectrum = transform.forward(values)
@@ -374,11 +359,11 @@ def measure_waist_knife_edge(
             fine_max = min(max(8 * w_est, 12 * spacing), transform.max_radius)
             resampler = transform.resample_matrix(np.linspace(0.0, fine_max, fine_points))
         radii, intensity = _composite_radial_intensity(
-            values, transform, spectrum, fine_max, fine_points, resampler
+            values, transform, spectrum, fine_max, resampler
         )
         w_est = _spot_radius_estimate(radii, intensity)
     else:
-        radii, intensity = field.radial_grid, native_intensity
+        radii, intensity = transform.radii, native_intensity
 
     blade_span = 2.5 * w_est
     blade = np.linspace(-blade_span, blade_span, n_blade_positions)
@@ -487,7 +472,7 @@ def scan_field(
     transform is computed once; each plane applies the propagator phase
     and inverts.
     """
-    transform = transmitted._require_transform()
+    transform = transmitted.transform
     z_positions = np.asarray(z_positions, dtype=float)
     if z_positions.size < 1 or np.any(np.diff(z_positions) <= 0):
         raise DomainError("z_positions must be increasing and non-empty")
@@ -501,7 +486,7 @@ def scan_field(
         input_power = transmitted_power
 
     # one fine-resampling operator reused across planes
-    spacing = _grid_max_spacing(transmitted.radial_grid)
+    spacing = _grid_max_spacing(transform.radii)
     fine_max = min(60 * spacing, transform.max_radius)
     fine_grid = np.linspace(0.0, fine_max, fine_points)
     resampler = transform.resample_matrix(fine_grid)
@@ -527,7 +512,7 @@ def scan_field(
     best = int(np.argmin(waists))
     spec_best, values_best = fields_cache[best]
     radii, intensity = _composite_radial_intensity(
-        values_best, transform, spec_best, fine_max, fine_points, resampler
+        values_best, transform, spec_best, fine_max, resampler
     )
     enc_r, enc_p = _encircled_power_curve(
         transform, values_best, radii[:fine_points], intensity[:fine_points]
@@ -549,7 +534,6 @@ def focal_scan(
     layout: ZoneLayout,
     z_range: tuple[float, float],
     n_steps: int,
-    n_blade_positions: int = 81,
     fine_points: int = 512,
 ) -> FocalScanResult:
     """Transmit a field through a lens layout and scan waists over z.
@@ -569,7 +553,6 @@ def focal_scan(
         transmitted,
         z_positions,
         input_power=input_power,
-        n_blade_positions=n_blade_positions,
         fine_points=fine_points,
     )
 
@@ -578,15 +561,14 @@ def efficiency_into_focus(
     scan: FocalScanResult,
     input_power: float | None = None,
     capture_radius_multiplier: float = 3.0,
-    surface_transmission: float = 1.0,
 ) -> float:
     """Fraction of the input power inside the focal capture radius.
 
     The capture radius is capture_radius_multiplier times the fitted
-    waist at best focus; an infinite multiplier returns the full power
-    transmitted to the focal plane. The scalar propagation model is
-    lossless through interfaces, so a two-surface transmission factor
-    can be folded in via surface_transmission.
+    waist at best focus; capture_radius_multiplier=math.inf returns the
+    full power transmitted to the focal plane. The scalar propagation
+    model is lossless through interfaces, so surface losses (see
+    design.fresnel_plate_transmission) are not included.
     """
     if input_power is None:
         input_power = scan.input_power
@@ -594,8 +576,6 @@ def efficiency_into_focus(
         raise DomainError("input_power must be > 0")
     if not (capture_radius_multiplier > 0):
         raise DomainError("capture_radius_multiplier must be > 0")
-    if not (0 < surface_transmission <= 1):
-        raise DomainError("surface_transmission must be in (0, 1]")
     if math.isinf(capture_radius_multiplier):
         captured = float(scan.encircled_power[-1])
     else:
@@ -603,7 +583,7 @@ def efficiency_into_focus(
         captured = float(
             np.interp(capture_radius, scan.encircled_radii, scan.encircled_power)
         )
-    return surface_transmission * captured / input_power
+    return captured / input_power
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +591,6 @@ def efficiency_into_focus(
 # ---------------------------------------------------------------------------
 
 FOCAL_SCAN_CSV_HEADER = ["z_m", "waist_m"]
-CROSS_SECTION_CSV_HEADER = ["r_m", "normalized_intensity"]
 
 
 def focal_scan_csv_text(scan: FocalScanResult) -> str:
@@ -620,17 +599,4 @@ def focal_scan_csv_text(scan: FocalScanResult) -> str:
     writer.writerow(FOCAL_SCAN_CSV_HEADER)
     for z, w in zip(scan.z_positions, scan.fitted_waists):
         writer.writerow([f"{z:.17g}", f"{w:.17g}"])
-    return buf.getvalue()
-
-
-def cross_section_csv_text(radii: np.ndarray, intensity: np.ndarray) -> str:
-    intensity = np.asarray(intensity, dtype=float)
-    peak = float(np.max(intensity)) if intensity.size else 1.0
-    if peak <= 0:
-        peak = 1.0
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CROSS_SECTION_CSV_HEADER)
-    for r, i in zip(radii, intensity):
-        writer.writerow([f"{r:.17g}", f"{i / peak:.17g}"])
     return buf.getvalue()

@@ -34,6 +34,9 @@ DEFAULT_RAMAN_SHIFT = 12.6e9  # Hz
 DEFAULT_ZEEMAN_SPLITTING = 160e6  # Hz
 # back-solved from a 160 MHz splitting at 67 G; empirical, not ab initio
 DEFAULT_ZEEMAN_COEFFICIENT = 160e6 / 67e-4  # Hz/T
+# reference etalons: ~1000x on the pi line, ~100x on the wrong sigma line
+PI_ETALON_FINESSE = 50.0
+SIGMA_ETALON_FINESSE = 16.0
 
 
 @dataclass(frozen=True)

@@ -445,3 +445,19 @@ class TestShowConfig:
         captured = capsys.readouterr()
         assert code == 2
         assert "focal_lenght_mm" in captured.err
+
+    def test_non_finite_config_value_exits_2(self, tmp_path, capsys):
+        cases = [
+            ("focal_length_mm", "design"),
+            ("aperture_diameter_mm", "design"),
+            ("raman_shift_ghz", "filter"),
+            ("zeeman_splitting_mhz", "filter"),
+        ]
+        for key, command in cases:
+            path = tmp_path / f"{key}.cfg"
+            path.write_text(f"{key} = inf\n")
+            code = main(["--config", str(path), command])
+            captured = capsys.readouterr()
+            assert code == 2, (key, captured.err)
+            assert key in captured.err
+            assert "Traceback" not in captured.err

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from pflens import (
@@ -50,20 +52,25 @@ class TestDefaults:
 
 class TestValidation:
     def test_validation_failures_name_the_key(self):
-        cases = {
-            "focal_length_mm": 0.0,
-            "aperture_diameter_mm": -1.0,
-            "wavelength_nm": 0.0,
-            "phase_levels": 1,
-            "substrate_index": 1.0,
-            "eta_diff": 0.0,
-            "beam_m2": 0.5,
-            "m_convention": "half",
-            "grid_points": 32,
-            "scan_steps": 2,
-            "blade_positions": 4,
-        }
-        for key, bad in cases.items():
+        cases = [
+            ("focal_length_mm", 0.0),
+            ("focal_length_mm", math.inf),
+            ("aperture_diameter_mm", -1.0),
+            ("aperture_diameter_mm", math.inf),
+            ("wavelength_nm", 0.0),
+            ("phase_levels", 1),
+            ("substrate_index", 1.0),
+            ("raman_shift_ghz", math.inf),
+            ("zeeman_splitting_mhz", math.inf),
+            ("eta_diff", 0.0),
+            ("beam_m2", 0.5),
+            ("m_convention", "half"),
+            ("grid_points", 32),
+            ("scan_steps", 2),
+            ("capture_radius_multiplier", math.inf),
+            ("blade_positions", 4),
+        ]
+        for key, bad in cases:
             with pytest.raises(ConfigError, match=key):
                 default_config().with_updates(**{key: bad})
 
