@@ -29,6 +29,7 @@ from pflens import (
     scan_field,
     zone_layout,
 )
+from pflens import diffraction
 from pflens.diffraction import RadialField, focal_scan_csv_text
 
 TOY_WAVELENGTH = 854e-9
@@ -284,6 +285,19 @@ class TestKnifeEdge:
         expected = 0.5 * total * erfc(math.sqrt(2.0) * blades / BEAM_WAIST)
         np.testing.assert_allclose(curve, expected, atol=5e-3 * total)
 
+    def test_power_curve_equals_direct_formula(self):
+        # r = 0 with blades at 0 and +-x covers the 0/0 and +-inf ratios
+        radii = np.linspace(0.0, 3.0, 301)
+        intensity = np.exp(-(radii**2))
+        blades = np.linspace(-2.0, 2.0, 41)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.nan_to_num(blades[:, None] / radii, nan=0.0, posinf=1.0, neginf=-1.0)
+        arc = 2.0 * np.arccos(np.clip(ratio, -1.0, 1.0))
+        expected = np.trapezoid(intensity * radii * arc, radii, axis=1)
+        np.testing.assert_array_equal(
+            knife_edge_power_curve(radii, intensity, blades), expected
+        )
+
     def test_waist_of_gaussian_recovered(self, beam_transform):
         field = gaussian_beam(beam_transform, BEAM_WAIST, BEAM_WAVELENGTH)
         w, sigma = measure_waist_knife_edge(field)
@@ -353,6 +367,36 @@ class TestFocalScans:
             ),
         )
         assert not one_sided.has_interior_minimum()
+
+    def test_batched_planes_match_per_plane_propagation(self, converging_beam):
+        # more planes than one batched inverse takes, so the last chunk is ragged
+        n_planes = diffraction._SCAN_CHUNK_PLANES + 3
+        z = np.linspace(
+            LENS_FOCUS - 2 * LENS_RAYLEIGH_OUT, LENS_FOCUS + 2 * LENS_RAYLEIGH_OUT, n_planes
+        )
+        scan = scan_field(converging_beam, z)
+
+        transform = converging_beam.transform
+        fine_max = min(60 * float(np.max(np.diff(transform.radii))), transform.max_radius)
+        fine_points = 512
+        resampler = transform.resample_matrix(np.linspace(0.0, fine_max, fine_points))
+        planes = [propagate(converging_beam, zi) for zi in z]
+        waists = [
+            measure_waist_knife_edge(plane, fine_resampler=(fine_max, resampler))[0]
+            for plane in planes
+        ]
+        np.testing.assert_allclose(scan.fitted_waists, waists, rtol=1e-9)
+
+        best = planes[int(np.argmin(waists))]
+        spectrum = transform.forward(best.amplitude)
+        radii, intensity = diffraction._composite_radial_intensity(
+            best.amplitude, transform, spectrum, fine_max, resampler
+        )
+        enc_r, enc_p = diffraction._encircled_power_curve(
+            transform, best.amplitude, radii[:fine_points], intensity[:fine_points]
+        )
+        np.testing.assert_array_equal(scan.encircled_radii, enc_r)
+        np.testing.assert_allclose(scan.encircled_power, enc_p, rtol=1e-9)
 
     def test_efficiency_capture_completeness(self, toy_transform, toy_layout):
         field = gaussian_beam(toy_transform, 75e-6, TOY_WAVELENGTH)

@@ -1,11 +1,12 @@
-"""Quasi-discrete Hankel transform: round trips, Parseval, caching."""
+"""Quasi-discrete Hankel transform: kernel, round trips, Parseval, batches, caching."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.special import j0
 
-from pflens import DomainError, HankelTransform, clear_transform_cache, get_transform
+from pflens import DomainError, HankelTransform, clear_transform_cache, get_transform, hankel
 
 
 @pytest.fixture(scope="module")
@@ -13,7 +14,11 @@ def transform() -> HankelTransform:
     return HankelTransform(n_points=512, max_radius=1e-3)
 
 
-def gaussian(radii: np.ndarray, waist: float) -> np.ndarray:
+def gaussian(radii: np.ndarray, waist) -> np.ndarray:
+    """exp(-r^2 / w^2); a sequence of waists gives one column per waist."""
+    waist = np.asarray(waist, dtype=float)
+    if waist.ndim:
+        return np.exp(-((radii[:, None] / waist) ** 2))
     return np.exp(-((radii / waist) ** 2))
 
 
@@ -37,16 +42,41 @@ class TestGridStructure:
             HankelTransform(n_points=64, max_radius=0.0)
 
 
+class TestKernel:
+    @pytest.mark.parametrize("n_points", [100, 1300, 4096])
+    def test_matches_direct_evaluation_and_is_symmetric(self, n_points):
+        # 100 fits in one row block, 1300 ends in a ragged block
+        t = HankelTransform(n_points=n_points, max_radius=1e-3)
+        kernel = t._kernel
+        assert np.array_equal(kernel, kernel.T)
+        direct = j0(np.outer(t._j, t._j / t._S))
+        assert np.max(np.abs(kernel - direct)) < 1e-13
+
+    def test_threaded_build_is_deterministic(self, monkeypatch):
+        first = HankelTransform(n_points=1300, max_radius=1e-3)._kernel
+        second = HankelTransform(n_points=1300, max_radius=1e-3)._kernel
+        assert np.array_equal(first, second)
+        monkeypatch.setattr(hankel, "_usable_cpus", lambda: 1)
+        sequential = HankelTransform(n_points=1300, max_radius=1e-3)._kernel
+        assert np.array_equal(first, sequential)
+
+
 class TestRoundTripAndParseval:
+    # each check runs on (N,) samples and on an (N, Z) stack of columns
+
     def test_forward_inverse_round_trip(self, transform):
-        field = gaussian(transform.radii, 150e-6)
-        recovered = transform.inverse(transform.forward(field))
-        assert np.max(np.abs(recovered - field)) < 1e-12
+        for waist in (150e-6, [90e-6, 150e-6, 210e-6]):
+            field = gaussian(transform.radii, waist)
+            recovered = transform.inverse(transform.forward(field))
+            assert recovered.shape == field.shape
+            assert np.max(np.abs(recovered - field)) < 1e-12
 
     def test_inverse_forward_round_trip(self, transform):
-        spectrum = gaussian(transform.k_radial, 2e4)
-        recovered = transform.forward(transform.inverse(spectrum))
-        assert np.max(np.abs(recovered - spectrum)) < 1e-12
+        for waist in (2e4, [1.5e4, 2e4, 3e4]):
+            spectrum = gaussian(transform.k_radial, waist)
+            recovered = transform.forward(transform.inverse(spectrum))
+            assert recovered.shape == spectrum.shape
+            assert np.max(np.abs(recovered - spectrum)) < 1e-12
 
     def test_parseval(self, transform):
         field = gaussian(transform.radii, 150e-6) * np.exp(
@@ -68,10 +98,38 @@ class TestRoundTripAndParseval:
     def test_forward_matches_analytic_gaussian_pair(self, transform):
         # under A(k) = 2 pi int f(r) J0(kr) r dr, exp(-r^2/w^2)
         # transforms to pi w^2 exp(-k^2 w^2 / 4)
-        waist = 120e-6
-        spectrum = transform.forward(gaussian(transform.radii, waist))
-        expected = np.pi * waist**2 * np.exp(-((transform.k_radial * waist) ** 2) / 4)
-        assert np.max(np.abs(spectrum - expected)) / expected.max() < 1e-9
+        for waist in (120e-6, [90e-6, 120e-6]):
+            spectrum = transform.forward(gaussian(transform.radii, waist))
+            waist = np.asarray(waist)
+            k = transform.k_radial[:, None] if waist.ndim else transform.k_radial
+            expected = np.pi * waist**2 * np.exp(-((k * waist) ** 2) / 4)
+            assert np.max(np.abs(spectrum - expected)) / expected.max() < 1e-9
+
+
+class TestBatchedColumns:
+    @pytest.mark.parametrize("direction", ["forward", "inverse"])
+    @pytest.mark.parametrize("complex_input", [False, True], ids=["real", "complex"])
+    def test_columns_match_one_dimensional_calls(self, transform, direction, complex_input):
+        rng = np.random.default_rng(7)
+        columns = rng.standard_normal((transform.n_points, 5))
+        if complex_input:
+            columns = columns + 1j * rng.standard_normal(columns.shape)
+        apply = getattr(transform, direction)
+        batched = apply(columns)
+        one_by_one = np.stack([apply(columns[:, z]) for z in range(5)], axis=1)
+        assert batched.shape == columns.shape
+        assert np.iscomplexobj(batched) == complex_input
+        assert np.max(np.abs(batched - one_by_one)) <= 1e-14 * np.max(np.abs(one_by_one))
+        if complex_input:
+            # the transform is real-linear: the real path is the reference
+            parts = apply(columns.real) + 1j * apply(columns.imag)
+            assert np.max(np.abs(batched - parts)) <= 1e-14 * np.max(np.abs(parts))
+
+    @pytest.mark.parametrize("direction", ["forward", "inverse"])
+    @pytest.mark.parametrize("shape", [(513, 3), (512, 3, 1), (3, 512)])
+    def test_rejects_other_shapes(self, transform, direction, shape):
+        with pytest.raises(DomainError):
+            getattr(transform, direction)(np.ones(shape))
 
 
 class TestResample:
