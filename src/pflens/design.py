@@ -22,6 +22,8 @@ import numpy as np
 from .errors import DomainError, SchemaError
 
 FUSED_SILICA_INDEX = 1.4738  # near-UV value; reproduces a 390 nm half-wave etch at 369.5 nm
+# most rings zone_layout enumerates (80 MB of radii); the reference lens has 2449
+MAX_ZONE_COUNT = 10**7
 
 
 @dataclass(frozen=True)
@@ -144,7 +146,9 @@ def zone_layout(design: LensDesign) -> ZoneLayout:
     p_max is the largest integer p with r_p <= D/2, found from the
     closed-form root of r_p^2 = 2 f p lam + p^2 lam^2 and then nudged by
     direct enumeration to rule out floating-point fence-post errors at
-    the aperture edge.
+    the aperture edge. A design with more than MAX_ZONE_COUNT rings, or
+    whose ring count overflows, is refused with DomainError before any
+    ring is enumerated.
     """
     f = design.focal_length
     lam = design.design_wavelength
@@ -153,8 +157,14 @@ def zone_layout(design: LensDesign) -> ZoneLayout:
     def ring_radius(p):
         return np.sqrt(2 * f * p * lam + (p * lam) ** 2)
 
-    # root of lam^2 p^2 + 2 f lam p - R^2 = 0
-    p_continuous = (math.sqrt(f * f + aperture_radius * aperture_radius) - f) / lam
+    # root of lam^2 p^2 + 2 f lam p - R^2 = 0, written R^2 / (hypot(f, R) + f)
+    # / lam so that it neither cancels nor overflows for large f
+    p_continuous = aperture_radius * aperture_radius / (math.hypot(f, aperture_radius) + f) / lam
+    if not (p_continuous <= MAX_ZONE_COUNT):
+        raise DomainError(
+            f"design has {p_continuous:.3g} zones; zone_layout enumerates at most "
+            f"{MAX_ZONE_COUNT}"
+        )
     p_max = int(math.floor(p_continuous))
     while p_max >= 1 and ring_radius(p_max) > aperture_radius:
         p_max -= 1

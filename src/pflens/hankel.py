@@ -13,12 +13,16 @@ N x N float64 matrix is stored. For N in the ten-thousands this matrix
 is the dominant memory cost (8 N^2 bytes) and its N^2 Bessel
 evaluations the dominant build time. The build evaluates only the upper
 triangle, in blocks of rows filled in place, and mirrors each block into
-the lower triangle, so the stored kernel is exactly symmetric. The
-blocks write disjoint parts of the matrix and run on a thread pool with
-one thread per CPU this process may use (its affinity mask where the
-platform has one, else the CPU count); the Bessel ufunc releases the
-interpreter lock. No entry's arithmetic depends on which thread computes
-it or when, so builds are bit-identical whatever the thread count.
+the lower triangle, so the stored kernel is exactly symmetric.
+
+Two stages share one row-block helper: the kernel build and
+resample_matrix (the Fourier-Bessel rows that scan planes are resampled
+through). Each fills disjoint row blocks of its output in place, on a
+thread pool with one thread per CPU this process may use (its affinity
+mask where the platform has one, else the CPU count); the Bessel ufunc
+releases the interpreter lock. No entry's arithmetic depends on which
+thread computes it or when, so both outputs are bit-identical whatever
+the thread count.
 
 forward and inverse take samples of shape (N,) or a stack of Z columns
 of shape (N, Z) and return the same shape. A complex stack is viewed as
@@ -33,6 +37,7 @@ whose spectra decay by k = S / R.
 from __future__ import annotations
 
 import os
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -41,6 +46,12 @@ from scipy.special import j0, j1, jn_zeros
 from .errors import DomainError
 
 _KERNEL_BLOCK_ROWS = 512
+# resample_matrix has few rows (the fine grid, 512 by default), so its
+# blocks are smaller for every CPU to get a share
+_RESAMPLE_BLOCK_ROWS = 64
+# total kernel bytes (8 N^2 per transform) get_transform keeps cached: one
+# 18000-point kernel (2.6 GB) fits, two (5.2 GB) never do
+_CACHE_MAX_BYTES = 4 * 1024**3
 
 
 def _usable_cpus() -> int:
@@ -48,6 +59,17 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _fill_row_blocks(n_rows: int, block_rows: int, fill: Callable[[int, int], None]) -> None:
+    """Call fill(start, stop) for each block of rows, one thread per usable CPU.
+
+    The blocks must write disjoint parts of the output.
+    """
+    starts = range(0, n_rows, block_rows)
+    with ThreadPoolExecutor(max_workers=max(1, min(_usable_cpus(), len(starts)))) as pool:
+        # consuming the results re-raises any error from a block
+        list(pool.map(lambda start: fill(start, min(start + block_rows, n_rows)), starts))
 
 
 class HankelTransform:
@@ -85,10 +107,9 @@ class HankelTransform:
         kernel = np.empty((n, n), dtype=np.float64)
         scaled = self._j / self._S
 
-        def fill_block(start: int) -> None:
+        def fill_block(start: int, stop: int) -> None:
             # rows [start, stop) from the diagonal rightwards, then their
             # mirror image below the diagonal block
-            stop = min(start + _KERNEL_BLOCK_ROWS, n)
             upper = kernel[start:stop, start:]
             np.multiply.outer(self._j[start:stop], scaled[start:], out=upper)
             j0(upper, out=upper)
@@ -97,10 +118,7 @@ class HankelTransform:
             below = np.tril_indices(stop - start, -1)
             diagonal[below] = diagonal.T[below]
 
-        starts = range(0, n, _KERNEL_BLOCK_ROWS)
-        with ThreadPoolExecutor(max_workers=min(_usable_cpus(), len(starts))) as pool:
-            # consuming the results re-raises any error from a block
-            list(pool.map(fill_block, starts))
+        _fill_row_blocks(n, _KERNEL_BLOCK_ROWS, fill_block)
         return kernel
 
     def _apply(self, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -139,14 +157,27 @@ class HankelTransform:
         """Matrix evaluating the band-limited field at arbitrary radii.
 
         Row i of the result, applied to an angular spectrum, sums the
-        Fourier-Bessel series at radii[i]. Used to interpolate focal
-        fields onto grids much finer than the native collocation points.
+        Fourier-Bessel series at radii[i]:
+        j0(outer(radii, k_radial)) / (pi R^2 J1(j_m)^2). Used to
+        interpolate focal fields onto grids much finer than the native
+        collocation points. Blocks of rows are filled in place on the
+        row-block thread pool the kernel build uses; the result is
+        bit-identical to the formula evaluated in one piece.
         """
         radii = np.atleast_1d(np.asarray(radii, dtype=float))
         if np.any(radii < 0) or np.any(radii > self.max_radius):
             raise DomainError("resample radii must lie in [0, max_radius]")
-        kernel = j0(np.outer(radii, self.k_radial))
-        return kernel / (np.pi * self.max_radius**2 * self._j1sq)
+        matrix = np.empty((radii.size, self.n_points))
+        norm = np.pi * self.max_radius**2 * self._j1sq
+
+        def fill_block(start: int, stop: int) -> None:
+            rows = matrix[start:stop]
+            np.multiply.outer(radii[start:stop], self.k_radial, out=rows)
+            j0(rows, out=rows)
+            np.divide(rows, norm, out=rows)
+
+        _fill_row_blocks(radii.size, _RESAMPLE_BLOCK_ROWS, fill_block)
+        return matrix
 
     def radial_power(self, field_values: np.ndarray) -> float:
         """Discretized total power 2 pi int |f(r)|^2 r dr."""
@@ -166,12 +197,16 @@ def get_transform(n_points: int, max_radius: float) -> HankelTransform:
     """Shared HankelTransform instances keyed by grid parameters.
 
     Kernels are expensive (time and memory), so repeated requests for
-    the same grid reuse one instance. The cache keeps only the most
-    recent few grids to bound memory.
+    the same grid reuse one instance. Before a new kernel is built, the
+    oldest grids are dropped until the cached kernels plus the new one
+    take at most _CACHE_MAX_BYTES (8 N^2 bytes each); a kernel larger
+    than the bound is still built, and cached alone.
     """
     key = (n_points, float(max_radius))
     if key not in _transform_cache:
-        while len(_transform_cache) >= 3:
+        while _transform_cache and (
+            8 * (n_points**2 + sum(n**2 for n, _ in _transform_cache)) > _CACHE_MAX_BYTES
+        ):
             _transform_cache.pop(next(iter(_transform_cache)))
         _transform_cache[key] = HankelTransform(n_points, max_radius)
     return _transform_cache[key]

@@ -461,3 +461,14 @@ class TestShowConfig:
             assert code == 2, (key, captured.err)
             assert key in captured.err
             assert "Traceback" not in captured.err
+
+    def test_design_with_too_many_zones_exits_2(self, tmp_path, capsys):
+        # 1e300 mm overflowed the ring count; 1e-300 nm asked for ~1e306 rings
+        for key, value in (("aperture_diameter_mm", "1e300"), ("wavelength_nm", "1e-300")):
+            path = tmp_path / f"{key}.cfg"
+            path.write_text(f"{key} = {value}\n")
+            code = main(["--config", str(path), "design"])
+            captured = capsys.readouterr()
+            assert code == 2, (key, captured.err)
+            assert "zones" in captured.err
+            assert "Traceback" not in captured.err

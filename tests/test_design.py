@@ -23,6 +23,7 @@ from pflens import (
     rayleigh_range_gaussian,
     zone_layout,
 )
+from pflens import design as design_mod
 from pflens.design import read_zone_csv, zone_csv_text
 
 REFERENCE_FOCAL_LENGTH = 3e-3
@@ -60,6 +61,18 @@ class TestZoneLayout:
         design = LensDesign(f_mm * 1e-3, d_mm * 1e-3, lam_nm * 1e-9)
         layout = zone_layout(design)
         assert layout.zone_count == brute_force_zone_count(design)
+
+    def test_zone_count_above_bound_refused(self, reference_design, monkeypatch):
+        monkeypatch.setattr(design_mod, "MAX_ZONE_COUNT", 2450)
+        assert zone_layout(reference_design).zone_count == 2449
+        monkeypatch.setattr(design_mod, "MAX_ZONE_COUNT", 2448)
+        with pytest.raises(DomainError, match="zones"):
+            zone_layout(reference_design)
+        with pytest.raises(DomainError, match="inf zones"):
+            zone_layout(LensDesign(REFERENCE_FOCAL_LENGTH, 1e300, REFERENCE_WAVELENGTH))
+        # R^2 and hypot(f, R) + f both overflow: the count is nan
+        with pytest.raises(DomainError, match="nan zones"):
+            zone_layout(LensDesign(1e308, 1e300, REFERENCE_WAVELENGTH))
 
     def test_zone_identity(self, reference_design):
         # sqrt(f^2 + r_p^2) - f must equal p lam to machine precision.

@@ -298,6 +298,37 @@ class TestKnifeEdge:
             knife_edge_power_curve(radii, intensity, blades), expected
         )
 
+    @pytest.mark.parametrize(
+        "blades",
+        [
+            np.linspace(-2.5, 2.5, 81),
+            np.linspace(-1.0, 3.0, 41),
+            np.linspace(0.5, 3.0, 21),
+            np.linspace(-3.0, 0.0, 17),
+            np.zeros(5),
+        ],
+        ids=["symmetric", "asymmetric", "one-sided", "one-sided-negative", "all-zero"],
+    )
+    def test_far_halo_moments_match_direct_formula(self, blades):
+        # a 1 um focal spot plus a fringed halo falling off as 1 / r, so
+        # the far rings carry most of the power, on a fine near-axis grid
+        # joined to a coarser native grid out to 2 mm
+        waist = 1e-6
+        blades = blades * waist
+        fine = np.linspace(0.0, 9e-6, 512)
+        native = np.arange(9.1e-6, 2e-3, 0.15e-6)
+        radii = np.concatenate([fine, native])
+        intensity = np.exp(-2.0 * (radii / waist) ** 2) + 0.05 * np.cos(
+            2 * math.pi * radii / 0.7e-6
+        ) ** 2 / (1.0 + radii / waist)
+        assert radii[-1] > diffraction._KNIFE_EDGE_FAR_RATIO * np.max(np.abs(blades))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.nan_to_num(blades[:, None] / radii, nan=0.0, posinf=1.0, neginf=-1.0)
+        arc = 2.0 * np.arccos(np.clip(ratio, -1.0, 1.0))
+        expected = np.trapezoid(intensity * radii * arc, radii, axis=1)
+        curve = knife_edge_power_curve(radii, intensity, blades)
+        assert np.max(np.abs(curve - expected)) <= 1e-13 * np.max(np.abs(expected))
+
     def test_waist_of_gaussian_recovered(self, beam_transform):
         field = gaussian_beam(beam_transform, BEAM_WAIST, BEAM_WAVELENGTH)
         w, sigma = measure_waist_knife_edge(field)
@@ -382,7 +413,10 @@ class TestFocalScans:
         resampler = transform.resample_matrix(np.linspace(0.0, fine_max, fine_points))
         planes = [propagate(converging_beam, zi) for zi in z]
         waists = [
-            measure_waist_knife_edge(plane, fine_resampler=(fine_max, resampler))[0]
+            measure_waist_knife_edge(
+                plane,
+                fine_field=(fine_max, resampler @ transform.forward(plane.amplitude)),
+            )[0]
             for plane in planes
         ]
         np.testing.assert_allclose(scan.fitted_waists, waists, rtol=1e-9)
@@ -390,13 +424,40 @@ class TestFocalScans:
         best = planes[int(np.argmin(waists))]
         spectrum = transform.forward(best.amplitude)
         radii, intensity = diffraction._composite_radial_intensity(
-            best.amplitude, transform, spectrum, fine_max, resampler
+            best.amplitude, transform, fine_max, resampler @ spectrum
         )
         enc_r, enc_p = diffraction._encircled_power_curve(
             transform, best.amplitude, radii[:fine_points], intensity[:fine_points]
         )
         np.testing.assert_array_equal(scan.encircled_radii, enc_r)
         np.testing.assert_allclose(scan.encircled_power, enc_p, rtol=1e-9)
+
+    def test_batched_fine_values_match_per_plane_resample(self, converging_beam, monkeypatch):
+        seen = []
+        measure = diffraction.measure_waist_knife_edge
+
+        def recording(field, *args, **kwargs):
+            seen.append(kwargs["fine_field"])
+            return measure(field, *args, **kwargs)
+
+        monkeypatch.setattr(diffraction, "measure_waist_knife_edge", recording)
+        z = np.linspace(
+            LENS_FOCUS - 2 * LENS_RAYLEIGH_OUT, LENS_FOCUS + 2 * LENS_RAYLEIGH_OUT, 5
+        )
+        scan_field(converging_beam, z)
+
+        transform = converging_beam.transform
+        fine_max = min(60 * float(np.max(np.diff(transform.radii))), transform.max_radius)
+        resampler = transform.resample_matrix(np.linspace(0.0, fine_max, 512))
+        spectrum = transform.forward(converging_beam.amplitude)
+        assert len(seen) == z.size
+        for zi, (seen_max, fine_values) in zip(z, seen):
+            plane_spectrum = spectrum * diffraction._propagator_phase(
+                transform, converging_beam.wavenumber, zi
+            )
+            expected = resampler @ plane_spectrum
+            assert seen_max == fine_max
+            assert np.max(np.abs(fine_values - expected)) <= 1e-14 * np.max(np.abs(expected))
 
     def test_efficiency_capture_completeness(self, toy_transform, toy_layout):
         field = gaussian_beam(toy_transform, 75e-6, TOY_WAVELENGTH)

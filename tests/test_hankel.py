@@ -140,6 +140,19 @@ class TestResample:
         resampled = transform.resample_matrix(targets) @ spectrum
         assert np.max(np.abs(resampled - gaussian(targets, waist))) < 1e-9
 
+    def test_threaded_build_is_bit_identical_to_direct_formula(self, transform, monkeypatch):
+        # five row blocks, the last one ragged
+        radii = np.linspace(0.0, transform.max_radius, 4 * hankel._RESAMPLE_BLOCK_ROWS + 9)
+        direct = j0(np.outer(radii, transform.k_radial)) / (
+            np.pi * transform.max_radius**2 * transform._j1sq
+        )
+        monkeypatch.setattr(hankel, "_usable_cpus", lambda: 4)
+        threaded = transform.resample_matrix(radii)
+        monkeypatch.setattr(hankel, "_usable_cpus", lambda: 1)
+        sequential = transform.resample_matrix(radii)
+        assert np.array_equal(threaded, direct)
+        assert np.array_equal(threaded, sequential)
+
     def test_resample_rejects_radii_outside_grid(self, transform):
         spectrum = transform.forward(gaussian(transform.radii, 150e-6))
         with pytest.raises(DomainError):
@@ -163,3 +176,24 @@ class TestCache:
         clear_transform_cache()
         b = get_transform(256, 1e-3)
         assert a is not b
+
+    def test_cache_bounded_by_kernel_bytes(self, monkeypatch):
+        clear_transform_cache()
+        monkeypatch.setattr(hankel, "_CACHE_MAX_BYTES", 8 * (64**2 + 48**2))
+        a = get_transform(64, 1e-3)
+        b = get_transform(48, 1e-3)
+        assert get_transform(64, 1e-3) is a
+        # 64 + 48 + 32 points exceed the bound: the oldest grid goes first
+        c = get_transform(32, 1e-3)
+        assert list(hankel._transform_cache) == [(48, 1e-3), (32, 1e-3)]
+        assert get_transform(48, 1e-3) is b
+        assert get_transform(32, 1e-3) is c
+        # a kernel above the bound by itself is still built, and cached alone
+        get_transform(128, 1e-3)
+        assert list(hankel._transform_cache) == [(128, 1e-3)]
+        clear_transform_cache()
+
+    def test_cache_bound_holds_one_default_kernel_and_the_toy_grids(self):
+        toy_grids = sum(8 * n**2 for n in (2048, 4096, 8192))
+        default_kernel = 8 * 18000**2
+        assert default_kernel + toy_grids <= hankel._CACHE_MAX_BYTES < 2 * default_kernel
