@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, require_finite_fields
 from .dipole import POLAR_SIGMA, collection_probability
 from .geometry import LensGeometry, check_na, cone_from_na, na_from_geometry
 
@@ -47,6 +47,7 @@ class TrapArraySpec:
     focal_length_factor: float = 3.0
 
     def __post_init__(self):
+        require_finite_fields(self)
         if not (self.electrode_distance > 0):
             raise DomainError(
                 f"electrode_distance must be > 0, got {self.electrode_distance}"
@@ -76,6 +77,7 @@ class DetectorSpec:
     quantum_efficiency: float = 0.2
 
     def __post_init__(self):
+        require_finite_fields(self)
         if not (0.0 < self.quantum_efficiency <= 1.0):
             raise DomainError(
                 f"quantum_efficiency must be in (0, 1], got {self.quantum_efficiency}"

@@ -115,19 +115,23 @@ def cmd_simulate(args) -> int:
     truncation_radius = config.truncation_waists * config.input_waist
     truncation_radius = min(truncation_radius, lens.clear_aperture_diameter / 2.0)
     grid_radius = config.grid_padding_factor * truncation_radius
+    truncated = layout.truncated(truncation_radius)
+    paraxial = bool(args.ideal)
+    if not paraxial:
+        # refuse a grid too coarse for the zones before building its kernel
+        diffraction.check_zone_sampling(truncated, config.grid_points, grid_radius)
     transform = get_transform(config.grid_points, grid_radius)
     beam = diffraction.gaussian_beam(transform, config.input_waist, config.wavelength)
 
     # the ideal control is a textbook Gaussian-optics case: thin-lens
     # phase under paraxial propagation, so the focal waist has the
     # closed form lambda f / (pi w_in) to compare against
-    paraxial = bool(args.ideal)
-    if args.ideal:
+    if paraxial:
         transmitted = diffraction.apply_ideal_lens(
             beam, lens.focal_length, truncation_radius, paraxial=True
         )
     else:
-        transmitted = diffraction.apply_binary_pfl(beam, layout.truncated(truncation_radius))
+        transmitted = diffraction.apply_binary_pfl(beam, truncated)
 
     z_lo = args.z_min_um * 1e-6 if args.z_min_um is not None else lens.focal_length - config.scan_half_width
     z_hi = args.z_max_um * 1e-6 if args.z_max_um is not None else lens.focal_length + config.scan_half_width

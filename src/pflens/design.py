@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, SchemaError
+from .errors import DomainError, SchemaError, require_finite_fields
 
 FUSED_SILICA_INDEX = 1.4738  # near-UV value; reproduces a 390 nm half-wave etch at 369.5 nm
 # most rings zone_layout enumerates (80 MB of radii); the reference lens has 2449
@@ -42,6 +42,7 @@ class LensDesign:
     substrate_index: float = FUSED_SILICA_INDEX
 
     def __post_init__(self):
+        require_finite_fields(self)
         for name in ("focal_length", "clear_aperture_diameter", "design_wavelength"):
             if not (getattr(self, name) > 0):
                 raise DomainError(f"{name} must be > 0, got {getattr(self, name)}")

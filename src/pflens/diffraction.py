@@ -37,6 +37,8 @@ from .hankel import HankelTransform
 # orders of magnitude larger.
 _GUARD_BAND_FRACTION = 0.02
 _GUARD_BAND_MAX_POWER = 1e-2
+# collocation samples apply_binary_pfl requires across the outermost zone period
+_MIN_SAMPLES_PER_ZONE = 4.0
 # planes whose spectra scan_field stacks into one batched inverse transform
 _SCAN_CHUNK_PLANES = 64
 # knife_edge_power_curve expands arccos(x / r) in powers of x / r on radii
@@ -105,6 +107,38 @@ def _grid_max_spacing(grid: np.ndarray) -> float:
     return float(np.max(np.diff(grid)))
 
 
+def _outer_zone_pitch(layout: ZoneLayout) -> float:
+    return float(layout.ring_radii[-1] - layout.ring_radii[-2])
+
+
+def _undersampled(samples_per_zone: float, layout: ZoneLayout, max_radius: float) -> ResolutionError:
+    # the widest gap between collocation radii is just under R / (N + 3/4)
+    # (see check_zone_sampling), so this many points always suffice
+    n_min = math.ceil(_MIN_SAMPLES_PER_ZONE * max_radius / _outer_zone_pitch(layout) - 0.75)
+    return ResolutionError(
+        f"grid under-samples the outermost zone: {samples_per_zone:.2f} samples per zone "
+        f"period, need at least {_MIN_SAMPLES_PER_ZONE:g}: grid_points >= {n_min} "
+        f"(a {8 * n_min**2 / 1e9:.3g} GB kernel at 8 N^2 bytes)"
+    )
+
+
+def check_zone_sampling(layout: ZoneLayout, n_points: int, max_radius: float) -> None:
+    """Refuse, before its kernel is built, a grid apply_binary_pfl would refuse.
+
+    The widest gap between the collocation radii j_n R / S is the last,
+    (j_N - j_{N-1}) R / j_{N+1}. It is R / (N + 3/4) less about a relative
+    0.0253 / N^2 (under 0.2 % for N >= 4), so a grid is refused here only
+    when that estimate falls more than 1 % short of 4 samples per outer
+    zone period. Every grid apply_binary_pfl accepts passes;
+    apply_binary_pfl makes the exact check. Raises ResolutionError.
+    """
+    if layout.zone_count < 2:
+        return
+    estimate = _outer_zone_pitch(layout) * (n_points + 0.75) / max_radius
+    if estimate * 1.01 < _MIN_SAMPLES_PER_ZONE:
+        raise _undersampled(estimate, layout, max_radius)
+
+
 def apply_binary_pfl(field: RadialField, layout: ZoneLayout) -> RadialField:
     """Transmit a field through a phase Fresnel lens layout.
 
@@ -134,13 +168,9 @@ def apply_binary_pfl(field: RadialField, layout: ZoneLayout) -> RadialField:
         return field.with_amplitude(amplitude)
 
     if layout.zone_count >= 2:
-        outer_pitch = float(layout.ring_radii[-1] - layout.ring_radii[-2])
-        samples_per_zone = outer_pitch / _grid_max_spacing(r)
-        if samples_per_zone < 4.0:
-            raise ResolutionError(
-                f"grid under-samples the outermost zone: {samples_per_zone:.2f} "
-                "samples per zone period, need at least 4"
-            )
+        samples_per_zone = _outer_zone_pitch(layout) / _grid_max_spacing(r)
+        if samples_per_zone < _MIN_SAMPLES_PER_ZONE:
+            raise _undersampled(samples_per_zone, layout, transform.max_radius)
 
     focal_length = layout.focal_length()
     lam = layout.design_wavelength

@@ -5,6 +5,9 @@ Two broad classes matter to callers: input/validation problems
 (NumericalError and subclasses, CLI exit code 3).
 """
 
+import math
+from dataclasses import fields
+
 
 class PflensError(Exception):
     """Base class for all package errors."""
@@ -29,6 +32,13 @@ class ConfigError(DomainError):
         if key is not None:
             prefix += f"key '{key}': "
         super().__init__(prefix + message)
+
+
+def require_finite_fields(instance) -> None:
+    """Raise DomainError naming the first float field of a dataclass that is inf or nan."""
+    for spec in fields(instance):
+        if spec.type in ("float", float) and not math.isfinite(getattr(instance, spec.name)):
+            raise DomainError(f"{spec.name} must be finite, got {getattr(instance, spec.name)}")
 
 
 class SchemaError(DomainError):

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .errors import DomainError
+from .errors import DomainError, require_finite_fields
 from .dipole import (
     POLAR_PI,
     POLAR_SIGMA,
@@ -47,6 +47,7 @@ class EtalonSpec:
     free_spectral_range: float
 
     def __post_init__(self):
+        require_finite_fields(self)
         if not (self.finesse > 0):
             raise DomainError(f"finesse must be > 0, got {self.finesse}")
         if not (self.free_spectral_range > 0):
@@ -69,6 +70,7 @@ class FrequencyLayout:
     zeeman_coefficient: float = DEFAULT_ZEEMAN_COEFFICIENT
 
     def __post_init__(self):
+        require_finite_fields(self)
         for name in ("raman_shift", "zeeman_splitting", "zeeman_coefficient"):
             if not (getattr(self, name) >= 0):
                 raise DomainError(f"{name} must be >= 0, got {getattr(self, name)}")

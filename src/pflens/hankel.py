@@ -10,19 +10,59 @@ angular spectra sampled at k_m = j_m / R. The transform pair used here
 
 Both directions share the symmetric kernel J0(j_m j_n / S), so only one
 N x N float64 matrix is stored. For N in the ten-thousands this matrix
-is the dominant memory cost (8 N^2 bytes) and its N^2 Bessel
-evaluations the dominant build time. The build evaluates only the upper
-triangle, in blocks of rows filled in place, and mirrors each block into
-the lower triangle, so the stored kernel is exactly symmetric.
+is the dominant memory cost (8 N^2 bytes) and building it the dominant
+set-up time. The build fills only the upper triangle, in blocks of 128
+rows, and mirrors each block into the lower triangle, so the stored
+kernel is exactly symmetric.
+
+Within a row block [m0, m0 + B) the kernel entry J0(x), x = j_m s_n with
+s_n = j_n / S, is evaluated in one of two ways:
+
+* direct: scipy's j0, for the columns where x0 = j_m0 s_n < 60. That is
+  all of the first block (so the whole kernel for N <= 128), 6.8 % of
+  the triangle at N = 4096 and 1.8 % at N = 18000.
+* asymptotic: Hankel's large-argument expansion for the other columns,
+
+      J0(x) = Re[ sqrt(2 / pi) e^{-i pi/4} sum_k i^k a_k x^{-k-1/2} e^{ix} ],
+      a_k = (-1)^k prod_{l<=k} (2l - 1)^2 / (k! 8^k).
+
+  With delta_i = j_i - (i + 3/4) pi (0-based i, small by McMahon's
+  expansion) and eta_m = delta_m - delta_m0, the phase splits as
+  j_m s_n = j_m0 s_n + d pi s_n + eta_m s_n, d = m - m0, and
+  e^{i eta_m s_n} is expanded in powers p of i eta_m s_n. Each entry is then
+
+      J0(j_m s_n) = Re[ (U V)[m, n] E[d, n] ],
+      U[m, (k, p)] = sqrt(2/pi) e^{-i pi/4} i^k a_k j_m^{-k-1/2} (i eta_m)^p / p!,
+      V[(k, p), n] = s_n^{p-k-1/2} e^{i j_m0 s_n},
+      E[d, n] = e^{i d pi s_n},
+
+  so each column chunk of a block costs one real matrix product over
+  the stacked real and imaginary parts, then Re(UV) Re(E) - Im(UV) Im(E)
+  elementwise, and no Bessel call. E is one B x N table shared by every
+  block.
+
+Term-count rule: for a column chunk whose smallest argument is x0, the
+orders k < K are kept, where K is the first order with |a_K| x0^-K <
+1e-17; for a block whose largest |eta_m s_n| is h, the term (k, p) is
+kept while |a_k| x0^-k h^p / p! >= 1e-17 (at most 12 orders at x0 = 60,
+6 at 1000, 5 at 10^4; p <= 4). Every omitted term, and each series'
+remainder, is below 1e-17 times the amplitude sqrt(2 / (pi x)) < 0.11,
+so truncation adds under 1e-15 to any entry. The deviation from
+j0(outer(j, j / S)) is set instead by rounding of the phase x, which
+reaches N pi: about 4e-14 at N = 4096 and below 1e-13 up to N = 18000.
+All block, chunk and term choices depend on N only.
 
 Two stages share one row-block helper: the kernel build and
 resample_matrix (the Fourier-Bessel rows that scan planes are resampled
 through). Each fills disjoint row blocks of its output in place, on a
 thread pool with one thread per CPU this process may use (its affinity
 mask where the platform has one, else the CPU count); the Bessel ufunc
-releases the interpreter lock. No entry's arithmetic depends on which
-thread computes it or when, so both outputs are bit-identical whatever
-the thread count.
+and BLAS release the interpreter lock. The kernel's products are cut
+into tiles of at most 10^6 multiply-adds, which OpenBLAS runs on the
+calling thread (its small-matrix path on AVX-512 CPUs), so the pool's
+threads do not contend with BLAS threads of their own. No entry's
+arithmetic depends on which thread computes it or when, so both outputs
+are bit-identical whatever the thread count.
 
 forward and inverse take samples of shape (N,) or a stack of Z columns
 of shape (N, Z) and return the same shape. A complex stack is viewed as
@@ -36,7 +76,9 @@ whose spectra decay by k = S / R.
 
 from __future__ import annotations
 
+import math
 import os
+import queue
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 
@@ -45,13 +87,68 @@ from scipy.special import j0, j1, jn_zeros
 
 from .errors import DomainError
 
-_KERNEL_BLOCK_ROWS = 512
+# rows per block of the kernel build; also the row count of the shared
+# phase table E, 16 B x N bytes (37 MB at N = 18000)
+_KERNEL_BLOCK_ROWS = 128
+# columns per asymptotic chunk: the term count K is chosen per chunk
+_KERNEL_CHUNK_COLUMNS = 512
+# kernel columns from which Hankel's expansion replaces j0 in a row block
+_ASYMPTOTIC_MIN_ARGUMENT = 60.0
+# series terms are kept while their bound, relative to sqrt(2 / (pi x)),
+# reaches this
+_SERIES_TOLERANCE = 1e-17
+# largest M N K of one product in the kernel build: OpenBLAS runs dgemm
+# this small on the calling thread
+_TILE_MULTIPLY_ADDS = 10**6
+# rows per BLAS-3 product in forward / inverse
+_PRODUCT_BLOCK_ROWS = 512
 # resample_matrix has few rows (the fine grid, 512 by default), so its
 # blocks are smaller for every CPU to get a share
 _RESAMPLE_BLOCK_ROWS = 64
 # total kernel bytes (8 N^2 per transform) get_transform keeps cached: one
 # 18000-point kernel (2.6 GB) fits, two (5.2 GB) never do
 _CACHE_MAX_BYTES = 4 * 1024**3
+
+
+def _hankel_coefficients(count: int) -> list[float]:
+    """a_k = (-1)^k prod_{l<=k} (2l - 1)^2 / (k! 8^k) for k < count."""
+    # plain floats: numpy calls at import time would add to every
+    # process's memory, kernel or not
+    coefficients = [1.0]
+    for k in range(1, count):
+        coefficients.append(coefficients[-1] * (-((2.0 * k - 1) ** 2) / (8.0 * k)))
+    return coefficients
+
+
+# |a_k| / x^k falls below the tolerance by k = 12 at x = 60, the smallest
+# argument the expansion is used for; 24 orders leave room
+_HANKEL_COEFFICIENTS = _hankel_coefficients(24)
+
+
+def _series_orders(x_min: float) -> int:
+    """K: the first order with |a_K| x_min^-K below the tolerance."""
+    k = 0
+    while abs(_HANKEL_COEFFICIENTS[k]) / x_min**k >= _SERIES_TOLERANCE:
+        k += 1
+    return k
+
+
+def _series_terms(x_min: float, eta_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Orders k and Taylor powers p of the terms kept, sorted by k.
+
+    (k, p) is kept for k < K(x_min) while |a_k| x_min^-k eta_max^p / p!
+    reaches the tolerance, so p = 0 is always kept.
+    """
+    orders, powers = [], []
+    for k in range(_series_orders(x_min)):
+        bound = abs(_HANKEL_COEFFICIENTS[k]) / x_min**k
+        p = 0
+        while bound >= _SERIES_TOLERANCE:
+            orders.append(k)
+            powers.append(p)
+            p += 1
+            bound *= eta_max / p
+    return np.array(orders), np.array(powers)
 
 
 def _usable_cpus() -> int:
@@ -70,6 +167,124 @@ def _fill_row_blocks(n_rows: int, block_rows: int, fill: Callable[[int, int], No
     with ThreadPoolExecutor(max_workers=max(1, min(_usable_cpus(), len(starts)))) as pool:
         # consuming the results re-raises any error from a block
         list(pool.map(lambda start: fill(start, min(start + block_rows, n_rows)), starts))
+
+
+class _KernelRows:
+    """Upper-triangle rows of the kernel J0(j_m j_n / S), one row block at a time.
+
+    Holds what every block shares: the phase table E, powers of s_n,
+    each block's split column and series terms, and one set of product
+    buffers per usable CPU. The tables take about 16 B N per block row
+    and are freed with the instance.
+
+    All of it is allocated on the constructing thread: buffers that pool
+    threads allocate and free stay resident in their malloc arenas after
+    the build, and would add to the peak memory of what runs next.
+    """
+
+    def __init__(self, roots: np.ndarray, last_root: float):
+        n = roots.size
+        self._roots = roots
+        self._scaled = roots / last_root
+        # j_i and (i + 3/4) pi are within a factor 2, so this difference is exact
+        self._offsets = roots - (np.arange(n) + 0.75) * np.pi
+        # Re E and Im E in one allocation: 37 MB at N = 18000, above malloc's
+        # largest mmap threshold, so freeing it unmaps it
+        phase = np.empty((2, _KERNEL_BLOCK_ROWS, n))
+        np.multiply.outer(np.arange(_KERNEL_BLOCK_ROWS) * np.pi, self._scaled, out=phase[0])
+        np.sin(phase[0], out=phase[1])
+        np.cos(phase[0], out=phase[0])
+        self._phase_real, self._phase_imag = phase
+        self._plans = [self._plan(start) for start in range(0, n, _KERNEL_BLOCK_ROWS)]
+        most_terms = max(orders.size for _, orders, _ in self._plans)
+        self._buffers: queue.SimpleQueue = queue.SimpleQueue()
+        for _ in range(_usable_cpus()):
+            self._buffers.put(
+                (
+                    np.empty(4 * _KERNEL_BLOCK_ROWS * most_terms),
+                    np.empty((most_terms, _KERNEL_CHUNK_COLUMNS)),
+                    np.empty((most_terms, 2, _KERNEL_CHUNK_COLUMNS)),
+                    np.empty((2 * _KERNEL_BLOCK_ROWS, _KERNEL_CHUNK_COLUMNS)),
+                )
+            )
+        # powers s_n^(e - 1/2) for every e = p - k some block uses
+        exponents = np.concatenate([p - k for _, k, p in self._plans] + [[0]])
+        self._lowest_exponent = int(exponents.min())
+        self._powers = self._scaled ** (
+            np.arange(self._lowest_exponent, exponents.max() + 1)[:, None] - 0.5
+        )
+
+    def _plan(self, start: int) -> tuple[int, np.ndarray, np.ndarray]:
+        """First asymptotic column of the block at start, and its terms (k, p)."""
+        n = self._roots.size
+        stop = min(start + _KERNEL_BLOCK_ROWS, n)
+        threshold = _ASYMPTOTIC_MIN_ARGUMENT / self._roots[start]
+        split = max(start, int(np.searchsorted(self._scaled, threshold)))
+        if split == n:
+            return split, np.array([], int), np.array([], int)
+        # |eta_m s_n| over the block; s_n < 1
+        eta = self._offsets[start:stop] - self._offsets[start]
+        eta_max = float(np.max(np.abs(eta))) * self._scaled[-1]
+        return split, *_series_terms(self._roots[start] * self._scaled[split], eta_max)
+
+    def fill(self, start: int, stop: int, out: np.ndarray) -> None:
+        """Write kernel[start:stop, start:] into out, for rows of the block at start."""
+        roots, scaled = self._roots, self._scaled
+        n = roots.size
+        split, orders, powers = self._plans[start // _KERNEL_BLOCK_ROWS]
+        direct = out[:, : split - start]
+        np.multiply.outer(roots[start:stop], scaled[start:split], out=direct)
+        j0(direct, out=direct)
+        if split == n:
+            return
+
+        rows, terms = stop - start, orders.size
+        eta = self._offsets[start:stop] - self._offsets[start]
+        # sqrt(2/pi) e^{-i pi/4} i^k a_k i^p / p! = a_k / p! i^(k+p) (1 - i) / sqrt(pi)
+        coefficients = np.array(
+            [
+                _HANKEL_COEFFICIENTS[k] / math.factorial(p) * 1j ** int(k + p) * (1 - 1j)
+                for k, p in zip(orders, powers)
+            ]
+        ) / math.sqrt(math.pi)
+        u = coefficients * roots[start:stop, None] ** (-orders - 0.5) * eta[:, None] ** powers
+        # at most one fill per usable CPU runs at a time, so a set is free
+        buffers = self._buffers.get()
+        flat_weights, amplitude_buffer, columns, product = buffers
+        try:
+            # [Re U, -Im U; Im U, Re U] with columns (term, part), so the terms of
+            # the lowest K orders are a leading slice
+            weights = flat_weights[: 4 * rows * terms].reshape(2, rows, terms, 2)
+            weights[0, :, :, 0] = u.real
+            weights[0, :, :, 1] = -u.imag
+            weights[1, :, :, 0] = u.imag
+            weights[1, :, :, 1] = u.real
+            weights = weights.reshape(2 * rows, 2 * terms)
+            for c0 in range(split, n, _KERNEL_CHUNK_COLUMNS):
+                c1 = min(c0 + _KERNEL_CHUNK_COLUMNS, n)
+                width = c1 - c0
+                used = int(np.searchsorted(orders, _series_orders(roots[start] * scaled[c0])))
+                # V rows: s_n^(p-k-1/2) times the real and imaginary parts of e^{i j_m0 s_n}
+                exponents = powers[:used] - orders[:used] - self._lowest_exponent
+                amplitude = amplitude_buffer[:used, :width]
+                # exponents are in range; mode="clip" lets take write out unbuffered
+                np.take(self._powers[:, c0:c1], exponents, axis=0, out=amplitude, mode="clip")
+                phase = roots[start] * scaled[c0:c1]
+                v = columns[:used, :, :width]
+                np.multiply(amplitude, np.cos(phase), out=v[:, 0])
+                np.multiply(amplitude, np.sin(phase), out=v[:, 1])
+                v = v.reshape(2 * used, width)
+                w = weights[:, : 2 * used]
+                g = product[: 2 * rows, :width]
+                tile = max(1, _TILE_MULTIPLY_ADDS // (2 * rows * 2 * used))
+                for t0 in range(0, width, tile):
+                    np.matmul(w, v[:, t0 : t0 + tile], out=g[:, t0 : t0 + tile])
+                real, imag = g[:rows], g[rows:]
+                np.multiply(real, self._phase_real[:rows, c0:c1], out=real)
+                np.multiply(imag, self._phase_imag[:rows, c0:c1], out=imag)
+                np.subtract(real, imag, out=out[:, c0 - start : c1 - start])
+        finally:
+            self._buffers.put(buffers)
 
 
 class HankelTransform:
@@ -105,14 +320,13 @@ class HankelTransform:
     def _build_kernel(self) -> np.ndarray:
         n = self.n_points
         kernel = np.empty((n, n), dtype=np.float64)
-        scaled = self._j / self._S
+        rows = _KernelRows(self._j, self._S)
 
         def fill_block(start: int, stop: int) -> None:
             # rows [start, stop) from the diagonal rightwards, then their
             # mirror image below the diagonal block
             upper = kernel[start:stop, start:]
-            np.multiply.outer(self._j[start:stop], scaled[start:], out=upper)
-            j0(upper, out=upper)
+            rows.fill(start, stop, upper)
             kernel[stop:, start:stop] = upper[:, stop - start :].T
             diagonal = kernel[start:stop, start:stop]
             below = np.tril_indices(stop - start, -1)
@@ -138,8 +352,8 @@ class HankelTransform:
         result = np.empty(columns.shape)
         # row blocks keep the BLAS packing workspace to a few MiB; one
         # product over all N rows grows it with N (about 60 MiB at N = 18000)
-        for start in range(0, self.n_points, _KERNEL_BLOCK_ROWS):
-            stop = start + _KERNEL_BLOCK_ROWS
+        for start in range(0, self.n_points, _PRODUCT_BLOCK_ROWS):
+            stop = start + _PRODUCT_BLOCK_ROWS
             np.matmul(self._kernel[start:stop], columns, out=result[start:stop])
         if is_complex:
             result = result.view(np.complex128)

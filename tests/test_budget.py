@@ -56,6 +56,16 @@ class TestDetectionSiteSpacing:
         with pytest.raises(DomainError, match="measured_site_fraction"):
             TrapArraySpec(electrode_distance=1.0, measured_site_fraction=1.2)
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_specs_reject_non_finite_floats(self, value):
+        with pytest.raises(DomainError, match="electrode_distance must be finite"):
+            TrapArraySpec(electrode_distance=value)
+        for name in ("segment_length_factor", "measured_site_fraction", "focal_length_factor"):
+            with pytest.raises(DomainError, match=f"{name} must be finite"):
+                TrapArraySpec(electrode_distance=1.0, **{name: value})
+        with pytest.raises(DomainError, match="quantum_efficiency must be finite"):
+            DetectorSpec(quantum_efficiency=value)
+
 
 class TestAchievableArrayNa:
     def test_default_layout_reaches_079(self):

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from pflens import clear_transform_cache
+from pflens import clear_transform_cache, hankel
 from pflens.beamfit import (
     read_scans_csv,
     synthetic_knife_edge_scan,
@@ -170,6 +170,23 @@ class TestSimulate:
         )
         assert any("boundary" in warning for warning in summary["warnings"])
         assert summary["caustic_fit"] is None
+
+    def test_undersampled_grid_refused_before_kernel_build(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "coarse.cfg"
+        path.write_text(TOY_CONFIG.replace("grid_points = 2048", "grid_points = 64"))
+        built = []
+
+        class CountingTransform(hankel.HankelTransform):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        clear_transform_cache()
+        monkeypatch.setattr(hankel, "HankelTransform", CountingTransform)
+        code = main(["--config", str(path), "simulate", "--scan-output", str(tmp_path / "s.csv")])
+        assert code == 3
+        assert "grid_points >= " in capsys.readouterr().err
+        assert built == []
 
 
 class TestFit:

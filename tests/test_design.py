@@ -74,6 +74,20 @@ class TestZoneLayout:
         with pytest.raises(DomainError, match="nan zones"):
             zone_layout(LensDesign(1e308, 1e300, REFERENCE_WAVELENGTH))
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "name", ["focal_length", "clear_aperture_diameter", "design_wavelength", "substrate_index"]
+    )
+    def test_design_rejects_non_finite_fields(self, name, value):
+        fields = {
+            "focal_length": REFERENCE_FOCAL_LENGTH,
+            "clear_aperture_diameter": REFERENCE_APERTURE,
+            "design_wavelength": REFERENCE_WAVELENGTH,
+            name: value,
+        }
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            LensDesign(**fields)
+
     def test_zone_identity(self, reference_design):
         # sqrt(f^2 + r_p^2) - f must equal p lam to machine precision.
         layout = zone_layout(reference_design)

@@ -72,6 +72,11 @@ class TestEtalonTransmission:
             EtalonSpec(0.0, 1e9)
         with pytest.raises(DomainError, match="free_spectral_range"):
             EtalonSpec(50.0, 0.0)
+        for value in (math.inf, math.nan):
+            with pytest.raises(DomainError, match="finesse must be finite"):
+                EtalonSpec(value, 1e9)
+            with pytest.raises(DomainError, match="free_spectral_range must be finite"):
+                EtalonSpec(50.0, value)
 
 
 class TestSuppressionFactor:
@@ -149,6 +154,12 @@ class TestFrequencyLayout:
     def test_rejects_negative_frequencies(self):
         with pytest.raises(DomainError, match="raman_shift"):
             FrequencyLayout(raman_shift=-1.0)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["raman_shift", "zeeman_splitting", "zeeman_coefficient"])
+    def test_rejects_non_finite_frequencies(self, name, value):
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            FrequencyLayout(**{name: value})
 
 
 class TestSchemeErrorBudget:

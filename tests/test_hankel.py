@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from scipy.special import j0
+from scipy.special import j0, jn_zeros
 
 from pflens import DomainError, HankelTransform, clear_transform_cache, get_transform, hankel
 
@@ -43,14 +43,45 @@ class TestGridStructure:
 
 
 class TestKernel:
-    @pytest.mark.parametrize("n_points", [100, 1300, 4096])
+    @pytest.mark.parametrize("n_points", [100, 1300, 4096, 8192])
     def test_matches_direct_evaluation_and_is_symmetric(self, n_points):
-        # 100 fits in one row block, 1300 ends in a ragged block
+        # 100 is all direct j0 in one row block, 1300 ends in a ragged
+        # block; at 4096 and 8192 the expansion fills most of the kernel
         t = HankelTransform(n_points=n_points, max_radius=1e-3)
         kernel = t._kernel
         assert np.array_equal(kernel, kernel.T)
-        direct = j0(np.outer(t._j, t._j / t._S))
-        assert np.max(np.abs(kernel - direct)) < 1e-13
+        # compared in slabs of rows to keep the reference small
+        for start in range(0, n_points, 1024):
+            direct = j0(np.outer(t._j[start : start + 1024], t._j / t._S))
+            assert np.max(np.abs(kernel[start : start + 1024] - direct)) < 1e-13
+
+    def test_default_grid_row_blocks_match_direct_evaluation(self):
+        # row blocks of the 18000-point kernel, filled without the 2.6 GB matrix:
+        # all direct, direct then asymptotic, asymptotic only, and the ragged last
+        n_points = 18000
+        roots = jn_zeros(0, n_points + 1)
+        j, scaled = roots[:n_points], roots[:n_points] / roots[n_points]
+        rows = hankel._KernelRows(j, roots[n_points])
+        block = hankel._KERNEL_BLOCK_ROWS
+        for start in (0, block, 70 * block, (n_points - 1) // block * block):
+            stop = min(start + block, n_points)
+            out = np.empty((stop - start, n_points - start))
+            rows.fill(start, stop, out)
+            direct = j0(np.outer(j[start:stop], scaled[start:]))
+            assert np.max(np.abs(out - direct)) < 1e-13
+
+    def test_expansion_replaces_most_bessel_calls(self, monkeypatch):
+        evaluated = []
+
+        def counting_j0(x, *args, **kwargs):
+            evaluated.append(np.size(x))
+            return j0(x, *args, **kwargs)
+
+        monkeypatch.setattr(hankel, "j0", counting_j0)
+        n_points = 4096
+        HankelTransform(n_points=n_points, max_radius=1e-3)
+        # under 10 % of the upper triangle goes through j0
+        assert 0 < sum(evaluated) < 0.1 * n_points * (n_points + 1) / 2
 
     def test_threaded_build_is_deterministic(self, monkeypatch):
         first = HankelTransform(n_points=1300, max_radius=1e-3)._kernel
