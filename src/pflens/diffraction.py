@@ -28,7 +28,7 @@ import numpy as np
 from .beamfit import KnifeEdgeScan, fit_scan
 from .design import ZoneLayout
 from .errors import DomainError, ResolutionError
-from .hankel import HankelTransform
+from .hankel import HankelTransform, _kernel_bytes
 
 # fraction of the propagating k range treated as the aliasing guard band,
 # and the maximum relative power allowed there before propagation is
@@ -118,7 +118,7 @@ def _undersampled(samples_per_zone: float, layout: ZoneLayout, max_radius: float
     return ResolutionError(
         f"grid under-samples the outermost zone: {samples_per_zone:.2f} samples per zone "
         f"period, need at least {_MIN_SAMPLES_PER_ZONE:g}: grid_points >= {n_min} "
-        f"(a {8 * n_min**2 / 1e9:.3g} GB kernel at 8 N^2 bytes)"
+        f"(a {_kernel_bytes(n_min) / 1e9:.3g} GB kernel, about 4 N^2 bytes)"
     )
 
 
@@ -567,8 +567,9 @@ def scan_field(
     """Waist-versus-z scan of an already-transmitted field.
 
     z positions are measured from the transmitted plane. The forward
-    transform is computed once, and so is the fine_points x N resample
-    matrix onto evenly spaced radii near the axis. The propagated
+    transform is computed once. The fine_points x N resample matrix onto
+    evenly spaced radii near the axis depends on the transform alone, so
+    the transform builds it once for all scans on its grid. The propagated
     spectra of up to _SCAN_CHUNK_PLANES planes are stacked as columns
     and inverted by one batched transform (one pass over the kernel),
     so memory stays O(N) whatever the plane count. The same stack goes
@@ -591,11 +592,10 @@ def scan_field(
     if input_power is None:
         input_power = transmitted_power
 
-    # one fine-resampling operator reused across planes
-    spacing = _grid_max_spacing(transform.radii)
-    fine_max = min(60 * spacing, transform.max_radius)
-    fine_grid = np.linspace(0.0, fine_max, fine_points)
-    resampler = transform.resample_matrix(fine_grid)
+    # one fine-resampling operator, reused across planes and by every scan
+    # on this transform
+    fine_max = min(60 * _grid_max_spacing(transform.radii), transform.max_radius)
+    resampler = transform.fine_resample_matrix(fine_max, fine_points)
 
     waists = np.empty_like(z_positions)
     sigmas = np.empty_like(z_positions)

@@ -63,7 +63,7 @@ class FitError(NumericalError):
 
 
 class ResolutionError(NumericalError):
-    """A numerical grid is too coarse for the requested computation."""
+    """A numerical grid is too coarse for the requested computation, or too large for memory."""
 
 
 class AccuracyError(NumericalError):

@@ -8,12 +8,17 @@ angular spectra sampled at k_m = j_m / R. The transform pair used here
     A(k_m) = 2 pi * (2 R^2 / S^2) * sum_n f(r_n) J0(j_m j_n / S) / J1(j_n)^2
     f(r_n) = sum_m A(k_m) J0(j_m j_n / S) / (pi R^2 J1(j_m)^2)
 
-Both directions share the symmetric kernel J0(j_m j_n / S), so only one
-N x N float64 matrix is stored. For N in the ten-thousands this matrix
-is the dominant memory cost (8 N^2 bytes) and building it the dominant
-set-up time. The build fills only the upper triangle, in blocks of 128
-rows, and mirrors each block into the lower triangle, so the stored
-kernel is exactly symmetric.
+Both directions share the symmetric kernel J0(j_m j_n / S), and only
+its upper triangle is stored, in row super-blocks of 512 rows: the block
+at row A holds kernel[A:A + r, A:], r = min(512, N - A), so the whole
+takes 8 sum r (N - A) bytes, about 4 N^2 + 2048 N (1.3 GB at N = 18000;
+_kernel_bytes). No N x N array is allocated. Each super-block is filled
+in place in rows of 128 from the diagonal rightwards; the lower triangle
+of its r x r diagonal block is then copied from the upper, so the kernel
+the blocks stand for is exactly symmetric. Building and storing it is
+the dominant set-up time and memory for N in the ten-thousands, and a
+grid whose kernel would not fit in MemAvailable less 512 MiB is refused
+before anything is allocated.
 
 Within a row block [m0, m0 + B) the kernel entry J0(x), x = j_m s_n with
 s_n = j_n / S, is evaluated in one of two ways:
@@ -66,9 +71,19 @@ are bit-identical whatever the thread count.
 
 forward and inverse take samples of shape (N,) or a stack of Z columns
 of shape (N, Z) and return the same shape. A complex stack is viewed as
-2Z interleaved float64 columns, so a single pass of BLAS-3 products over
-the kernel's row blocks covers the real and imaginary parts of every
-column: the kernel is read once per call, not twice per column.
+2Z interleaved float64 columns, transposed to a C x N array X (C = Z or
+2Z), so every product is a plain (C x K) @ (K x M) BLAS-3 product. The
+super-blocks are taken in ascending order, each first through its
+diagonal block D (out[:, A:b] += X[:, A:b] D) and then through its column
+panels P = kernel[A:b, c0:c1] of at most 4096 columns, ascending; each
+panel is applied both ways while it is in cache (BLAS-3 work on
+triangle-only storage, as in the rectangular full packed format of
+Gustavson, Wasniewski, Dongarra and Langou, ACM TOMS 37(2), 18, 2010):
+
+    out[:, A:b] += X[:, c0:c1] P^T,    out[:, c0:c1] += X[:, A:b] P.
+
+The kernel is read once per call, not twice per column, and the fixed
+order makes the result the same on every call.
 
 The quadrature is spectrally accurate for fields that decay by r = R and
 whose spectra decay by k = S / R.
@@ -76,6 +91,7 @@ whose spectra decay by k = S / R.
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 import queue
@@ -85,7 +101,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 from scipy.special import j0, j1, jn_zeros
 
-from .errors import DomainError
+from .errors import DomainError, ResolutionError
 
 # rows per block of the kernel build; also the row count of the shared
 # phase table E, 16 B x N bytes (37 MB at N = 18000)
@@ -100,14 +116,22 @@ _SERIES_TOLERANCE = 1e-17
 # largest M N K of one product in the kernel build: OpenBLAS runs dgemm
 # this small on the calling thread
 _TILE_MULTIPLY_ADDS = 10**6
-# rows per BLAS-3 product in forward / inverse
-_PRODUCT_BLOCK_ROWS = 512
+# rows per super-block of the packed kernel, a multiple of _KERNEL_BLOCK_ROWS
+_PACKED_BLOCK_ROWS = 512
+# columns per panel of a super-block in forward / inverse: 16 MB of kernel
+_PANEL_COLUMNS = 4096
 # resample_matrix has few rows (the fine grid, 512 by default), so its
 # blocks are smaller for every CPU to get a share
 _RESAMPLE_BLOCK_ROWS = 64
-# total kernel bytes (8 N^2 per transform) get_transform keeps cached: one
-# 18000-point kernel (2.6 GB) fits, two (5.2 GB) never do
-_CACHE_MAX_BYTES = 4 * 1024**3
+# total kernel bytes (_kernel_bytes per transform) get_transform keeps
+# cached: one 18000-point kernel (1.3 GB) and the three toy grids fit, two
+# 18000-point kernels (2.6 GB) never do
+_CACHE_MAX_BYTES = 2 * 1024**3
+# memory a new kernel must leave free, for the grids, tables, resample
+# matrices and scan planes that grow with N beside it
+_MEMORY_HEADROOM_BYTES = 512 * 1024**2
+# memory assumed available where /proc/meminfo cannot be read
+_FALLBACK_AVAILABLE_BYTES = 4 * 1024**3
 
 
 def _hankel_coefficients(count: int) -> list[float]:
@@ -167,6 +191,43 @@ def _fill_row_blocks(n_rows: int, block_rows: int, fill: Callable[[int, int], No
     with ThreadPoolExecutor(max_workers=max(1, min(_usable_cpus(), len(starts)))) as pool:
         # consuming the results re-raises any error from a block
         list(pool.map(lambda start: fill(start, min(start + block_rows, n_rows)), starts))
+
+
+def _kernel_bytes(n_points: int) -> int:
+    """Bytes of the packed kernel of an n_points grid: about 4 N^2 + 2048 N.
+
+    Each super-block at row A stores kernel[A:A + r, A:], r = min(512, N - A).
+    """
+    return 8 * sum(
+        min(_PACKED_BLOCK_ROWS, n_points - start) * (n_points - start)
+        for start in range(0, n_points, _PACKED_BLOCK_ROWS)
+    )
+
+
+def _available_memory() -> int:
+    """MemAvailable from /proc/meminfo in bytes, else _FALLBACK_AVAILABLE_BYTES."""
+    try:
+        with open("/proc/meminfo") as meminfo:
+            for line in meminfo:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return _FALLBACK_AVAILABLE_BYTES
+
+
+def _check_kernel_fits(n_points: int) -> None:
+    """Refuse, before anything is allocated, a kernel that would not fit in memory."""
+    budget = _available_memory() - _MEMORY_HEADROOM_BYTES
+    needed = _kernel_bytes(n_points)
+    if needed > budget:
+        largest = bisect.bisect_right(range(n_points), budget, key=_kernel_bytes) - 1
+        raise ResolutionError(
+            f"a {n_points}-point grid needs a {needed / 1e9:,.2f} GB transform kernel, "
+            f"but {max(budget, 0) / 1e9:,.2f} GB of memory is available for it "
+            f"({_MEMORY_HEADROOM_BYTES / 2**30:.2g} GiB is kept free): "
+            + (f"grid_points <= {largest} fits" if largest >= 4 else "no grid fits")
+        )
 
 
 class _KernelRows:
@@ -291,7 +352,8 @@ class HankelTransform:
     """Order-zero quasi-discrete Hankel transform on [0, R].
 
     Precomputes the Bessel-zero grid and the transform kernel once;
-    instances are immutable after construction and safe to share.
+    instances are immutable after construction, apart from the one fine
+    resample matrix they keep, and safe to share.
     """
 
     def __init__(self, n_points: int, max_radius: float):
@@ -301,6 +363,7 @@ class HankelTransform:
             raise DomainError(f"max_radius must be > 0, got {max_radius}")
         self.n_points = n_points
         self.max_radius = float(max_radius)
+        _check_kernel_fits(n_points)
 
         roots = jn_zeros(0, n_points + 1)
         self._j = roots[:n_points]
@@ -309,31 +372,35 @@ class HankelTransform:
         self.k_radial = self._j / self.max_radius
         self._j1sq = j1(self._j) ** 2
 
-        self._kernel = self._build_kernel()
+        self._blocks = self._build_kernel()
 
         # quadrature weights for radial power integrals: 2 pi int |f|^2 r dr;
         # forward applies the kernel to samples times these weights
         self.power_weights = (4.0 * np.pi * self.max_radius**2 / self._S**2) / self._j1sq
         # same rule in k space: (1 / 2 pi) int |A|^2 k dk; inverse likewise
         self.spectral_power_weights = 1.0 / (np.pi * self.max_radius**2 * self._j1sq)
+        self._fine_resampler: tuple[tuple[float, int], np.ndarray] | None = None
 
-    def _build_kernel(self) -> np.ndarray:
+    def _build_kernel(self) -> list[np.ndarray]:
         n = self.n_points
-        kernel = np.empty((n, n), dtype=np.float64)
         rows = _KernelRows(self._j, self._S)
+        blocks = [
+            np.empty((min(_PACKED_BLOCK_ROWS, n - start), n - start))
+            for start in range(0, n, _PACKED_BLOCK_ROWS)
+        ]
 
         def fill_block(start: int, stop: int) -> None:
-            # rows [start, stop) from the diagonal rightwards, then their
-            # mirror image below the diagonal block
-            upper = kernel[start:stop, start:]
-            rows.fill(start, stop, upper)
-            kernel[stop:, start:stop] = upper[:, stop - start :].T
-            diagonal = kernel[start:stop, start:stop]
-            below = np.tril_indices(stop - start, -1)
-            diagonal[below] = diagonal.T[below]
+            # kernel[start:stop, start:], 128 rows at a time from the diagonal
+            # rightwards; then the diagonal block's lower triangle from its upper
+            block = blocks[start // _PACKED_BLOCK_ROWS]
+            for first in range(0, stop - start, _KERNEL_BLOCK_ROWS):
+                last = min(first + _KERNEL_BLOCK_ROWS, stop - start)
+                rows.fill(start + first, start + last, block[first:last, first:])
+            for row in range(1, stop - start):
+                block[row, :row] = block[:row, row]
 
-        _fill_row_blocks(n, _KERNEL_BLOCK_ROWS, fill_block)
-        return kernel
+        _fill_row_blocks(n, _PACKED_BLOCK_ROWS, fill_block)
+        return blocks
 
     def _apply(self, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
         values = np.asarray(values)
@@ -343,21 +410,27 @@ class HankelTransform:
                 f"got {values.shape}"
             )
         # the kernel is real, so complex columns are viewed as interleaved
-        # real and imaginary float64 columns: one product per row block
-        # covers both parts of every column, and the kernel is read once
+        # real and imaginary float64 columns: one pass over the kernel
+        # covers both parts of every column
         columns = values.reshape(self.n_points, -1) * weights[:, None]
         is_complex = np.iscomplexobj(columns)
         if is_complex:
             columns = np.ascontiguousarray(columns).view(np.float64)
-        result = np.empty(columns.shape)
-        # row blocks keep the BLAS packing workspace to a few MiB; one
-        # product over all N rows grows it with N (about 60 MiB at N = 18000)
-        for start in range(0, self.n_points, _PRODUCT_BLOCK_ROWS):
-            stop = start + _PRODUCT_BLOCK_ROWS
-            np.matmul(self._kernel[start:stop], columns, out=result[start:stop])
-        if is_complex:
-            result = result.view(np.complex128)
-        return result.reshape(values.shape)
+        # one row per column, so both products below are (C x K) @ (K x M)
+        x = np.ascontiguousarray(columns.T)
+        out = np.zeros_like(x)
+        for start, block in zip(range(0, self.n_points, _PACKED_BLOCK_ROWS), self._blocks):
+            near = slice(start, start + block.shape[0])
+            for first in range(0, block.shape[1], _PANEL_COLUMNS):
+                # kernel[near, far] = panel, and below the (symmetric) diagonal
+                # block kernel[far, near] = panel.T, applied while it is in cache
+                panel = block[:, first : first + _PANEL_COLUMNS]
+                stop = start + first + panel.shape[1]
+                out[:, near] += x[:, start + first : stop] @ panel.T
+                below = max(block.shape[0] - first, 0)
+                out[:, start + first + below : stop] += x[:, near] @ panel[:, below:]
+        result = np.ascontiguousarray(out.T)
+        return (result.view(np.complex128) if is_complex else result).reshape(values.shape)
 
     def forward(self, field_values: np.ndarray) -> np.ndarray:
         """Angular spectrum A(k_m) of samples f(r_n), one per column of (N, Z) input."""
@@ -393,6 +466,21 @@ class HankelTransform:
         _fill_row_blocks(radii.size, _RESAMPLE_BLOCK_ROWS, fill_block)
         return matrix
 
+    def fine_resample_matrix(self, fine_max: float, fine_points: int) -> np.ndarray:
+        """resample_matrix(linspace(0, fine_max, fine_points)), read-only.
+
+        The transform keeps the last one built, and frees it with itself,
+        so every scan that resamples onto the same fine grid shares one.
+        """
+        key = (float(fine_max), fine_points)
+        # read the slot once: another thread may replace it meanwhile
+        kept = self._fine_resampler
+        if kept is None or kept[0] != key:
+            matrix = self.resample_matrix(np.linspace(0.0, fine_max, fine_points))
+            matrix.flags.writeable = False
+            kept = self._fine_resampler = (key, matrix)
+        return kept[1]
+
     def radial_power(self, field_values: np.ndarray) -> float:
         """Discretized total power 2 pi int |f(r)|^2 r dr."""
         return float(np.sum(self.power_weights * np.abs(field_values) ** 2))
@@ -413,13 +501,14 @@ def get_transform(n_points: int, max_radius: float) -> HankelTransform:
     Kernels are expensive (time and memory), so repeated requests for
     the same grid reuse one instance. Before a new kernel is built, the
     oldest grids are dropped until the cached kernels plus the new one
-    take at most _CACHE_MAX_BYTES (8 N^2 bytes each); a kernel larger
+    take at most _CACHE_MAX_BYTES (_kernel_bytes each); a kernel larger
     than the bound is still built, and cached alone.
     """
     key = (n_points, float(max_radius))
     if key not in _transform_cache:
         while _transform_cache and (
-            8 * (n_points**2 + sum(n**2 for n, _ in _transform_cache)) > _CACHE_MAX_BYTES
+            _kernel_bytes(n_points) + sum(_kernel_bytes(n) for n, _ in _transform_cache)
+            > _CACHE_MAX_BYTES
         ):
             _transform_cache.pop(next(iter(_transform_cache)))
         _transform_cache[key] = HankelTransform(n_points, max_radius)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -187,6 +188,27 @@ class TestSimulate:
         assert code == 3
         assert "grid_points >= " in capsys.readouterr().err
         assert built == []
+
+    @pytest.mark.parametrize("ideal", [False, True], ids=["binary", "ideal"])
+    def test_grid_too_large_for_memory_exits_3_before_any_work(
+        self, tmp_path, capsys, monkeypatch, ideal
+    ):
+        # the parser accepts grid_points = 1000000: a 4 TB kernel, refused
+        # before jn_zeros (about 3 s at this size) or any allocation
+        path = tmp_path / "huge.cfg"
+        path.write_text(TOY_CONFIG.replace("grid_points = 2048", "grid_points = 1000000"))
+        monkeypatch.setattr(hankel, "_available_memory", lambda: 8 * 1024**3)
+        clear_transform_cache()
+        argv = ["--config", str(path), "simulate", "--scan-output", str(tmp_path / "s.csv")]
+        started = time.perf_counter()
+        code = main(argv + (["--ideal"] if ideal else []))
+        elapsed = time.perf_counter() - started
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "1000000-point grid needs a 4,002.05 GB transform kernel" in err
+        assert "grid_points <= 44614 fits" in err
+        assert "Traceback" not in err
+        assert elapsed < 1.0
 
 
 class TestFit:

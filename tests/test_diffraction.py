@@ -478,6 +478,30 @@ class TestFocalScans:
             assert seen_max == fine_max
             assert np.max(np.abs(fine_values - expected)) <= 1e-14 * np.max(np.abs(expected))
 
+    def test_fine_resample_matrix_built_once_per_transform(self, monkeypatch):
+        def converging(transform):
+            field = gaussian_beam(transform, LENS_INPUT_WAIST, BEAM_WAVELENGTH)
+            return apply_ideal_lens(field, LENS_FOCAL_LENGTH, aperture_radius=390e-6)
+
+        built = []
+        resample = HankelTransform.resample_matrix
+
+        def counting(transform, radii):
+            built.append(np.size(radii))
+            return resample(transform, radii)
+
+        monkeypatch.setattr(HankelTransform, "resample_matrix", counting)
+        field = converging(HankelTransform(1024, 400e-6))
+        z = np.linspace(LENS_FOCUS - LENS_RAYLEIGH_OUT, LENS_FOCUS + LENS_RAYLEIGH_OUT, 5)
+        scan_field(field, z)
+        kept = scan_field(field, z + 0.1 * LENS_RAYLEIGH_OUT)
+        assert built == [512]
+        # a transform of its own builds the matrix afresh, with the same result
+        rebuilt = scan_field(converging(HankelTransform(1024, 400e-6)), z + 0.1 * LENS_RAYLEIGH_OUT)
+        assert built == [512, 512]
+        for name in ("fitted_waists", "waist_uncertainties", "encircled_radii", "encircled_power"):
+            assert np.array_equal(getattr(kept, name), getattr(rebuilt, name))
+
     def test_efficiency_capture_completeness(self, toy_transform, toy_layout):
         field = gaussian_beam(toy_transform, 75e-6, TOY_WAVELENGTH)
         scan = focal_scan(

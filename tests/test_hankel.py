@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from scipy.special import j0, jn_zeros
 
-from pflens import DomainError, HankelTransform, clear_transform_cache, get_transform, hankel
+from pflens import (
+    DomainError,
+    HankelTransform,
+    ResolutionError,
+    clear_transform_cache,
+    get_transform,
+    hankel,
+)
 
 
 @pytest.fixture(scope="module")
@@ -42,18 +51,87 @@ class TestGridStructure:
             HankelTransform(n_points=64, max_radius=0.0)
 
 
+def super_blocks(t: HankelTransform):
+    """(start, block) for each super-block of t's packed kernel: block = kernel[start:stop, start:]."""
+    return zip(range(0, t.n_points, hankel._PACKED_BLOCK_ROWS), t._blocks)
+
+
+@pytest.fixture(scope="module", params=[100, 1300, 4096, 8192])
+def packed_case(request):
+    """A transform checked one slab of rows at a time against j0(outer(j, j / S)).
+
+    100 is all direct j0 in one row block and super-block, 1300 ends in a
+    ragged row block and super-block; at 4096 and 8192 the expansion fills
+    most of the kernel. The dense reference is never held as an N x N array:
+    each slab gives the deviation of its super-block and its rows of the
+    reference products of forward and inverse.
+    """
+    n = request.param
+    t = HankelTransform(n_points=n, max_radius=1e-3)
+    rng = np.random.default_rng(n)
+    inputs = {}
+    for shape in [(n,), (n, 1), (n, 42)]:
+        inputs["real", shape] = rng.standard_normal(shape)
+        inputs["complex", shape] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    # every input, weighted for each direction, as float64 columns of one
+    # matrix, so each slab makes one real product per direction
+    directions = {"forward": t.power_weights, "inverse": t.spectral_power_weights}
+    stacks = {
+        direction: np.hstack(
+            [
+                (values.reshape(n, -1) * weights[:, None]).view(np.float64)
+                for values in inputs.values()
+            ]
+        )
+        for direction, weights in directions.items()
+    }
+    products = {direction: np.empty_like(stack) for direction, stack in stacks.items()}
+    deviation, symmetric = 0.0, True
+    for start, block in super_blocks(t):
+        stop = start + block.shape[0]
+        direct = j0(np.outer(t._j[start:stop], t._j / t._S))
+        deviation = max(deviation, np.max(np.abs(block - direct[:, start:])))
+        diagonal = block[:, : stop - start]
+        symmetric &= np.array_equal(diagonal, diagonal.T)
+        for direction, stack in stacks.items():
+            np.matmul(direct, stack, out=products[direction][start:stop])
+    expected = {}
+    for direction, product in products.items():
+        first = 0
+        for key, values in inputs.items():
+            width = values.reshape(n, -1).view(np.float64).shape[1]
+            columns = np.ascontiguousarray(product[:, first : first + width])
+            expected[direction, key] = columns.view(values.dtype).reshape(values.shape)
+            first += width
+    return t, inputs, expected, deviation, symmetric
+
+
 class TestKernel:
-    @pytest.mark.parametrize("n_points", [100, 1300, 4096, 8192])
-    def test_matches_direct_evaluation_and_is_symmetric(self, n_points):
-        # 100 is all direct j0 in one row block, 1300 ends in a ragged
-        # block; at 4096 and 8192 the expansion fills most of the kernel
-        t = HankelTransform(n_points=n_points, max_radius=1e-3)
-        kernel = t._kernel
-        assert np.array_equal(kernel, kernel.T)
-        # compared in slabs of rows to keep the reference small
-        for start in range(0, n_points, 1024):
-            direct = j0(np.outer(t._j[start : start + 1024], t._j / t._S))
-            assert np.max(np.abs(kernel[start : start + 1024] - direct)) < 1e-13
+    def test_matches_direct_evaluation_and_is_symmetric(self, packed_case):
+        # off the diagonal blocks the kernel is symmetric by construction:
+        # the blocks stand for kernel[stop:, start:stop] through their transpose
+        _, _, _, deviation, symmetric = packed_case
+        assert symmetric
+        assert deviation < 1e-13
+
+    def test_transforms_match_dense_products(self, packed_case):
+        t, inputs, expected, _, _ = packed_case
+        for (direction, key), reference in expected.items():
+            result = getattr(t, direction)(inputs[key])
+            assert result.shape == reference.shape
+            assert result.dtype == reference.dtype
+            error = np.max(np.abs(result - reference)) / np.max(np.abs(reference))
+            assert error <= 1e-12, (direction, key, error)
+
+    def test_stores_only_the_upper_triangle(self, packed_case):
+        t = packed_case[0]
+        n = t.n_points
+        assert sum(block.nbytes for block in t._blocks) == hankel._kernel_bytes(n)
+        for start, block in super_blocks(t):
+            assert block.shape == (min(hankel._PACKED_BLOCK_ROWS, n - start), n - start)
+        # about half the dense 8 N^2 bytes once N spans several super-blocks
+        if n >= 4096:
+            assert hankel._kernel_bytes(n) < 0.57 * 8 * n**2
 
     def test_default_grid_row_blocks_match_direct_evaluation(self):
         # row blocks of the 18000-point kernel, filled without the 2.6 GB matrix:
@@ -84,12 +162,24 @@ class TestKernel:
         assert 0 < sum(evaluated) < 0.1 * n_points * (n_points + 1) / 2
 
     def test_threaded_build_is_deterministic(self, monkeypatch):
-        first = HankelTransform(n_points=1300, max_radius=1e-3)._kernel
-        second = HankelTransform(n_points=1300, max_radius=1e-3)._kernel
-        assert np.array_equal(first, second)
+        # 1300 points: three super-blocks, the last ragged, so four CPUs all get work
+        monkeypatch.setattr(hankel, "_usable_cpus", lambda: 4)
+        first = HankelTransform(n_points=1300, max_radius=1e-3)._blocks
+        second = HankelTransform(n_points=1300, max_radius=1e-3)._blocks
         monkeypatch.setattr(hankel, "_usable_cpus", lambda: 1)
-        sequential = HankelTransform(n_points=1300, max_radius=1e-3)._kernel
-        assert np.array_equal(first, sequential)
+        sequential = HankelTransform(n_points=1300, max_radius=1e-3)._blocks
+        assert len(first) == len(second) == len(sequential) == 3
+        for a, b, c in zip(first, second, sequential):
+            assert np.array_equal(a, b)
+            assert np.array_equal(a, c)
+
+    def test_repeat_calls_are_bit_identical(self):
+        t = HankelTransform(n_points=1300, max_radius=1e-3)
+        rng = np.random.default_rng(3)
+        columns = rng.standard_normal((1300, 42)) + 1j * rng.standard_normal((1300, 42))
+        for values in (columns[:, 0], columns.real, columns):
+            assert np.array_equal(t.forward(values), t.forward(values))
+            assert np.array_equal(t.inverse(values), t.inverse(values))
 
 
 class TestRoundTripAndParseval:
@@ -210,7 +300,9 @@ class TestCache:
 
     def test_cache_bounded_by_kernel_bytes(self, monkeypatch):
         clear_transform_cache()
-        monkeypatch.setattr(hankel, "_CACHE_MAX_BYTES", 8 * (64**2 + 48**2))
+        monkeypatch.setattr(
+            hankel, "_CACHE_MAX_BYTES", hankel._kernel_bytes(64) + hankel._kernel_bytes(48)
+        )
         a = get_transform(64, 1e-3)
         b = get_transform(48, 1e-3)
         assert get_transform(64, 1e-3) is a
@@ -225,6 +317,45 @@ class TestCache:
         clear_transform_cache()
 
     def test_cache_bound_holds_one_default_kernel_and_the_toy_grids(self):
-        toy_grids = sum(8 * n**2 for n in (2048, 4096, 8192))
-        default_kernel = 8 * 18000**2
+        toy_grids = sum(hankel._kernel_bytes(n) for n in (2048, 4096, 8192))
+        default_kernel = hankel._kernel_bytes(18000)
         assert default_kernel + toy_grids <= hankel._CACHE_MAX_BYTES < 2 * default_kernel
+
+
+class TestMemoryPreflight:
+    # the memory figure is monkeypatched: nothing here allocates a large kernel
+
+    def test_kernel_bytes_formula(self):
+        # one super-block below 512 points; about 4 N^2 + 2048 N above
+        assert hankel._kernel_bytes(100) == 8 * 100**2
+        assert hankel._kernel_bytes(512) == 8 * 512**2
+        assert hankel._kernel_bytes(18000) == pytest.approx(4 * 18000**2 + 2048 * 18000, rel=1e-3)
+        assert 1.33e9 < hankel._kernel_bytes(18000) < 1.34e9
+
+    def test_grid_too_large_for_memory_refused_before_any_work(self, monkeypatch):
+        def no_zeros(*args):
+            raise AssertionError("jn_zeros ran for a refused grid")
+
+        available = 3 * 1024**3
+        monkeypatch.setattr(hankel, "_available_memory", lambda: available)
+        monkeypatch.setattr(hankel, "jn_zeros", no_zeros)
+        with pytest.raises(ResolutionError, match=r"30000-point grid needs a 3.66 GB") as error:
+            HankelTransform(n_points=30000, max_radius=1e-3)
+        largest = int(re.search(r"grid_points <= (\d+) fits", str(error.value)).group(1))
+        budget = available - hankel._MEMORY_HEADROOM_BYTES
+        assert hankel._kernel_bytes(largest) <= budget < hankel._kernel_bytes(largest + 1)
+        hankel._check_kernel_fits(largest)
+        with pytest.raises(ResolutionError):
+            hankel._check_kernel_fits(largest + 1)
+
+    def test_no_grid_fits_in_too_little_memory(self, monkeypatch):
+        monkeypatch.setattr(hankel, "_available_memory", lambda: hankel._MEMORY_HEADROOM_BYTES)
+        with pytest.raises(ResolutionError, match="no grid fits"):
+            HankelTransform(n_points=64, max_radius=1e-3)
+
+    def test_fixed_cap_where_meminfo_cannot_be_read(self, monkeypatch):
+        def unreadable(*args, **kwargs):
+            raise OSError("no /proc here")
+
+        monkeypatch.setattr(hankel, "open", unreadable, raising=False)
+        assert hankel._available_memory() == hankel._FALLBACK_AVAILABLE_BYTES
