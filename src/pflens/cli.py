@@ -453,6 +453,8 @@ def cmd_curves(args) -> int:
         layout = config.frequency_layout()
         fsr = args.fsr_ghz * 1e9 if args.fsr_ghz is not None else 2.0 * layout.raman_shift
         etalon = filtering.EtalonSpec(finesse=args.finesse, free_spectral_range=fsr)
+        if args.steps < 2:
+            raise DomainError(f"n_steps must be >= 2, got {args.steps}")
         rows = ["detuning_hz,transmission"]
         for detuning in np.linspace(0.0, fsr, args.steps):
             transmission = filtering.etalon_transmission(etalon, float(detuning))
@@ -467,6 +469,8 @@ def cmd_curves(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    if args.seed < 0:
+        raise DomainError(f"--seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     z_positions = np.linspace(
         -args.z_half_range_um * 1e-6, args.z_half_range_um * 1e-6, args.z_steps

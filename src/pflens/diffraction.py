@@ -22,6 +22,8 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 
@@ -114,11 +116,18 @@ def _outer_zone_pitch(layout: ZoneLayout) -> float:
 def _undersampled(samples_per_zone: float, layout: ZoneLayout, max_radius: float) -> ResolutionError:
     # the widest gap between collocation radii is just under R / (N + 3/4)
     # (see check_zone_sampling), so this many points always suffice
-    n_min = math.ceil(_MIN_SAMPLES_PER_ZONE * max_radius / _outer_zone_pitch(layout) - 0.75)
+    pitch = _outer_zone_pitch(layout)
+    ratio = _MIN_SAMPLES_PER_ZONE * max_radius / pitch
+    if math.isinf(ratio):
+        # exactly, for a window so wide that the count overflows a float
+        ratio = Fraction(_MIN_SAMPLES_PER_ZONE) * Fraction(max_radius) / Fraction(pitch)
+    n_min = math.ceil(ratio - Fraction(3, 4))
+    # in decimal: the kernel bytes of a vast grid overflow a float
+    gigabytes = Decimal(_kernel_bytes(n_min)) / 10**9
     return ResolutionError(
         f"grid under-samples the outermost zone: {samples_per_zone:.2f} samples per zone "
         f"period, need at least {_MIN_SAMPLES_PER_ZONE:g}: grid_points >= {n_min} "
-        f"(a {_kernel_bytes(n_min) / 1e9:.3g} GB kernel, about 4 N^2 bytes)"
+        f"(a {gigabytes:.3g} GB kernel, about 4 N^2 bytes)"
     )
 
 
@@ -356,32 +365,36 @@ def knife_edge_power_curve(
     return curve
 
 
-def _resample(resampler: np.ndarray, spectra: np.ndarray) -> np.ndarray:
-    """Complex spectra, shape (N,) or (N, Z), through a real resample matrix.
+def _fine_radii(transform: HankelTransform, fine_points: int) -> np.ndarray:
+    """Near-axis fine grid: fine_points radii evenly spaced out to 60 grid spacings (at most R)."""
+    fine_max = min(60 * _grid_max_spacing(transform.radii), transform.max_radius)
+    return np.linspace(0.0, fine_max, fine_points)
 
-    The columns are viewed as interleaved real and imaginary float64
-    columns, so one product covers both parts of every column.
+
+def _fine_values(transform: HankelTransform, spectra: np.ndarray, fine_points: int) -> np.ndarray:
+    """Angular spectra, shape (N,) or (N, Z), summed on _fine_radii.
+
+    Goes through the transform's kept fine resample matrix, with the
+    columns viewed as interleaved real and imaginary float64 columns, so
+    one product covers both parts of every column.
     """
+    resampler = transform.fine_resample_matrix(_fine_radii(transform, fine_points))
     columns = np.ascontiguousarray(spectra, dtype=complex).reshape(spectra.shape[0], -1)
     fine = (resampler @ columns.view(np.float64)).view(np.complex128)
-    return fine.reshape((resampler.shape[0],) + spectra.shape[1:])
+    return fine.reshape((fine_points,) + spectra.shape[1:])
 
 
 def _composite_radial_intensity(
-    field_values: np.ndarray,
-    transform: HankelTransform,
-    fine_max_radius: float,
-    fine_values: np.ndarray,
+    field_values: np.ndarray, transform: HankelTransform, fine_values: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Intensity on a grid refined near the axis.
 
-    The inner region [0, fine_max_radius] takes fine_values, the field
-    at evenly spaced radii over that region (Fourier-Bessel resummation
-    of the angular spectrum through the transform's resample_matrix);
-    outside it the native collocation samples are used.
+    Inside the fine grid (_fine_radii) it takes fine_values, the field
+    resampled there by _fine_values; outside it the native collocation
+    samples are used.
     """
-    fine_r = np.linspace(0.0, fine_max_radius, fine_values.shape[0])
-    outer = transform.radii > fine_max_radius
+    fine_r = _fine_radii(transform, fine_values.shape[0])
+    outer = transform.radii > fine_r[-1]
     radii = np.concatenate([fine_r, transform.radii[outer]])
     intensity = np.concatenate(
         [np.abs(fine_values) ** 2, np.abs(field_values[outer]) ** 2]
@@ -425,40 +438,29 @@ def _spot_radius_estimate(radii: np.ndarray, intensity: np.ndarray) -> float:
 
 def measure_waist_knife_edge(
     field: RadialField,
-    spectrum: np.ndarray | None = None,
     n_blade_positions: int = 81,
-    fine_points: int = 512,
-    fine_field: tuple[float, np.ndarray] | None = None,
+    fine_values: np.ndarray | None = None,
 ) -> tuple[float, float]:
     """1/e^2 intensity radius of a field via a virtual knife edge.
 
     Returns (waist, 1 sigma uncertainty from the fit). The blade curve
     is generated over +-2.5 half-power radii and fitted with the same
     error-function model applied to measured scans. A spot narrower
-    than 25 grid spacings is measured on a near-axis resample: either
-    fine_field = (fine_max, values), the field already resampled at
-    evenly spaced radii on [0, fine_max], or else fine_points radii
-    resampled here from spectrum (the field's forward transform when
-    None).
+    than 25 grid spacings is measured on the transform's near-axis fine
+    grid (_fine_radii), the one scan_field uses: fine_values are the
+    field's samples there (scan_field passes its batched resample), else
+    512 of them are resampled here from the field's forward transform
+    through the same kept matrix.
     """
     transform = field.transform
     values = field.amplitude
     native_intensity = np.abs(values) ** 2
 
     w_est = _spot_radius_estimate(transform.radii, native_intensity)
-    spacing = _grid_max_spacing(transform.radii)
-    if w_est < 25 * spacing:
-        if fine_field is not None:
-            fine_max, fine_values = fine_field
-        else:
-            if spectrum is None:
-                spectrum = transform.forward(values)
-            fine_max = min(max(8 * w_est, 12 * spacing), transform.max_radius)
-            resampler = transform.resample_matrix(np.linspace(0.0, fine_max, fine_points))
-            fine_values = _resample(resampler, spectrum)
-        radii, intensity = _composite_radial_intensity(
-            values, transform, fine_max, fine_values
-        )
+    if w_est < 25 * _grid_max_spacing(transform.radii):
+        if fine_values is None:
+            fine_values = _fine_values(transform, transform.forward(values), 512)
+        radii, intensity = _composite_radial_intensity(values, transform, fine_values)
         w_est = _spot_radius_estimate(radii, intensity)
     else:
         radii, intensity = transform.radii, native_intensity
@@ -526,21 +528,19 @@ class FocalScanResult:
 
 
 def _encircled_power_curve(
-    transform: HankelTransform,
-    field_values: np.ndarray,
-    fine_radii: np.ndarray,
-    fine_intensity: np.ndarray,
+    transform: HankelTransform, field_values: np.ndarray, fine_values: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cumulative power within a radius at one plane.
 
-    The resampled core is integrated with the trapezoid rule; beyond it
-    the curve switches to partial sums of the transform's quadrature
-    weights, whose total equals the plane power exactly. (Trapezoid
-    sums on the native grid lose percent-level power to near-Nyquist
-    halo fringes; the quadrature weights integrate the band-limited
-    series exactly.)
+    The core, fine_values on _fine_radii, is integrated with the
+    trapezoid rule; beyond it the curve switches to partial sums of the
+    transform's quadrature weights, whose total equals the plane power
+    exactly. (Trapezoid sums on the native grid lose percent-level power
+    to near-Nyquist halo fringes; the quadrature weights integrate the
+    band-limited series exactly.)
     """
-    integrand = 2.0 * math.pi * fine_intensity * fine_radii
+    fine_radii = _fine_radii(transform, fine_values.shape[0])
+    integrand = 2.0 * math.pi * np.abs(fine_values) ** 2 * fine_radii
     core = np.concatenate(
         [[0.0], np.cumsum(np.diff(fine_radii) * 0.5 * (integrand[1:] + integrand[:-1]))]
     )
@@ -567,17 +567,18 @@ def scan_field(
     """Waist-versus-z scan of an already-transmitted field.
 
     z positions are measured from the transmitted plane. The forward
-    transform is computed once. The fine_points x N resample matrix onto
-    evenly spaced radii near the axis depends on the transform alone, so
-    the transform builds it once for all scans on its grid. The propagated
-    spectra of up to _SCAN_CHUNK_PLANES planes are stacked as columns
-    and inverted by one batched transform (one pass over the kernel),
-    so memory stays O(N) whatever the plane count. The same stack goes
-    through the resample matrix in one BLAS-3 product, as interleaved
-    real and imaginary columns. Each plane's waist is then measured
-    with the knife edge from its native and fine samples, which costs
-    near-axis work only. The first plane with the smallest waist is
-    kept for the encircled-power curve.
+    transform is computed once. The near-axis fine grid (_fine_radii:
+    fine_points radii over 60 grid spacings) and its fine_points x N
+    resample matrix depend on the transform alone, so the transform
+    keeps one matrix for every scan and standalone waist measurement on
+    its grid. The propagated spectra of up to _SCAN_CHUNK_PLANES planes
+    are stacked as columns and inverted by one batched transform (one
+    pass over the kernel), so memory stays O(N) whatever the plane
+    count. The same stack goes through the resample matrix in one
+    BLAS-3 product, as interleaved real and imaginary columns. Each
+    plane's waist is then measured with the knife edge from its native
+    and fine samples, which costs near-axis work only. The first plane
+    with the smallest waist is kept for the encircled-power curve.
     """
     transform = transmitted.transform
     z_positions = np.asarray(z_positions, dtype=float)
@@ -592,11 +593,6 @@ def scan_field(
     if input_power is None:
         input_power = transmitted_power
 
-    # one fine-resampling operator, reused across planes and by every scan
-    # on this transform
-    fine_max = min(60 * _grid_max_spacing(transform.radii), transform.max_radius)
-    resampler = transform.fine_resample_matrix(fine_max, fine_points)
-
     waists = np.empty_like(z_positions)
     sigmas = np.empty_like(z_positions)
     best_waist = math.inf
@@ -607,13 +603,15 @@ def scan_field(
             spectra[:, column] = spectrum * _propagator_phase(
                 transform, transmitted.wavenumber, z, paraxial
             )
+        # resample first: the matrix the first call builds and keeps then sits
+        # below the inverse's temporaries in the heap, not above their freed space
+        fine = _fine_values(transform, spectra, fine_points)
         fields = transform.inverse(spectra)
-        fine = _resample(resampler, spectra)
         for column in range(chunk.size):
             w, s = measure_waist_knife_edge(
                 transmitted.with_amplitude(fields[:, column]),
                 n_blade_positions=n_blade_positions,
-                fine_field=(fine_max, fine[:, column]),
+                fine_values=fine[:, column],
             )
             waists[first + column] = w
             sigmas[first + column] = s
@@ -622,12 +620,7 @@ def scan_field(
                 fine_best = fine[:, column].copy()
                 values_best = fields[:, column].copy()
 
-    radii, intensity = _composite_radial_intensity(
-        values_best, transform, fine_max, fine_best
-    )
-    enc_r, enc_p = _encircled_power_curve(
-        transform, values_best, radii[:fine_points], intensity[:fine_points]
-    )
+    enc_r, enc_p = _encircled_power_curve(transform, values_best, fine_best)
 
     return FocalScanResult(
         z_positions=z_positions,

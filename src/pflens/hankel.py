@@ -97,6 +97,7 @@ import os
 import queue
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
+from decimal import Decimal
 
 import numpy as np
 from scipy.special import j0, j1, jn_zeros
@@ -196,11 +197,16 @@ def _fill_row_blocks(n_rows: int, block_rows: int, fill: Callable[[int, int], No
 def _kernel_bytes(n_points: int) -> int:
     """Bytes of the packed kernel of an n_points grid: about 4 N^2 + 2048 N.
 
-    Each super-block at row A stores kernel[A:A + r, A:], r = min(512, N - A).
+    Each super-block at row A stores kernel[A:A + r, A:], r = min(B, N - A),
+    B = 512. With q, r = divmod(N, B) the q full blocks hold
+    sum_{i<q} B (N - B i) = B q N - B^2 q (q - 1) / 2 entries and the last
+    holds r (N - B q) = r^2.
     """
-    return 8 * sum(
-        min(_PACKED_BLOCK_ROWS, n_points - start) * (n_points - start)
-        for start in range(0, n_points, _PACKED_BLOCK_ROWS)
+    full, rest = divmod(n_points, _PACKED_BLOCK_ROWS)
+    return 8 * (
+        _PACKED_BLOCK_ROWS * full * n_points
+        - _PACKED_BLOCK_ROWS**2 * full * (full - 1) // 2
+        + rest * rest
     )
 
 
@@ -221,9 +227,11 @@ def _check_kernel_fits(n_points: int) -> None:
     budget = _available_memory() - _MEMORY_HEADROOM_BYTES
     needed = _kernel_bytes(n_points)
     if needed > budget:
-        largest = bisect.bisect_right(range(n_points), budget, key=_kernel_bytes) - 1
+        # a kernel takes over 4 N^2 bytes, so no grid beyond sqrt(budget / 4) fits
+        above = min(n_points, math.isqrt(max(budget, 0) // 4) + 2)
+        largest = bisect.bisect_right(range(above), budget, key=_kernel_bytes) - 1
         raise ResolutionError(
-            f"a {n_points}-point grid needs a {needed / 1e9:,.2f} GB transform kernel, "
+            f"a {n_points}-point grid needs a {Decimal(needed) / 10**9:,.2f} GB transform kernel, "
             f"but {max(budget, 0) / 1e9:,.2f} GB of memory is available for it "
             f"({_MEMORY_HEADROOM_BYTES / 2**30:.2g} GiB is kept free): "
             + (f"grid_points <= {largest} fits" if largest >= 4 else "no grid fits")
@@ -379,7 +387,7 @@ class HankelTransform:
         self.power_weights = (4.0 * np.pi * self.max_radius**2 / self._S**2) / self._j1sq
         # same rule in k space: (1 / 2 pi) int |A|^2 k dk; inverse likewise
         self.spectral_power_weights = 1.0 / (np.pi * self.max_radius**2 * self._j1sq)
-        self._fine_resampler: tuple[tuple[float, int], np.ndarray] | None = None
+        self._fine_resampler: tuple[np.ndarray, np.ndarray] | None = None
 
     def _build_kernel(self) -> list[np.ndarray]:
         n = self.n_points
@@ -466,19 +474,19 @@ class HankelTransform:
         _fill_row_blocks(radii.size, _RESAMPLE_BLOCK_ROWS, fill_block)
         return matrix
 
-    def fine_resample_matrix(self, fine_max: float, fine_points: int) -> np.ndarray:
-        """resample_matrix(linspace(0, fine_max, fine_points)), read-only.
+    def fine_resample_matrix(self, radii: np.ndarray) -> np.ndarray:
+        """resample_matrix(radii), read-only.
 
         The transform keeps the last one built, and frees it with itself,
-        so every scan that resamples onto the same fine grid shares one.
+        so every scan and waist measurement that resamples onto the same
+        fine grid shares one.
         """
-        key = (float(fine_max), fine_points)
         # read the slot once: another thread may replace it meanwhile
         kept = self._fine_resampler
-        if kept is None or kept[0] != key:
-            matrix = self.resample_matrix(np.linspace(0.0, fine_max, fine_points))
+        if kept is None or not np.array_equal(kept[0], radii):
+            matrix = self.resample_matrix(radii)
             matrix.flags.writeable = False
-            kept = self._fine_resampler = (key, matrix)
+            kept = self._fine_resampler = (np.array(radii), matrix)
         return kept[1]
 
     def radial_power(self, field_values: np.ndarray) -> float:

@@ -211,6 +211,46 @@ class TestSimulate:
         assert elapsed < 1.0
 
 
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            "grid_points = 1000000000000",
+            "grid_points = 10000000000000000000",
+            "grid_padding_factor = 1e9",
+            "grid_padding_factor = 1e300",
+            "grid_padding_factor = 1e308",
+        ],
+    )
+    def test_vast_grid_refused_quickly(self, tmp_path, capsys, monkeypatch, setting):
+        # sizing these refusals takes closed-form kernel bytes: summing them
+        # block by block over 10^12 points, or over the 10^13 points a 10^9
+        # padding needs, hangs; 10^19 points is past a range's length; the
+        # kernel bytes at 10^300 padding, and the point count at 10^308,
+        # overflow a float
+        key = setting.split(" = ")[0]
+        config = [line for line in TOY_CONFIG.splitlines() if not line.startswith(key)]
+        path = tmp_path / "vast.cfg"
+        path.write_text("\n".join(config + [setting]) + "\n")
+        monkeypatch.setattr(hankel, "_available_memory", lambda: 8 * 1024**3)
+        clear_transform_cache()
+        started = time.perf_counter()
+        code = main(["--config", str(path), "simulate", "--scan-output", str(tmp_path / "s.csv")])
+        elapsed = time.perf_counter() - started
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "Traceback" not in err
+        assert elapsed < 2.0
+
+    def test_field_without_power_refused(self, tmp_path, capsys):
+        # a 1 pm waist leaves every collocation sample of the beam at zero
+        path = tmp_path / "dark.cfg"
+        path.write_text(TOY_CONFIG.replace("input_waist_mm = 0.075", "input_waist_mm = 1e-9"))
+        code = main(["--config", str(path), "simulate", "--scan-output", str(tmp_path / "s.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "field carries no power" in err
+
+
 class TestFit:
     def test_bundled_dataset_pipeline(self, tmp_path, capsys):
         curve = tmp_path / "curve.csv"
@@ -399,6 +439,15 @@ class TestCurves:
         last = lines[-1].split(",")
         assert float(last[1]) == pytest.approx(1.0, rel=1e-9)
 
+    @pytest.mark.parametrize("kind", ["collection", "fidelity", "etalon"])
+    @pytest.mark.parametrize("steps", ["0", "1"])
+    def test_fewer_than_two_steps_refused(self, capsys, kind, steps):
+        code = main(["curves", "--kind", kind, "--steps", steps])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "n_steps must be >= 2" in captured.err
+
     def test_collection_and_fidelity_kinds(self, capsys):
         code = main(["curves", "--kind", "collection", "--steps", "5"])
         out = capsys.readouterr().out
@@ -461,6 +510,14 @@ class TestSynth:
         )
         assert code == 0
         assert len(read_scans_csv(path)) == 4
+
+
+    def test_negative_seed_refused(self, capsys):
+        code = main(["synth", "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--seed must be >= 0" in captured.err
 
 
 class TestShowConfig:

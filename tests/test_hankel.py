@@ -332,6 +332,12 @@ class TestMemoryPreflight:
         assert hankel._kernel_bytes(18000) == pytest.approx(4 * 18000**2 + 2048 * 18000, rel=1e-3)
         assert 1.33e9 < hankel._kernel_bytes(18000) < 1.34e9
 
+    def test_kernel_bytes_closed_form_matches_block_sum(self):
+        rows = hankel._PACKED_BLOCK_ROWS
+        for n in range(1, 3001):
+            stored = sum(min(rows, n - start) * (n - start) for start in range(0, n, rows))
+            assert hankel._kernel_bytes(n) == 8 * stored, n
+
     def test_grid_too_large_for_memory_refused_before_any_work(self, monkeypatch):
         def no_zeros(*args):
             raise AssertionError("jn_zeros ran for a refused grid")
