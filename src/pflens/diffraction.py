@@ -140,12 +140,16 @@ def check_zone_sampling(layout: ZoneLayout, n_points: int, max_radius: float) ->
     when that estimate falls more than 1 % short of 4 samples per outer
     zone period. Every grid apply_binary_pfl accepts passes;
     apply_binary_pfl makes the exact check. Raises ResolutionError.
+    The estimate is exact: a grid of more points than a float holds is
+    still counted.
     """
     if layout.zone_count < 2:
         return
-    estimate = _outer_zone_pitch(layout) * (n_points + 0.75) / max_radius
-    if estimate * 1.01 < _MIN_SAMPLES_PER_ZONE:
-        raise _undersampled(estimate, layout, max_radius)
+    estimate = (
+        Fraction(_outer_zone_pitch(layout)) * (n_points + Fraction(3, 4)) / Fraction(max_radius)
+    )
+    if estimate * Fraction(101, 100) < _MIN_SAMPLES_PER_ZONE:
+        raise _undersampled(float(estimate), layout, max_radius)
 
 
 def apply_binary_pfl(field: RadialField, layout: ZoneLayout) -> RadialField:

@@ -12,13 +12,15 @@ Both directions share the symmetric kernel J0(j_m j_n / S), and only
 its upper triangle is stored, in row super-blocks of 512 rows: the block
 at row A holds kernel[A:A + r, A:], r = min(512, N - A), so the whole
 takes 8 sum r (N - A) bytes, about 4 N^2 + 2048 N (1.3 GB at N = 18000;
-_kernel_bytes). No N x N array is allocated. Each super-block is filled
+_kernel_bytes). No N x N array is allocated. A call whose input is zero
+from row s (its support) on needs only the blocks that start below s,
+and fills just those still missing, in ascending order. Each is filled
 in place in rows of 128 from the diagonal rightwards; the lower triangle
 of its r x r diagonal block is then copied from the upper, so the kernel
-the blocks stand for is exactly symmetric. Building and storing it is
-the dominant set-up time and memory for N in the ten-thousands, and a
-grid whose kernel would not fit in MemAvailable less 512 MiB is refused
-before anything is allocated.
+the blocks stand for is exactly symmetric. Filling and storing it is the
+dominant time and memory for N in the ten-thousands; a grid whose whole
+kernel would not fit in MemAvailable less 512 MiB is refused before
+anything is allocated.
 
 Within a row block [m0, m0 + B) the kernel entry J0(x), x = j_m s_n with
 s_n = j_n / S, is evaluated in one of two ways:
@@ -57,7 +59,7 @@ j0(outer(j, j / S)) is set instead by rounding of the phase x, which
 reaches N pi: about 4e-14 at N = 4096 and below 1e-13 up to N = 18000.
 All block, chunk and term choices depend on N only.
 
-Two stages share one row-block helper: the kernel build and
+Two stages share one row-block helper: the kernel fill and
 resample_matrix (the Fourier-Bessel rows that scan planes are resampled
 through). Each fills disjoint row blocks of its output in place, on a
 thread pool with one thread per CPU this process may use (its affinity
@@ -66,8 +68,8 @@ and BLAS release the interpreter lock. The kernel's products are cut
 into tiles of at most 10^6 multiply-adds, which OpenBLAS runs on the
 calling thread (its small-matrix path on AVX-512 CPUs), so the pool's
 threads do not contend with BLAS threads of their own. No entry's
-arithmetic depends on which thread computes it or when, so both outputs
-are bit-identical whatever the thread count.
+arithmetic depends on which thread computes it, when, or what was filled
+before, so both outputs are bit-identical whatever the thread count.
 
 forward and inverse take samples of shape (N,) or a stack of Z columns
 of shape (N, Z) and return the same shape. A complex stack is viewed as
@@ -82,8 +84,10 @@ Gustavson, Wasniewski, Dongarra and Langou, ACM TOMS 37(2), 18, 2010):
 
     out[:, A:b] += X[:, c0:c1] P^T,    out[:, c0:c1] += X[:, A:b] P.
 
-The kernel is read once per call, not twice per column, and the fixed
-order makes the result the same on every call.
+Blocks and panels starting at or beyond the support s would add exact
+zeros (a panel, through its first product), so they are skipped. The
+kernel is read once per call, and the fixed order makes the result the
+same on every call.
 
 The quadrature is spectrally accurate for fields that decay by r = R and
 whose spectra decay by k = S / R.
@@ -95,6 +99,7 @@ import bisect
 import math
 import os
 import queue
+import threading
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal
@@ -104,8 +109,8 @@ from scipy.special import j0, j1, jn_zeros
 
 from .errors import DomainError, ResolutionError
 
-# rows per block of the kernel build; also the row count of the shared
-# phase table E, 16 B x N bytes (37 MB at N = 18000)
+# rows per block of the kernel fill; also the row count of the shared
+# phase table E, up to 16 B x N bytes (37 MB at N = 18000)
 _KERNEL_BLOCK_ROWS = 128
 # columns per asymptotic chunk: the term count K is chosen per chunk
 _KERNEL_CHUNK_COLUMNS = 512
@@ -114,7 +119,7 @@ _ASYMPTOTIC_MIN_ARGUMENT = 60.0
 # series terms are kept while their bound, relative to sqrt(2 / (pi x)),
 # reaches this
 _SERIES_TOLERANCE = 1e-17
-# largest M N K of one product in the kernel build: OpenBLAS runs dgemm
+# largest M N K of one product in the kernel fill: OpenBLAS runs dgemm
 # this small on the calling thread
 _TILE_MULTIPLY_ADDS = 10**6
 # rows per super-block of the packed kernel, a multiple of _KERNEL_BLOCK_ROWS
@@ -183,15 +188,14 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _fill_row_blocks(n_rows: int, block_rows: int, fill: Callable[[int, int], None]) -> None:
-    """Call fill(start, stop) for each block of rows, one thread per usable CPU.
+def _fill_row_blocks(starts: range, fill: Callable[[int, int], None]) -> None:
+    """Call fill(start, stop) for each block of rows in starts, one thread per usable CPU.
 
     The blocks must write disjoint parts of the output.
     """
-    starts = range(0, n_rows, block_rows)
     with ThreadPoolExecutor(max_workers=max(1, min(_usable_cpus(), len(starts)))) as pool:
         # consuming the results re-raises any error from a block
-        list(pool.map(lambda start: fill(start, min(start + block_rows, n_rows)), starts))
+        list(pool.map(lambda start: fill(start, min(start + starts.step, starts.stop)), starts))
 
 
 def _kernel_bytes(n_points: int) -> int:
@@ -241,74 +245,66 @@ def _check_kernel_fits(n_points: int) -> None:
 class _KernelRows:
     """Upper-triangle rows of the kernel J0(j_m j_n / S), one row block at a time.
 
-    Holds what every block shares: the phase table E, powers of s_n,
-    each block's split column and series terms, and one set of product
-    buffers per usable CPU. The tables take about 16 B N per block row
-    and are freed with the instance.
+    Holds what every block shares: the phase table E from first_column (the
+    first row filled) on, powers of s_n, each block's split column and series
+    terms, and one set of product buffers per usable CPU. Plans and powers span
+    all columns: numpy's broadcast power may round differently at an offset.
 
-    All of it is allocated on the constructing thread: buffers that pool
-    threads allocate and free stay resident in their malloc arenas after
-    the build, and would add to the peak memory of what runs next.
+    All of it is allocated on the constructing thread, and fill writes
+    every temporary into these buffers: arrays that pool threads allocate
+    and free stay resident in their malloc arenas after the fill, and
+    would add to the peak memory of what runs next.
     """
 
-    def __init__(self, roots: np.ndarray, last_root: float):
+    def __init__(self, roots: np.ndarray, last_root: float, first_column: int):
         n = roots.size
         self._roots = roots
         self._scaled = roots / last_root
         # j_i and (i + 3/4) pi are within a factor 2, so this difference is exact
         self._offsets = roots - (np.arange(n) + 0.75) * np.pi
-        # Re E and Im E in one allocation: 37 MB at N = 18000, above malloc's
-        # largest mmap threshold, so freeing it unmaps it
-        phase = np.empty((2, _KERNEL_BLOCK_ROWS, n))
-        np.multiply.outer(np.arange(_KERNEL_BLOCK_ROWS) * np.pi, self._scaled, out=phase[0])
+        # Re E and Im E in one allocation: 37 MB at N = 18000 from column 0
+        self._first_column = first_column
+        phase = np.empty((2, _KERNEL_BLOCK_ROWS, n - first_column))
+        steps = np.arange(_KERNEL_BLOCK_ROWS) * np.pi
+        np.multiply.outer(steps, self._scaled[first_column:], out=phase[0])
         np.sin(phase[0], out=phase[1])
         np.cos(phase[0], out=phase[0])
         self._phase_real, self._phase_imag = phase
         self._plans = [self._plan(start) for start in range(0, n, _KERNEL_BLOCK_ROWS)]
-        most_terms = max(orders.size for _, orders, _ in self._plans)
+        most_terms = max(orders.size for _, orders, _, _ in self._plans)
         self._buffers: queue.SimpleQueue = queue.SimpleQueue()
         for _ in range(_usable_cpus()):
             self._buffers.put(
                 (
+                    np.empty(_KERNEL_BLOCK_ROWS),
+                    np.empty(2 * _KERNEL_BLOCK_ROWS * most_terms),
                     np.empty(4 * _KERNEL_BLOCK_ROWS * most_terms),
                     np.empty((most_terms, _KERNEL_CHUNK_COLUMNS)),
+                    np.empty((2, _KERNEL_CHUNK_COLUMNS)),
                     np.empty((most_terms, 2, _KERNEL_CHUNK_COLUMNS)),
                     np.empty((2 * _KERNEL_BLOCK_ROWS, _KERNEL_CHUNK_COLUMNS)),
                 )
             )
-        # powers s_n^(e - 1/2) for every e = p - k some block uses
-        exponents = np.concatenate([p - k for _, k, p in self._plans] + [[0]])
-        self._lowest_exponent = int(exponents.min())
-        self._powers = self._scaled ** (
-            np.arange(self._lowest_exponent, exponents.max() + 1)[:, None] - 0.5
-        )
+        # powers s_n^(e - 1/2) for every e = p - k some block uses; plans index rows
+        exponents = np.concatenate([e for *_, e in self._plans] + [[0]])
+        lowest = int(exponents.min())
+        self._powers = self._scaled ** (np.arange(lowest, exponents.max() + 1)[:, None] - 0.5)
+        for *_, rows in self._plans:
+            rows -= lowest
 
-    def _plan(self, start: int) -> tuple[int, np.ndarray, np.ndarray]:
-        """First asymptotic column of the block at start, and its terms (k, p)."""
+    def _plan(self, start: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+        """The block at start's first asymptotic column, and its terms (k, p):
+        k, rows [Re, Im of the U coefficient, -k - 1/2, p], and p - k."""
         n = self._roots.size
         stop = min(start + _KERNEL_BLOCK_ROWS, n)
         threshold = _ASYMPTOTIC_MIN_ARGUMENT / self._roots[start]
         split = max(start, int(np.searchsorted(self._scaled, threshold)))
         if split == n:
-            return split, np.array([], int), np.array([], int)
+            return split, np.array([], int), np.empty((4, 0)), np.array([], int)
         # |eta_m s_n| over the block; s_n < 1
         eta = self._offsets[start:stop] - self._offsets[start]
         eta_max = float(np.max(np.abs(eta))) * self._scaled[-1]
-        return split, *_series_terms(self._roots[start] * self._scaled[split], eta_max)
-
-    def fill(self, start: int, stop: int, out: np.ndarray) -> None:
-        """Write kernel[start:stop, start:] into out, for rows of the block at start."""
-        roots, scaled = self._roots, self._scaled
-        n = roots.size
-        split, orders, powers = self._plans[start // _KERNEL_BLOCK_ROWS]
-        direct = out[:, : split - start]
-        np.multiply.outer(roots[start:stop], scaled[start:split], out=direct)
-        j0(direct, out=direct)
-        if split == n:
-            return
-
-        rows, terms = stop - start, orders.size
-        eta = self._offsets[start:stop] - self._offsets[start]
+        orders, powers = _series_terms(self._roots[start] * self._scaled[split], eta_max)
         # sqrt(2/pi) e^{-i pi/4} i^k a_k i^p / p! = a_k / p! i^(k+p) (1 - i) / sqrt(pi)
         coefficients = np.array(
             [
@@ -316,32 +312,56 @@ class _KernelRows:
                 for k, p in zip(orders, powers)
             ]
         ) / math.sqrt(math.pi)
-        u = coefficients * roots[start:stop, None] ** (-orders - 0.5) * eta[:, None] ** powers
+        factors = np.array([coefficients.real, coefficients.imag, -orders - 0.5, powers])
+        return split, orders, factors, powers - orders
+
+    def fill(self, start: int, stop: int, out: np.ndarray) -> None:
+        """Write kernel[start:stop, start:] into out, for rows of the block at start."""
+        roots, scaled = self._roots, self._scaled
+        n = roots.size
+        split, orders, factors, power_rows = self._plans[start // _KERNEL_BLOCK_ROWS]
+        direct = out[:, : split - start]
+        np.multiply.outer(roots[start:stop], scaled[start:split], out=direct)
+        j0(direct, out=direct)
+        if split == n:
+            return
+
+        rows, terms = stop - start, orders.size
         # at most one fill per usable CPU runs at a time, so a set is free
         buffers = self._buffers.get()
-        flat_weights, amplitude_buffer, columns, product = buffers
+        eta_buffer, flat_factors, flat_weights, amplitude_buffer, trig, columns, product = buffers
         try:
+            eta = np.subtract(self._offsets[start:stop], self._offsets[start], out=eta_buffer[:rows])
+            # Re U = (Re c j_m^(-k-1/2)) eta_m^p, Im U likewise: as complex U rounds
+            root_factor = flat_factors[: rows * terms].reshape(rows, terms)
+            eta_factor = flat_factors[rows * terms : 2 * rows * terms].reshape(rows, terms)
+            np.power(roots[start:stop, None], factors[2], out=root_factor)
+            np.power(eta[:, None], factors[3], out=eta_factor)
             # [Re U, -Im U; Im U, Re U] with columns (term, part), so the terms of
             # the lowest K orders are a leading slice
             weights = flat_weights[: 4 * rows * terms].reshape(2, rows, terms, 2)
-            weights[0, :, :, 0] = u.real
-            weights[0, :, :, 1] = -u.imag
-            weights[1, :, :, 0] = u.imag
-            weights[1, :, :, 1] = u.real
+            for part, coefficient in zip(weights[:, :, :, 0], factors[:2]):
+                np.multiply(coefficient, root_factor, out=part)
+                np.multiply(part, eta_factor, out=part)
+            np.negative(weights[1, :, :, 0], out=weights[0, :, :, 1])
+            weights[1, :, :, 1] = weights[0, :, :, 0]
             weights = weights.reshape(2 * rows, 2 * terms)
             for c0 in range(split, n, _KERNEL_CHUNK_COLUMNS):
                 c1 = min(c0 + _KERNEL_CHUNK_COLUMNS, n)
                 width = c1 - c0
                 used = int(np.searchsorted(orders, _series_orders(roots[start] * scaled[c0])))
                 # V rows: s_n^(p-k-1/2) times the real and imaginary parts of e^{i j_m0 s_n}
-                exponents = powers[:used] - orders[:used] - self._lowest_exponent
                 amplitude = amplitude_buffer[:used, :width]
-                # exponents are in range; mode="clip" lets take write out unbuffered
-                np.take(self._powers[:, c0:c1], exponents, axis=0, out=amplitude, mode="clip")
-                phase = roots[start] * scaled[c0:c1]
+                # rows are in range; mode="clip" lets take write out unbuffered
+                rows_used = power_rows[:used]
+                np.take(self._powers[:, c0:c1], rows_used, axis=0, out=amplitude, mode="clip")
+                phase, sine = trig[:, :width]
+                np.multiply(roots[start], scaled[c0:c1], out=phase)
+                np.sin(phase, out=sine)
+                cosine = np.cos(phase, out=phase)
                 v = columns[:used, :, :width]
-                np.multiply(amplitude, np.cos(phase), out=v[:, 0])
-                np.multiply(amplitude, np.sin(phase), out=v[:, 1])
+                np.multiply(amplitude, cosine, out=v[:, 0])
+                np.multiply(amplitude, sine, out=v[:, 1])
                 v = v.reshape(2 * used, width)
                 w = weights[:, : 2 * used]
                 g = product[: 2 * rows, :width]
@@ -349,8 +369,9 @@ class _KernelRows:
                 for t0 in range(0, width, tile):
                     np.matmul(w, v[:, t0 : t0 + tile], out=g[:, t0 : t0 + tile])
                 real, imag = g[:rows], g[rows:]
-                np.multiply(real, self._phase_real[:rows, c0:c1], out=real)
-                np.multiply(imag, self._phase_imag[:rows, c0:c1], out=imag)
+                e0, e1 = c0 - self._first_column, c1 - self._first_column
+                np.multiply(real, self._phase_real[:rows, e0:e1], out=real)
+                np.multiply(imag, self._phase_imag[:rows, e0:e1], out=imag)
                 np.subtract(real, imag, out=out[:, c0 - start : c1 - start])
         finally:
             self._buffers.put(buffers)
@@ -359,9 +380,10 @@ class _KernelRows:
 class HankelTransform:
     """Order-zero quasi-discrete Hankel transform on [0, R].
 
-    Precomputes the Bessel-zero grid and the transform kernel once;
-    instances are immutable after construction, apart from the one fine
-    resample matrix they keep, and safe to share.
+    Precomputes the Bessel-zero grid. Kernel blocks are filled when a
+    call's input first reaches them, under a lock that has concurrent
+    calls fill each once; apart from them and the one fine resample matrix
+    it keeps, an instance is immutable after construction, and shareable.
     """
 
     def __init__(self, n_points: int, max_radius: float):
@@ -380,7 +402,8 @@ class HankelTransform:
         self.k_radial = self._j / self.max_radius
         self._j1sq = j1(self._j) ** 2
 
-        self._blocks = self._build_kernel()
+        self._blocks: list[np.ndarray | None] = [None] * -(-n_points // _PACKED_BLOCK_ROWS)
+        self._fill_lock = threading.Lock()
 
         # quadrature weights for radial power integrals: 2 pi int |f|^2 r dr;
         # forward applies the kernel to samples times these weights
@@ -389,26 +412,37 @@ class HankelTransform:
         self.spectral_power_weights = 1.0 / (np.pi * self.max_radius**2 * self._j1sq)
         self._fine_resampler: tuple[np.ndarray, np.ndarray] | None = None
 
-    def _build_kernel(self) -> list[np.ndarray]:
+    def _filled_blocks(self, support: int) -> list[np.ndarray]:
+        """The super-blocks starting below support, the missing ones filled.
+
+        They are allocated on this thread before the fill's tables, which
+        then sit above them in the heap and go when the fill returns.
+        """
         n = self.n_points
-        rows = _KernelRows(self._j, self._S)
-        blocks = [
-            np.empty((min(_PACKED_BLOCK_ROWS, n - start), n - start))
-            for start in range(0, n, _PACKED_BLOCK_ROWS)
-        ]
+        count = -(-support // _PACKED_BLOCK_ROWS)
+        with self._fill_lock:
+            filled = sum(block is not None for block in self._blocks)
+            if filled < count:
+                first = filled * _PACKED_BLOCK_ROWS
+                blocks = [
+                    np.empty((min(_PACKED_BLOCK_ROWS, n - start), n - start))
+                    for start in range(first, support, _PACKED_BLOCK_ROWS)
+                ]
+                rows = _KernelRows(self._j, self._S, first)
 
-        def fill_block(start: int, stop: int) -> None:
-            # kernel[start:stop, start:], 128 rows at a time from the diagonal
-            # rightwards; then the diagonal block's lower triangle from its upper
-            block = blocks[start // _PACKED_BLOCK_ROWS]
-            for first in range(0, stop - start, _KERNEL_BLOCK_ROWS):
-                last = min(first + _KERNEL_BLOCK_ROWS, stop - start)
-                rows.fill(start + first, start + last, block[first:last, first:])
-            for row in range(1, stop - start):
-                block[row, :row] = block[:row, row]
+                def fill_block(start: int, stop: int) -> None:
+                    block = blocks[(start - first) // _PACKED_BLOCK_ROWS]
+                    for row in range(0, stop - start, _KERNEL_BLOCK_ROWS):
+                        last = min(row + _KERNEL_BLOCK_ROWS, stop - start)
+                        rows.fill(start + row, start + last, block[row:last, row:])
+                    for row in range(1, stop - start):
+                        block[row, :row] = block[:row, row]
 
-        _fill_row_blocks(n, _PACKED_BLOCK_ROWS, fill_block)
-        return blocks
+                stop = min(count * _PACKED_BLOCK_ROWS, n)
+                _fill_row_blocks(range(first, stop, _PACKED_BLOCK_ROWS), fill_block)
+                # kept only once whole: an error leaves no part-filled block
+                self._blocks[filled:count] = blocks
+            return self._blocks[:count]
 
     def _apply(self, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
         values = np.asarray(values)
@@ -417,6 +451,10 @@ class HankelTransform:
                 f"expected shape ({self.n_points},) or ({self.n_points}, Z), "
                 f"got {values.shape}"
             )
+        # the support: one past the last row with a nonzero entry
+        nonzero = np.flatnonzero(values.reshape(self.n_points, -1).any(axis=1))
+        support = int(nonzero[-1]) + 1 if nonzero.size else 0
+        blocks = self._filled_blocks(support)
         # the kernel is real, so complex columns are viewed as interleaved
         # real and imaginary float64 columns: one pass over the kernel
         # covers both parts of every column
@@ -427,14 +465,15 @@ class HankelTransform:
         # one row per column, so both products below are (C x K) @ (K x M)
         x = np.ascontiguousarray(columns.T)
         out = np.zeros_like(x)
-        for start, block in zip(range(0, self.n_points, _PACKED_BLOCK_ROWS), self._blocks):
+        for start, block in zip(range(0, support, _PACKED_BLOCK_ROWS), blocks):
             near = slice(start, start + block.shape[0])
             for first in range(0, block.shape[1], _PANEL_COLUMNS):
                 # kernel[near, far] = panel, and below the (symmetric) diagonal
                 # block kernel[far, near] = panel.T, applied while it is in cache
                 panel = block[:, first : first + _PANEL_COLUMNS]
                 stop = start + first + panel.shape[1]
-                out[:, near] += x[:, start + first : stop] @ panel.T
+                if start + first < support:
+                    out[:, near] += x[:, start + first : stop] @ panel.T
                 below = max(block.shape[0] - first, 0)
                 out[:, start + first + below : stop] += x[:, near] @ panel[:, below:]
         result = np.ascontiguousarray(out.T)
@@ -456,7 +495,7 @@ class HankelTransform:
         j0(outer(radii, k_radial)) / (pi R^2 J1(j_m)^2). Used to
         interpolate focal fields onto grids much finer than the native
         collocation points. Blocks of rows are filled in place on the
-        row-block thread pool the kernel build uses; the result is
+        row-block thread pool the kernel fill uses; the result is
         bit-identical to the formula evaluated in one piece.
         """
         radii = np.atleast_1d(np.asarray(radii, dtype=float))
@@ -471,7 +510,7 @@ class HankelTransform:
             j0(rows, out=rows)
             np.divide(rows, norm, out=rows)
 
-        _fill_row_blocks(radii.size, _RESAMPLE_BLOCK_ROWS, fill_block)
+        _fill_row_blocks(range(0, radii.size, _RESAMPLE_BLOCK_ROWS), fill_block)
         return matrix
 
     def fine_resample_matrix(self, radii: np.ndarray) -> np.ndarray:
@@ -507,10 +546,11 @@ def get_transform(n_points: int, max_radius: float) -> HankelTransform:
     """Shared HankelTransform instances keyed by grid parameters.
 
     Kernels are expensive (time and memory), so repeated requests for
-    the same grid reuse one instance. Before a new kernel is built, the
+    the same grid reuse one instance. Before a new transform is made, the
     oldest grids are dropped until the cached kernels plus the new one
-    take at most _CACHE_MAX_BYTES (_kernel_bytes each); a kernel larger
-    than the bound is still built, and cached alone.
+    take at most _CACHE_MAX_BYTES. Each counts as its whole kernel
+    (_kernel_bytes), however little is filled, since a later call may fill
+    the rest; a kernel larger than the bound is still made, cached alone.
     """
     key = (n_points, float(max_radius))
     if key not in _transform_cache:

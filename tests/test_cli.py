@@ -219,6 +219,7 @@ class TestSimulate:
             "grid_padding_factor = 1e9",
             "grid_padding_factor = 1e300",
             "grid_padding_factor = 1e308",
+            pytest.param("grid_points = 1" + "0" * 400, id="grid_points = 10**400"),
         ],
     )
     def test_vast_grid_refused_quickly(self, tmp_path, capsys, monkeypatch, setting):
@@ -226,7 +227,7 @@ class TestSimulate:
         # block by block over 10^12 points, or over the 10^13 points a 10^9
         # padding needs, hangs; 10^19 points is past a range's length; the
         # kernel bytes at 10^300 padding, and the point count at 10^308,
-        # overflow a float
+        # overflow a float, and so does a 401-digit point count
         key = setting.split(" = ")[0]
         config = [line for line in TOY_CONFIG.splitlines() if not line.startswith(key)]
         path = tmp_path / "vast.cfg"

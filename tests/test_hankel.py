@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import re
+import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -68,6 +70,8 @@ def packed_case(request):
     """
     n = request.param
     t = HankelTransform(n_points=n, max_radius=1e-3)
+    # blocks are filled on first use; fill them all
+    t._filled_blocks(n)
     rng = np.random.default_rng(n)
     inputs = {}
     for shape in [(n,), (n, 1), (n, 42)]:
@@ -139,7 +143,7 @@ class TestKernel:
         n_points = 18000
         roots = jn_zeros(0, n_points + 1)
         j, scaled = roots[:n_points], roots[:n_points] / roots[n_points]
-        rows = hankel._KernelRows(j, roots[n_points])
+        rows = hankel._KernelRows(j, roots[n_points], 0)
         block = hankel._KERNEL_BLOCK_ROWS
         for start in (0, block, 70 * block, (n_points - 1) // block * block):
             stop = min(start + block, n_points)
@@ -157,17 +161,17 @@ class TestKernel:
 
         monkeypatch.setattr(hankel, "j0", counting_j0)
         n_points = 4096
-        HankelTransform(n_points=n_points, max_radius=1e-3)
+        HankelTransform(n_points=n_points, max_radius=1e-3)._filled_blocks(n_points)
         # under 10 % of the upper triangle goes through j0
         assert 0 < sum(evaluated) < 0.1 * n_points * (n_points + 1) / 2
 
     def test_threaded_build_is_deterministic(self, monkeypatch):
         # 1300 points: three super-blocks, the last ragged, so four CPUs all get work
         monkeypatch.setattr(hankel, "_usable_cpus", lambda: 4)
-        first = HankelTransform(n_points=1300, max_radius=1e-3)._blocks
-        second = HankelTransform(n_points=1300, max_radius=1e-3)._blocks
+        first = HankelTransform(n_points=1300, max_radius=1e-3)._filled_blocks(1300)
+        second = HankelTransform(n_points=1300, max_radius=1e-3)._filled_blocks(1300)
         monkeypatch.setattr(hankel, "_usable_cpus", lambda: 1)
-        sequential = HankelTransform(n_points=1300, max_radius=1e-3)._blocks
+        sequential = HankelTransform(n_points=1300, max_radius=1e-3)._filled_blocks(1300)
         assert len(first) == len(second) == len(sequential) == 3
         for a, b, c in zip(first, second, sequential):
             assert np.array_equal(a, b)
@@ -180,6 +184,104 @@ class TestKernel:
         for values in (columns[:, 0], columns.real, columns):
             assert np.array_equal(t.forward(values), t.forward(values))
             assert np.array_equal(t.inverse(values), t.inverse(values))
+
+
+def supported(n_points: int, support: int, columns: int = 3, seed: int = 0) -> np.ndarray:
+    """Complex (n_points, columns) input, nonzero in every column of row support - 1 and zero from there on."""
+    rng = np.random.default_rng(seed)
+    values = np.zeros((n_points, columns), complex)
+    values[:support] = rng.standard_normal((support, columns)) + 1j * rng.standard_normal(
+        (support, columns)
+    )
+    values[support - 1] += 1.0
+    return values
+
+
+def unskipped_apply(t: HankelTransform, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """forward / inverse of complex (N, Z) values through every block and product, none skipped."""
+    x = np.ascontiguousarray((values * weights[:, None]).view(np.float64).T)
+    out = np.zeros_like(x)
+    for start, block in super_blocks(t):
+        near = slice(start, start + block.shape[0])
+        for first in range(0, block.shape[1], hankel._PANEL_COLUMNS):
+            panel = block[:, first : first + hankel._PANEL_COLUMNS]
+            stop = start + first + panel.shape[1]
+            out[:, near] += x[:, start + first : stop] @ panel.T
+            below = max(block.shape[0] - first, 0)
+            out[:, start + first + below : stop] += x[:, near] @ panel[:, below:]
+    return np.ascontiguousarray(out.T).view(np.complex128)
+
+
+class TestLazyFill:
+    # 1300 points: three super-blocks, the last ragged
+
+    @pytest.mark.parametrize("support", [1, 511, 512, 513, 1100, 1300])
+    def test_support_fills_the_blocks_it_reaches(self, support):
+        t = HankelTransform(n_points=1300, max_radius=1e-3)
+        t.forward(supported(1300, support))
+        filled = [block is not None for block in t._blocks]
+        expected = -(-support // hankel._PACKED_BLOCK_ROWS)
+        assert filled == [True] * expected + [False] * (len(filled) - expected)
+
+    def test_zero_input_fills_nothing(self):
+        t = HankelTransform(n_points=1300, max_radius=1e-3)
+        for values in (np.zeros(1300), np.zeros((1300, 4), complex)):
+            assert not np.any(t.forward(values))
+            assert not np.any(t.inverse(values))
+        assert t._blocks == [None] * 3
+
+    def test_fill_order_and_threads_leave_the_kernel_bit_identical(self, monkeypatch):
+        monkeypatch.setattr(hankel, "_usable_cpus", lambda: 1)
+        reference = HankelTransform(n_points=1300, max_radius=1e-3)._filled_blocks(1300)
+        for cpus in (1, 2, 4):
+            monkeypatch.setattr(hankel, "_usable_cpus", lambda: cpus)
+            for prefixes in ([1], [600], [1, 1025], [513, 1300]):
+                t = HankelTransform(n_points=1300, max_radius=1e-3)
+                for support in prefixes:
+                    t._filled_blocks(support)
+                blocks = t._filled_blocks(1300)
+                assert len(blocks) == len(reference)
+                for block, expected in zip(blocks, reference):
+                    assert np.array_equal(block, expected), (cpus, prefixes)
+
+    def test_concurrent_first_calls_fill_each_block_once(self, monkeypatch):
+        filled_rows = Counter()
+        fill = hankel._KernelRows.fill
+
+        def counting_fill(rows, start, stop, out):
+            filled_rows[start] += 1
+            fill(rows, start, stop, out)
+
+        monkeypatch.setattr(hankel._KernelRows, "fill", counting_fill)
+        t = HankelTransform(n_points=1300, max_radius=1e-3)
+        values = supported(1300, 1300, columns=4)
+        barrier = threading.Barrier(2)
+        results = [None, None]
+
+        def first_call(i):
+            barrier.wait()
+            results[i] = t.inverse(values)
+
+        threads = [threading.Thread(target=first_call, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert filled_rows == Counter(range(0, 1300, hankel._KERNEL_BLOCK_ROWS))
+        assert np.array_equal(results[0], results[1])
+
+    @pytest.mark.parametrize("direction", ["forward", "inverse"])
+    def test_support_limited_results_match_a_full_kernel(self, direction):
+        full = HankelTransform(n_points=1300, max_radius=1e-3)
+        full._filled_blocks(1300)
+        weights = {"forward": full.power_weights, "inverse": full.spectral_power_weights}
+        for support in (1, 300, 700, 1300):
+            lazy = HankelTransform(n_points=1300, max_radius=1e-3)
+            values = supported(1300, support, seed=support)
+            result = getattr(lazy, direction)(values)
+            assert np.array_equal(result, getattr(full, direction)(values)), support
+            # skipping the products whose input is zero changes no bit
+            assert np.array_equal(result, unskipped_apply(full, values, weights[direction]))
 
 
 class TestRoundTripAndParseval:
