@@ -45,6 +45,8 @@ _LEVEL_LOW = 0.078649603525143
 
 _MAX_MODEL_EVALS = 200
 _STEP_TOL = 1e-10
+# largest waist caustic_radius takes [m]: w0^2 overflows a float from 1.3e154 m
+_MAX_WAIST = 1e150
 
 
 def _check_direction(direction: str) -> str:
@@ -231,8 +233,8 @@ def knife_edge_jacobian(
 
 def caustic_radius(z, w0: float, m2: float, z0: float, wavelength: float):
     """1/e^2 radius of a Gaussian caustic at axial position z [m]."""
-    if not (w0 > 0):
-        raise DomainError(f"w0 must be > 0, got {w0}")
+    if not (0 < w0 <= _MAX_WAIST):
+        raise DomainError(f"w0 must be > 0 and <= {_MAX_WAIST:g} m, got {w0}")
     if not (m2 > 0):
         raise DomainError(f"m2 must be > 0, got {m2}")
     if not (wavelength > 0):
@@ -465,6 +467,11 @@ def fit_caustic(points, wavelength: float) -> CausticFit:
         jac = caustic_squared_jacobian(zeta, ind, a, m2, b, c, lam_scaled)
         return jac[:, :n_params] / weight[:, None]
 
+    if not np.all(np.isfinite(residuals(start))):
+        raise DomainError(
+            f"caustic model overflows at the fit's start point: wavelength {wavelength} m "
+            f"against a {w_scale:.3g} m smallest waist over a {2 * z_scale:.3g} m z span"
+        )
     result = least_squares(
         residuals,
         start,
@@ -572,8 +579,8 @@ def synthetic_knife_edge_scan(
         )
     if not (span_factor > 0):
         raise DomainError(f"span_factor must be > 0, got {span_factor}")
-    if noise_fraction < 0:
-        raise DomainError(f"noise_fraction must be >= 0, got {noise_fraction}")
+    if not (0 <= noise_fraction < math.inf):
+        raise DomainError(f"noise_fraction must be finite and >= 0, got {noise_fraction}")
     if noise_fraction > 0 and rng is None:
         raise DomainError("noisy synthesis requires a seeded random generator")
     positions = np.linspace(center - span_factor * w, center + span_factor * w, n_positions)
@@ -604,8 +611,8 @@ def synthetic_caustic_points(
     true position. noise_fraction perturbs each radius multiplicatively
     and is reported as the point uncertainty.
     """
-    if noise_fraction < 0:
-        raise DomainError(f"noise_fraction must be >= 0, got {noise_fraction}")
+    if not (0 <= noise_fraction < math.inf):
+        raise DomainError(f"noise_fraction must be finite and >= 0, got {noise_fraction}")
     if noise_fraction > 0 and rng is None:
         raise DomainError("noisy synthesis requires a seeded random generator")
     points = []

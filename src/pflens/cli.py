@@ -117,9 +117,6 @@ def cmd_simulate(args) -> int:
     grid_radius = config.grid_padding_factor * truncation_radius
     truncated = layout.truncated(truncation_radius)
     paraxial = bool(args.ideal)
-    if not paraxial:
-        # refuse a grid too coarse for the zones before building its kernel
-        diffraction.check_zone_sampling(truncated, config.grid_points, grid_radius)
     transform = get_transform(config.grid_points, grid_radius)
     beam = diffraction.gaussian_beam(transform, config.input_waist, config.wavelength)
 
@@ -136,6 +133,8 @@ def cmd_simulate(args) -> int:
     z_lo = args.z_min_um * 1e-6 if args.z_min_um is not None else lens.focal_length - config.scan_half_width
     z_hi = args.z_max_um * 1e-6 if args.z_max_um is not None else lens.focal_length + config.scan_half_width
     steps = args.steps if args.steps is not None else config.scan_steps
+    if steps < 1:
+        raise DomainError(f"--steps must be >= 1, got {steps}")
     scan = diffraction.scan_field(
         transmitted,
         np.linspace(z_lo, z_hi, steps),
@@ -471,6 +470,9 @@ def cmd_curves(args) -> int:
 def cmd_synth(args) -> int:
     if args.seed < 0:
         raise DomainError(f"--seed must be >= 0, got {args.seed}")
+    if args.z_steps < 1:
+        # no scans would write a header that read_scans_csv refuses
+        raise DomainError(f"--z-steps must be >= 1, got {args.z_steps}")
     rng = np.random.default_rng(args.seed)
     z_positions = np.linspace(
         -args.z_half_range_um * 1e-6, args.z_half_range_um * 1e-6, args.z_steps

@@ -114,8 +114,8 @@ def _outer_zone_pitch(layout: ZoneLayout) -> float:
 
 
 def _undersampled(samples_per_zone: float, layout: ZoneLayout, max_radius: float) -> ResolutionError:
-    # the widest gap between collocation radii is just under R / (N + 3/4)
-    # (see check_zone_sampling), so this many points always suffice
+    # the widest gap between collocation radii, (j_N - j_{N-1}) R / j_{N+1},
+    # is just under R / (N + 3/4), so this many points always suffice
     pitch = _outer_zone_pitch(layout)
     ratio = _MIN_SAMPLES_PER_ZONE * max_radius / pitch
     if math.isinf(ratio):
@@ -129,27 +129,6 @@ def _undersampled(samples_per_zone: float, layout: ZoneLayout, max_radius: float
         f"period, need at least {_MIN_SAMPLES_PER_ZONE:g}: grid_points >= {n_min} "
         f"(a {gigabytes:.3g} GB kernel, about 4 N^2 bytes)"
     )
-
-
-def check_zone_sampling(layout: ZoneLayout, n_points: int, max_radius: float) -> None:
-    """Refuse, before its kernel is built, a grid apply_binary_pfl would refuse.
-
-    The widest gap between the collocation radii j_n R / S is the last,
-    (j_N - j_{N-1}) R / j_{N+1}. It is R / (N + 3/4) less about a relative
-    0.0253 / N^2 (under 0.2 % for N >= 4), so a grid is refused here only
-    when that estimate falls more than 1 % short of 4 samples per outer
-    zone period. Every grid apply_binary_pfl accepts passes;
-    apply_binary_pfl makes the exact check. Raises ResolutionError.
-    The estimate is exact: a grid of more points than a float holds is
-    still counted.
-    """
-    if layout.zone_count < 2:
-        return
-    estimate = (
-        Fraction(_outer_zone_pitch(layout)) * (n_points + Fraction(3, 4)) / Fraction(max_radius)
-    )
-    if estimate * Fraction(101, 100) < _MIN_SAMPLES_PER_ZONE:
-        raise _undersampled(float(estimate), layout, max_radius)
 
 
 def apply_binary_pfl(field: RadialField, layout: ZoneLayout) -> RadialField:
@@ -586,6 +565,14 @@ def scan_field(
     """
     transform = transmitted.transform
     z_positions = np.asarray(z_positions, dtype=float)
+    # beyond 2^52 rad floats are a radian or more apart: exp(i k z) is unresolved
+    z_limit = 2.0**52 / transmitted.wavenumber
+    unresolved = z_positions[~(np.abs(z_positions) <= z_limit)]
+    if unresolved.size:
+        raise DomainError(
+            f"z_positions must be finite and at most {z_limit:.3g} m, where the "
+            f"propagation phase k z reaches 2^52 rad; got {unresolved[0]}"
+        )
     if z_positions.size < 1 or np.any(np.diff(z_positions) <= 0):
         raise DomainError("z_positions must be increasing and non-empty")
     if np.any(z_positions < 0):

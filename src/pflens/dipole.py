@@ -371,7 +371,8 @@ def polarization_fidelity_collected(na: float) -> float:
     polarization_fidelity_single weighted by the sigma emission
     pattern, (1 + cos^2 theta) sin theta, over the cone of the given
     NA and normalized by the captured fraction. Strictly decreasing,
-    from 1 at NA -> 0 down to 0.832 at NA = 1.
+    from 1 at NA -> 0 (returned where the captured weight underflows)
+    down to 0.832 at NA = 1.
     """
     check_na(na)
     if na == 0.0:
@@ -391,6 +392,10 @@ def polarization_fidelity_collected(na: float) -> float:
     denominator, den_err = quad(
         weight, 0.0, theta_max, epsabs=_QUAD_ABS_TOL, epsrel=1e-12
     )
+    if denominator == 0.0:
+        # the captured weight, about theta_max^2, underflows for NA below
+        # about 1e-162; the ratio is already 1.0 above that
+        return 1.0
     if num_err > 1e-8 or den_err > 1e-8:
         raise AccuracyError(
             "fidelity quadrature did not converge", estimate=numerator / denominator

@@ -37,6 +37,12 @@ DEFAULT_ZEEMAN_COEFFICIENT = 160e6 / 67e-4  # Hz/T
 # reference etalons: ~1000x on the pi line, ~100x on the wrong sigma line
 PI_ETALON_FINESSE = 50.0
 SIGMA_ETALON_FINESSE = 16.0
+# largest finesse: (2 F / pi)^2 overflows a float from F = 2.1e154 on, and
+# below this bound the transmission and its reciprocal stay finite
+_MAX_FINESSE = 1e150
+# largest etalon phase pi detuning / FSR [rad]: beyond it floats are a
+# radian or more apart, so sin of the phase is not resolved
+_MAX_PHASE = 2.0**52
 
 
 @dataclass(frozen=True)
@@ -48,8 +54,8 @@ class EtalonSpec:
 
     def __post_init__(self):
         require_finite_fields(self)
-        if not (self.finesse > 0):
-            raise DomainError(f"finesse must be > 0, got {self.finesse}")
+        if not (0 < self.finesse <= _MAX_FINESSE):
+            raise DomainError(f"finesse must be > 0 and <= {_MAX_FINESSE:g}, got {self.finesse}")
         if not (self.free_spectral_range > 0):
             raise DomainError(
                 f"free_spectral_range must be > 0, got {self.free_spectral_range}"
@@ -88,10 +94,17 @@ def etalon_transmission(etalon: EtalonSpec, detuning: float) -> float:
     """Airy transmission of an etalon at the given detuning [Hz].
 
     Periodic in the free spectral range, 1 on resonance, minimal at
-    half-FSR.
+    half-FSR. Raises DomainError where the phase pi detuning / FSR
+    exceeds 2^52 rad and its sine is not resolved.
     """
     coefficient = (2.0 * etalon.finesse / math.pi) ** 2
-    phase = math.sin(math.pi * detuning / etalon.free_spectral_range)
+    angle = math.pi * detuning / etalon.free_spectral_range
+    if not (abs(angle) <= _MAX_PHASE):
+        raise DomainError(
+            f"detuning {detuning} Hz spans over {_MAX_PHASE / math.pi:.3g} free spectral "
+            f"ranges of {etalon.free_spectral_range} Hz: the etalon phase is not resolved"
+        )
+    phase = math.sin(angle)
     return 1.0 / (1.0 + coefficient * phase**2)
 
 

@@ -138,6 +138,9 @@ _CACHE_MAX_BYTES = 2 * 1024**3
 _MEMORY_HEADROOM_BYTES = 512 * 1024**2
 # memory assumed available where /proc/meminfo cannot be read
 _FALLBACK_AVAILABLE_BYTES = 4 * 1024**3
+# largest grid radius [m]: R^2 and 1 / R^2 in the weights stay far inside
+# the float range
+_MAX_RADIUS = 1e100
 
 
 def _hankel_coefficients(count: int) -> list[float]:
@@ -384,6 +387,8 @@ class HankelTransform:
     call's input first reaches them, under a lock that has concurrent
     calls fill each once; apart from them and the one fine resample matrix
     it keeps, an instance is immutable after construction, and shareable.
+    A max_radius above 1e100 m is refused with ResolutionError before
+    any work.
     """
 
     def __init__(self, n_points: int, max_radius: float):
@@ -391,6 +396,10 @@ class HankelTransform:
             raise DomainError(f"n_points must be an integer >= 4, got {n_points}")
         if not (max_radius > 0):
             raise DomainError(f"max_radius must be > 0, got {max_radius}")
+        if not (max_radius <= _MAX_RADIUS):
+            raise ResolutionError(
+                f"grid radius {max_radius:.3g} m is above the {_MAX_RADIUS:g} m a transform allows"
+            )
         self.n_points = n_points
         self.max_radius = float(max_radius)
         _check_kernel_fits(n_points)

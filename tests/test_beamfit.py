@@ -190,6 +190,17 @@ class TestScanFit:
         assert point.w == pytest.approx(REFERENCE_WAIST, rel=0.02)
         assert point.w_uncertainty > 0
 
+    def test_non_finite_noise_refused(self):
+        # nan compares false with 0, so a `< 0` check alone passes it as no noise
+        rng = np.random.default_rng(11)
+        for noise in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="noise_fraction must be finite"):
+                synthetic_knife_edge_scan(z=0.0, w=REFERENCE_WAIST, noise_fraction=noise, rng=rng)
+            with pytest.raises(DomainError, match="noise_fraction must be finite"):
+                synthetic_caustic_points(
+                    SCAN_Z, REFERENCE_WAIST, REFERENCE_M2, WAVELENGTH, noise_fraction=noise, rng=rng
+                )
+
     def test_constant_power_is_rank_deficient(self):
         scan = KnifeEdgeScan(
             z=0.0,

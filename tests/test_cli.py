@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import time
@@ -15,7 +16,7 @@ from pflens.beamfit import (
     synthetic_knife_edge_scan,
     write_scan_csv,
 )
-from pflens.cli import main
+from pflens.cli import build_parser, main
 from pflens.config import config_text, default_config
 
 # small fast lens for the simulation paths: 58 zones at 854 nm, NA 0.6
@@ -175,19 +176,26 @@ class TestSimulate:
     def test_undersampled_grid_refused_before_kernel_build(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "coarse.cfg"
         path.write_text(TOY_CONFIG.replace("grid_points = 2048", "grid_points = 64"))
-        built = []
+        built, filled = [], []
 
-        class CountingTransform(hankel.HankelTransform):
+        class RecordingTransform(hankel.HankelTransform):
             def __init__(self, *args, **kwargs):
-                built.append(args)
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        class CountingRows(hankel._KernelRows):
+            def __init__(self, *args, **kwargs):
+                filled.append(args)
                 super().__init__(*args, **kwargs)
 
         clear_transform_cache()
-        monkeypatch.setattr(hankel, "HankelTransform", CountingTransform)
+        monkeypatch.setattr(hankel, "HankelTransform", RecordingTransform)
+        monkeypatch.setattr(hankel, "_KernelRows", CountingRows)
         code = main(["--config", str(path), "simulate", "--scan-output", str(tmp_path / "s.csv")])
         assert code == 3
         assert "grid_points >= " in capsys.readouterr().err
-        assert built == []
+        assert filled == []
+        assert all(block is None for transform in built for block in transform._blocks)
 
     @pytest.mark.parametrize("ideal", [False, True], ids=["binary", "ideal"])
     def test_grid_too_large_for_memory_exits_3_before_any_work(
@@ -241,6 +249,22 @@ class TestSimulate:
         assert code == 3
         assert "Traceback" not in err
         assert elapsed < 2.0
+
+    def test_scan_flags_refused_by_name(self, toy_config_path, tmp_path, capsys):
+        # a plane that is not finite, or whose phase k z is past 2^52 rad, is
+        # named as such, not as the non-finite field it would propagate to
+        cases = [
+            (["--z-min-um", "nan"], "z_positions must be finite"),
+            (["--z-min-um", "inf"], "z_positions must be finite"),
+            (["--z-max-um", "1e308"], "at most 6.12e+08 m, where the propagation phase"),
+            (["--steps", "-1"], "--steps must be >= 1, got -1"),
+        ]
+        for flags, message in cases:
+            argv = ["--config", toy_config_path, "simulate", *flags]
+            code = main(argv + ["--scan-output", str(tmp_path / "s.csv")])
+            err = capsys.readouterr().err
+            assert code == 2, (flags, err)
+            assert message in err, (flags, err)
 
     def test_field_without_power_refused(self, tmp_path, capsys):
         # a 1 pm waist leaves every collocation sample of the beam at zero
@@ -569,3 +593,87 @@ class TestShowConfig:
             assert code == 2, (key, captured.err)
             assert "zones" in captured.err
             assert "Traceback" not in captured.err
+
+
+# every float and int flag of the cheap subcommands, one at a time, at each
+# edge value; each subcommand runs on the arguments it needs and its defaults
+_SWEEP_FLOATS = ["nan", "inf", "0", "-1", "1e-320", "1e308", "0.5", "2", "1e9"]
+# no large ints: synth --z-steps 10**8 alone would write 2e8 scans
+_SWEEP_INTS = ["0", "-1", "1", "2", "3"]
+_SWEEP_BASES = {
+    "coupling": [],
+    "filter": [],
+    "budget": [],
+    # --finesse and --fsr-ghz act only on the etalon curve
+    "curves": ["--kind", "etalon"],
+    "synth": ["--seed", "1"],
+    "fit": [],
+}
+
+
+def _sweep_cases():
+    subcommands = next(
+        action.choices
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    cases = []
+    for command, base in _SWEEP_BASES.items():
+        for action in subcommands[command]._actions:
+            if action.type not in (float, int):
+                continue
+            flag = action.option_strings[-1]
+            # a swept flag replaces its own entry in the base arguments
+            rest = base[2:] if base[:1] == [flag] else base
+            values = _SWEEP_FLOATS if action.type is float else _SWEEP_INTS
+            cases.append(pytest.param(command, rest, flag, values, id=f"{command} {flag}"))
+    return cases
+
+
+class TestEdgeValueSweep:
+    @pytest.mark.parametrize("command, base, flag, values", _sweep_cases())
+    def test_flag_exits_cleanly_at_every_edge_value(self, capsys, command, base, flag, values):
+        for value in values:
+            argv = [command, *base, flag, value]
+            try:
+                code = main(argv)
+            except SystemExit as stop:
+                # argparse refuses a value it cannot parse with exit 2; any
+                # other exception out of main is a traceback and fails the test
+                code = stop.code
+            err = capsys.readouterr().err
+            assert code in (0, 2, 3), (argv, code, err)
+            if value == "nan":
+                assert code != 0, argv
+
+    def test_refusals_name_the_value(self, capsys):
+        cases = [
+            (["filter", "--finesse-pi", "1e308"], "1e+308"),
+            (["filter", "--fsr-pi-ghz", "1e-320"], "free spectral ranges of 9.99"),
+            (["filter", "--fsr-sigma-mhz", "1e-320"], "free spectral ranges of 9.99"),
+            (["synth", "--seed", "1", "--w0-nm", "1e308"], "1e+299"),
+            (["synth", "--seed", "1", "--z-steps", "-1"], "--z-steps must be >= 1, got -1"),
+            (["synth", "--seed", "1", "--z-steps", "0"], "--z-steps must be >= 1, got 0"),
+            (["synth", "--seed", "1", "--noise", "nan"], "noise_fraction must be finite"),
+            (["fit", "--wavelength-nm", "inf"], "wavelength inf m"),
+            (["fit", "--wavelength-nm", "1e308"], "wavelength 1e+299 m"),
+        ]
+        for argv, message in cases:
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == 2, (argv, captured.err)
+            assert captured.out == ""
+            assert message in captured.err, (argv, captured.err)
+
+    def test_vanishing_aperture_has_full_fidelity(self, capsys):
+        # the captured weight underflows to zero; the NA -> 0 limit is exact
+        for argv in (
+            ["coupling", "--na", "1e-320"],
+            ["coupling", "--divergence-mrad", "1e-320"],
+            ["budget", "--focal-factor", "1e308"],
+        ):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == 0, (argv, captured.err)
+            if argv[0] == "coupling":
+                assert json.loads(captured.out)["polarization_fidelity"] == 1.0

@@ -52,6 +52,21 @@ class TestGridStructure:
         with pytest.raises(DomainError):
             HankelTransform(n_points=64, max_radius=0.0)
 
+    def test_vast_radius_refused_before_any_work(self, monkeypatch):
+        # R^2 in the power weights overflows a float from about 1.3e154 m on;
+        # at the bound both weight vectors are finite and nonzero
+        widest = HankelTransform(n_points=64, max_radius=1e100)
+        for weights in (widest.power_weights, widest.spectral_power_weights):
+            assert np.all(np.isfinite(weights)) and np.all(weights > 0)
+
+        def no_zeros(*args):
+            raise AssertionError("jn_zeros ran for a refused grid")
+
+        monkeypatch.setattr(hankel, "jn_zeros", no_zeros)
+        for radius in (1e160, 1e200, np.inf):
+            with pytest.raises(ResolutionError, match="above the 1e\\+100 m a transform allows"):
+                HankelTransform(n_points=64, max_radius=radius)
+
 
 def super_blocks(t: HankelTransform):
     """(start, block) for each super-block of t's packed kernel: block = kernel[start:stop, start:]."""
