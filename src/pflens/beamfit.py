@@ -45,7 +45,7 @@ _LEVEL_LOW = 0.078649603525143
 
 _MAX_MODEL_EVALS = 200
 _STEP_TOL = 1e-10
-# largest waist caustic_radius takes [m]: w0^2 overflows a float from 1.3e154 m
+# largest waist and far-field radius caustic_radius takes [m]: squares overflow from 1.3e154 m
 _MAX_WAIST = 1e150
 
 
@@ -237,10 +237,16 @@ def caustic_radius(z, w0: float, m2: float, z0: float, wavelength: float):
         raise DomainError(f"w0 must be > 0 and <= {_MAX_WAIST:g} m, got {w0}")
     if not (m2 > 0):
         raise DomainError(f"m2 must be > 0, got {m2}")
-    if not (wavelength > 0):
-        raise DomainError(f"wavelength must be > 0, got {wavelength}")
+    if not (0 < wavelength < math.inf):
+        raise DomainError(f"wavelength must be finite and > 0, got {wavelength}")
     u = np.asarray(z, dtype=float) - z0
     theta = m2 * wavelength / (math.pi * w0)
+    far = float(np.max(np.abs(u), initial=0.0))
+    if not (theta * far <= _MAX_WAIST):  # before (theta u)^2 overflows
+        raise DomainError(
+            f"m2 {m2:g} at wavelength {wavelength:g} m spreads the caustic "
+            f"past {_MAX_WAIST:g} m at |z - z0| = {far:g} m"
+        )
     return np.sqrt(w0**2 + (theta * u) ** 2)
 
 

@@ -444,14 +444,15 @@ def cmd_budget(args) -> int:
 
 def cmd_curves(args) -> int:
     config = _load_config(args)
+    layout = config.frequency_layout()
+    fsr = args.fsr_ghz * 1e9 if args.fsr_ghz is not None else 2.0 * layout.raman_shift
+    # checked at every kind, though only the etalon curve uses them
+    etalon = filtering.EtalonSpec(finesse=args.finesse, free_spectral_range=fsr)
     if args.kind == "collection":
         text = dipole.collection_curve_csv_text(n_steps=args.steps)
     elif args.kind == "fidelity":
         text = dipole.fidelity_curve_csv_text(n_steps=args.steps)
     else:
-        layout = config.frequency_layout()
-        fsr = args.fsr_ghz * 1e9 if args.fsr_ghz is not None else 2.0 * layout.raman_shift
-        etalon = filtering.EtalonSpec(finesse=args.finesse, free_spectral_range=fsr)
         if args.steps < 2:
             raise DomainError(f"n_steps must be >= 2, got {args.steps}")
         rows = ["detuning_hz,transmission"]

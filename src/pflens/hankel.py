@@ -61,15 +61,17 @@ All block, chunk and term choices depend on N only.
 
 Two stages share one row-block helper: the kernel fill and
 resample_matrix (the Fourier-Bessel rows that scan planes are resampled
-through). Each fills disjoint row blocks of its output in place, on a
-thread pool with one thread per CPU this process may use (its affinity
-mask where the platform has one, else the CPU count); the Bessel ufunc
-and BLAS release the interpreter lock. The kernel's products are cut
-into tiles of at most 10^6 multiply-adds, which OpenBLAS runs on the
-calling thread (its small-matrix path on AVX-512 CPUs), so the pool's
-threads do not contend with BLAS threads of their own. No entry's
-arithmetic depends on which thread computes it, when, or what was filled
-before, so both outputs are bit-identical whatever the thread count.
+through; the one fine_resample_matrix keeps is full width, but its
+columns are filled lazily, each once, as far as its spectra reach). Each
+fills disjoint row blocks of its output in place, on a thread pool with
+one thread per CPU this process may use (its affinity mask where the
+platform has one, else the CPU count); the Bessel ufunc and BLAS release
+the interpreter lock. The kernel's products are cut into tiles of at
+most 10^6 multiply-adds, which OpenBLAS runs on the calling thread (its
+small-matrix path on AVX-512 CPUs), so the pool's threads do not contend
+with BLAS threads of their own. No entry's arithmetic depends on which
+thread computes it, when, or what was filled before, so both outputs are
+bit-identical whatever the thread count.
 
 forward and inverse take samples of shape (N,) or a stack of Z columns
 of shape (N, Z) and return the same shape. A complex stack is viewed as
@@ -85,7 +87,11 @@ Gustavson, Wasniewski, Dongarra and Langou, ACM TOMS 37(2), 18, 2010):
     out[:, A:b] += X[:, c0:c1] P^T,    out[:, c0:c1] += X[:, A:b] P.
 
 Blocks and panels starting at or beyond the support s would add exact
-zeros (a panel, through its first product), so they are skipped. The
+zeros (a panel, through its first product), so they are skipped. So is a
+product that writes only rows at or beyond forward's output-row bound (a
+scan's light cone): only blocks starting below min(s, bound) are filled,
+and rows from the bound on come back zero; the rest are bit-identical to
+a full forward's, as the products kept keep their shapes and order. The
 kernel is read once per call, and the fixed order makes the result the
 same on every call.
 
@@ -215,6 +221,12 @@ def _kernel_bytes(n_points: int) -> int:
         - _PACKED_BLOCK_ROWS**2 * full * (full - 1) // 2
         + rest * rest
     )
+
+
+def _support(values: np.ndarray) -> int:
+    """One past the last row of (N,) or (N, Z) values with a nonzero entry."""
+    nonzero = np.flatnonzero(values.reshape(values.shape[0], -1).any(axis=1))
+    return int(nonzero[-1]) + 1 if nonzero.size else 0
 
 
 def _available_memory() -> int:
@@ -419,7 +431,8 @@ class HankelTransform:
         self.power_weights = (4.0 * np.pi * self.max_radius**2 / self._S**2) / self._j1sq
         # same rule in k space: (1 / 2 pi) int |A|^2 k dk; inverse likewise
         self.spectral_power_weights = 1.0 / (np.pi * self.max_radius**2 * self._j1sq)
-        self._fine_resampler: tuple[np.ndarray, np.ndarray] | None = None
+        # fine radii, their resample matrix and how many of its columns are filled
+        self._fine_resampler: tuple[np.ndarray, np.ndarray, int] | None = None
 
     def _filled_blocks(self, support: int) -> list[np.ndarray]:
         """The super-blocks starting below support, the missing ones filled.
@@ -453,17 +466,15 @@ class HankelTransform:
                 self._blocks[filled:count] = blocks
             return self._blocks[:count]
 
-    def _apply(self, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    def _apply(self, values: np.ndarray, weights: np.ndarray, rows: int) -> np.ndarray:
         values = np.asarray(values)
         if values.ndim not in (1, 2) or values.shape[0] != self.n_points:
             raise DomainError(
                 f"expected shape ({self.n_points},) or ({self.n_points}, Z), "
                 f"got {values.shape}"
             )
-        # the support: one past the last row with a nonzero entry
-        nonzero = np.flatnonzero(values.reshape(self.n_points, -1).any(axis=1))
-        support = int(nonzero[-1]) + 1 if nonzero.size else 0
-        blocks = self._filled_blocks(support)
+        support = _support(values)
+        blocks = self._filled_blocks(min(support, rows))
         # the kernel is real, so complex columns are viewed as interleaved
         # real and imaginary float64 columns: one pass over the kernel
         # covers both parts of every column
@@ -484,17 +495,22 @@ class HankelTransform:
                 if start + first < support:
                     out[:, near] += x[:, start + first : stop] @ panel.T
                 below = max(block.shape[0] - first, 0)
-                out[:, start + first + below : stop] += x[:, near] @ panel[:, below:]
+                if start + first + below < rows:
+                    out[:, start + first + below : stop] += x[:, near] @ panel[:, below:]
+        out[:, rows:] = 0.0
         result = np.ascontiguousarray(out.T)
         return (result.view(np.complex128) if is_complex else result).reshape(values.shape)
 
-    def forward(self, field_values: np.ndarray) -> np.ndarray:
-        """Angular spectrum A(k_m) of samples f(r_n), one per column of (N, Z) input."""
-        return self._apply(field_values, self.power_weights)
+    def forward(self, field_values: np.ndarray, rows: int | None = None) -> np.ndarray:
+        """Angular spectrum A(k_m) of samples f(r_n), one per column of (N, Z) input.
+
+        Only rows m < rows (default N) are computed; the rest are zero.
+        """
+        return self._apply(field_values, self.power_weights, self.n_points if rows is None else rows)
 
     def inverse(self, spectrum_values: np.ndarray) -> np.ndarray:
         """Field samples f(r_n) from an angular spectrum A(k_m), one per column of (N, Z) input."""
-        return self._apply(spectrum_values, self.spectral_power_weights)
+        return self._apply(spectrum_values, self.spectral_power_weights, self.n_points)
 
     def resample_matrix(self, radii: np.ndarray) -> np.ndarray:
         """Matrix evaluating the band-limited field at arbitrary radii.
@@ -508,34 +524,46 @@ class HankelTransform:
         bit-identical to the formula evaluated in one piece.
         """
         radii = np.atleast_1d(np.asarray(radii, dtype=float))
+        matrix = np.empty((radii.size, self.n_points))
+        self._fill_resample_columns(radii, matrix, 0, self.n_points)
+        return matrix
+
+    def _fill_resample_columns(self, radii, matrix, first: int, stop: int) -> None:
+        """Write columns [first, stop) of resample_matrix(radii) into matrix, in place."""
         if np.any(radii < 0) or np.any(radii > self.max_radius):
             raise DomainError("resample radii must lie in [0, max_radius]")
-        matrix = np.empty((radii.size, self.n_points))
-        norm = np.pi * self.max_radius**2 * self._j1sq
+        norm = np.pi * self.max_radius**2 * self._j1sq[first:stop]
 
-        def fill_block(start: int, stop: int) -> None:
-            rows = matrix[start:stop]
-            np.multiply.outer(radii[start:stop], self.k_radial, out=rows)
+        def fill_block(start: int, end: int) -> None:
+            rows = matrix[start:end, first:stop]
+            np.multiply.outer(radii[start:end], self.k_radial[first:stop], out=rows)
             j0(rows, out=rows)
             np.divide(rows, norm, out=rows)
 
         _fill_row_blocks(range(0, radii.size, _RESAMPLE_BLOCK_ROWS), fill_block)
-        return matrix
 
-    def fine_resample_matrix(self, radii: np.ndarray) -> np.ndarray:
-        """resample_matrix(radii), read-only.
+    def fine_resample_matrix(self, radii: np.ndarray, spectra: np.ndarray) -> np.ndarray:
+        """resample_matrix(radii), read-only, filled in the columns spectra reach.
 
-        The transform keeps the last one built, and frees it with itself,
-        so every scan and waist measurement that resamples onto the same
-        fine grid shares one.
+        The transform keeps one full-width matrix, and frees it with
+        itself, so every scan and waist measurement that resamples onto
+        the same fine grid shares one. Its columns are filled when spectra
+        ((N,) or (N, Z)) first reach them, each once, under the fill lock;
+        the rest are zero and meet only zero rows of spectra.
         """
-        # read the slot once: another thread may replace it meanwhile
-        kept = self._fine_resampler
-        if kept is None or not np.array_equal(kept[0], radii):
-            matrix = self.resample_matrix(radii)
-            matrix.flags.writeable = False
-            kept = self._fine_resampler = (np.array(radii), matrix)
-        return kept[1]
+        support = _support(spectra)
+        with self._fill_lock:
+            kept = self._fine_resampler
+            if kept is None or not np.array_equal(kept[0], radii):
+                radii = np.array(radii, dtype=float, ndmin=1)
+                kept = (radii, np.zeros((radii.size, self.n_points)), 0)
+            radii, matrix, filled = kept
+            if filled < support:
+                self._fill_resample_columns(radii, matrix, filled, support)
+            self._fine_resampler = (radii, matrix, max(filled, support))
+        view = matrix.view()
+        view.flags.writeable = False
+        return view
 
     def radial_power(self, field_values: np.ndarray) -> float:
         """Discretized total power 2 pi int |f(r)|^2 r dr."""

@@ -600,15 +600,18 @@ class TestShowConfig:
 _SWEEP_FLOATS = ["nan", "inf", "0", "-1", "1e-320", "1e308", "0.5", "2", "1e9"]
 # no large ints: synth --z-steps 10**8 alone would write 2e8 scans
 _SWEEP_INTS = ["0", "-1", "1", "2", "3"]
-_SWEEP_BASES = {
-    "coupling": [],
-    "filter": [],
-    "budget": [],
-    # --finesse and --fsr-ghz act only on the etalon curve
-    "curves": ["--kind", "etalon"],
-    "synth": ["--seed", "1"],
-    "fit": [],
-}
+# (command, base arguments, id prefix); --finesse and --fsr-ghz act only on
+# the etalon curve, and are checked at every kind
+_SWEEP_BASES = [
+    ("coupling", [], "coupling"),
+    ("filter", [], "filter"),
+    ("budget", [], "budget"),
+    ("curves", ["--kind", "etalon"], "curves"),
+    ("curves", ["--kind", "collection"], "curves collection"),
+    ("curves", ["--kind", "fidelity"], "curves fidelity"),
+    ("synth", ["--seed", "1"], "synth"),
+    ("fit", [], "fit"),
+]
 
 
 def _sweep_cases():
@@ -618,7 +621,7 @@ def _sweep_cases():
         if isinstance(action, argparse._SubParsersAction)
     )
     cases = []
-    for command, base in _SWEEP_BASES.items():
+    for command, base, prefix in _SWEEP_BASES:
         for action in subcommands[command]._actions:
             if action.type not in (float, int):
                 continue
@@ -626,7 +629,7 @@ def _sweep_cases():
             # a swept flag replaces its own entry in the base arguments
             rest = base[2:] if base[:1] == [flag] else base
             values = _SWEEP_FLOATS if action.type is float else _SWEEP_INTS
-            cases.append(pytest.param(command, rest, flag, values, id=f"{command} {flag}"))
+            cases.append(pytest.param(command, rest, flag, values, id=f"{prefix} {flag}"))
     return cases
 
 
@@ -655,6 +658,11 @@ class TestEdgeValueSweep:
             (["synth", "--seed", "1", "--z-steps", "-1"], "--z-steps must be >= 1, got -1"),
             (["synth", "--seed", "1", "--z-steps", "0"], "--z-steps must be >= 1, got 0"),
             (["synth", "--seed", "1", "--noise", "nan"], "noise_fraction must be finite"),
+            (["synth", "--seed", "1", "--m2", "1e308"], "m2 1e+308 at wavelength"),
+            (["synth", "--seed", "1", "--wavelength-nm", "inf"], "wavelength must be finite"),
+            (["synth", "--seed", "1", "--z-half-range-um", "1e308"], "|z - z0| = 1e+302 m"),
+            (["curves", "--kind", "collection", "--finesse", "nan"], "finesse"),
+            (["curves", "--kind", "fidelity", "--fsr-ghz", "nan"], "free_spectral_range"),
             (["fit", "--wavelength-nm", "inf"], "wavelength inf m"),
             (["fit", "--wavelength-nm", "1e308"], "wavelength 1e+299 m"),
         ]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -277,6 +278,30 @@ class TestPropagation:
         with pytest.raises(ResolutionError):
             propagate(field, BEAM_RAYLEIGH)
 
+    def test_bounded_spectrum_refused_wherever_the_full_one_is(self, beam_transform, monkeypatch):
+        # with the refusal threshold just below a field's guard-band share over
+        # all N rows (k < the grid's k limit here), the full spectrum is
+        # refused, and so must be the spectrum bounded at a propagator's reach
+        rng = np.random.default_rng(5)
+        t, k = beam_transform, 2 * math.pi / BEAM_WAVELENGTH
+        for smoothing in (0.0, 3e-8, 6e-8):
+            noise = rng.standard_normal(t.n_points) + 1j * rng.standard_normal(t.n_points)
+            values = noise * np.exp(-((t.radii / 30e-6) ** 2))
+            if smoothing:
+                values = t.inverse(t.forward(values) * np.exp(-((t.k_radial * smoothing) ** 2)))
+            full = t.forward(values)
+            power = t.spectral_power_weights * np.abs(full) ** 2
+            band = (t.k_radial >= 0.98 * k) & (t.k_radial <= k)
+            share = float(np.sum(power[band])) / float(np.sum(power))
+            monkeypatch.setattr(diffraction, "_GUARD_BAND_MAX_POWER", share * (1 - 1e-9))
+            with pytest.raises(ResolutionError):
+                diffraction._check_spectrum_resolved(t, full, k)
+            for z in (20e-6, 50e-6, BEAM_RAYLEIGH):
+                reach = diffraction._reach(t, k, [z])
+                assert reach < t.n_points
+                with pytest.raises(ResolutionError):
+                    diffraction._check_spectrum_resolved(t, t.forward(values, rows=reach), k)
+
     def test_evanescent_components_decay(self):
         # transverse frequency beyond the free-space wavenumber: the
         # exact propagator must attenuate it, not blow up
@@ -459,36 +484,48 @@ class TestFocalScans:
         resampler = transform.resample_matrix(np.linspace(0.0, fine_max, 512))
         spectrum = transform.forward(converging_beam.amplitude)
         assert len(seen) == z.size
+        kz = diffraction._transfer_wavenumber(transform, converging_beam.wavenumber)
         for zi, fine_values in zip(z, seen):
-            plane_spectrum = spectrum * diffraction._propagator_phase(
-                transform, converging_beam.wavenumber, zi
-            )
+            plane_spectrum = spectrum * np.exp(1j * zi * kz)
             expected = resampler @ plane_spectrum
             assert np.max(np.abs(fine_values - expected)) <= 1e-14 * np.max(np.abs(expected))
 
     def test_fine_resample_matrix_built_once_per_transform(self, monkeypatch):
+        # the toy grid's light cone sits at row ~1045 of 2048, so a scan needs
+        # only the matrix columns below it
         def converging(transform):
-            field = gaussian_beam(transform, LENS_INPUT_WAIST, BEAM_WAVELENGTH)
-            return apply_ideal_lens(field, LENS_FOCAL_LENGTH, aperture_radius=390e-6)
+            field = gaussian_beam(transform, 75e-6, TOY_WAVELENGTH)
+            return apply_ideal_lens(field, TOY_FOCAL_LENGTH, TOY_APERTURE / 2)
 
-        built = []
-        resample = HankelTransform.resample_matrix
+        filled = {}
+        fill = HankelTransform._fill_resample_columns
 
-        def counting(transform, radii):
-            built.append(np.size(radii))
-            return resample(transform, radii)
+        def counting(transform, radii, matrix, first, stop):
+            filled.setdefault(transform, Counter()).update(range(first, stop))
+            fill(transform, radii, matrix, first, stop)
 
-        monkeypatch.setattr(HankelTransform, "resample_matrix", counting)
-        field = converging(HankelTransform(1024, 400e-6))
-        z = np.linspace(LENS_FOCUS - LENS_RAYLEIGH_OUT, LENS_FOCUS + LENS_RAYLEIGH_OUT, 5)
+        monkeypatch.setattr(HankelTransform, "_fill_resample_columns", counting)
+        transform = HankelTransform(2048, TOY_GRID_RADIUS)
+        field = converging(transform)
+        z = np.linspace(TOY_FOCAL_LENGTH - 2e-6, TOY_FOCAL_LENGTH + 2e-6, 5)
         scan_field(field, z)
-        kept = scan_field(field, z + 0.1 * LENS_RAYLEIGH_OUT)
-        # a standalone waist at focus resamples through the same kept matrix
-        measure_waist_knife_edge(propagate(field, LENS_FOCUS))
-        assert built == [512]
-        # a transform of its own builds the matrix afresh, with the same result
-        rebuilt = scan_field(converging(HankelTransform(1024, 400e-6)), z + 0.1 * LENS_RAYLEIGH_OUT)
-        assert built == [512, 512]
+        reached = transform._fine_resampler[2]
+        assert 900 < reached < 1100
+        assert filled[transform] == Counter(range(reached))
+        matrix = transform._fine_resampler[1]
+        kept = scan_field(field, z + 1e-6)
+        assert filled[transform] == Counter(range(reached))
+        # a standalone waist at focus resamples its full spectrum through the
+        # same kept matrix, filling only the columns still missing
+        measure_waist_knife_edge(propagate(field, TOY_FOCAL_LENGTH))
+        assert transform._fine_resampler[1] is matrix
+        assert filled[transform] == Counter(range(transform.n_points))
+        # a transform of its own fills the matrix afresh, only as far as these
+        # later planes reach, with the same result
+        fresh = HankelTransform(2048, TOY_GRID_RADIUS)
+        rebuilt = scan_field(converging(fresh), z + 1e-6)
+        assert filled[fresh] == Counter(range(fresh._fine_resampler[2]))
+        assert fresh._fine_resampler[2] <= reached
         for name in ("fitted_waists", "waist_uncertainties", "encircled_radii", "encircled_power"):
             assert np.array_equal(getattr(kept, name), getattr(rebuilt, name))
 

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import re
+import sys
 import threading
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -13,10 +15,16 @@ from scipy.special import j0, jn_zeros
 from pflens import (
     DomainError,
     HankelTransform,
+    LensDesign,
     ResolutionError,
+    apply_binary_pfl,
     clear_transform_cache,
+    diffraction,
+    focal_scan,
+    gaussian_beam,
     get_transform,
     hankel,
+    zone_layout,
 )
 
 
@@ -299,6 +307,58 @@ class TestLazyFill:
             assert np.array_equal(result, unskipped_apply(full, values, weights[direction]))
 
 
+class TestRowBound:
+    # 1300 points: three super-blocks, the last ragged; with 300-column panels
+    # each super-block holds several, their edges at start + 300 i
+    CASES = [
+        (1300, 1), (1300, 299), (1300, 300), (1300, 301), (1300, 511), (1300, 512),
+        (1300, 513), (1300, 811), (1300, 812), (1300, 813), (1300, 1024), (1300, 1299),
+        (700, 512), (700, 900), (513, 1100), (40, 600), (1300, 0),
+    ]
+
+    @pytest.mark.parametrize("panel", [hankel._PANEL_COLUMNS, 300])
+    @pytest.mark.parametrize("support, rows", CASES)
+    def test_bounded_forward_matches_full_forward_below_the_bound(
+        self, monkeypatch, panel, support, rows
+    ):
+        monkeypatch.setattr(hankel, "_PANEL_COLUMNS", panel)
+        columns = supported(1300, support, seed=rows)
+        bounded = HankelTransform(n_points=1300, max_radius=1e-3)
+        bounded.forward(columns, rows=rows)
+        filled = [block is not None for block in bounded._blocks]
+        expected = -(-min(support, rows) // hankel._PACKED_BLOCK_ROWS)
+        assert filled == [True] * expected + [False] * (3 - expected)
+        full = HankelTransform(n_points=1300, max_radius=1e-3)
+        for values in (columns, columns[:, 0], columns.real):
+            result = bounded.forward(values, rows=rows)
+            reference = full.forward(values)
+            assert np.array_equal(result[:rows], reference[:rows])
+            assert not np.any(result[rows:])
+        assert np.array_equal(bounded.forward(columns, rows=1300), full.forward(columns))
+
+    def test_criterion_03_scan_stops_at_the_light_cone(self):
+        # every plane's exact propagator underflows to 0 beyond k ~ 1.12 k0,
+        # row ~1050 of 8192: the forward, the inverse and the fine resample
+        # matrix stop there
+        t = HankelTransform(n_points=8192, max_radius=400e-6)
+        layout = zone_layout(LensDesign(200e-6, 300e-6, 854e-9))
+        field = gaussian_beam(t, 75e-6, 854e-9)
+        z = np.linspace(198e-6, 202e-6, 9)
+        focal_scan(field, layout, (z[0], z[-1]), z.size, fine_points=256)
+        transmitted = apply_binary_pfl(field, layout)
+        kz = diffraction._transfer_wavenumber(t, transmitted.wavenumber)
+        phases = [np.exp(1j * zi * kz) for zi in z]
+        reach = diffraction._reach(t, transmitted.wavenumber, z)
+        assert 1024 < reach < 1100
+        assert [block is not None for block in t._blocks] == [True] * 3 + [False] * 13
+        spectrum = t.forward(transmitted.amplitude, rows=reach)
+        spectra = np.stack([spectrum * phase for phase in phases], axis=1)
+        # the matrix fills the columns the propagated spectra reach: the last
+        # few rows below reach underflow to 0 in spectrum x phase
+        assert t._fine_resampler[2] == hankel._support(spectra)
+        assert reach - 16 < t._fine_resampler[2] <= reach
+
+
 class TestRoundTripAndParseval:
     # each check runs on (N,) samples and on an (N, Z) stack of columns
 
@@ -395,6 +455,37 @@ class TestResample:
         spectrum = transform.forward(gaussian(transform.radii, 150e-6))
         with pytest.raises(DomainError):
             transform.resample_matrix(np.array([transform.max_radius * 1.01]))
+
+    def test_concurrent_fine_fills_fill_each_column_once(self, monkeypatch):
+        filled = Counter()
+        fill = HankelTransform._fill_resample_columns
+
+        def counting(t, radii, matrix, first, stop):
+            filled.update(range(first, stop))
+            fill(t, radii, matrix, first, stop)
+
+        monkeypatch.setattr(HankelTransform, "_fill_resample_columns", counting)
+        t = HankelTransform(n_points=1300, max_radius=1e-3)
+        radii = np.linspace(0.0, 1e-4, 100)
+        supports = [100, 700, 1300, 300, 1000, 1, 650, 1299]
+        barrier = threading.Barrier(len(supports))
+
+        def call(support):
+            barrier.wait(timeout=30)
+            return t.fine_resample_matrix(radii, supported(1300, support, columns=1))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(supports)) as pool:
+                results = list(pool.map(call, supports, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert filled == Counter(range(1300))
+        kept = t._fine_resampler[1]
+        assert np.array_equal(kept, t.resample_matrix(radii))
+        for result in results:
+            assert np.shares_memory(result, kept) and not result.flags.writeable
 
 
 class TestCache:
