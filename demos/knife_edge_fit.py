@@ -8,15 +8,17 @@ uncertainties. Also runs the bundled measured-style dataset.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
 from pflens.beamfit import (
     bundled_caustic_dataset_path,
     fit_caustic,
-    fit_scans,
+    fit_scan,
     read_scans_csv,
+    scans_csv_text,
     synthetic_caustic_scans,
-    write_scans_csv,
 )
 
 WAVELENGTH = 369.5e-9
@@ -48,16 +50,17 @@ def main():
         noise_fraction=0.01,
         rng=rng,
     )
-    write_scans_csv("demo_knife_edge_scans.csv", scans)
+    Path("demo_knife_edge_scans.csv").write_text(scans_csv_text(scans))
     print(f"synthesized {len(scans)} blade scans "
           f"(w0 {TRUE_W0 * 1e9:.0f} nm, M2 {TRUE_M2}, offset {TRUE_OFFSET * 1e6:.2f} um, "
           "1 % power noise) -> demo_knife_edge_scans.csv")
 
-    points = fit_scans(read_scans_csv("demo_knife_edge_scans.csv"))
+    points = [fit_scan(scan) for scan in read_scans_csv("demo_knife_edge_scans.csv")]
     fit = fit_caustic(points, WAVELENGTH)
     report(fit, "recovered from synthetic scans")
 
-    bundled = fit_caustic(fit_scans(read_scans_csv(bundled_caustic_dataset_path())), WAVELENGTH)
+    bundled_scans = read_scans_csv(bundled_caustic_dataset_path())
+    bundled = fit_caustic([fit_scan(scan) for scan in bundled_scans], WAVELENGTH)
     report(bundled, "\nbundled dataset")
 
 

@@ -79,16 +79,12 @@ from .beamfit import (
     derived_beam_parameters,
     fit_caustic,
     fit_scan,
-    fit_scans,
     knife_edge_model,
     read_scans_csv,
-    scan_csv_text,
     scans_csv_text,
     synthetic_caustic_points,
     synthetic_caustic_scans,
     synthetic_knife_edge_scan,
-    write_scan_csv,
-    write_scans_csv,
 )
 from .dipole import (
     EQUATORIAL_PI,

@@ -33,7 +33,7 @@ import numpy as np
 from scipy.optimize import least_squares
 from scipy.special import erfc
 
-from .errors import DomainError, FitError, SchemaError
+from .errors import DomainError, FitError, SchemaError, require
 
 _MIN_SCAN_SAMPLES = 8
 _DIRECTIONS = ("in", "out")
@@ -47,12 +47,14 @@ _MAX_MODEL_EVALS = 200
 _STEP_TOL = 1e-10
 # largest waist and far-field radius caustic_radius takes [m]: squares overflow from 1.3e154 m
 _MAX_WAIST = 1e150
+# largest noise_fraction synthesis takes: a power sample p times 1 + noise_fraction z, for any
+# standard normal draw z (|z| < 40), stays below the 1.8e308 float limit for p up to 1e150
+_MAX_NOISE = 1e150
 
 
-def _check_direction(direction: str) -> str:
+def _check_direction(direction: str) -> None:
     if direction not in _DIRECTIONS:
         raise DomainError(f"direction must be 'in' or 'out', got {direction!r}")
-    return direction
 
 
 @dataclass(frozen=True)
@@ -76,8 +78,7 @@ class KnifeEdgeScan:
         powers = np.asarray(self.powers, dtype=float)
         object.__setattr__(self, "blade_positions", positions)
         object.__setattr__(self, "powers", powers)
-        if not math.isfinite(self.z):
-            raise DomainError(f"scan position must be finite, got {self.z}")
+        require(math.isfinite(self.z), "scan position", "finite", self.z)
         if positions.ndim != 1 or powers.ndim != 1:
             raise DomainError("blade_positions and powers must be 1-D sequences")
         if positions.size != powers.size:
@@ -85,17 +86,15 @@ class KnifeEdgeScan:
                 f"blade_positions and powers disagree in length "
                 f"({positions.size} vs {powers.size})"
             )
-        if positions.size < _MIN_SCAN_SAMPLES:
-            raise DomainError(
-                f"a scan needs at least {_MIN_SCAN_SAMPLES} samples, got {positions.size}"
-            )
+        n = positions.size
+        require(n >= _MIN_SCAN_SAMPLES, "a scan's sample count", f"at least {_MIN_SCAN_SAMPLES}", n)
         if not np.all(np.isfinite(positions)) or not np.all(np.isfinite(powers)):
             raise DomainError("scan samples must be finite")
         steps = np.diff(positions)
         if not (np.all(steps > 0) or np.all(steps < 0)):
             raise DomainError("blade_positions must be strictly monotone")
-        if np.any(powers < 0):
-            raise DomainError("powers must be non-negative")
+        lowest = powers.min()
+        require(lowest >= 0, "powers", "non-negative", lowest)
         _check_direction(self.direction)
 
 
@@ -113,12 +112,8 @@ class WaistPoint:
     direction: str = "in"
 
     def __post_init__(self):
-        if not (self.w > 0):
-            raise DomainError(f"fitted radius must be > 0, got {self.w}")
-        if not (self.w_uncertainty >= 0):
-            raise DomainError(
-                f"radius uncertainty must be >= 0, got {self.w_uncertainty}"
-            )
+        require(self.w > 0, "fitted radius", "> 0", self.w)
+        require(self.w_uncertainty >= 0, "radius uncertainty", ">= 0", self.w_uncertainty)
         _check_direction(self.direction)
 
 
@@ -145,10 +140,8 @@ class CausticFit:
         cov = np.asarray(self.covariance, dtype=float)
         object.__setattr__(self, "covariance", cov)
         object.__setattr__(self, "warnings", tuple(self.warnings))
-        if not (self.w0 > 0):
-            raise DomainError(f"w0 must be > 0, got {self.w0}")
-        if not (self.m2 > 0):
-            raise DomainError(f"m2 must be > 0, got {self.m2}")
+        require(self.w0 > 0, "w0", "> 0", self.w0)
+        require(self.m2 > 0, "m2", "> 0", self.m2)
         if cov.shape != (4, 4):
             raise DomainError(f"covariance must be 4 x 4, got shape {cov.shape}")
         scale = float(np.max(np.abs(cov))) if cov.size else 0.0
@@ -193,8 +186,7 @@ def knife_edge_model(
     total_power to background as the blade position sweeps upward; "out"
     is the mirror image. w is the 1/e^2 intensity radius [m].
     """
-    if not (w > 0):
-        raise DomainError(f"w must be > 0, got {w}")
+    require(w > 0, "w", "> 0", w)
     _check_direction(direction)
     x = np.asarray(blade_position, dtype=float)
     sign = 1.0 if direction == "in" else -1.0
@@ -216,8 +208,7 @@ def knife_edge_jacobian(
     Returns an (n, 4) array for n blade positions, matching the
     parameter order used by fit_scan.
     """
-    if not (w > 0):
-        raise DomainError(f"w must be > 0, got {w}")
+    require(w > 0, "w", "> 0", w)
     _check_direction(direction)
     x = np.atleast_1d(np.asarray(blade_position, dtype=float))
     sign = 1.0 if direction == "in" else -1.0
@@ -235,10 +226,8 @@ def caustic_radius(z, w0: float, m2: float, z0: float, wavelength: float):
     """1/e^2 radius of a Gaussian caustic at axial position z [m]."""
     if not (0 < w0 <= _MAX_WAIST):
         raise DomainError(f"w0 must be > 0 and <= {_MAX_WAIST:g} m, got {w0}")
-    if not (m2 > 0):
-        raise DomainError(f"m2 must be > 0, got {m2}")
-    if not (0 < wavelength < math.inf):
-        raise DomainError(f"wavelength must be finite and > 0, got {wavelength}")
+    require(m2 > 0, "m2", "> 0", m2)
+    require(0 < wavelength < math.inf, "wavelength", "finite and > 0", wavelength)
     u = np.asarray(z, dtype=float) - z0
     theta = m2 * wavelength / (math.pi * w0)
     far = float(np.max(np.abs(u), initial=0.0))
@@ -399,11 +388,6 @@ def fit_scan(scan: KnifeEdgeScan) -> WaistPoint:
     )
 
 
-def fit_scans(scans) -> list:
-    """Fit a sequence of independent scans in input order."""
-    return [fit_scan(scan) for scan in scans]
-
-
 # ---------------------------------------------------------------------------
 # caustic fitting
 
@@ -421,10 +405,8 @@ def fit_caustic(points, wavelength: float) -> CausticFit:
     solver fails or the fitted waist collapses toward zero.
     """
     points = list(points)
-    if not (wavelength > 0):
-        raise DomainError(f"wavelength must be > 0, got {wavelength}")
-    if len(points) < 5:
-        raise DomainError(f"caustic fit needs at least 5 points, got {len(points)}")
+    require(wavelength > 0, "wavelength", "> 0", wavelength)
+    require(len(points) >= 5, "a caustic fit's point count", "at least 5", len(points))
     z = np.array([pt.z for pt in points])
     w = np.array([pt.w for pt in points])
     sigma = np.array([pt.w_uncertainty for pt in points])
@@ -442,6 +424,13 @@ def fit_caustic(points, wavelength: float) -> CausticFit:
     omega = (w / w_scale) ** 2
     # wavelength rescaled so the model keeps its form in scaled units
     lam_scaled = wavelength * z_scale / w_scale**2
+    # the model at the start point is 1 + (lam_scaled zeta / pi)^2 with |zeta| <= 2:
+    # far from overflow while lam_scaled <= 1e150
+    if not (lam_scaled <= 1e150):
+        raise DomainError(
+            f"caustic model overflows at the fit's start point: wavelength {wavelength} m "
+            f"against a {w_scale:.3g} m smallest waist over a {2 * z_scale:.3g} m z span"
+        )
 
     notes = []
     if np.all(sigma > 0):
@@ -473,11 +462,6 @@ def fit_caustic(points, wavelength: float) -> CausticFit:
         jac = caustic_squared_jacobian(zeta, ind, a, m2, b, c, lam_scaled)
         return jac[:, :n_params] / weight[:, None]
 
-    if not np.all(np.isfinite(residuals(start))):
-        raise DomainError(
-            f"caustic model overflows at the fit's start point: wavelength {wavelength} m "
-            f"against a {w_scale:.3g} m smallest waist over a {2 * z_scale:.3g} m z span"
-        )
     result = least_squares(
         residuals,
         start,
@@ -547,8 +531,7 @@ def derived_beam_parameters(fit: CausticFit, wavelength: float) -> dict:
     (m2 = 1) value. Both formulas are paraxial and lose meaning as the
     angle approaches 1 rad.
     """
-    if not (wavelength > 0):
-        raise DomainError(f"wavelength must be > 0, got {wavelength}")
+    require(wavelength > 0, "wavelength", "> 0", wavelength)
     return {
         "divergence_half_angle": fit.m2 * wavelength / (math.pi * fit.w0),
         "rayleigh_range": math.pi * fit.w0**2 / wavelength,
@@ -557,6 +540,12 @@ def derived_beam_parameters(fit: CausticFit, wavelength: float) -> dict:
 
 # ---------------------------------------------------------------------------
 # synthetic data (seeded; the only randomness in the package)
+
+
+def _require_noise(noise_fraction: float, rng) -> None:
+    rule = f"finite and in [0, {_MAX_NOISE:g}]"
+    require(0 <= noise_fraction <= _MAX_NOISE, "noise_fraction", rule, noise_fraction)
+    require(noise_fraction == 0 or rng is not None, "rng", "seeded for noisy synthesis", rng)
 
 
 def synthetic_knife_edge_scan(
@@ -577,18 +566,13 @@ def synthetic_knife_edge_scan(
     applies multiplicative Gaussian noise to each power sample and
     requires a seeded generator.
     """
-    if not (w > 0):
-        raise DomainError(f"w must be > 0, got {w}")
-    if n_positions < _MIN_SCAN_SAMPLES:
-        raise DomainError(
-            f"n_positions must be >= {_MIN_SCAN_SAMPLES}, got {n_positions}"
-        )
-    if not (span_factor > 0):
-        raise DomainError(f"span_factor must be > 0, got {span_factor}")
-    if not (0 <= noise_fraction < math.inf):
-        raise DomainError(f"noise_fraction must be finite and >= 0, got {noise_fraction}")
-    if noise_fraction > 0 and rng is None:
-        raise DomainError("noisy synthesis requires a seeded random generator")
+    require(w > 0, "w", "> 0", w)
+    require(
+        n_positions >= _MIN_SCAN_SAMPLES, "n_positions", f">= {_MIN_SCAN_SAMPLES}", n_positions
+    )
+    # before np.linspace, which warns on an infinite span
+    require(0 < span_factor < math.inf, "span_factor", "finite and > 0", span_factor)
+    _require_noise(noise_fraction, rng)
     positions = np.linspace(center - span_factor * w, center + span_factor * w, n_positions)
     powers = knife_edge_model(
         positions, total_power, center, w, direction=direction, background=background
@@ -617,10 +601,7 @@ def synthetic_caustic_points(
     true position. noise_fraction perturbs each radius multiplicatively
     and is reported as the point uncertainty.
     """
-    if not (0 <= noise_fraction < math.inf):
-        raise DomainError(f"noise_fraction must be finite and >= 0, got {noise_fraction}")
-    if noise_fraction > 0 and rng is None:
-        raise DomainError("noisy synthesis requires a seeded random generator")
+    _require_noise(noise_fraction, rng)
     points = []
     for z in np.asarray(z_positions, dtype=float):
         radius = float(caustic_radius(z, w0, m2, z0, wavelength))
@@ -694,18 +675,6 @@ COMBINED_HEADER = ["z_m", "blade_position_m", "power", "direction"]
 CAUSTIC_CURVE_CSV_HEADER = ["z_m", "w_m"]
 
 
-def scan_csv_text(scan: KnifeEdgeScan) -> str:
-    """Single-scan CSV: scan header block, then blade/power rows."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(SCAN_HEADER)
-    writer.writerow([f"{scan.z:.17g}", scan.direction])
-    writer.writerow(SAMPLE_HEADER)
-    for position, power in zip(scan.blade_positions, scan.powers):
-        writer.writerow([f"{position:.17g}", f"{power:.17g}"])
-    return buffer.getvalue()
-
-
 def scans_csv_text(scans) -> str:
     """Combined CSV with one row per sample across many scans."""
     buffer = io.StringIO()
@@ -722,14 +691,6 @@ def scans_csv_text(scans) -> str:
                 ]
             )
     return buffer.getvalue()
-
-
-def write_scan_csv(path, scan: KnifeEdgeScan) -> None:
-    Path(path).write_text(scan_csv_text(scan))
-
-
-def write_scans_csv(path, scans) -> None:
-    Path(path).write_text(scans_csv_text(scans))
 
 
 def _schema_mismatch(line_number: int, row, expected) -> SchemaError:
@@ -852,10 +813,8 @@ def caustic_curve_csv_text(
     fit: CausticFit, wavelength: float, z_min: float, z_max: float, n_points: int = 201
 ) -> str:
     """Fitted caustic sampled on a uniform z grid (plot data)."""
-    if not (z_max > z_min):
-        raise DomainError("z_max must exceed z_min")
-    if n_points < 2:
-        raise DomainError(f"n_points must be >= 2, got {n_points}")
+    require(z_max > z_min, "z_max", "> z_min", z_max)
+    require(n_points >= 2, "n_points", ">= 2", n_points)
     grid = np.linspace(z_min, z_max, n_points)
     radii = caustic_radius(grid, fit.w0, fit.m2, fit.z0, wavelength)
     buffer = io.StringIO()

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, require_finite_fields
+from .errors import require, require_finite_fields
 from .dipole import POLAR_SIGMA, collection_probability
 from .geometry import LensGeometry, check_na, cone_from_na, na_from_geometry
 
@@ -48,26 +48,12 @@ class TrapArraySpec:
 
     def __post_init__(self):
         require_finite_fields(self)
-        if not (self.electrode_distance > 0):
-            raise DomainError(
-                f"electrode_distance must be > 0, got {self.electrode_distance}"
-            )
-        if not (isinstance(self.segments_per_site, int) and self.segments_per_site > 0):
-            raise DomainError(
-                f"segments_per_site must be a positive integer, got {self.segments_per_site}"
-            )
-        if not (self.segment_length_factor > 0):
-            raise DomainError(
-                f"segment_length_factor must be > 0, got {self.segment_length_factor}"
-            )
-        if not (0.0 < self.measured_site_fraction <= 1.0):
-            raise DomainError(
-                f"measured_site_fraction must be in (0, 1], got {self.measured_site_fraction}"
-            )
-        if not (self.focal_length_factor > 0):
-            raise DomainError(
-                f"focal_length_factor must be > 0, got {self.focal_length_factor}"
-            )
+        for name in ("electrode_distance", "segment_length_factor", "focal_length_factor"):
+            require(getattr(self, name) > 0, name, "> 0", getattr(self, name))
+        n = self.segments_per_site
+        require(isinstance(n, int) and n > 0, "segments_per_site", "a positive integer", n)
+        fraction = self.measured_site_fraction
+        require(0.0 < fraction <= 1.0, "measured_site_fraction", "in (0, 1]", fraction)
 
 
 @dataclass(frozen=True)
@@ -78,10 +64,8 @@ class DetectorSpec:
 
     def __post_init__(self):
         require_finite_fields(self)
-        if not (0.0 < self.quantum_efficiency <= 1.0):
-            raise DomainError(
-                f"quantum_efficiency must be in (0, 1], got {self.quantum_efficiency}"
-            )
+        efficiency = self.quantum_efficiency
+        require(0.0 < efficiency <= 1.0, "quantum_efficiency", "in (0, 1]", efficiency)
 
 
 def detection_site_spacing(spec: TrapArraySpec) -> float:
@@ -114,10 +98,7 @@ def fault_tolerance_check(
     efficiency, which only scales the reported detected_fraction.
     """
     check_na(na)
-    if not (0.0 < required_p_coll <= 1.0):
-        raise DomainError(
-            f"required_p_coll must be in (0, 1], got {required_p_coll}"
-        )
+    require(0.0 < required_p_coll <= 1.0, "required_p_coll", "in (0, 1]", required_p_coll)
     p_coll = collection_probability(POLAR_SIGMA, cone_from_na(na), eta_diff)
     return {
         "p_coll": p_coll,
@@ -132,7 +113,6 @@ def entanglement_rate_gain(p_coh_new: float, p_coh_ref: float) -> float:
     Rates scale as the square of the coherent coupling, so the gain is
     (p_coh_new / p_coh_ref)^2.
     """
-    for name, value in (("p_coh_new", p_coh_new), ("p_coh_ref", p_coh_ref)):
-        if not (0.0 < value <= 1.0):
-            raise DomainError(f"{name} must be in (0, 1], got {value}")
+    require(0.0 < p_coh_new <= 1.0, "p_coh_new", "in (0, 1]", p_coh_new)
+    require(0.0 < p_coh_ref <= 1.0, "p_coh_ref", "in (0, 1]", p_coh_ref)
     return (p_coh_new / p_coh_ref) ** 2

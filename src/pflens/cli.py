@@ -24,7 +24,7 @@ import numpy as np
 
 from . import beamfit, budget as budget_mod, design as design_mod, diffraction, dipole, filtering
 from .config import ProjectConfig, config_text, default_config, read_config
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, require
 from .hankel import get_transform
 from .geometry import (
     LensGeometry,
@@ -132,9 +132,11 @@ def cmd_simulate(args) -> int:
 
     z_lo = args.z_min_um * 1e-6 if args.z_min_um is not None else lens.focal_length - config.scan_half_width
     z_hi = args.z_max_um * 1e-6 if args.z_max_um is not None else lens.focal_length + config.scan_half_width
+    # before np.linspace, which warns on an infinite end; the config's ends are finite
+    require(math.isfinite(z_lo), "--z-min-um, the first of the z_positions", "finite", z_lo)
+    require(math.isfinite(z_hi), "--z-max-um, the last of the z_positions", "finite", z_hi)
     steps = args.steps if args.steps is not None else config.scan_steps
-    if steps < 1:
-        raise DomainError(f"--steps must be >= 1, got {steps}")
+    require(steps >= 1, "--steps", ">= 1", steps)
     scan = diffraction.scan_field(
         transmitted,
         np.linspace(z_lo, z_hi, steps),
@@ -453,8 +455,7 @@ def cmd_curves(args) -> int:
     elif args.kind == "fidelity":
         text = dipole.fidelity_curve_csv_text(n_steps=args.steps)
     else:
-        if args.steps < 2:
-            raise DomainError(f"n_steps must be >= 2, got {args.steps}")
+        require(args.steps >= 2, "n_steps", ">= 2", args.steps)
         rows = ["detuning_hz,transmission"]
         for detuning in np.linspace(0.0, fsr, args.steps):
             transmission = filtering.etalon_transmission(etalon, float(detuning))
@@ -469,15 +470,13 @@ def cmd_curves(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    if args.seed < 0:
-        raise DomainError(f"--seed must be >= 0, got {args.seed}")
-    if args.z_steps < 1:
-        # no scans would write a header that read_scans_csv refuses
-        raise DomainError(f"--z-steps must be >= 1, got {args.z_steps}")
+    require(args.seed >= 0, "--seed", ">= 0", args.seed)
+    # no scans would write a header that read_scans_csv refuses
+    require(args.z_steps >= 1, "--z-steps", ">= 1", args.z_steps)
+    half_range = args.z_half_range_um
+    require(math.isfinite(half_range), "--z-half-range-um", "finite", half_range)
     rng = np.random.default_rng(args.seed)
-    z_positions = np.linspace(
-        -args.z_half_range_um * 1e-6, args.z_half_range_um * 1e-6, args.z_steps
-    )
+    z_positions = np.linspace(-half_range * 1e-6, half_range * 1e-6, args.z_steps)
     directions = ("in", "out") if args.directions == "both" else (args.directions,)
     config = _load_config(args)
     wavelength = (

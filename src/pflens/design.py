@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, SchemaError, require_finite_fields
+from .errors import DomainError, SchemaError, require, require_finite_fields
 
 FUSED_SILICA_INDEX = 1.4738  # near-UV value; reproduces a 390 nm half-wave etch at 369.5 nm
 # most rings zone_layout enumerates (80 MB of radii); the reference lens has 2449
@@ -44,12 +44,10 @@ class LensDesign:
     def __post_init__(self):
         require_finite_fields(self)
         for name in ("focal_length", "clear_aperture_diameter", "design_wavelength"):
-            if not (getattr(self, name) > 0):
-                raise DomainError(f"{name} must be > 0, got {getattr(self, name)}")
-        if not (isinstance(self.phase_levels, int) and self.phase_levels >= 2):
-            raise DomainError(f"phase_levels must be an integer >= 2, got {self.phase_levels}")
-        if not (self.substrate_index > 1):
-            raise DomainError(f"substrate_index must be > 1, got {self.substrate_index}")
+            require(getattr(self, name) > 0, name, "> 0", getattr(self, name))
+        levels = self.phase_levels
+        require(isinstance(levels, int) and levels >= 2, "phase_levels", "an integer >= 2", levels)
+        require(self.substrate_index > 1, "substrate_index", "> 1", self.substrate_index)
 
 
 @dataclass(frozen=True)
@@ -79,14 +77,10 @@ class ZoneLayout:
             raise DomainError("ring radii must be positive")
         if radii.size and radii[-1] > self.aperture_radius * (1 + 1e-12):
             raise DomainError("ring radii must not exceed the aperture radius")
-        if not (self.etch_depth > 0):
-            raise DomainError(f"etch_depth must be > 0, got {self.etch_depth}")
-        if not (self.aperture_radius > 0):
-            raise DomainError(f"aperture_radius must be > 0, got {self.aperture_radius}")
-        if not (self.design_wavelength > 0):
-            raise DomainError(f"design_wavelength must be > 0, got {self.design_wavelength}")
-        if not (isinstance(self.phase_levels, int) and self.phase_levels >= 2):
-            raise DomainError(f"phase_levels must be an integer >= 2, got {self.phase_levels}")
+        for name in ("etch_depth", "aperture_radius", "design_wavelength"):
+            require(getattr(self, name) > 0, name, "> 0", getattr(self, name))
+        levels = self.phase_levels
+        require(isinstance(levels, int) and levels >= 2, "phase_levels", "an integer >= 2", levels)
 
     @property
     def zone_count(self) -> int:
@@ -104,8 +98,7 @@ class ZoneLayout:
 
     def truncated(self, radius: float) -> "ZoneLayout":
         """Layout restricted to rings within the given radius [m]."""
-        if not (0 < radius):
-            raise DomainError(f"truncation radius must be > 0, got {radius}")
+        require(radius > 0, "truncation radius", "> 0", radius)
         radius = min(radius, self.aperture_radius)
         keep = self.ring_radii[self.ring_radii <= radius]
         return ZoneLayout(
@@ -128,11 +121,8 @@ class ChromaticSpec:
     fractional_detuning: float
 
     def __post_init__(self):
-        if not (abs(self.fractional_detuning) < 1e-2):
-            raise DomainError(
-                "fractional_detuning must satisfy |x| < 1e-2, got "
-                f"{self.fractional_detuning}"
-            )
+        detuning = self.fractional_detuning
+        require(abs(detuning) < 1e-2, "fractional_detuning", "in (-1e-2, 1e-2)", detuning)
 
 
 def fractional_detuning_from_frequency(frequency_shift: float, wavelength: float) -> ChromaticSpec:
@@ -156,7 +146,8 @@ def zone_layout(design: LensDesign) -> ZoneLayout:
     aperture_radius = design.clear_aperture_diameter / 2.0
 
     def ring_radius(p):
-        return np.sqrt(2 * f * p * lam + (p * lam) ** 2)
+        # squared by a product: on a float past 1.3e154 it gives inf, where ** raises
+        return np.sqrt(2 * f * p * lam + (p * lam) * (p * lam))
 
     # root of lam^2 p^2 + 2 f lam p - R^2 = 0, written R^2 / (hypot(f, R) + f)
     # / lam so that it neither cancels nor overflows for large f
@@ -198,12 +189,8 @@ def multilevel_efficiency(
     transmission factor when include_fresnel_losses is set. Approaches 1
     as N grows (perfect blaze); equals (2/pi)^2 = 0.405 for binary.
     """
-    if not (isinstance(levels, int) and levels >= 2):
-        raise DomainError(f"levels must be an integer >= 2, got {levels}")
-    if not (0 < surface_transmission <= 1):
-        raise DomainError(
-            f"surface_transmission must be in (0, 1], got {surface_transmission}"
-        )
+    require(isinstance(levels, int) and levels >= 2, "levels", "an integer >= 2", levels)
+    require(0 < surface_transmission <= 1, "surface_transmission", "in (0, 1]", surface_transmission)
     x = math.pi / levels
     eff = (math.sin(x) / x) ** 2
     if include_fresnel_losses:
@@ -217,8 +204,7 @@ def fresnel_plate_transmission(substrate_index: float) -> float:
     R = ((n - 1) / (n + 1))^2 per surface; about 0.93 for fused silica.
     The index-matched limit n = 1 transmits everything.
     """
-    if not (substrate_index >= 1):
-        raise DomainError(f"substrate_index must be >= 1, got {substrate_index}")
+    require(substrate_index >= 1, "substrate_index", ">= 1", substrate_index)
     reflectance = ((substrate_index - 1) / (substrate_index + 1)) ** 2
     return (1 - reflectance) ** 2
 
@@ -235,8 +221,8 @@ def chromatic_focal_shift(design: LensDesign, chromatic: ChromaticSpec) -> float
 
 def rayleigh_range_gaussian(waist: float, wavelength: float) -> float:
     """Rayleigh range pi w0^2 / lam of a Gaussian beam of waist w0."""
-    if not (waist > 0 and wavelength > 0):
-        raise DomainError("waist and wavelength must be > 0")
+    require(waist > 0, "waist", "> 0", waist)
+    require(wavelength > 0, "wavelength", "> 0", wavelength)
     return math.pi * waist * waist / wavelength
 
 
@@ -247,10 +233,8 @@ def depth_of_focus(na: float, wavelength: float) -> float:
     waist-based rayleigh_range_gaussian and the two are never
     interchanged silently.
     """
-    if not (0 < na <= 1):
-        raise DomainError(f"na must be in (0, 1], got {na}")
-    if not (wavelength > 0):
-        raise DomainError(f"wavelength must be > 0, got {wavelength}")
+    require(0 < na <= 1, "na", "in (0, 1]", na)
+    require(wavelength > 0, "wavelength", "> 0", wavelength)
     return 4.0 * wavelength / (math.pi * na * na)
 
 
@@ -260,14 +244,10 @@ def max_focal_length_for_dof(na: float, chromatic: ChromaticSpec, wavelength: fl
     4 lam / (pi * |detuning| * NA^2); at this focal length the shift
     equals the nominal depth of focus 4 lam / (pi NA^2) exactly.
     """
-    if na == 0:
-        raise DomainError("na must be nonzero")
-    if chromatic.fractional_detuning == 0:
-        raise DomainError("fractional detuning must be nonzero")
-    if not (0 < na <= 1):
-        raise DomainError(f"na must be in (0, 1], got {na}")
-    if not (wavelength > 0):
-        raise DomainError(f"wavelength must be > 0, got {wavelength}")
+    detuning = chromatic.fractional_detuning
+    require(detuning != 0, "fractional detuning", "nonzero", detuning)
+    require(0 < na <= 1, "na", "in (0, 1]", na)
+    require(wavelength > 0, "wavelength", "> 0", wavelength)
     return 4.0 * wavelength / (math.pi * abs(chromatic.fractional_detuning) * na * na)
 
 

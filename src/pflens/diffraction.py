@@ -29,7 +29,7 @@ import numpy as np
 
 from .beamfit import KnifeEdgeScan, fit_scan
 from .design import ZoneLayout
-from .errors import DomainError, ResolutionError
+from .errors import DomainError, ResolutionError, require
 from .hankel import HankelTransform, _kernel_bytes, _support
 
 # fraction of the propagating k range treated as the aliasing guard band,
@@ -74,8 +74,7 @@ class RadialField:
             raise DomainError(
                 f"amplitude must have shape ({self.transform.n_points},), got {amp.shape}"
             )
-        if not (self.wavelength > 0):
-            raise DomainError(f"wavelength must be > 0, got {self.wavelength}")
+        require(self.wavelength > 0, "wavelength", "> 0", self.wavelength)
         if not np.all(np.isfinite(amp)):
             raise DomainError("amplitude samples must be finite")
 
@@ -99,8 +98,7 @@ def plane_wave(transform: HankelTransform, wavelength: float, amplitude: float =
 
 def gaussian_beam(transform: HankelTransform, waist: float, wavelength: float) -> RadialField:
     """Collimated unit-amplitude Gaussian beam at its waist: E(r) = exp(-r^2 / w^2)."""
-    if not (waist > 0):
-        raise DomainError(f"waist must be > 0, got {waist}")
+    require(waist > 0, "waist", "> 0", waist)
     values = np.exp(-((transform.radii / waist) ** 2)).astype(complex)
     return RadialField(transform, values, wavelength)
 
@@ -189,8 +187,8 @@ def apply_ideal_lens(
     phase exp(-i k r^2 / 2f); paired with paraxial propagation this
     reproduces closed-form Gaussian-beam focusing.
     """
-    if not (focal_length > 0 and aperture_radius > 0):
-        raise DomainError("focal_length and aperture_radius must be > 0")
+    require(focal_length > 0, "focal_length", "> 0", focal_length)
+    require(aperture_radius > 0, "aperture_radius", "> 0", aperture_radius)
     r = field.transform.radii
     # steepest phase gradient (at the rim) must stay below grid Nyquist
     if paraxial:
@@ -277,8 +275,7 @@ def _reach(
 
 def propagate(field: RadialField, distance: float, paraxial: bool = False) -> RadialField:
     """Propagate a field forward by the given distance [m]."""
-    if distance < 0:
-        raise DomainError(f"distance must be >= 0, got {distance}")
+    require(distance >= 0, "distance", ">= 0", distance)
     transform = field.transform
     reach = _reach(transform, field.wavenumber, [distance], paraxial)
     spectrum = transform.forward(field.amplitude, rows=reach)
@@ -655,10 +652,8 @@ def focal_scan(
     the design focus.
     """
     z_lo, z_hi = z_range
-    if not (0 <= z_lo < z_hi):
-        raise DomainError(f"invalid z range {z_range}")
-    if n_steps < 1:
-        raise DomainError("n_steps must be >= 1")
+    require(0 <= z_lo < z_hi, "z_range", "(z_lo, z_hi) with 0 <= z_lo < z_hi", z_range)
+    require(n_steps >= 1, "n_steps", ">= 1", n_steps)
     input_power = field.power()
     transmitted = apply_binary_pfl(field, layout)
     z_positions = np.linspace(z_lo, z_hi, n_steps)
@@ -685,10 +680,9 @@ def efficiency_into_focus(
     """
     if input_power is None:
         input_power = scan.input_power
-    if not (input_power > 0):
-        raise DomainError("input_power must be > 0")
-    if not (capture_radius_multiplier > 0):
-        raise DomainError("capture_radius_multiplier must be > 0")
+    require(input_power > 0, "input_power", "> 0", input_power)
+    multiplier = capture_radius_multiplier
+    require(multiplier > 0, "capture_radius_multiplier", "> 0", multiplier)
     if math.isinf(capture_radius_multiplier):
         captured = float(scan.encircled_power[-1])
     else:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import dblquad, quad
 
-from .errors import AccuracyError, DomainError
+from .errors import AccuracyError, DomainError, require
 from .geometry import check_cone_angle, check_na, cone_from_na
 
 _POLARIZATIONS = ("sigma_plus", "sigma_minus", "pi")
@@ -96,12 +96,9 @@ class BeamQuality:
     m2: float = 1.0
 
     def __post_init__(self):
-        if not (0.0 < self.divergence_half_angle <= math.pi / 2):
-            raise DomainError(
-                f"divergence_half_angle must be in (0, pi/2], got {self.divergence_half_angle}"
-            )
-        if not (self.m2 >= 1.0):
-            raise DomainError(f"m2 must be >= 1, got {self.m2}")
+        theta = self.divergence_half_angle
+        require(0.0 < theta <= math.pi / 2, "divergence_half_angle", "in (0, pi/2]", theta)
+        require(self.m2 >= 1.0, "m2", ">= 1", self.m2)
 
 
 @dataclass(frozen=True)
@@ -119,16 +116,10 @@ class CouplingBudget:
     channel: EmissionChannel
 
     def __post_init__(self):
-        if not (0.0 < self.eta_diff <= 1.0):
-            raise DomainError(f"eta_diff must be in (0, 1], got {self.eta_diff}")
-        if not (0.0 <= self.p_coll <= self.eta_diff * (1 + 1e-12)):
-            raise DomainError(
-                f"p_coll must be in [0, eta_diff], got {self.p_coll} vs {self.eta_diff}"
-            )
-        if not (0.0 <= self.p_coh <= self.p_coll * (1 + 1e-12)):
-            raise DomainError(
-                f"p_coh must not exceed p_coll, got {self.p_coh} vs {self.p_coll}"
-            )
+        require(0.0 < self.eta_diff <= 1.0, "eta_diff", "in (0, 1]", self.eta_diff)
+        p_coll, p_coh = self.p_coll, self.p_coh
+        require(0.0 <= p_coll <= self.eta_diff * (1 + 1e-12), "p_coll", "in [0, eta_diff]", p_coll)
+        require(0.0 <= p_coh <= p_coll * (1 + 1e-12), "p_coh", "in [0, p_coll]", p_coh)
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +214,7 @@ def collection_probability(
     eta_diff = 0 is allowed as the lossless-limit complement: no
     diffracted power, no collected photons.
     """
-    if not (0.0 <= eta_diff <= 1.0):
-        raise DomainError(f"eta_diff must be in [0, 1], got {eta_diff}")
+    require(0.0 <= eta_diff <= 1.0, "eta_diff", "in [0, 1]", eta_diff)
     return collection_fraction(channel, theta_max) * eta_diff
 
 
@@ -263,8 +253,7 @@ def coherent_coupling(
     times the diffraction efficiency. Always bounded by the full-cone
     collection probability at the same divergence.
     """
-    if not (0.0 <= eta_diff <= 1.0):
-        raise DomainError(f"eta_diff must be in [0, 1], got {eta_diff}")
+    require(0.0 <= eta_diff <= 1.0, "eta_diff", "in [0, 1]", eta_diff)
     theta_e = effective_divergence(quality, m_convention)
     return collection_fraction(channel, theta_e) * eta_diff
 
@@ -302,10 +291,8 @@ def gaussian_overlap_oracle(
     Raises AccuracyError when the quadrature error estimate exceeds
     1e-8.
     """
-    if not (0.0 < gaussian_divergence < math.pi / 2):
-        raise DomainError(
-            f"gaussian_divergence must be in (0, pi/2), got {gaussian_divergence}"
-        )
+    angle = gaussian_divergence
+    require(0.0 < angle < math.pi / 2, "gaussian_divergence", "in (0, pi/2)", angle)
     sine_sq = math.sin(gaussian_divergence) ** 2
 
     if channel.orientation == "polar":
@@ -360,8 +347,7 @@ def polarization_fidelity_single(theta: float) -> float:
     sqrt(1 - sin^2(theta) / 2): the projection of the far-field
     polarization at that angle onto the target circular state.
     """
-    if not (0.0 <= theta <= math.pi / 2) or math.isnan(theta):
-        raise DomainError(f"theta must be in [0, pi/2], got {theta}")
+    require(0.0 <= theta <= math.pi / 2, "theta", "in [0, pi/2]", theta)
     return math.sqrt(1.0 - 0.5 * math.sin(theta) ** 2)
 
 
@@ -423,8 +409,7 @@ def collection_curve_csv_text(
     n_steps: int = 101, channels=_DEFAULT_CURVE_CHANNELS, na_max: float = 1.0
 ) -> str:
     """Collection fraction vs NA for a set of channels (plot data)."""
-    if n_steps < 2:
-        raise DomainError(f"n_steps must be >= 2, got {n_steps}")
+    require(n_steps >= 2, "n_steps", ">= 2", n_steps)
     check_na(na_max)
     channels = tuple(channels)
     buffer = io.StringIO()
@@ -441,8 +426,7 @@ def collection_curve_csv_text(
 
 def fidelity_curve_csv_text(n_steps: int = 101, na_max: float = 1.0) -> str:
     """Collected polarization fidelity vs NA, integral and series."""
-    if n_steps < 2:
-        raise DomainError(f"n_steps must be >= 2, got {n_steps}")
+    require(n_steps >= 2, "n_steps", ">= 2", n_steps)
     check_na(na_max)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")

@@ -34,11 +34,22 @@ class ConfigError(DomainError):
         super().__init__(prefix + message)
 
 
+def require(condition, name: str, rule: str, value) -> None:
+    """Raise DomainError "<name> must be <rule>, got <value>" unless condition holds.
+
+    The one form of a refusal that names its input. The message is built
+    only when the check fails.
+    """
+    if not condition:
+        raise DomainError(f"{name} must be {rule}, got {value}")
+
+
 def require_finite_fields(instance) -> None:
     """Raise DomainError naming the first float field of a dataclass that is inf or nan."""
     for spec in fields(instance):
-        if spec.type in ("float", float) and not math.isfinite(getattr(instance, spec.name)):
-            raise DomainError(f"{spec.name} must be finite, got {getattr(instance, spec.name)}")
+        if spec.type in ("float", float):
+            value = getattr(instance, spec.name)
+            require(math.isfinite(value), spec.name, "finite", value)
 
 
 class SchemaError(DomainError):

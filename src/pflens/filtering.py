@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .errors import DomainError, require_finite_fields
+from .errors import DomainError, require, require_finite_fields
 from .dipole import (
     POLAR_PI,
     POLAR_SIGMA,
@@ -56,10 +56,7 @@ class EtalonSpec:
         require_finite_fields(self)
         if not (0 < self.finesse <= _MAX_FINESSE):
             raise DomainError(f"finesse must be > 0 and <= {_MAX_FINESSE:g}, got {self.finesse}")
-        if not (self.free_spectral_range > 0):
-            raise DomainError(
-                f"free_spectral_range must be > 0, got {self.free_spectral_range}"
-            )
+        require(self.free_spectral_range > 0, "free_spectral_range", "> 0", self.free_spectral_range)
 
 
 @dataclass(frozen=True)
@@ -78,8 +75,7 @@ class FrequencyLayout:
     def __post_init__(self):
         require_finite_fields(self)
         for name in ("raman_shift", "zeeman_splitting", "zeeman_coefficient"):
-            if not (getattr(self, name) >= 0):
-                raise DomainError(f"{name} must be >= 0, got {getattr(self, name)}")
+            require(getattr(self, name) >= 0, name, ">= 0", getattr(self, name))
 
     def with_raman_removed(self) -> "FrequencyLayout":
         """Layout after an acousto-optic shift parks the pi line at zero.
@@ -128,10 +124,8 @@ def zeeman_splitting(
     field: float, coefficient: float = DEFAULT_ZEEMAN_COEFFICIENT
 ) -> float:
     """Linear Zeeman splitting [Hz] of an applied field [T]."""
-    if not (field >= 0):
-        raise DomainError(f"field must be >= 0, got {field}")
-    if not (coefficient >= 0):
-        raise DomainError(f"coefficient must be >= 0, got {coefficient}")
+    require(field >= 0, "field", ">= 0", field)
+    require(coefficient >= 0, "coefficient", ">= 0", coefficient)
     return coefficient * field
 
 

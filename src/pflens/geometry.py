@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import require
 
 
 @dataclass(frozen=True)
@@ -27,12 +27,8 @@ class LensGeometry:
     clear_aperture_diameter: float
 
     def __post_init__(self):
-        if not (self.focal_length > 0):
-            raise DomainError(f"focal_length must be > 0, got {self.focal_length}")
-        if not (self.clear_aperture_diameter > 0):
-            raise DomainError(
-                f"clear_aperture_diameter must be > 0, got {self.clear_aperture_diameter}"
-            )
+        for name in ("focal_length", "clear_aperture_diameter"):
+            require(getattr(self, name) > 0, name, "> 0", getattr(self, name))
 
     @property
     def f_number(self) -> float:
@@ -40,18 +36,14 @@ class LensGeometry:
         return self.focal_length / self.clear_aperture_diameter
 
 
-def check_na(na: float) -> float:
-    """Validate a numerical aperture value and return it."""
-    if not (0.0 <= na <= 1.0) or math.isnan(na):
-        raise DomainError(f"numerical aperture must be in [0, 1], got {na}")
-    return float(na)
+def check_na(na: float) -> None:
+    """Validate a numerical aperture value."""
+    require(0.0 <= na <= 1.0, "numerical aperture", "in [0, 1]", na)
 
 
-def check_cone_angle(theta: float) -> float:
-    """Validate a cone half-angle [rad] and return it."""
-    if not (0.0 <= theta <= math.pi) or math.isnan(theta):
-        raise DomainError(f"cone half-angle must be in [0, pi], got {theta}")
-    return float(theta)
+def check_cone_angle(theta: float) -> None:
+    """Validate a cone half-angle [rad]."""
+    require(0.0 <= theta <= math.pi, "cone half-angle", "in [0, pi]", theta)
 
 
 def na_from_geometry(geometry: LensGeometry) -> float:
@@ -71,8 +63,7 @@ def na_small_angle(f_number: float) -> float:
     about 3% of the exact value from na_from_geometry. Use only in the
     small-angle regime.
     """
-    if not (f_number > 0):
-        raise DomainError(f"f_number must be > 0, got {f_number}")
+    require(f_number > 0, "f_number", "> 0", f_number)
     return min(1.0, 1.0 / (2.0 * f_number))
 
 
@@ -99,8 +90,5 @@ def na_from_cone(theta: float) -> float:
     na_from_cone) is an exact inverse on [0, pi/2].
     """
     check_cone_angle(theta)
-    if theta > math.pi / 2:
-        raise DomainError(
-            f"na_from_cone requires theta <= pi/2 for an invertible mapping, got {theta}"
-        )
+    require(theta <= math.pi / 2, "theta", "<= pi/2 for an invertible mapping", theta)
     return math.sin(theta)

@@ -113,7 +113,7 @@ from decimal import Decimal
 import numpy as np
 from scipy.special import j0, j1, jn_zeros
 
-from .errors import DomainError, ResolutionError
+from .errors import DomainError, ResolutionError, require
 
 # rows per block of the kernel fill; also the row count of the shared
 # phase table E, up to 16 B x N bytes (37 MB at N = 18000)
@@ -404,10 +404,8 @@ class HankelTransform:
     """
 
     def __init__(self, n_points: int, max_radius: float):
-        if not (isinstance(n_points, int) and n_points >= 4):
-            raise DomainError(f"n_points must be an integer >= 4, got {n_points}")
-        if not (max_radius > 0):
-            raise DomainError(f"max_radius must be > 0, got {max_radius}")
+        require(isinstance(n_points, int) and n_points >= 4, "n_points", "an integer >= 4", n_points)
+        require(max_radius > 0, "max_radius", "> 0", max_radius)
         if not (max_radius <= _MAX_RADIUS):
             raise ResolutionError(
                 f"grid radius {max_radius:.3g} m is above the {_MAX_RADIUS:g} m a transform allows"

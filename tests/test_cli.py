@@ -6,18 +6,15 @@ import argparse
 import json
 import math
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from pflens import clear_transform_cache, hankel
-from pflens.beamfit import (
-    read_scans_csv,
-    synthetic_knife_edge_scan,
-    write_scan_csv,
-)
+from pflens.beamfit import read_scans_csv, synthetic_knife_edge_scan
 from pflens.cli import build_parser, main
-from pflens.config import config_text, default_config
+from pflens.config import ProjectConfig, config_text, default_config
 
 # small fast lens for the simulation paths: 58 zones at 854 nm, NA 0.6
 TOY_CONFIG = """\
@@ -256,6 +253,7 @@ class TestSimulate:
         cases = [
             (["--z-min-um", "nan"], "z_positions must be finite"),
             (["--z-min-um", "inf"], "z_positions must be finite"),
+            (["--z-max-um", "nan"], "--z-max-um, the last of the z_positions must be finite"),
             (["--z-max-um", "1e308"], "at most 6.12e+08 m, where the propagation phase"),
             (["--steps", "-1"], "--steps must be >= 1, got -1"),
         ]
@@ -297,7 +295,9 @@ class TestFit:
     def test_single_scan_file_reports_one_waist(self, tmp_path, capsys):
         scan = synthetic_knife_edge_scan(z=2e-6, w=350e-9, n_positions=40)
         path = tmp_path / "single.csv"
-        write_scan_csv(path, scan)
+        rows = ["z_m,direction", "2e-06,in", "blade_position_m,power"]
+        rows += [f"{x:.17g},{p:.17g}" for x, p in zip(scan.blade_positions, scan.powers)]
+        path.write_text("\n".join(rows) + "\n")
         report = run_json(["fit", "--input", str(path)], capsys)
         assert report["w_m"] == pytest.approx(350e-9, rel=1e-6)
         assert report["z_m"] == 2e-6
@@ -661,6 +661,9 @@ class TestEdgeValueSweep:
             (["synth", "--seed", "1", "--m2", "1e308"], "m2 1e+308 at wavelength"),
             (["synth", "--seed", "1", "--wavelength-nm", "inf"], "wavelength must be finite"),
             (["synth", "--seed", "1", "--z-half-range-um", "1e308"], "|z - z0| = 1e+302 m"),
+            (["synth", "--seed", "1", "--z-half-range-um", "nan"], "--z-half-range-um must be finite"),
+            (["synth", "--seed", "1", "--span-factor", "inf"], "span_factor must be finite and > 0"),
+            (["synth", "--seed", "1", "--noise", "1e308"], "in [0, 1e+150], got 1e+308"),
             (["curves", "--kind", "collection", "--finesse", "nan"], "finesse"),
             (["curves", "--kind", "fidelity", "--fsr-ghz", "nan"], "free_spectral_range"),
             (["fit", "--wavelength-nm", "inf"], "wavelength inf m"),
@@ -685,3 +688,41 @@ class TestEdgeValueSweep:
             assert code == 0, (argv, captured.err)
             if argv[0] == "coupling":
                 assert json.loads(captured.out)["polarization_fidelity"] == 1.0
+
+
+# every float and int key of the config, one at a time, at the flags' edge values
+_CONFIG_KEY_CASES = [
+    pytest.param(
+        spec.name,
+        _SWEEP_FLOATS if spec.type in ("float", float) else _SWEEP_INTS,
+        id=spec.name,
+    )
+    for spec in fields(ProjectConfig)
+    if spec.type in ("float", float, "int", int)
+]
+
+
+class TestConfigEdgeSweep:
+    @pytest.mark.parametrize("key, values", _CONFIG_KEY_CASES)
+    def test_key_exits_cleanly_at_every_edge_value(
+        self, tmp_path, capsys, monkeypatch, key, values
+    ):
+        # the default 18000-point kernel does not fit in 1 GiB, so simulate
+        # builds the lens and its zone layout, then refuses the grid
+        monkeypatch.setattr(hankel, "_available_memory", lambda: 1024**3)
+        path = tmp_path / "edge.cfg"
+        commands = [
+            ["design", "--zones-output", str(tmp_path / "zones.csv")],
+            ["show-config"],
+            ["simulate", "--steps", "3", "--scan-output", str(tmp_path / "scan.csv")],
+        ]
+        for value in values:
+            path.write_text(f"{key} = {value}\n")
+            for command in commands:
+                argv = ["--config", str(path), *command]
+                code = main(argv)
+                err = capsys.readouterr().err
+                assert code in (0, 2, 3), (key, value, command, code, err)
+                assert "Traceback" not in err
+                if value == "nan":
+                    assert code != 0, (key, command)

@@ -74,6 +74,12 @@ class TestZoneLayout:
         with pytest.raises(DomainError, match="nan zones"):
             zone_layout(LensDesign(1e308, 1e300, REFERENCE_WAVELENGTH))
 
+    def test_wavelength_past_the_aperture_gives_an_empty_layout(self):
+        # the first ring, just past 1e299 m, is checked against the aperture:
+        # its square overflowed a float and raised OverflowError
+        layout = zone_layout(LensDesign(REFERENCE_FOCAL_LENGTH, REFERENCE_APERTURE, 1e299))
+        assert layout.zone_count == 0
+
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     @pytest.mark.parametrize(
         "name", ["focal_length", "clear_aperture_diameter", "design_wavelength", "substrate_index"]
