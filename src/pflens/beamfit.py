@@ -401,8 +401,9 @@ def fit_caustic(points, wavelength: float) -> CausticFit:
     fitted only when both blade directions are present; otherwise it is
     fixed to zero and its covariance entries are zero.
 
-    Raises DomainError for fewer than 5 points and FitError when the
-    solver fails or the fitted waist collapses toward zero.
+    Raises DomainError for fewer than 5 points or waists outside
+    [1e-150, 1e150] m, and FitError when the solver fails or the fitted
+    waist collapses toward zero.
     """
     points = list(points)
     require(wavelength > 0, "wavelength", "> 0", wavelength)
@@ -410,6 +411,15 @@ def fit_caustic(points, wavelength: float) -> CausticFit:
     z = np.array([pt.z for pt in points])
     w = np.array([pt.w for pt in points])
     sigma = np.array([pt.w_uncertainty for pt in points])
+    # the squares of the waists, and the fit's variances in m^2, must be
+    # finite and nonzero
+    lowest, highest = float(np.min(w)), float(np.max(w))
+    require(
+        1.0 / _MAX_WAIST <= lowest and highest <= _MAX_WAIST,
+        "a caustic fit's waists",
+        f"in [{1.0 / _MAX_WAIST:g}, {_MAX_WAIST:g}] m",
+        f"{lowest:g} to {highest:g} m",
+    )
     ind = np.array([1.0 if pt.direction == "in" else 0.0 for pt in points])
     mixed = 0.0 < ind.mean() < 1.0
 
@@ -484,7 +494,9 @@ def fit_caustic(points, wavelength: float) -> CausticFit:
             "caustic fit collapsed: fitted w0^2 is not positive",
             residual=float(2.0 * result.cost),
         )
-    w0 = a * w_scale
+    # a Python float: pi w0^2 / wavelength below may pass the float range,
+    # and becomes inf without a warning
+    w0 = float(a * w_scale)
     z0 = b * z_scale + z[i_min]
     offset = c * z_scale
 
@@ -573,6 +585,12 @@ def synthetic_knife_edge_scan(
     # before np.linspace, which warns on an infinite span
     require(0 < span_factor < math.inf, "span_factor", "finite and > 0", span_factor)
     _require_noise(noise_fraction, rng)
+    # a sample is at most |total_power| + |background|, and noise scales it by
+    # 1 + noise_fraction z (|z| < 40): refused before that can overflow
+    peak = abs(total_power) + abs(background)
+    limit = np.finfo(float).max / (1.0 + 40.0 * noise_fraction)
+    rule = f"<= {limit:.3g} at noise_fraction {noise_fraction:g}"
+    require(peak <= limit, "|total_power| + |background|", rule, peak)
     positions = np.linspace(center - span_factor * w, center + span_factor * w, n_positions)
     powers = knife_edge_model(
         positions, total_power, center, w, direction=direction, background=background

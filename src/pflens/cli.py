@@ -631,6 +631,11 @@ def main(argv=None) -> int:
     except NumericalError as error:
         print(f"numerical error: {error}", file=sys.stderr)
         return 3
+    except OSError as error:
+        # an input, config or output path that cannot be read or written
+        where = "" if error.filename is None else f"{error.filename}: "
+        print(f"error: {where}{error.strerror or error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

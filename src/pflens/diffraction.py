@@ -43,6 +43,13 @@ _GUARD_BAND_MAX_POWER = 1e-2
 _MIN_SAMPLES_PER_ZONE = 4.0
 # planes whose spectra scan_field stacks into one batched inverse transform
 _SCAN_CHUNK_PLANES = 64
+# Chebyshev nodes the near-axis fine grid is resampled through. A spectrum
+# holds k <= j_N / R < S / R and the fine grid reaches at most 60 spacings
+# of under pi R / S, so k r <= 60 pi there. J0(k r cos t) has Chebyshev
+# coefficients J_n(k r / 2)^2 at order 2n, below 1e-19 from n = 128 at
+# k r = 60 pi: the even interpolant through 2 x 128 first-kind points is
+# exact to j0's rounding on every grid (112 nodes leave 5e-9)
+_FINE_NODES = 128
 # knife_edge_power_curve expands arccos(x / r) in powers of x / r on radii
 # beyond this multiple of the largest blade offset, keeping the first
 # _KNIFE_EDGE_FAR_TERMS terms (truncation below 5.3e-18 rad; see there)
@@ -363,16 +370,46 @@ def _fine_radii(transform: HankelTransform, fine_points: int) -> np.ndarray:
     return np.linspace(0.0, fine_max, fine_points)
 
 
+def _fine_interpolation(radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The _FINE_NODES Chebyshev nodes on (0, radii[-1]) and the matrix from them to radii.
+
+    The nodes are the positive half of the 2 q first-kind points
+    x_j = radii[-1] cos t_j, t_j = (j + 1/2) pi / 2q, on [-radii[-1],
+    radii[-1]]. Their barycentric weights are (-1)^j sin t_j, and -x_j's
+    is the negative of x_j's (Berrut and Trefethen, SIAM Rev. 46, 501,
+    2004). A field even in r takes one value on each pair, which then
+    adds (-1)^j sin t_j 2 x_j / (r^2 - x_j^2) to the formula, so row i of
+    the (radii x q) matrix is those terms at radii[i], normalized to sum 1.
+    """
+    angles = (np.arange(_FINE_NODES) + 0.5) * (np.pi / (2 * _FINE_NODES))
+    cosines = np.cos(angles)
+    weights = (-1.0) ** np.arange(_FINE_NODES) * np.sin(angles) * cosines
+    # in units of radii[-1]; the product is the accurate form of u^2 - c^2 near a node
+    u = radii[:, None] / radii[-1]
+    with np.errstate(divide="ignore"):
+        terms = weights / ((u - cosines) * (u + cosines))
+    # a radius on a node takes that node's value
+    on_node = np.isinf(terms)
+    hits = on_node.any(axis=1)
+    terms[hits] = on_node[hits]
+    return radii[-1] * cosines, terms / terms.sum(axis=1, keepdims=True)
+
+
 def _fine_values(transform: HankelTransform, spectra: np.ndarray, fine_points: int) -> np.ndarray:
     """Angular spectra, shape (N,) or (N, Z), summed on _fine_radii.
 
-    Goes through the transform's kept fine resample matrix, with the
-    columns viewed as interleaved real and imaginary float64 columns, so
-    one product covers both parts of every column.
+    The spectra are summed at the _FINE_NODES Chebyshev nodes through the
+    transform's kept fine resample matrix (q x N, the same for every
+    fine_points), with the columns viewed as interleaved real and
+    imaginary float64 columns, so one product covers both parts of every
+    column. A (fine_points x q) interpolation matrix, built per call, then
+    carries the node values to the fine radii.
     """
-    resampler = transform.fine_resample_matrix(_fine_radii(transform, fine_points), spectra)
+    radii = _fine_radii(transform, fine_points)
+    nodes, interpolation = _fine_interpolation(radii)
+    resampler = transform.fine_resample_matrix(nodes, spectra)
     columns = np.ascontiguousarray(spectra, dtype=complex).reshape(spectra.shape[0], -1)
-    fine = (resampler @ columns.view(np.float64)).view(np.complex128)
+    fine = (interpolation @ (resampler @ columns.view(np.float64))).view(np.complex128)
     return fine.reshape((fine_points,) + spectra.shape[1:])
 
 
@@ -442,7 +479,8 @@ def measure_waist_knife_edge(
     grid (_fine_radii), the one scan_field uses: fine_values are the
     field's samples there (scan_field passes its batched resample), else
     512 of them are resampled here from the field's forward transform
-    through the same kept matrix.
+    through the same kept 128 x N matrix and Chebyshev nodes
+    (_fine_values).
     """
     transform = field.transform
     values = field.amplitude
@@ -562,15 +600,18 @@ def scan_field(
     transform is computed once, and stops at the light cone: at _reach,
     past the last row where any plane's propagator phase is nonzero (the
     exact exp(i z kz) underflows to 0 just beyond k). The near-axis fine
-    grid (_fine_radii: fine_points radii over 60 grid spacings) and its
-    fine_points x N resample matrix depend on the transform alone, so
-    the transform keeps one matrix, filled as far as spectra reach, for
-    every scan and standalone waist measurement on its grid. The
-    propagated spectra of up to _SCAN_CHUNK_PLANES planes are stacked as
-    columns and inverted by one batched transform (one pass over the
-    kernel), so memory stays O(N) whatever the plane count. The same
-    stack goes through the resample matrix in one BLAS-3 product, as
-    interleaved real and imaginary columns. Each plane's waist is then
+    grid (_fine_radii: fine_points radii over 60 grid spacings) is
+    reached through _FINE_NODES = 128 Chebyshev nodes on the same span
+    (_fine_values): their 128 x N resample matrix depends on the
+    transform alone, so the transform keeps one, filled as far as
+    spectra reach, for every scan and standalone waist measurement on
+    its grid, whatever their fine_points. The propagated spectra of up
+    to _SCAN_CHUNK_PLANES planes are stacked as columns and inverted by
+    one batched transform (one pass over the kernel), so memory stays
+    O(N) whatever the plane count. The same stack goes through the
+    resample matrix in one BLAS-3 product, as interleaved real and
+    imaginary columns, and on to the fine radii through a small
+    (fine_points x 128) interpolation matrix. Each plane's waist is then
     measured with the knife edge from its native and fine samples, which
     costs near-axis work only. The first plane with the smallest waist
     is kept for the encircled-power curve.

@@ -61,8 +61,11 @@ All block, chunk and term choices depend on N only.
 
 Two stages share one row-block helper: the kernel fill and
 resample_matrix (the Fourier-Bessel rows that scan planes are resampled
-through; the one fine_resample_matrix keeps is full width, but its
-columns are filled lazily, each once, as far as its spectra reach). Each
+through). A focal scan resamples at 128 Chebyshev nodes near the axis
+and interpolates from them to its fine grid (see diffraction._fine_values),
+so the one matrix fine_resample_matrix keeps is 128 x N, 18 MB at
+N = 18000; it is full width, but its columns are filled lazily, each
+once, as far as its spectra reach. Each
 fills disjoint row blocks of its output in place, on a thread pool with
 one thread per CPU this process may use (its affinity mask where the
 platform has one, else the CPU count); the Bessel ufunc and BLAS release
@@ -132,8 +135,8 @@ _TILE_MULTIPLY_ADDS = 10**6
 _PACKED_BLOCK_ROWS = 512
 # columns per panel of a super-block in forward / inverse: 16 MB of kernel
 _PANEL_COLUMNS = 4096
-# resample_matrix has few rows (the fine grid, 512 by default), so its
-# blocks are smaller for every CPU to get a share
+# resample_matrix has few rows (128 Chebyshev nodes in a focal scan), so
+# its blocks are smaller for every CPU to get a share
 _RESAMPLE_BLOCK_ROWS = 64
 # total kernel bytes (_kernel_bytes per transform) get_transform keeps
 # cached: one 18000-point kernel (1.3 GB) and the three toy grids fit, two
@@ -473,15 +476,17 @@ class HankelTransform:
             )
         support = _support(values)
         blocks = self._filled_blocks(min(support, rows))
-        # the kernel is real, so complex columns are viewed as interleaved
-        # real and imaginary float64 columns: one pass over the kernel
-        # covers both parts of every column
-        columns = values.reshape(self.n_points, -1) * weights[:, None]
-        is_complex = np.iscomplexobj(columns)
+        # one row per column, so both products below are (C x K) @ (K x M).
+        # The kernel is real, so a complex column becomes interleaved real
+        # and imaginary float64 rows: one pass over the kernel covers both
+        stack = values.reshape(self.n_points, -1).T
+        is_complex = np.iscomplexobj(stack)
+        x = np.empty(((1 + is_complex) * stack.shape[0], self.n_points))
         if is_complex:
-            columns = np.ascontiguousarray(columns).view(np.float64)
-        # one row per column, so both products below are (C x K) @ (K x M)
-        x = np.ascontiguousarray(columns.T)
+            np.multiply(stack.real, weights, out=x[0::2])
+            np.multiply(stack.imag, weights, out=x[1::2])
+        else:
+            np.multiply(stack, weights, out=x)
         out = np.zeros_like(x)
         for start, block in zip(range(0, support, _PACKED_BLOCK_ROWS), blocks):
             near = slice(start, start + block.shape[0])
@@ -496,6 +501,8 @@ class HankelTransform:
                 if start + first + below < rows:
                     out[:, start + first + below : stop] += x[:, near] @ panel[:, below:]
         out[:, rows:] = 0.0
+        # freed first, so at most two C x N arrays are alive at once
+        del x
         result = np.ascontiguousarray(out.T)
         return (result.view(np.complex128) if is_complex else result).reshape(values.shape)
 

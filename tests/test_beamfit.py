@@ -408,6 +408,24 @@ class TestCausticFitValidation:
         with pytest.raises(DomainError, match="must be > 0"):
             WaistPoint(z=0.0, w=0.0, w_uncertainty=0.0)
 
+    @pytest.mark.parametrize("scale", [1e-165, 1e-151, 1e151, 1e160])
+    def test_waists_must_square_to_floats(self, scale):
+        # w^2 underflows to 0 below 1.5e-162 m and overflows above 1.3e154 m
+        points = [
+            WaistPoint(z=z, w=scale * math.sqrt(1 + (z / 1e-6) ** 2), w_uncertainty=0.0)
+            for z in np.linspace(-3e-6, 3e-6, 7)
+        ]
+        with pytest.raises(DomainError, match=r"waists must be in \[1e-150, 1e\+150\] m"):
+            fit_caustic(points, 369.5e-9)
+
+    def test_noise_refused_where_samples_would_overflow(self):
+        rng = np.random.default_rng(1)
+        with pytest.raises(DomainError, match=r"at noise_fraction 1e\+09, got 1e\+308"):
+            synthetic_knife_edge_scan(z=0.0, w=1e-6, total_power=1e308, noise_fraction=1e9, rng=rng)
+        # without noise the same power is sampled
+        scan = synthetic_knife_edge_scan(z=0.0, w=1e-6, total_power=1e308)
+        assert np.all(np.isfinite(scan.powers))
+
 
 class TestCsvInterchange:
     def test_single_scan_round_trip(self, tmp_path):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from pflens import clear_transform_cache, hankel
-from pflens.beamfit import read_scans_csv, synthetic_knife_edge_scan
+from pflens.beamfit import read_scans_csv, scans_csv_text, synthetic_knife_edge_scan
 from pflens.cli import build_parser, main
 from pflens.config import ProjectConfig, config_text, default_config
 
@@ -322,6 +322,22 @@ class TestFit:
         assert "rank-deficient" in captured.err
 
 
+    @pytest.mark.parametrize("scale", [1e160, 1e-165])
+    def test_waists_whose_squares_leave_the_float_range_refused(self, tmp_path, capsys, scale):
+        # a caustic sampled at waists near 1e160 m or 1e-165 m: w0^2 is not a float
+        scans = [
+            synthetic_knife_edge_scan(z=z, w=scale * math.sqrt(1 + (z / 1e-6) ** 2), direction=d)
+            for z in np.linspace(-3e-6, 3e-6, 7)
+            for d in ("in", "out")
+        ]
+        path = tmp_path / "scans.csv"
+        path.write_text(scans_csv_text(scans))
+        code = main(["fit", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2, captured.err
+        assert "a caustic fit's waists must be in [1e-150, 1e+150] m" in captured.err
+
+
 class TestCoupling:
     def test_reference_lens_budget(self, capsys):
         payload = run_json(["coupling"], capsys)
@@ -543,6 +559,46 @@ class TestSynth:
         assert code == 2
         assert captured.out == ""
         assert "--seed must be >= 0" in captured.err
+
+
+    def test_noise_that_would_overflow_the_samples_refused(self, capsys):
+        # 1e308 W scaled by 1 + 1e9 z overflows: refused before the product
+        code = main(["synth", "--seed", "1", "--total-power", "1e308", "--noise", "1e9"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "|total_power| + |background| must be <= 4.49e+297" in captured.err
+        assert "at noise_fraction 1e+09, got 1e+308" in captured.err
+
+
+class TestFileErrors:
+    # an unreadable input or config, or an unwritable output, exits 2 naming
+    # the path and the reason, never with a traceback
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["fit", "--input", "{dir}/missing.csv"], "No such file or directory"),
+            (["fit", "--input", "{dir}"], "Is a directory"),
+            (["--config", "{dir}/missing.cfg", "design"], "No such file or directory"),
+            (["design", "--zones-output", "{dir}/zones.csv", "--output", "{dir}"], "Is a directory"),
+            (["synth", "--seed", "1", "--output", "{dir}/no/scans.csv"], "No such file or directory"),
+        ],
+    )
+    def test_path_errors_exit_2_naming_the_path(self, tmp_path, capsys, argv, reason):
+        argv = [arg.format(dir=tmp_path) for arg in argv]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        path = [arg for arg in argv if str(tmp_path) in arg][-1]
+        assert f"error: {path}: {reason}" in captured.err
+
+    def test_unwritable_scan_output_exits_2(self, toy_config_path, tmp_path, capsys):
+        path = tmp_path / "no" / "scan.csv"
+        code = main(["--config", toy_config_path, "simulate", "--scan-output", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"error: {path}: No such file or directory" in captured.err
 
 
 class TestShowConfig:

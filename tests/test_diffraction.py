@@ -529,6 +529,68 @@ class TestFocalScans:
         for name in ("fitted_waists", "waist_uncertainties", "encircled_radii", "encircled_power"):
             assert np.array_equal(getattr(kept, name), getattr(rebuilt, name))
 
+    @pytest.mark.parametrize("n_points", [1300, 4096])
+    def test_fine_values_through_chebyshev_nodes_match_direct_resample(self, n_points):
+        # spectra reaching the last row carry the highest k r on the fine grid,
+        # 60 pi: the hardest band limit the nodes have to resolve
+        t = HankelTransform(n_points, 1e-3)
+        rng = np.random.default_rng(n_points)
+        spectra = rng.standard_normal((n_points, 2)) + 1j * rng.standard_normal((n_points, 2))
+        for fine_points in (32, 256, 512):
+            fine = diffraction._fine_values(t, spectra, fine_points)
+            expected = t.resample_matrix(diffraction._fine_radii(t, fine_points)) @ spectra
+            assert fine.shape == (fine_points, 2)
+            assert np.max(np.abs(fine - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    def test_kept_fine_matrix_holds_128_chebyshev_rows_whatever_fine_points(self):
+        t = HankelTransform(1300, 1e-3)
+        spectrum = np.ones(1300, dtype=complex)
+        for fine_points in (32, 512):
+            diffraction._fine_values(t, spectrum, fine_points)
+            nodes, matrix, filled = t._fine_resampler
+            # the positive half of the 256 first-kind Chebyshev points on
+            # [-fine_max, fine_max]
+            fine_max = diffraction._fine_radii(t, fine_points)[-1]
+            points = fine_max * np.cos((2 * np.arange(256) + 1) * np.pi / 512)
+            np.testing.assert_allclose(nodes, points[:128], rtol=1e-15)
+            assert matrix.shape == (128, 1300) and filled == 1300
+            assert np.array_equal(matrix, t.resample_matrix(nodes))
+
+    def test_fine_radii_on_the_nodes_take_the_node_values(self):
+        # u - cos t_j is exactly 0 there: each such row must be a unit row, not nan
+        fine_max = 3e-5
+        nodes, _ = diffraction._fine_interpolation(np.array([0.0, fine_max]))
+        radii = np.append(nodes[::-1], fine_max)
+        cosines = np.cos((np.arange(nodes.size) + 0.5) * (np.pi / (2 * nodes.size)))
+        on_node = radii[:-1] / fine_max == cosines[::-1]
+        assert on_node.any()
+        _, interpolation = diffraction._fine_interpolation(radii)
+        assert np.all(np.isfinite(interpolation))
+        np.testing.assert_allclose(interpolation[:-1, ::-1], np.eye(nodes.size), atol=1e-14)
+        assert np.array_equal(interpolation[:-1, ::-1][on_node], np.eye(nodes.size)[on_node])
+
+    def test_scans_on_two_fine_grids_share_one_kept_matrix(self, monkeypatch):
+        filled = Counter()
+        fill = HankelTransform._fill_resample_columns
+
+        def counting(transform, radii, matrix, first, stop):
+            filled.update(range(first, stop))
+            fill(transform, radii, matrix, first, stop)
+
+        monkeypatch.setattr(HankelTransform, "_fill_resample_columns", counting)
+        transform = HankelTransform(2048, TOY_GRID_RADIUS)
+        field = apply_ideal_lens(
+            gaussian_beam(transform, 75e-6, TOY_WAVELENGTH), TOY_FOCAL_LENGTH, TOY_APERTURE / 2
+        )
+        z = np.linspace(TOY_FOCAL_LENGTH - 2e-6, TOY_FOCAL_LENGTH + 2e-6, 5)
+        scan_field(field, z, fine_points=256)
+        matrix = transform._fine_resampler[1]
+        once = Counter(filled)
+        scan_field(field, z, fine_points=512)
+        assert transform._fine_resampler[1] is matrix
+        assert matrix.shape == (128, 2048)
+        assert filled == once
+
     def test_efficiency_capture_completeness(self, toy_transform, toy_layout):
         field = gaussian_beam(toy_transform, 75e-6, TOY_WAVELENGTH)
         scan = focal_scan(
