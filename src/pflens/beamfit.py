@@ -16,9 +16,15 @@ axial shift relative to "out" scans (a systematic artifact of the scan
 direction); the caustic fit exposes it as a fourth parameter,
 direction_offset, fixed to zero when only one direction is present.
 
-Both fits use analytic Jacobians and a bounded least-squares solver
-with at most 200 model evaluations and a relative step tolerance of
-1e-10, so results are deterministic.
+Both fits use analytic Jacobians and one bounded least-squares solver,
+_solve_bounded: Levenberg-Marquardt with diag(J^T J) scaling (Marquardt,
+SIAM J. Appl. Math. 11, 431, 1963), whose trial points are clipped into
+the fit's bounds and kept only when their cost is finite and lower. It
+stops at a relative step of 1e-10, a relative cost drop of 1e-14, or
+where no lower cost is reachable, within 200 model evaluations; then up
+to 5 undamped Gauss-Newton steps carry the point to the stationary point
+itself, so a rounding-level change in the data moves the fitted values
+by a rounding-level amount. Results are deterministic.
 """
 
 from __future__ import annotations
@@ -30,7 +36,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import least_squares
 from scipy.special import erfc
 
 from .errors import DomainError, FitError, SchemaError, require
@@ -45,6 +50,8 @@ _LEVEL_LOW = 0.078649603525143
 
 _MAX_MODEL_EVALS = 200
 _STEP_TOL = 1e-10
+_COST_TOL = 1e-14
+_POLISH_STEPS = 5
 # largest waist and far-field radius caustic_radius takes [m]: squares overflow from 1.3e154 m
 _MAX_WAIST = 1e150
 # largest noise_fraction synthesis takes: a power sample p times 1 + noise_fraction z, for any
@@ -285,6 +292,105 @@ def caustic_squared_jacobian(
 
 
 # ---------------------------------------------------------------------------
+# bounded least squares
+
+
+def _solve_bounded(residuals, jacobian, start, lower, upper, what: str):
+    """Minimize cost = |residuals(x)|^2 / 2 over lower <= x <= upper.
+
+    Levenberg-Marquardt with Marquardt's diag(J^T J) scaling: in the
+    variables d x, with d the running largest column norms of J, each
+    damped step comes from one SVD of J / d per accepted point, so a
+    refused trial costs a residual evaluation and no factorization. Trial
+    points are clipped into the bounds and kept only when their cost is
+    finite and lower; the damping falls tenfold after a kept trial and
+    rises tenfold after a refused one. The iteration stops when a kept
+    step is below _STEP_TOL relative to x or drops the cost by less than
+    _COST_TOL relative, or when a proposed step is that short or the
+    linear model predicts it that small a drop (no lower cost is
+    reachable above rounding). Up to _POLISH_STEPS undamped Gauss-Newton
+    steps follow, each kept while it is shorter than the step before it:
+    they carry x from within the step tolerance to the stationary point
+    itself, to rounding.
+
+    Returns (x, cost, jac) at the final point. Raises FitError naming
+    `what` when the residuals are not finite at the start, or when
+    _MAX_MODEL_EVALS residual evaluations pass before a stopping rule holds.
+    """
+    evaluations = 0
+
+    def evaluate(point):
+        nonlocal evaluations
+        evaluations += 1
+        # a trial where the model overflows is refused, not warned about
+        with np.errstate(all="ignore"):
+            values = residuals(point)
+            value = 0.5 * float(values @ values)
+        return values, value if math.isfinite(value) else math.inf
+
+    scale = 0.0
+
+    def factor(jac):
+        # the scaling d, the SVD of J / d, and u^T r in its left basis
+        nonlocal scale
+        scale = np.maximum(scale, np.linalg.norm(jac, axis=0))
+        d = np.where(scale > 0, scale, 1.0)
+        u, s, vt = np.linalg.svd(jac / d, full_matrices=False)
+        return d, s, vt, u.T @ r
+
+    def small(step, x):
+        return step <= _STEP_TOL * (_STEP_TOL + float(np.linalg.norm(x)))
+
+    x = np.asarray(start, dtype=float)
+    r, cost = evaluate(x)
+    if math.isinf(cost):
+        raise FitError(f"{what} residuals are not finite at the start point")
+    jac = jacobian(x)
+    d, s, vt, ur = factor(jac)
+    damping = 1e-3
+    last_step = math.inf
+    converged = False
+    while not converged:
+        t = s * ur / (s * s + damping)
+        # the drop in cost the linear model predicts for the unclipped step
+        predicted = float(t @ (s * ur) - 0.5 * (s * t) @ (s * t))
+        trial = np.clip(x - (vt.T @ t) / d, lower, upper)
+        step = float(np.linalg.norm(trial - x))
+        if small(step, x) or predicted <= _COST_TOL * cost:
+            break
+        if evaluations >= _MAX_MODEL_EVALS:
+            raise FitError(
+                f"{what} did not converge within {_MAX_MODEL_EVALS} evaluations",
+                residual=2.0 * cost,
+            )
+        trial_r, trial_cost = evaluate(trial)
+        if not trial_cost < cost:
+            damping *= 10.0
+            continue
+        converged = small(step, x) or cost - trial_cost <= _COST_TOL * cost
+        x, r, cost, jac = trial, trial_r, trial_cost, jacobian(trial)
+        damping /= 10.0
+        last_step = step
+        d, s, vt, ur = factor(jac)
+
+    for _ in range(_POLISH_STEPS):
+        if evaluations >= _MAX_MODEL_EVALS:
+            break
+        keep = s > s[0] * np.finfo(float).eps * max(jac.shape)
+        trial = np.clip(x - (vt[keep].T @ (ur[keep] / s[keep])) / d, lower, upper)
+        step = float(np.linalg.norm(trial - x))
+        if not 0.0 < step < last_step:
+            break
+        trial_r, trial_cost = evaluate(trial)
+        if math.isinf(trial_cost):
+            break
+        x, r, cost, jac = trial, trial_r, trial_cost, jacobian(trial)
+        last_step = step
+        d, s, vt, ur = factor(jac)
+    return x, cost, jac
+
+
+# ---------------------------------------------------------------------------
 # scan fitting
 
 
@@ -349,37 +455,20 @@ def fit_scan(scan: KnifeEdgeScan) -> WaistPoint:
             u, total, center, w, direction=scan.direction, background=background
         )
 
-    result = least_squares(
-        residuals,
-        start,
-        jac=jacobian,
-        bounds=(lower, upper),
-        method="trf",
-        max_nfev=_MAX_MODEL_EVALS,
-        xtol=_STEP_TOL,
-        ftol=1e-14,
-        gtol=1e-14,
-    )
-    if result.status <= 0:
-        raise FitError(
-            f"edge fit did not converge within {_MAX_MODEL_EVALS} evaluations",
-            residual=float(2.0 * result.cost),
-        )
-    w_scaled = float(result.x[2])
+    solution, cost, jac = _solve_bounded(residuals, jacobian, start, lower, upper, "edge fit")
+    w_scaled = float(solution[2])
     if w_scaled <= 2.0 * w_floor:
-        raise FitError(
-            "edge fit collapsed to zero width", residual=float(2.0 * result.cost)
-        )
+        raise FitError("edge fit collapsed to zero width", residual=2.0 * cost)
 
-    jtj = result.jac.T @ result.jac
+    jtj = jac.T @ jac
     if np.linalg.cond(jtj) > 1e14:
         raise FitError(
             "rank-deficient scan: edge parameters are not independently "
             "determined by these samples",
-            residual=float(2.0 * result.cost),
+            residual=2.0 * cost,
         )
     dof = x.size - 4
-    scale = 2.0 * result.cost / dof if dof > 0 else 0.0
+    scale = 2.0 * cost / dof if dof > 0 else 0.0
     covariance = np.linalg.inv(jtj) * scale
     w = w_scaled * position_span
     w_uncertainty = float(np.sqrt(max(covariance[2, 2], 0.0))) * position_span
@@ -472,27 +561,11 @@ def fit_caustic(points, wavelength: float) -> CausticFit:
         jac = caustic_squared_jacobian(zeta, ind, a, m2, b, c, lam_scaled)
         return jac[:, :n_params] / weight[:, None]
 
-    result = least_squares(
-        residuals,
-        start,
-        jac=jacobian,
-        bounds=(lower, upper),
-        method="trf",
-        max_nfev=_MAX_MODEL_EVALS,
-        xtol=_STEP_TOL,
-        ftol=1e-14,
-        gtol=1e-14,
-    )
-    if result.status <= 0:
-        raise FitError(
-            f"caustic fit did not converge within {_MAX_MODEL_EVALS} evaluations",
-            residual=float(2.0 * result.cost),
-        )
-    a, m2, b, c = expand(result.x)
+    solution, cost, jac = _solve_bounded(residuals, jacobian, start, lower, upper, "caustic fit")
+    a, m2, b, c = expand(solution)
     if a <= 2.0 * w0_floor:
         raise FitError(
-            "caustic fit collapsed: fitted w0^2 is not positive",
-            residual=float(2.0 * result.cost),
+            "caustic fit collapsed: fitted w0^2 is not positive", residual=2.0 * cost
         )
     # a Python float: pi w0^2 / wavelength below may pass the float range,
     # and becomes inf without a warning
@@ -500,14 +573,14 @@ def fit_caustic(points, wavelength: float) -> CausticFit:
     z0 = b * z_scale + z[i_min]
     offset = c * z_scale
 
-    jtj = result.jac.T @ result.jac
+    jtj = jac.T @ jac
     if np.linalg.cond(jtj) > 1e14:
         notes.append("near-singular normal equations; uncertainties unreliable")
         reduced = np.linalg.pinv(jtj)
     else:
         reduced = np.linalg.inv(jtj)
     dof = z.size - n_params
-    scale = 2.0 * result.cost / dof if dof > 0 else 0.0
+    scale = 2.0 * cost / dof if dof > 0 else 0.0
     rescale = np.array([w_scale, 1.0, z_scale, z_scale][:n_params])
     block = 0.5 * (reduced + reduced.T) * scale * np.outer(rescale, rescale)
     covariance = np.zeros((4, 4))
@@ -806,9 +879,14 @@ def read_scans_csv(path) -> list:
     """Parse a scan CSV (single-scan or combined schema) into scans.
 
     The schema is chosen by the header row; anything else raises
-    SchemaError naming the offending column and line.
+    SchemaError naming the offending column and line, and a file that is
+    not UTF-8 text raises SchemaError naming the path.
     """
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as error:
+        reason = f"{error.reason} at byte {error.start}"
+        raise SchemaError(f"{path}: not UTF-8 text ({reason})") from None
     rows = [
         (number, row)
         for number, row in enumerate(csv.reader(io.StringIO(text)), start=1)

@@ -216,7 +216,12 @@ def parse_config_text(text: str) -> ProjectConfig:
 
 
 def read_config(path) -> ProjectConfig:
-    return parse_config_text(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as error:
+        reason = f"{error.reason} at byte {error.start}"
+        raise ConfigError(f"{path}: not UTF-8 text ({reason})") from None
+    return parse_config_text(text)
 
 
 def config_text(config: ProjectConfig) -> str:

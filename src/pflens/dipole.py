@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import dblquad, quad
 
 from .errors import AccuracyError, DomainError, require
 from .geometry import check_cone_angle, check_na, cone_from_na
@@ -184,6 +183,10 @@ def collection_fraction_quadrature(
 
     Independent check of the closed forms; slow, tolerance 1e-10.
     """
+    # scipy.integrate, imported in each quadrature here, brings scipy.optimize
+    # and more with it: no other path needs them, so start-up does not load them
+    from scipy.integrate import dblquad
+
     check_cone_angle(theta_max)
     if theta_max == 0.0:
         return 0.0
@@ -291,6 +294,8 @@ def gaussian_overlap_oracle(
     Raises AccuracyError when the quadrature error estimate exceeds
     1e-8.
     """
+    from scipy.integrate import dblquad, quad
+
     angle = gaussian_divergence
     require(0.0 < angle < math.pi / 2, "gaussian_divergence", "in (0, pi/2)", angle)
     sine_sq = math.sin(gaussian_divergence) ** 2
@@ -360,6 +365,8 @@ def polarization_fidelity_collected(na: float) -> float:
     from 1 at NA -> 0 (returned where the captured weight underflows)
     down to 0.832 at NA = 1.
     """
+    from scipy.integrate import quad
+
     check_na(na)
     if na == 0.0:
         return 1.0

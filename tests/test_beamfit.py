@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pflens import beamfit
 from pflens import (
     CausticFit,
     DomainError,
@@ -350,6 +352,86 @@ class TestCausticFit:
             )
             fit = fit_caustic(points, WAVELENGTH)
             assert fit.m2 >= 1.0 - 3.0 * fit.m2_uncertainty
+
+
+def relative_spread(values) -> float:
+    values = np.asarray(values)
+    return float(np.ptp(values) / np.median(values))
+
+
+class TestSolver:
+    # the fits end at the stationary point itself, not a step tolerance short
+    # of it: rounding-level changes in the data stay rounding-level in w
+    def test_edge_fit_reproducible_to_rounding(self):
+        rng = np.random.default_rng(2024)
+        scan = synthetic_knife_edge_scan(
+            z=0.0, w=REFERENCE_WAIST, n_positions=81, noise_fraction=0.01, rng=rng
+        )
+        widths = []
+        for _ in range(60):
+            powers = scan.powers * (1.0 + 4e-15 * rng.standard_normal(scan.powers.size))
+            refit = KnifeEdgeScan(z=0.0, blade_positions=scan.blade_positions, powers=powers)
+            widths.append(fit_scan(refit).w)
+        assert relative_spread(widths) <= 1e-12
+
+    def test_caustic_fit_reproducible_to_rounding(self):
+        rng = np.random.default_rng(2025)
+        points = reference_points()
+        waists = []
+        for _ in range(60):
+            noise = 1.0 + 4e-15 * rng.standard_normal(len(points))
+            perturbed = [
+                WaistPoint(z=p.z, w=p.w * k, w_uncertainty=p.w_uncertainty, direction=p.direction)
+                for p, k in zip(points, noise)
+            ]
+            waists.append(fit_caustic(perturbed, WAVELENGTH).w0)
+        assert relative_spread(waists) <= 1e-12
+
+    @pytest.mark.parametrize("which", ["edge", "caustic"])
+    def test_evaluation_budget_refuses(self, monkeypatch, which):
+        monkeypatch.setattr(beamfit, "_MAX_MODEL_EVALS", 2)
+        rng = np.random.default_rng(5)
+        with pytest.raises(FitError, match=f"{which} fit did not converge within 2 evaluations"):
+            if which == "edge":
+                fit_scan(
+                    synthetic_knife_edge_scan(
+                        z=0.0, w=REFERENCE_WAIST, noise_fraction=0.01, rng=rng
+                    )
+                )
+            else:
+                fit_caustic(reference_points(), WAVELENGTH)
+
+    def test_non_finite_trial_refused_without_warning(self):
+        # the first undamped step from x = 0 lands at x = 1.98, where the
+        # square root is nan; the solver must shrink the step, not warn
+        def residuals(x):
+            return np.sqrt(1.0 - x) - 0.1
+
+        def jacobian(x):
+            return (-0.5 / np.sqrt(1.0 - x))[:, None]
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, cost, jac = beamfit._solve_bounded(
+                residuals, jacobian, np.zeros(1), np.full(1, -np.inf), np.full(1, np.inf), "test"
+            )
+        assert x[0] == pytest.approx(0.99, rel=1e-12)
+        assert cost < 1e-28
+        assert jac.shape == (1, 1)
+
+    def test_trials_clipped_into_bounds(self):
+        # the unconstrained minimum x = 2 lies past the upper bound 1
+        def residuals(x):
+            return np.array([x[0] - 2.0, 0.5 * (x[0] - 2.0)])
+
+        def jacobian(x):
+            return np.array([[1.0], [0.5]])
+
+        x, cost, _ = beamfit._solve_bounded(
+            residuals, jacobian, np.zeros(1), np.full(1, -1.0), np.ones(1), "test"
+        )
+        assert x[0] == 1.0
+        assert cost == pytest.approx(0.5 * 1.25, rel=1e-15)
 
 
 class TestDerivedParameters:

@@ -1,12 +1,16 @@
-"""End-to-end command-line interface behavior (in-process)."""
+"""End-to-end command-line interface behavior (in-process; start-up in a fresh interpreter)."""
 
 from __future__ import annotations
 
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -592,6 +596,20 @@ class TestFileErrors:
         path = [arg for arg in argv if str(tmp_path) in arg][-1]
         assert f"error: {path}: {reason}" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv", [["fit", "--input", "{path}"], ["--config", "{path}", "design"]]
+    )
+    def test_non_utf8_input_exits_2_naming_the_path(self, tmp_path, capsys, argv):
+        path = tmp_path / "binary"
+        path.write_bytes(b"\x7fELF\x02\x01\x01\x00z_m,\xd0\x00\xff\xfe\n")
+        code = main([arg.format(path=path) for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: {path}: not UTF-8 text (invalid continuation byte at byte 12)"
+        ]
+
     def test_unwritable_scan_output_exits_2(self, toy_config_path, tmp_path, capsys):
         path = tmp_path / "no" / "scan.csv"
         code = main(["--config", toy_config_path, "simulate", "--scan-output", str(path)])
@@ -782,3 +800,22 @@ class TestConfigEdgeSweep:
                 assert "Traceback" not in err
                 if value == "nan":
                     assert code != 0, (key, command)
+
+
+class TestStartup:
+    def test_import_loads_neither_scipy_optimize_nor_integrate(self):
+        # every command pays the import; the fits and the quadrature checks
+        # must not bring these two in (about a third of the start-up time)
+        import pflens
+
+        source = str(Path(pflens.__file__).resolve().parents[1])
+        path = os.pathsep.join([source, os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+        probe = (
+            "import sys, pflens, pflens.cli; "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert result.stdout.strip() == "[]"
