@@ -38,6 +38,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import erfc
 
+from ._csv import csv_text, read_text
 from .errors import DomainError, FitError, SchemaError, require
 
 _MIN_SCAN_SAMPLES = 8
@@ -178,6 +179,14 @@ class CausticFit:
 # models and analytic Jacobians
 
 
+def _edge_argument(x, center: float, w: float, direction: str):
+    """(sign, t): sign is +1 for "in" and -1 for "out", t = sign sqrt(2) (x - center) / w."""
+    require(w > 0, "w", "> 0", w)
+    _check_direction(direction)
+    sign = 1.0 if direction == "in" else -1.0
+    return sign, sign * math.sqrt(2.0) * (x - center) / w
+
+
 def knife_edge_model(
     blade_position,
     total_power: float,
@@ -193,11 +202,7 @@ def knife_edge_model(
     total_power to background as the blade position sweeps upward; "out"
     is the mirror image. w is the 1/e^2 intensity radius [m].
     """
-    require(w > 0, "w", "> 0", w)
-    _check_direction(direction)
-    x = np.asarray(blade_position, dtype=float)
-    sign = 1.0 if direction == "in" else -1.0
-    t = sign * math.sqrt(2.0) * (x - center) / w
+    _, t = _edge_argument(np.asarray(blade_position, dtype=float), center, w, direction)
     return background + 0.5 * total_power * erfc(t)
 
 
@@ -215,11 +220,8 @@ def knife_edge_jacobian(
     Returns an (n, 4) array for n blade positions, matching the
     parameter order used by fit_scan.
     """
-    require(w > 0, "w", "> 0", w)
-    _check_direction(direction)
     x = np.atleast_1d(np.asarray(blade_position, dtype=float))
-    sign = 1.0 if direction == "in" else -1.0
-    t = sign * math.sqrt(2.0) * (x - center) / w
+    sign, t = _edge_argument(x, center, w, direction)
     gauss = np.exp(-(t**2)) / math.sqrt(math.pi)
     jac = np.empty((x.size, 4))
     jac[:, 0] = 0.5 * erfc(t)
@@ -235,15 +237,14 @@ def caustic_radius(z, w0: float, m2: float, z0: float, wavelength: float):
         raise DomainError(f"w0 must be > 0 and <= {_MAX_WAIST:g} m, got {w0}")
     require(m2 > 0, "m2", "> 0", m2)
     require(0 < wavelength < math.inf, "wavelength", "finite and > 0", wavelength)
-    u = np.asarray(z, dtype=float) - z0
     theta = m2 * wavelength / (math.pi * w0)
-    far = float(np.max(np.abs(u), initial=0.0))
+    far = float(np.max(np.abs(np.asarray(z, dtype=float) - z0), initial=0.0))
     if not (theta * far <= _MAX_WAIST):  # before (theta u)^2 overflows
         raise DomainError(
             f"m2 {m2:g} at wavelength {wavelength:g} m spreads the caustic "
             f"past {_MAX_WAIST:g} m at |z - z0| = {far:g} m"
         )
-    return np.sqrt(w0**2 + (theta * u) ** 2)
+    return np.sqrt(caustic_squared_model(z, 0.0, w0, m2, z0, 0.0, wavelength))
 
 
 def caustic_squared_model(
@@ -437,23 +438,21 @@ def fit_scan(scan: KnifeEdgeScan) -> WaistPoint:
     u = (x - x_mid) / position_span
     q = (p - p_min) / power_span
 
-    sign = 1.0 if scan.direction == "in" else -1.0
-    sqrt2 = math.sqrt(2.0)
     w_floor = 1e-6
     lower = np.array([0.0, -1.5, w_floor, -np.inf])
     upper = np.array([np.inf, 1.5, 100.0, np.inf])
     start = np.clip(_initial_edge_parameters(u, q), lower, upper)
 
+    direction = scan.direction
+
     def residuals(params: np.ndarray) -> np.ndarray:
         total, center, w, background = params
-        t = sign * sqrt2 * (u - center) / w
-        return background + 0.5 * total * erfc(t) - q
+        model = knife_edge_model(u, total, center, w, direction=direction, background=background)
+        return model - q
 
     def jacobian(params: np.ndarray) -> np.ndarray:
         total, center, w, background = params
-        return knife_edge_jacobian(
-            u, total, center, w, direction=scan.direction, background=background
-        )
+        return knife_edge_jacobian(u, total, center, w, direction=direction, background=background)
 
     solution, cost, jac = _solve_bounded(residuals, jacobian, start, lower, upper, "edge fit")
     w_scaled = float(solution[2])
@@ -481,6 +480,11 @@ def fit_scan(scan: KnifeEdgeScan) -> WaistPoint:
 # caustic fitting
 
 
+def _in_indicator(points) -> np.ndarray:
+    """1.0 for each point from an "in"-moving scan, else 0.0."""
+    return np.array([1.0 if point.direction == "in" else 0.0 for point in points])
+
+
 def fit_caustic(points, wavelength: float) -> CausticFit:
     """Weighted least squares of w^2 vs z over a set of WaistPoints.
 
@@ -490,8 +494,9 @@ def fit_caustic(points, wavelength: float) -> CausticFit:
     fitted only when both blade directions are present; otherwise it is
     fixed to zero and its covariance entries are zero.
 
-    Raises DomainError for fewer than 5 points or waists outside
-    [1e-150, 1e150] m, and FitError when the solver fails or the fitted
+    Raises DomainError for fewer than 5 points, waists outside
+    [1e-150, 1e150] m or spanning a ratio whose square overflows, or a
+    z span that overflows; FitError when the solver fails or the fitted
     waist collapses toward zero.
     """
     points = list(points)
@@ -509,14 +514,23 @@ def fit_caustic(points, wavelength: float) -> CausticFit:
         f"in [{1.0 / _MAX_WAIST:g}, {_MAX_WAIST:g}] m",
         f"{lowest:g} to {highest:g} m",
     )
-    ind = np.array([1.0 if pt.direction == "in" else 0.0 for pt in points])
+    # refused before (w / w_scale)^2 and z.max() - z.min() can overflow; on
+    # Python floats an overflow is inf, not a warning
+    ratio = highest / lowest
+    rule = "small enough to square (below 1.34e+154)"
+    name = "a caustic fit's largest-to-smallest waist ratio"
+    require(ratio * ratio < math.inf, name, rule, f"{ratio:.3g}")
+    z_low, z_high = float(z.min()), float(z.max())
+    span = z_high - z_low
+    require(span < math.inf, "a caustic fit's z span", "finite", f"{z_low:g} to {z_high:g} m")
+    ind = _in_indicator(points)
     mixed = 0.0 < ind.mean() < 1.0
 
     # normalize: waists by the smallest w, axial positions by the half
     # span, so the solver's tolerances act on O(1) numbers
     i_min = int(np.argmin(w))
     w_scale = float(w[i_min])
-    z_scale = 0.5 * float(z.max() - z.min())
+    z_scale = 0.5 * span
     if z_scale <= 0:
         raise DomainError("caustic fit needs points at distinct z positions")
     zeta = (z - z[i_min]) / z_scale
@@ -591,7 +605,6 @@ def fit_caustic(points, wavelength: float) -> CausticFit:
             f"fitted m2 = {m2:.4f} is below 1; physical beams satisfy m2 >= 1"
         )
     rayleigh = math.pi * w0**2 / wavelength
-    span = float(z.max() - z.min())
     if span < 2.0 * rayleigh:
         notes.append(
             f"z span {span:.3g} m is below two Rayleigh ranges "
@@ -674,6 +687,18 @@ def synthetic_knife_edge_scan(
     return KnifeEdgeScan(z=z, blade_positions=positions, powers=powers, direction=direction)
 
 
+def _caustic_samples(z_positions, w0, m2, wavelength, z0, direction_offset, directions):
+    """(recorded z, radius, direction) for each (z, direction) pair, in that order.
+
+    The radius is the caustic's at the true z; "in" points record z + direction_offset.
+    """
+    for z in np.asarray(z_positions, dtype=float):
+        radius = float(caustic_radius(z, w0, m2, z0, wavelength))
+        for direction in directions:
+            _check_direction(direction)
+            yield float(z + direction_offset if direction == "in" else z), radius, direction
+
+
 def synthetic_caustic_points(
     z_positions,
     w0: float,
@@ -694,23 +719,17 @@ def synthetic_caustic_points(
     """
     _require_noise(noise_fraction, rng)
     points = []
-    for z in np.asarray(z_positions, dtype=float):
-        radius = float(caustic_radius(z, w0, m2, z0, wavelength))
-        for direction in directions:
-            _check_direction(direction)
-            recorded = z + direction_offset if direction == "in" else z
-            value = radius
-            if noise_fraction > 0:
-                value = radius * (1.0 + noise_fraction * float(rng.standard_normal()))
-                value = max(value, 1e-3 * radius)
-            points.append(
-                WaistPoint(
-                    z=float(recorded),
-                    w=value,
-                    w_uncertainty=noise_fraction * radius,
-                    direction=direction,
-                )
+    samples = _caustic_samples(z_positions, w0, m2, wavelength, z0, direction_offset, directions)
+    for recorded, radius, direction in samples:
+        value = radius
+        if noise_fraction > 0:
+            value = radius * (1.0 + noise_fraction * float(rng.standard_normal()))
+            value = max(value, 1e-3 * radius)
+        points.append(
+            WaistPoint(
+                z=recorded, w=value, w_uncertainty=noise_fraction * radius, direction=direction
             )
+        )
     return points
 
 
@@ -735,26 +754,21 @@ def synthetic_caustic_scans(
     synthetic_knife_edge_scan at the local beam radius; "in" scans
     record positions shifted by direction_offset.
     """
-    scans = []
-    for z in np.asarray(z_positions, dtype=float):
-        radius = float(caustic_radius(z, w0, m2, z0, wavelength))
-        for direction in directions:
-            _check_direction(direction)
-            recorded = z + direction_offset if direction == "in" else z
-            scans.append(
-                synthetic_knife_edge_scan(
-                    z=float(recorded),
-                    w=radius,
-                    total_power=total_power,
-                    background=background,
-                    direction=direction,
-                    n_positions=n_positions,
-                    span_factor=span_factor,
-                    noise_fraction=noise_fraction,
-                    rng=rng,
-                )
-            )
-    return scans
+    samples = _caustic_samples(z_positions, w0, m2, wavelength, z0, direction_offset, directions)
+    return [
+        synthetic_knife_edge_scan(
+            z=recorded,
+            w=radius,
+            total_power=total_power,
+            background=background,
+            direction=direction,
+            n_positions=n_positions,
+            span_factor=span_factor,
+            noise_fraction=noise_fraction,
+            rng=rng,
+        )
+        for recorded, radius, direction in samples
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -768,20 +782,12 @@ CAUSTIC_CURVE_CSV_HEADER = ["z_m", "w_m"]
 
 def scans_csv_text(scans) -> str:
     """Combined CSV with one row per sample across many scans."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(COMBINED_HEADER)
-    for scan in scans:
-        for position, power in zip(scan.blade_positions, scan.powers):
-            writer.writerow(
-                [
-                    f"{scan.z:.17g}",
-                    f"{position:.17g}",
-                    f"{power:.17g}",
-                    scan.direction,
-                ]
-            )
-    return buffer.getvalue()
+    rows = (
+        (scan.z, position, power, scan.direction)
+        for scan in scans
+        for position, power in zip(scan.blade_positions, scan.powers)
+    )
+    return csv_text(COMBINED_HEADER, rows)
 
 
 def _schema_mismatch(line_number: int, row, expected) -> SchemaError:
@@ -823,56 +829,32 @@ def _read_single_scan(rows) -> list:
         raise SchemaError(
             f"line {line_number}: expected z and direction values, got {len(row)} columns"
         )
-    z = _parse_float(row[0], line_number, "z_m")
-    direction = _parse_direction(row[1], line_number)
+    key = (_parse_float(row[0], line_number, "z_m"), _parse_direction(row[1], line_number))
     body = rows[2:]
     if body and [cell.strip() for cell in body[0][1]] == SAMPLE_HEADER:
         body = body[1:]
-    positions = []
-    powers = []
+    positions, powers = [], []
     for line_number, row in body:
         if len(row) != 2:
             raise _schema_mismatch(line_number, row, SAMPLE_HEADER)
         positions.append(_parse_float(row[0], line_number, SAMPLE_HEADER[0]))
         powers.append(_parse_float(row[1], line_number, SAMPLE_HEADER[1]))
-    return [
-        KnifeEdgeScan(
-            z=z,
-            blade_positions=np.array(positions),
-            powers=np.array(powers),
-            direction=direction,
-        )
-    ]
+    return {key: (positions, powers)}
 
 
-def _read_combined_scans(rows) -> list:
+def _read_combined_scans(rows) -> dict:
     groups: dict = {}
-    order = []
     for line_number, row in rows[1:]:
         if len(row) != 4:
             raise _schema_mismatch(line_number, row, COMBINED_HEADER)
         z = _parse_float(row[0], line_number, COMBINED_HEADER[0])
         position = _parse_float(row[1], line_number, COMBINED_HEADER[1])
         power = _parse_float(row[2], line_number, COMBINED_HEADER[2])
-        direction = _parse_direction(row[3], line_number)
-        key = (z, direction)
-        if key not in groups:
-            groups[key] = ([], [])
-            order.append(key)
-        groups[key][0].append(position)
-        groups[key][1].append(power)
-    scans = []
-    for z, direction in order:
-        positions, powers = groups[(z, direction)]
-        scans.append(
-            KnifeEdgeScan(
-                z=z,
-                blade_positions=np.array(positions),
-                powers=np.array(powers),
-                direction=direction,
-            )
-        )
-    return scans
+        key = (z, _parse_direction(row[3], line_number))
+        positions, powers = groups.setdefault(key, ([], []))
+        positions.append(position)
+        powers.append(power)
+    return groups
 
 
 def read_scans_csv(path) -> list:
@@ -882,11 +864,7 @@ def read_scans_csv(path) -> list:
     SchemaError naming the offending column and line, and a file that is
     not UTF-8 text raises SchemaError naming the path.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as error:
-        reason = f"{error.reason} at byte {error.start}"
-        raise SchemaError(f"{path}: not UTF-8 text ({reason})") from None
+    text = read_text(path, SchemaError)
     rows = [
         (number, row)
         for number, row in enumerate(csv.reader(io.StringIO(text)), start=1)
@@ -896,13 +874,19 @@ def read_scans_csv(path) -> list:
         raise SchemaError("empty scan file")
     header = [cell.strip() for cell in rows[0][1]]
     if header == SCAN_HEADER:
-        return _read_single_scan(rows)
-    if header == COMBINED_HEADER:
+        groups = _read_single_scan(rows)
+    elif header == COMBINED_HEADER:
         if len(rows) < 2:
             raise SchemaError("combined scan file has a header but no samples")
-        return _read_combined_scans(rows)
-    expected = SCAN_HEADER if len(header) <= 2 else COMBINED_HEADER
-    raise _schema_mismatch(rows[0][0], rows[0][1], expected)
+        groups = _read_combined_scans(rows)
+    else:
+        expected = SCAN_HEADER if len(header) <= 2 else COMBINED_HEADER
+        raise _schema_mismatch(rows[0][0], rows[0][1], expected)
+    # one scan per (z, direction), in the order the file first names each
+    return [
+        KnifeEdgeScan(z=z, blade_positions=np.array(x), powers=np.array(p), direction=direction)
+        for (z, direction), (x, p) in groups.items()
+    ]
 
 
 def caustic_curve_csv_text(
@@ -913,12 +897,7 @@ def caustic_curve_csv_text(
     require(n_points >= 2, "n_points", ">= 2", n_points)
     grid = np.linspace(z_min, z_max, n_points)
     radii = caustic_radius(grid, fit.w0, fit.m2, fit.z0, wavelength)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(CAUSTIC_CURVE_CSV_HEADER)
-    for z, radius in zip(grid, radii):
-        writer.writerow([f"{z:.17g}", f"{radius:.17g}"])
-    return buffer.getvalue()
+    return csv_text(CAUSTIC_CURVE_CSV_HEADER, zip(grid, radii))
 
 
 # ---------------------------------------------------------------------------
@@ -958,27 +937,16 @@ def caustic_fit_report(fit: CausticFit, points=None, wavelength: float | None = 
         "warnings": list(fit.warnings),
     }
     if points is not None and wavelength is not None:
-        entries = []
-        for point in points:
-            ind = 1.0 if point.direction == "in" else 0.0
-            model = math.sqrt(
-                float(
-                    caustic_squared_model(
-                        point.z,
-                        ind,
-                        fit.w0,
-                        fit.m2,
-                        fit.z0,
-                        fit.direction_offset,
-                        wavelength,
-                    )
-                )
+        z = [point.z for point in points]
+        model = np.sqrt(
+            caustic_squared_model(
+                z, _in_indicator(points), fit.w0, fit.m2, fit.z0, fit.direction_offset, wavelength
             )
-            entry = waist_point_report(point)
-            entry["model_w_m"] = model
-            entry["residual_m"] = point.w - model
-            entries.append(entry)
-        report["points"] = entries
+        )
+        report["points"] = [
+            {**waist_point_report(point), "model_w_m": float(w), "residual_m": float(point.w - w)}
+            for point, w in zip(points, model)
+        ]
     if wavelength is not None:
         derived = derived_beam_parameters(fit, wavelength)
         report["derived"] = {

@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import beamfit, budget as budget_mod, design as design_mod, diffraction, dipole, filtering
+from ._csv import csv_text
 from .config import ProjectConfig, config_text, default_config, read_config
 from .errors import DomainError, NumericalError, require
 from .hankel import get_transform
@@ -456,11 +457,11 @@ def cmd_curves(args) -> int:
         text = dipole.fidelity_curve_csv_text(n_steps=args.steps)
     else:
         require(args.steps >= 2, "n_steps", ">= 2", args.steps)
-        rows = ["detuning_hz,transmission"]
-        for detuning in np.linspace(0.0, fsr, args.steps):
-            transmission = filtering.etalon_transmission(etalon, float(detuning))
-            rows.append(f"{detuning:.17g},{transmission:.17g}")
-        text = "\n".join(rows) + "\n"
+        rows = (
+            (detuning, filtering.etalon_transmission(etalon, float(detuning)))
+            for detuning in np.linspace(0.0, fsr, args.steps)
+        )
+        text = csv_text(["detuning_hz", "transmission"], rows)
     _emit(text, args.output)
     return 0
 

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
+from ._csv import read_text
 from .design import FUSED_SILICA_INDEX, LensDesign
 from .errors import ConfigError
 from .filtering import FrequencyLayout
@@ -216,12 +217,7 @@ def parse_config_text(text: str) -> ProjectConfig:
 
 
 def read_config(path) -> ProjectConfig:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as error:
-        reason = f"{error.reason} at byte {error.start}"
-        raise ConfigError(f"{path}: not UTF-8 text ({reason})") from None
-    return parse_config_text(text)
+    return parse_config_text(read_text(path, ConfigError))
 
 
 def config_text(config: ProjectConfig) -> str:

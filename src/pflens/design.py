@@ -15,10 +15,11 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from ._csv import csv_text, read_text
 from .errors import DomainError, SchemaError, require, require_finite_fields
 
 FUSED_SILICA_INDEX = 1.4738  # near-UV value; reproduces a 390 nm half-wave etch at 369.5 nm
@@ -256,12 +257,7 @@ ZONE_CSV_HEADER = ["p", "r_p_m"]
 
 def zone_csv_text(layout: ZoneLayout) -> str:
     """Zone table as CSV text: columns p, r_p in meters, 17 significant digits."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(ZONE_CSV_HEADER)
-    for p, r in enumerate(layout.ring_radii, start=1):
-        writer.writerow([p, f"{r:.17g}"])
-    return buf.getvalue()
+    return csv_text(ZONE_CSV_HEADER, enumerate(layout.ring_radii, start=1))
 
 
 def write_zone_csv(layout: ZoneLayout, path) -> None:
@@ -281,29 +277,27 @@ def read_zone_csv(
 
     The CSV stores only (p, r_p); wavelength and level count must be
     supplied. The etch depth defaults to the half-wave depth for the
-    given substrate index, and the aperture to the outermost ring.
+    given substrate index, and the aperture to the outermost ring. A file
+    that is not UTF-8 text raises SchemaError naming the path.
     """
     radii = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ZONE_CSV_HEADER:
-            raise SchemaError(
-                f"expected zone CSV header {ZONE_CSV_HEADER}, got {header}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise SchemaError(f"line {lineno}: expected 2 columns, got {len(row)}")
-            try:
-                p = int(row[0])
-                r = float(row[1])
-            except ValueError as exc:
-                raise SchemaError(f"line {lineno}: {exc}") from exc
-            if p != len(radii) + 1:
-                raise SchemaError(f"line {lineno}: ring index {p} out of sequence")
-            radii.append(r)
+    reader = csv.reader(io.StringIO(read_text(path, SchemaError)))
+    header = next(reader, None)
+    if header is None or [h.strip() for h in header] != ZONE_CSV_HEADER:
+        raise SchemaError(f"expected zone CSV header {ZONE_CSV_HEADER}, got {header}")
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 2:
+            raise SchemaError(f"line {lineno}: expected 2 columns, got {len(row)}")
+        try:
+            p = int(row[0])
+            r = float(row[1])
+        except ValueError as exc:
+            raise SchemaError(f"line {lineno}: {exc}") from exc
+        if p != len(radii) + 1:
+            raise SchemaError(f"line {lineno}: ring index {p} out of sequence")
+        radii.append(r)
     radii = np.asarray(radii)
     if etch_depth_m is None:
         etch_depth_m = design_wavelength / (2.0 * (substrate_index - 1.0))

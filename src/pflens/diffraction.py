@@ -18,8 +18,6 @@ a second-moment width (the second moment diverges for Airy-like tails).
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from decimal import Decimal
@@ -27,6 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._csv import csv_text
 from .beamfit import KnifeEdgeScan, fit_scan
 from .design import ZoneLayout
 from .errors import DomainError, ResolutionError, require
@@ -742,9 +741,4 @@ FOCAL_SCAN_CSV_HEADER = ["z_m", "waist_m"]
 
 
 def focal_scan_csv_text(scan: FocalScanResult) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(FOCAL_SCAN_CSV_HEADER)
-    for z, w in zip(scan.z_positions, scan.fitted_waists):
-        writer.writerow([f"{z:.17g}", f"{w:.17g}"])
-    return buf.getvalue()
+    return csv_text(FOCAL_SCAN_CSV_HEADER, zip(scan.z_positions, scan.fitted_waists))

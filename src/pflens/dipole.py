@@ -31,13 +31,12 @@ aperture gives the collected fidelity, 0.832 at NA = 1.
 
 from __future__ import annotations
 
-import io
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._csv import csv_text
 from .errors import AccuracyError, DomainError, require
 from .geometry import check_cone_angle, check_na, cone_from_na
 
@@ -419,32 +418,19 @@ def collection_curve_csv_text(
     require(n_steps >= 2, "n_steps", ">= 2", n_steps)
     check_na(na_max)
     channels = tuple(channels)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["na"] + [channel.label for channel in channels])
+    rows = []
     for na in np.linspace(0.0, na_max, n_steps):
         theta = cone_from_na(float(na))
-        row = [f"{na:.17g}"] + [
-            f"{collection_fraction(channel, theta):.17g}" for channel in channels
-        ]
-        writer.writerow(row)
-    return buffer.getvalue()
+        rows.append([na] + [collection_fraction(channel, theta) for channel in channels])
+    return csv_text(["na"] + [channel.label for channel in channels], rows)
 
 
 def fidelity_curve_csv_text(n_steps: int = 101, na_max: float = 1.0) -> str:
     """Collected polarization fidelity vs NA, integral and series."""
     require(n_steps >= 2, "n_steps", ">= 2", n_steps)
     check_na(na_max)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["na", "fidelity", "fidelity_series"])
-    for na in np.linspace(0.0, na_max, n_steps):
-        na = float(na)
-        writer.writerow(
-            [
-                f"{na:.17g}",
-                f"{polarization_fidelity_collected(na):.17g}",
-                f"{fidelity_series(na):.17g}",
-            ]
-        )
-    return buffer.getvalue()
+    rows = (
+        (na, polarization_fidelity_collected(na), fidelity_series(na))
+        for na in map(float, np.linspace(0.0, na_max, n_steps))
+    )
+    return csv_text(["na", "fidelity", "fidelity_series"], rows)

@@ -500,6 +500,33 @@ class TestCausticFitValidation:
         with pytest.raises(DomainError, match=r"waists must be in \[1e-150, 1e\+150\] m"):
             fit_caustic(points, 369.5e-9)
 
+    @pytest.mark.parametrize(
+        "z, w, message",
+        [
+            # (w / smallest w)^2 overflows: waists from 1e-100 to 1e100 m
+            (
+                np.linspace(-2e-6, 2e-6, 6),
+                np.logspace(-100, 100, 6),
+                r"waist ratio must be small enough to square \(below 1.34e\+154\), got 1e\+200",
+            ),
+            # z.max() - z.min() overflows
+            (
+                [-1e308, -5e307, 0.0, 5e307, 1e308],
+                np.full(5, 1e-6),
+                r"z span must be finite, got -1e\+308 to 1e\+308 m",
+            ),
+        ],
+        ids=["waist_ratio", "z_span"],
+    )
+    def test_overflowing_inputs_refused_before_any_warning(self, z, w, message):
+        points = [
+            WaistPoint(z=float(a), w=float(b), w_uncertainty=0.01 * float(b)) for a, b in zip(z, w)
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=message):
+                fit_caustic(points, WAVELENGTH)
+
     def test_noise_refused_where_samples_would_overflow(self):
         rng = np.random.default_rng(1)
         with pytest.raises(DomainError, match=r"at noise_fraction 1e\+09, got 1e\+308"):
@@ -524,6 +551,7 @@ class TestCsvInterchange:
         np.testing.assert_allclose(loaded[0].powers, scan.powers)
 
     def test_combined_round_trip(self, tmp_path):
+        # noisy powers carry all 17 significant digits; they must read back bit for bit
         scans = synthetic_caustic_scans(
             np.linspace(-2e-6, 2e-6, 3),
             REFERENCE_WAIST,
@@ -531,6 +559,8 @@ class TestCsvInterchange:
             WAVELENGTH,
             direction_offset=1.11e-6,
             n_positions=12,
+            noise_fraction=0.01,
+            rng=np.random.default_rng(3),
         )
         path = tmp_path / "scans.csv"
         path.write_text(scans_csv_text(scans))
@@ -539,7 +569,8 @@ class TestCsvInterchange:
         for original, parsed in zip(scans, loaded):
             assert parsed.z == original.z
             assert parsed.direction == original.direction
-            np.testing.assert_allclose(parsed.powers, original.powers)
+            assert np.array_equal(parsed.blade_positions, original.blade_positions)
+            assert np.array_equal(parsed.powers, original.powers)
 
     def test_combined_text_schema(self):
         scans = [synthetic_knife_edge_scan(z=0.0, w=REFERENCE_WAIST, n_positions=10)]

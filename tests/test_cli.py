@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -340,6 +341,29 @@ class TestFit:
         captured = capsys.readouterr()
         assert code == 2, captured.err
         assert "a caustic fit's waists must be in [1e-150, 1e+150] m" in captured.err
+
+    @pytest.mark.parametrize(
+        "z, w",
+        [
+            # waists from 1e-100 to 1e100 m: (w / smallest w)^2 overflows
+            (np.linspace(-2e-6, 2e-6, 6), np.logspace(-100, 100, 6)),
+            # scans at z = +-1e308 m: z.max() - z.min() overflows
+            ([-1e308, -5e307, 0.0, 5e307, 1e308], np.full(5, 1e-6)),
+        ],
+        ids=["waist_ratio", "z_span"],
+    )
+    def test_overflowing_caustic_input_exits_2_without_a_warning(self, tmp_path, capsys, z, w):
+        scans = [synthetic_knife_edge_scan(z=float(a), w=float(b)) for a, b in zip(z, w)]
+        path = tmp_path / "scans.csv"
+        path.write_text(scans_csv_text(scans))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["fit", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: a caustic fit's"), lines
 
 
 class TestCoupling:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from pflens import (
     ChromaticSpec,
     DomainError,
     LensDesign,
+    SchemaError,
     chromatic_focal_shift,
     depth_of_focus,
     etch_depth,
@@ -147,8 +149,16 @@ class TestZoneLayout:
             design_wavelength=reference_design.design_wavelength,
             phase_levels=layout.phase_levels,
         )
-        np.testing.assert_allclose(loaded.ring_radii, layout.ring_radii, rtol=1e-15)
+        # 17 significant digits read back bit for bit
+        assert np.array_equal(loaded.ring_radii, layout.ring_radii)
         assert loaded.zone_count == layout.zone_count
+
+    def test_non_utf8_zone_csv_names_the_path(self, tmp_path):
+        path = tmp_path / "zones.csv"
+        path.write_bytes(b"p,r_p_m\n1,\xd0\x00\xff\n")
+        message = f"{path}: not UTF-8 text (invalid continuation byte at byte 10)"
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            read_zone_csv(path, design_wavelength=REFERENCE_WAVELENGTH)
 
 
 class TestEtchDepth:
