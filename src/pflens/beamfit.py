@@ -310,9 +310,9 @@ def _solve_bounded(residuals, jacobian, start, lower, upper, what: str):
     _COST_TOL relative, or when a proposed step is that short or the
     linear model predicts it that small a drop (no lower cost is
     reachable above rounding). Up to _POLISH_STEPS undamped Gauss-Newton
-    steps follow, each kept while it is shorter than the step before it:
-    they carry x from within the step tolerance to the stationary point
-    itself, to rounding.
+    steps follow, each kept while it is shorter than the step before it
+    and longer than eps |x|: they carry x from within the step tolerance
+    to the stationary point itself, to rounding.
 
     Returns (x, cost, jac) at the final point. Raises FitError naming
     `what` when the residuals are not finite at the start, or when
@@ -380,7 +380,7 @@ def _solve_bounded(residuals, jacobian, start, lower, upper, what: str):
         keep = s > s[0] * np.finfo(float).eps * max(jac.shape)
         trial = np.clip(x - (vt[keep].T @ (ur[keep] / s[keep])) / d, lower, upper)
         step = float(np.linalg.norm(trial - x))
-        if not 0.0 < step < last_step:
+        if not np.finfo(float).eps * float(np.linalg.norm(x)) < step < last_step:
             break
         trial_r, trial_cost = evaluate(trial)
         if math.isinf(trial_cost):
@@ -547,7 +547,12 @@ def fit_caustic(points, wavelength: float) -> CausticFit:
 
     notes = []
     if np.all(sigma > 0):
-        weight = 2.0 * w * sigma / w_scale**2
+        # on Python floats, so that an overflowing weight is inf, not a warning
+        weight = np.array([2.0 * pt.w * pt.w_uncertainty / w_scale**2 for pt in points])
+        i = int(np.argmax(weight))
+        name = f"caustic fit point {i}'s weight 2 w sigma_w / w_min^2"
+        value = f"w = {w[i]:g} m, sigma_w = {sigma[i]:g} m, w_min = {w_scale:g} m"
+        require(weight[i] < math.inf, name, "finite", value)
     else:
         weight = np.ones_like(w)
         notes.append(

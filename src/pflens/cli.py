@@ -6,6 +6,8 @@ reduction), coupling (collection / single-mode budgets), filter
 (etalon error budget), budget (trap-array scalability), curves
 (figure data), and synth (seeded synthetic scan generator).
 
+main reads the configuration once and hands it to the subcommand,
+which returns its report; main writes that to stdout or to --output.
 Every subcommand is deterministic: identical invocations produce
 byte-identical files and stdout. Randomness exists only in synth,
 which requires an explicit seed. Exit codes: 0 success, 2 validation
@@ -27,20 +29,13 @@ from ._csv import csv_text
 from .config import ProjectConfig, config_text, default_config, read_config
 from .errors import DomainError, NumericalError, require
 from .hankel import get_transform
-from .geometry import (
-    LensGeometry,
-    cone_from_na,
-    na_from_geometry,
-    solid_angle_fraction,
-)
+from .geometry import LensGeometry, cone_from_na, na_from_geometry, solid_angle_fraction
 
 SCHEMA_VERSION = 1
 
 _CHANNELS = {
-    "polar_sigma": dipole.POLAR_SIGMA,
-    "polar_pi": dipole.POLAR_PI,
-    "equatorial_sigma": dipole.EQUATORIAL_SIGMA,
-    "equatorial_pi": dipole.EQUATORIAL_PI,
+    channel.label: channel
+    for channel in (dipole.POLAR_SIGMA, dipole.POLAR_PI, dipole.EQUATORIAL_SIGMA, dipole.EQUATORIAL_PI)
 }
 
 
@@ -57,22 +52,36 @@ def _emit(text: str, path: str | None) -> None:
         Path(path).write_text(text)
 
 
-def _load_config(args) -> ProjectConfig:
-    if args.config is not None:
-        return read_config(args.config)
-    return default_config()
+def _lens_geometry(config: ProjectConfig) -> tuple[LensGeometry, float]:
+    """The configured lens's geometry and its exact numerical aperture."""
+    lens = config.lens_design()
+    geometry = LensGeometry(lens.focal_length, lens.clear_aperture_diameter)
+    return geometry, na_from_geometry(geometry)
+
+
+def _etalon(finesse: float, fsr: float | None, line: float) -> filtering.EtalonSpec:
+    """An etalon of the given FSR [Hz], by default twice the line [Hz] it rejects."""
+    fsr = 2.0 * line if fsr is None else fsr
+    return filtering.EtalonSpec(finesse=finesse, free_spectral_range=fsr)
+
+
+def _etalon_report(etalon: filtering.EtalonSpec, line: float, line_name: str) -> dict:
+    return {
+        "finesse": etalon.finesse,
+        "free_spectral_range_hz": etalon.free_spectral_range,
+        f"transmission_at_{line_name}": filtering.etalon_transmission(etalon, line),
+        f"suppression_at_{line_name}": filtering.suppression_factor(etalon, line),
+    }
 
 
 # ---------------------------------------------------------------------------
 # design
 
 
-def cmd_design(args) -> int:
-    config = _load_config(args)
+def cmd_design(args, config: ProjectConfig) -> str:
     lens = config.lens_design()
     layout = design_mod.zone_layout(lens)
-    geometry = LensGeometry(lens.focal_length, lens.clear_aperture_diameter)
-    na = na_from_geometry(geometry)
+    geometry, na = _lens_geometry(config)
 
     warnings = []
     if layout.zone_count == 0:
@@ -100,16 +109,14 @@ def cmd_design(args) -> int:
         "zones_csv": str(args.zones_output),
         "warnings": warnings,
     }
-    _emit(_json_text(summary), args.output)
-    return 0
+    return _json_text(summary)
 
 
 # ---------------------------------------------------------------------------
 # simulate
 
 
-def cmd_simulate(args) -> int:
-    config = _load_config(args)
+def cmd_simulate(args, config: ProjectConfig) -> str:
     lens = config.lens_design()
     layout = design_mod.zone_layout(lens)
 
@@ -166,9 +173,7 @@ def cmd_simulate(args) -> int:
             warnings.append(f"caustic fit failed: {error}")
 
     efficiency = diffraction.efficiency_into_focus(
-        scan,
-        input_power=beam.power(),
-        capture_radius_multiplier=config.capture_radius_multiplier,
+        scan, capture_radius_multiplier=config.capture_radius_multiplier
     )
 
     Path(args.scan_output).write_text(diffraction.focal_scan_csv_text(scan))
@@ -194,16 +199,14 @@ def cmd_simulate(args) -> int:
         "scan_csv": str(args.scan_output),
         "warnings": warnings,
     }
-    _emit(_json_text(summary), args.output)
-    return 0
+    return _json_text(summary)
 
 
 # ---------------------------------------------------------------------------
 # fit
 
 
-def cmd_fit(args) -> int:
-    config = _load_config(args)
+def cmd_fit(args, config: ProjectConfig) -> str:
     wavelength = (
         args.wavelength_nm * 1e-9 if args.wavelength_nm is not None else config.wavelength
     )
@@ -223,8 +226,7 @@ def cmd_fit(args) -> int:
             raise NumericalError(scan_errors[0]["error"])
         payload = beamfit.waist_point_report(points[0])
         payload["input"] = str(input_path)
-        _emit(_json_text(payload), args.output)
-        return 0
+        return _json_text(payload)
 
     if len(points) < 5:
         raise NumericalError(
@@ -244,16 +246,14 @@ def cmd_fit(args) -> int:
         Path(args.curve_output).write_text(curve)
         report["curve_csv"] = str(args.curve_output)
 
-    _emit(_json_text(report), args.output)
-    return 0
+    return _json_text(report)
 
 
 # ---------------------------------------------------------------------------
 # coupling
 
 
-def cmd_coupling(args) -> int:
-    config = _load_config(args)
+def cmd_coupling(args, config: ProjectConfig) -> str:
     channel = _CHANNELS[args.channel]
     eta_diff = args.eta if args.eta is not None else config.eta_diff
     m2 = args.m2 if args.m2 is not None else config.beam_m2
@@ -265,13 +265,7 @@ def cmd_coupling(args) -> int:
         theta = args.divergence_mrad * 1e-3
         na = math.sin(theta) if theta <= math.pi / 2 else 1.0
     else:
-        if args.na is not None:
-            na = args.na
-        else:
-            lens = config.lens_design()
-            na = na_from_geometry(
-                LensGeometry(lens.focal_length, lens.clear_aperture_diameter)
-            )
+        na = args.na if args.na is not None else _lens_geometry(config)[1]
         theta = cone_from_na(na)
 
     quality = dipole.BeamQuality(divergence_half_angle=theta, m2=m2)
@@ -301,59 +295,26 @@ def cmd_coupling(args) -> int:
         )
         payload["fidelity_curve_csv"] = str(args.fidelity_curve)
 
-    _emit(_json_text(payload), args.output)
-    return 0
+    return _json_text(payload)
 
 
 # ---------------------------------------------------------------------------
 # filter
 
 
-def cmd_filter(args) -> int:
-    config = _load_config(args)
+def cmd_filter(args, config: ProjectConfig) -> str:
     layout = config.frequency_layout()
-    if args.na is not None:
-        na = args.na
-    else:
-        lens = config.lens_design()
-        na = na_from_geometry(
-            LensGeometry(lens.focal_length, lens.clear_aperture_diameter)
-        )
-
-    fsr_pi = args.fsr_pi_ghz * 1e9 if args.fsr_pi_ghz is not None else 2.0 * layout.raman_shift
-    etalon_pi = filtering.EtalonSpec(finesse=args.finesse_pi, free_spectral_range=fsr_pi)
-    pi_info = {
-        "finesse": etalon_pi.finesse,
-        "free_spectral_range_hz": etalon_pi.free_spectral_range,
-        "transmission_at_raman": filtering.etalon_transmission(
-            etalon_pi, layout.raman_shift
-        ),
-        "suppression_at_raman": filtering.suppression_factor(
-            etalon_pi, layout.raman_shift
-        ),
-    }
+    na = args.na if args.na is not None else _lens_geometry(config)[1]
+    fsr_pi = None if args.fsr_pi_ghz is None else args.fsr_pi_ghz * 1e9
+    etalon_pi = _etalon(args.finesse_pi, fsr_pi, layout.raman_shift)
+    pi_info = _etalon_report(etalon_pi, layout.raman_shift, "raman")
 
     etalon_sigma = None
     sigma_info = None
     if not args.no_sigma_etalon:
-        fsr_sigma = (
-            args.fsr_sigma_mhz * 1e6
-            if args.fsr_sigma_mhz is not None
-            else 2.0 * layout.zeeman_splitting
-        )
-        etalon_sigma = filtering.EtalonSpec(
-            finesse=args.finesse_sigma, free_spectral_range=fsr_sigma
-        )
-        sigma_info = {
-            "finesse": etalon_sigma.finesse,
-            "free_spectral_range_hz": etalon_sigma.free_spectral_range,
-            "transmission_at_zeeman": filtering.etalon_transmission(
-                etalon_sigma, layout.zeeman_splitting
-            ),
-            "suppression_at_zeeman": filtering.suppression_factor(
-                etalon_sigma, layout.zeeman_splitting
-            ),
-        }
+        fsr_sigma = None if args.fsr_sigma_mhz is None else args.fsr_sigma_mhz * 1e6
+        etalon_sigma = _etalon(args.finesse_sigma, fsr_sigma, layout.zeeman_splitting)
+        sigma_info = _etalon_report(etalon_sigma, layout.zeeman_splitting, "zeeman")
 
     error_budget = filtering.scheme_error_budget(na, etalon_pi, layout, etalon_sigma)
     payload = {
@@ -364,16 +325,14 @@ def cmd_filter(args) -> int:
         "sigma_etalon": sigma_info,
         "error_budget": error_budget,
     }
-    _emit(_json_text(payload), args.output)
-    return 0
+    return _json_text(payload)
 
 
 # ---------------------------------------------------------------------------
 # budget
 
 
-def cmd_budget(args) -> int:
-    config = _load_config(args)
+def cmd_budget(args, config: ProjectConfig) -> str:
     spec = budget_mod.TrapArraySpec(
         electrode_distance=args.electrode_distance_um * 1e-6,
         segments_per_site=args.segments,
@@ -389,13 +348,8 @@ def cmd_budget(args) -> int:
     )
 
     layout = config.frequency_layout()
-    etalon_pi = filtering.EtalonSpec(
-        finesse=filtering.PI_ETALON_FINESSE, free_spectral_range=2.0 * layout.raman_shift
-    )
-    etalon_sigma = filtering.EtalonSpec(
-        finesse=filtering.SIGMA_ETALON_FINESSE,
-        free_spectral_range=2.0 * layout.zeeman_splitting,
-    )
+    etalon_pi = _etalon(filtering.PI_ETALON_FINESSE, None, layout.raman_shift)
+    etalon_sigma = _etalon(filtering.SIGMA_ETALON_FINESSE, None, layout.zeeman_splitting)
     filter_budget = filtering.scheme_error_budget(
         array_na, etalon_pi, layout, etalon_sigma
     )
@@ -437,40 +391,35 @@ def cmd_budget(args) -> int:
             "rate_gain": gain,
         },
     }
-    _emit(_json_text(payload), args.output)
-    return 0
+    return _json_text(payload)
 
 
 # ---------------------------------------------------------------------------
 # curves
 
 
-def cmd_curves(args) -> int:
-    config = _load_config(args)
+def cmd_curves(args, config: ProjectConfig) -> str:
     layout = config.frequency_layout()
-    fsr = args.fsr_ghz * 1e9 if args.fsr_ghz is not None else 2.0 * layout.raman_shift
+    fsr = None if args.fsr_ghz is None else args.fsr_ghz * 1e9
     # checked at every kind, though only the etalon curve uses them
-    etalon = filtering.EtalonSpec(finesse=args.finesse, free_spectral_range=fsr)
+    etalon = _etalon(args.finesse, fsr, layout.raman_shift)
     if args.kind == "collection":
-        text = dipole.collection_curve_csv_text(n_steps=args.steps)
-    elif args.kind == "fidelity":
-        text = dipole.fidelity_curve_csv_text(n_steps=args.steps)
-    else:
-        require(args.steps >= 2, "n_steps", ">= 2", args.steps)
-        rows = (
-            (detuning, filtering.etalon_transmission(etalon, float(detuning)))
-            for detuning in np.linspace(0.0, fsr, args.steps)
-        )
-        text = csv_text(["detuning_hz", "transmission"], rows)
-    _emit(text, args.output)
-    return 0
+        return dipole.collection_curve_csv_text(n_steps=args.steps)
+    if args.kind == "fidelity":
+        return dipole.fidelity_curve_csv_text(n_steps=args.steps)
+    require(args.steps >= 2, "n_steps", ">= 2", args.steps)
+    rows = (
+        (detuning, filtering.etalon_transmission(etalon, float(detuning)))
+        for detuning in np.linspace(0.0, etalon.free_spectral_range, args.steps)
+    )
+    return csv_text(["detuning_hz", "transmission"], rows)
 
 
 # ---------------------------------------------------------------------------
 # synth
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args, config: ProjectConfig) -> str:
     require(args.seed >= 0, "--seed", ">= 0", args.seed)
     # no scans would write a header that read_scans_csv refuses
     require(args.z_steps >= 1, "--z-steps", ">= 1", args.z_steps)
@@ -479,7 +428,6 @@ def cmd_synth(args) -> int:
     rng = np.random.default_rng(args.seed)
     z_positions = np.linspace(-half_range * 1e-6, half_range * 1e-6, args.z_steps)
     directions = ("in", "out") if args.directions == "both" else (args.directions,)
-    config = _load_config(args)
     wavelength = (
         args.wavelength_nm * 1e-9 if args.wavelength_nm is not None else config.wavelength
     )
@@ -498,18 +446,15 @@ def cmd_synth(args) -> int:
         noise_fraction=args.noise,
         rng=rng,
     )
-    _emit(beamfit.scans_csv_text(scans), args.output)
-    return 0
+    return beamfit.scans_csv_text(scans)
 
 
 # ---------------------------------------------------------------------------
 # config echo (utility; exposes the resolved configuration)
 
 
-def cmd_show_config(args) -> int:
-    config = _load_config(args)
-    _emit(config_text(config), args.output)
-    return 0
+def cmd_show_config(args, config: ProjectConfig) -> str:
+    return config_text(config)
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_design = subparsers.add_parser("design", help="zone layout and lens summary")
     p_design.add_argument("--zones-output", default="design_zones.csv")
-    p_design.add_argument("--output", default=None, help="summary JSON path (default stdout)")
     p_design.set_defaults(func=cmd_design)
 
     p_sim = subparsers.add_parser("simulate", help="scalar-diffraction focal scan")
@@ -537,14 +481,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--z-max-um", type=float, default=None)
     p_sim.add_argument("--steps", type=int, default=None)
     p_sim.add_argument("--scan-output", default="focal_scan.csv")
-    p_sim.add_argument("--output", default=None)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_fit = subparsers.add_parser("fit", help="fit knife-edge scans and the caustic")
     p_fit.add_argument("--input", default=None, help="scan CSV (default: bundled synthetic dataset)")
     p_fit.add_argument("--wavelength-nm", type=float, default=None)
     p_fit.add_argument("--curve-output", default=None, help="fitted caustic curve CSV")
-    p_fit.add_argument("--output", default=None)
     p_fit.set_defaults(func=cmd_fit)
 
     p_coup = subparsers.add_parser("coupling", help="collection and single-mode coupling budget")
@@ -558,7 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_coup.add_argument("--collection-curve", default=None)
     p_coup.add_argument("--fidelity-curve", default=None)
     p_coup.add_argument("--curve-steps", type=int, default=101)
-    p_coup.add_argument("--output", default=None)
     p_coup.set_defaults(func=cmd_coupling)
 
     p_filt = subparsers.add_parser("filter", help="etalon suppression and error budget")
@@ -568,7 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_filt.add_argument("--finesse-sigma", type=float, default=filtering.SIGMA_ETALON_FINESSE)
     p_filt.add_argument("--fsr-sigma-mhz", type=float, default=None)
     p_filt.add_argument("--no-sigma-etalon", action="store_true")
-    p_filt.add_argument("--output", default=None)
     p_filt.set_defaults(func=cmd_filter)
 
     p_budget = subparsers.add_parser("budget", help="trap-array scalability report")
@@ -585,7 +525,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_budget.add_argument("--networking-m2", type=float, default=1.5)
     p_budget.add_argument("--networking-eta", type=float, default=0.5)
     p_budget.add_argument("--reference-p-coh", type=float, default=0.0032)
-    p_budget.add_argument("--output", default=None)
     p_budget.set_defaults(func=cmd_budget)
 
     p_curves = subparsers.add_parser("curves", help="figure-data CSV emitter")
@@ -593,7 +532,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_curves.add_argument("--steps", type=int, default=101)
     p_curves.add_argument("--finesse", type=float, default=filtering.PI_ETALON_FINESSE)
     p_curves.add_argument("--fsr-ghz", type=float, default=None)
-    p_curves.add_argument("--output", default=None)
     p_curves.set_defaults(func=cmd_curves)
 
     p_synth = subparsers.add_parser("synth", help="generate synthetic knife-edge scans")
@@ -611,21 +549,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--background", type=float, default=0.0)
     p_synth.add_argument("--directions", choices=("both", "in", "out"), default="both")
     p_synth.add_argument("--wavelength-nm", type=float, default=None)
-    p_synth.add_argument("--output", default=None)
     p_synth.set_defaults(func=cmd_synth)
 
     p_show = subparsers.add_parser("show-config", help="print the resolved configuration")
-    p_show.add_argument("--output", default=None)
     p_show.set_defaults(func=cmd_show_config)
 
+    for subparser in subparsers.choices.values():
+        subparser.add_argument("--output", default=None, help="report path (default stdout)")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        config = default_config() if args.config is None else read_config(args.config)
+        _emit(args.func(args, config), args.output)
     except DomainError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -637,6 +575,7 @@ def main(argv=None) -> int:
         where = "" if error.filename is None else f"{error.filename}: "
         print(f"error: {where}{error.strerror or error}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -419,6 +419,32 @@ class TestSolver:
         assert cost < 1e-28
         assert jac.shape == (1, 1)
 
+    def test_no_point_evaluated_within_rounding_of_an_earlier_one(self, monkeypatch):
+        # a polish step at or below eps |x| moves nothing; it must not cost a
+        # residual evaluation, a Jacobian and an SVD
+        evaluated = []
+        solve = beamfit._solve_bounded
+
+        def recording(residuals, jacobian, start, lower, upper, what):
+            run = []
+            evaluated.append(run)
+
+            def recorded(x):
+                run.append(np.array(x))
+                return residuals(x)
+
+            return solve(recorded, jacobian, start, lower, upper, what)
+
+        monkeypatch.setattr(beamfit, "_solve_bounded", recording)
+        points = [fit_scan(scan) for scan in read_scans_csv(bundled_caustic_dataset_path())]
+        fit_caustic(points, WAVELENGTH)
+        assert len(evaluated) == len(points) + 1
+        eps = np.finfo(float).eps
+        for run in evaluated:
+            for j, point in enumerate(run):
+                closest = min((np.linalg.norm(point - before) for before in run[:j]), default=np.inf)
+                assert closest > eps * np.linalg.norm(point)
+
     def test_trials_clipped_into_bounds(self):
         # the unconstrained minimum x = 2 lies past the upper bound 1
         def residuals(x):
@@ -522,6 +548,18 @@ class TestCausticFitValidation:
         points = [
             WaistPoint(z=float(a), w=float(b), w_uncertainty=0.01 * float(b)) for a, b in zip(z, w)
         ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=message):
+                fit_caustic(points, WAVELENGTH)
+
+    def test_overflowing_weight_refused_by_point_before_any_warning(self):
+        # 2 w sigma_w / w_min^2 overflows for sigma_w = 1e308 m
+        points = [
+            WaistPoint(z=p.z, w=p.w, w_uncertainty=1e308 if i == 3 else 0.01 * p.w)
+            for i, p in enumerate(reference_points())
+        ]
+        message = r"caustic fit point 3's weight 2 w sigma_w / w_min\^2 must be finite"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match=message):

@@ -37,6 +37,24 @@ def teardown_module(module):
     clear_transform_cache()
 
 
+def _subcommands() -> dict:
+    """build_parser()'s subcommand parsers by name."""
+    return next(
+        action.choices
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+
+
+# the least each subcommand needs to run, its side files kept in {dir}
+_MINIMAL_ARGS = {
+    "design": ["--zones-output", "{dir}/zones.csv"],
+    "simulate": ["--scan-output", "{dir}/scan.csv"],
+    "curves": ["--kind", "etalon"],
+    "synth": ["--seed", "1"],
+}
+
+
 def run_json(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
@@ -643,6 +661,30 @@ class TestFileErrors:
         assert f"error: {path}: No such file or directory" in captured.err
 
 
+class TestShell:
+    # main reads the config and writes the report for every subcommand alike
+    @pytest.mark.parametrize("command", sorted(_subcommands()))
+    def test_output_file_holds_what_stdout_shows(self, toy_config_path, tmp_path, capsys, command):
+        config = ["--config", toy_config_path] if command == "simulate" else []
+        argv = [*config, command] + [a.format(dir=tmp_path) for a in _MINIMAL_ARGS.get(command, [])]
+        assert main(argv) == 0
+        shown = capsys.readouterr().out
+        report = tmp_path / "report.out"
+        assert main([*argv, "--output", str(report)]) == 0
+        assert capsys.readouterr().out == ""
+        assert shown and report.read_text() == shown
+
+    @pytest.mark.parametrize("command", sorted(_subcommands()))
+    def test_missing_config_exits_2_with_one_error_line(self, tmp_path, capsys, command):
+        path = tmp_path / "missing.cfg"
+        rest = [a.format(dir=tmp_path) for a in _MINIMAL_ARGS.get(command, [])]
+        code = main(["--config", str(path), command, *rest])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {path}: No such file or directory"]
+
+
 class TestShowConfig:
     def test_prints_resolved_defaults(self, capsys):
         code = main(["show-config"])
@@ -713,11 +755,7 @@ _SWEEP_BASES = [
 
 
 def _sweep_cases():
-    subcommands = next(
-        action.choices
-        for action in build_parser()._actions
-        if isinstance(action, argparse._SubParsersAction)
-    )
+    subcommands = _subcommands()
     cases = []
     for command, base, prefix in _SWEEP_BASES:
         for action in subcommands[command]._actions:
@@ -826,20 +864,30 @@ class TestConfigEdgeSweep:
                     assert code != 0, (key, command)
 
 
+def _loaded_scipy_modules(statement: str) -> str:
+    """Which of scipy.optimize and scipy.integrate a fresh interpreter holds after statement."""
+    import pflens
+
+    source = str(Path(pflens.__file__).resolve().parents[1])
+    path = os.pathsep.join([source, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    probe = (
+        f"import sys, pflens, pflens.cli; {statement}; print(sorted(m for m in "
+        "('scipy.optimize', 'scipy.integrate') if m in sys.modules), file=sys.stderr)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    return result.stderr.strip()
+
+
 class TestStartup:
     def test_import_loads_neither_scipy_optimize_nor_integrate(self):
         # every command pays the import; the fits and the quadrature checks
         # must not bring these two in (about a third of the start-up time)
-        import pflens
+        assert _loaded_scipy_modules("pass") == "[]"
 
-        source = str(Path(pflens.__file__).resolve().parents[1])
-        path = os.pathsep.join([source, os.environ.get("PYTHONPATH", "")])
-        env = {**os.environ, "PYTHONPATH": path}
-        probe = (
-            "import sys, pflens, pflens.cli; "
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))"
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-        )
-        assert result.stdout.strip() == "[]"
+    def test_coupling_loads_neither(self):
+        # the collected fidelity is a fixed Gauss-Legendre rule; only the
+        # check-only oracles in dipole import scipy.integrate
+        assert _loaded_scipy_modules("pflens.cli.main(['coupling'])") == "[]"

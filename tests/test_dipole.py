@@ -38,6 +38,9 @@ from pflens.dipole import (
 )
 
 ALL_CHANNELS = (POLAR_SIGMA, POLAR_PI, EQUATORIAL_SIGMA, EQUATORIAL_PI)
+# the collected fidelity at NA = 1 in closed form, 0.831532098789439832 to 18
+# digits (checked at 40 digits); this double is the correctly rounded value
+FIDELITY_AT_NA_1 = 21 / 32 + 9 * math.asinh(1.0) / (32 * math.sqrt(2.0))
 THETA_064 = math.asin(0.64)
 
 
@@ -381,7 +384,11 @@ class TestPolarizationFidelity:
         grid = np.linspace(0.0, 1.0, 21)
         values = [polarization_fidelity_collected(float(na)) for na in grid]
         assert all(a > b for a, b in zip(values, values[1:]))
-        assert all(0.83153209878944 <= v <= 1.0 for v in values)
+        assert all(FIDELITY_AT_NA_1 - 2 * math.ulp(FIDELITY_AT_NA_1) <= v <= 1.0 for v in values)
+
+    def test_collected_fidelity_at_na_1_is_the_closed_form(self):
+        fidelity = polarization_fidelity_collected(1.0)
+        assert abs(fidelity - FIDELITY_AT_NA_1) <= 2 * math.ulp(FIDELITY_AT_NA_1)
 
     def test_series_values(self):
         assert fidelity_series(0.0) == 1.0
