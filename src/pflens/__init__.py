@@ -17,7 +17,6 @@ The package covers the full chain from lens design to system budgets:
 """
 
 from .errors import (
-    AccuracyError,
     ConfigError,
     DomainError,
     FitError,
@@ -97,14 +96,12 @@ from .dipole import (
     coherent_coupling,
     collection_curve_csv_text,
     collection_fraction,
-    collection_fraction_quadrature,
     collection_fraction_series,
     collection_probability,
     coupling_budget,
     effective_divergence,
     fidelity_curve_csv_text,
     fidelity_series,
-    gaussian_overlap_oracle,
     polarization_fidelity_collected,
     polarization_fidelity_single,
     radiation_pattern,

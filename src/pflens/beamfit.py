@@ -495,9 +495,10 @@ def fit_caustic(points, wavelength: float) -> CausticFit:
     fixed to zero and its covariance entries are zero.
 
     Raises DomainError for fewer than 5 points, waists outside
-    [1e-150, 1e150] m or spanning a ratio whose square overflows, or a
-    z span that overflows; FitError when the solver fails or the fitted
-    waist collapses toward zero.
+    [1e-150, 1e150] m or spanning a ratio whose square overflows, a z
+    span that overflows, or a weight that overflows or underflows to 0;
+    FitError when the solver fails or the fitted waist collapses toward
+    zero.
     """
     points = list(points)
     require(wavelength > 0, "wavelength", "> 0", wavelength)
@@ -547,12 +548,12 @@ def fit_caustic(points, wavelength: float) -> CausticFit:
 
     notes = []
     if np.all(sigma > 0):
-        # on Python floats, so that an overflowing weight is inf, not a warning
+        # on Python floats, so an overflow is inf and an underflow 0, not a warning
         weight = np.array([2.0 * pt.w * pt.w_uncertainty / w_scale**2 for pt in points])
-        i = int(np.argmax(weight))
-        name = f"caustic fit point {i}'s weight 2 w sigma_w / w_min^2"
-        value = f"w = {w[i]:g} m, sigma_w = {sigma[i]:g} m, w_min = {w_scale:g} m"
-        require(weight[i] < math.inf, name, "finite", value)
+        for i in (int(np.argmax(weight)), int(np.argmin(weight))):
+            name = f"caustic fit point {i}'s weight 2 w sigma_w / w_min^2"
+            value = f"w = {w[i]:g} m, sigma_w = {sigma[i]:g} m, w_min = {w_scale:g} m"
+            require(0.0 < weight[i] < math.inf, name, "finite and nonzero", value)
     else:
         weight = np.ones_like(w)
         notes.append(

@@ -115,4 +115,8 @@ def entanglement_rate_gain(p_coh_new: float, p_coh_ref: float) -> float:
     """
     require(0.0 < p_coh_new <= 1.0, "p_coh_new", "in (0, 1]", p_coh_new)
     require(0.0 < p_coh_ref <= 1.0, "p_coh_ref", "in (0, 1]", p_coh_ref)
-    return (p_coh_new / p_coh_ref) ** 2
+    ratio = p_coh_new / p_coh_ref
+    # before squaring: ** on Python floats raises OverflowError where * gives inf
+    rule = "small enough to square (below 1.34e+154)"
+    require(ratio * ratio < math.inf, "p_coh_new / p_coh_ref", rule, f"{p_coh_new:g} / {p_coh_ref:g}")
+    return ratio**2

@@ -46,6 +46,8 @@ class LensDesign:
         require_finite_fields(self)
         for name in ("focal_length", "clear_aperture_diameter", "design_wavelength"):
             require(getattr(self, name) > 0, name, "> 0", getattr(self, name))
+        focal, aperture = self.focal_length, self.clear_aperture_diameter
+        require(focal / aperture < math.inf, "the f-number", "finite", f"{focal:g} m / {aperture:g} m")
         levels = self.phase_levels
         require(isinstance(levels, int) and levels >= 2, "phase_levels", "an integer >= 2", levels)
         require(self.substrate_index > 1, "substrate_index", "> 1", self.substrate_index)
@@ -72,12 +74,15 @@ class ZoneLayout:
         object.__setattr__(self, "ring_radii", radii)
         if radii.ndim != 1:
             raise DomainError("ring_radii must be a 1-D sequence")
+        if not np.all(np.isfinite(radii)):
+            raise DomainError("ring radii must be finite")
         if radii.size and not np.all(np.diff(radii) > 0):
             raise DomainError("ring_radii must be strictly increasing")
         if radii.size and not (radii[0] > 0):
             raise DomainError("ring radii must be positive")
         if radii.size and radii[-1] > self.aperture_radius * (1 + 1e-12):
             raise DomainError("ring radii must not exceed the aperture radius")
+        require_finite_fields(self)
         for name in ("etch_depth", "aperture_radius", "design_wavelength"):
             require(getattr(self, name) > 0, name, "> 0", getattr(self, name))
         levels = self.phase_levels

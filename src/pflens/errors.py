@@ -75,14 +75,3 @@ class FitError(NumericalError):
 
 class ResolutionError(NumericalError):
     """A numerical grid is too coarse for the requested computation, or too large for memory."""
-
-
-class AccuracyError(NumericalError):
-    """A quadrature or iteration failed to reach the requested accuracy.
-
-    The best available estimate is attached.
-    """
-
-    def __init__(self, message, estimate=None):
-        self.estimate = estimate
-        super().__init__(message)

@@ -51,7 +51,6 @@ from pflens.dipole import (
     BeamQuality,
     coherent_coupling,
     collection_fraction,
-    collection_fraction_quadrature,
     collection_fraction_series,
     collection_probability,
     fidelity_series,
@@ -70,6 +69,7 @@ from pflens.geometry import (
     solid_angle_fraction,
 )
 from pflens.hankel import get_transform
+from quadrature_oracles import collection_fraction_quadrature
 
 WAVELENGTH = 369.5e-9
 FOCAL_LENGTH = 3e-3

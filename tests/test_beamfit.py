@@ -565,6 +565,19 @@ class TestCausticFitValidation:
             with pytest.raises(DomainError, match=message):
                 fit_caustic(points, WAVELENGTH)
 
+    def test_underflowing_weight_refused_by_point_before_any_warning(self):
+        # 2 w sigma_w / w_min^2 underflows to 0 for sigma_w = 5e-324 m; the
+        # residuals divide by it
+        points = [
+            WaistPoint(z=p.z, w=p.w, w_uncertainty=5e-324 if i == 3 else 0.01 * p.w)
+            for i, p in enumerate(reference_points())
+        ]
+        message = r"caustic fit point 3's weight 2 w sigma_w / w_min\^2 must be finite and nonzero"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=message):
+                fit_caustic(points, WAVELENGTH)
+
     def test_noise_refused_where_samples_would_overflow(self):
         rng = np.random.default_rng(1)
         with pytest.raises(DomainError, match=r"at noise_fraction 1e\+09, got 1e\+308"):

@@ -723,6 +723,26 @@ class TestShowConfig:
             assert key in captured.err
             assert "Traceback" not in captured.err
 
+    def test_design_refuses_an_infinite_f_number_or_etch_depth(self, tmp_path, capsys):
+        # both reports held Infinity: f / D overflows for D = 1e-323 m, and
+        # lam / (2 (n - 1)) for lam = 1e299 m over n - 1 = 2.2e-16
+        cases = [
+            ("aperture_diameter_mm = 1e-320\n", "the f-number must be finite"),
+            (
+                "wavelength_nm = 1e308\nsubstrate_index = 1.0000000000000002\n",
+                "etch_depth must be finite",
+            ),
+        ]
+        for text, message in cases:
+            path = tmp_path / "edge.cfg"
+            path.write_text(text)
+            code = main(["--config", str(path), "design", "--zones-output", str(tmp_path / "z.csv")])
+            captured = capsys.readouterr()
+            assert code == 2, (text, captured.err)
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert message in captured.err, captured.err
+
     def test_design_with_too_many_zones_exits_2(self, tmp_path, capsys):
         # 1e300 mm overflowed the ring count; 1e-300 nm asked for ~1e306 rings
         for key, value in (("aperture_diameter_mm", "1e300"), ("wavelength_nm", "1e-300")):
@@ -754,6 +774,19 @@ _SWEEP_BASES = [
 ]
 
 
+# subcommands whose report is JSON; curves and synth write CSV, show-config a config
+_JSON_COMMANDS = ("design", "simulate", "fit", "coupling", "filter", "budget")
+
+
+def _strict_json(text: str) -> dict:
+    """Parse a report, refusing the Infinity and NaN that json.dumps writes for inf and nan."""
+
+    def refuse(constant):
+        raise AssertionError(f"report holds {constant}, which is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def _sweep_cases():
     subcommands = _subcommands()
     cases = []
@@ -780,10 +813,12 @@ class TestEdgeValueSweep:
                 # argparse refuses a value it cannot parse with exit 2; any
                 # other exception out of main is a traceback and fails the test
                 code = stop.code
-            err = capsys.readouterr().err
+            out, err = capsys.readouterr()
             assert code in (0, 2, 3), (argv, code, err)
             if value == "nan":
                 assert code != 0, argv
+            if code == 0 and command in _JSON_COMMANDS:
+                _strict_json(out)
 
     def test_refusals_name_the_value(self, capsys):
         cases = [
@@ -804,6 +839,11 @@ class TestEdgeValueSweep:
             (["curves", "--kind", "fidelity", "--fsr-ghz", "nan"], "free_spectral_range"),
             (["fit", "--wavelength-nm", "inf"], "wavelength inf m"),
             (["fit", "--wavelength-nm", "1e308"], "wavelength 1e+299 m"),
+            (["coupling", "--m2", "inf"], "m2 must be finite, got inf"),
+            # (p_coh / reference)^2 overflows, or the ratio itself does
+            (["budget", "--reference-p-coh", "1e-200"], "p_coh_new / p_coh_ref must be small"),
+            (["budget", "--reference-p-coh", "1e-300"], "/ 1e-300"),
+            (["budget", "--reference-p-coh", "1e-320"], "/ 9.99989e-321"),
         ]
         for argv, message in cases:
             code = main(argv)
@@ -857,11 +897,13 @@ class TestConfigEdgeSweep:
             for command in commands:
                 argv = ["--config", str(path), *command]
                 code = main(argv)
-                err = capsys.readouterr().err
+                out, err = capsys.readouterr()
                 assert code in (0, 2, 3), (key, value, command, code, err)
                 assert "Traceback" not in err
                 if value == "nan":
                     assert code != 0, (key, command)
+                if code == 0 and command[0] in _JSON_COMMANDS:
+                    _strict_json(out)
 
 
 def _loaded_scipy_modules(statement: str) -> str:
@@ -883,11 +925,12 @@ def _loaded_scipy_modules(statement: str) -> str:
 
 class TestStartup:
     def test_import_loads_neither_scipy_optimize_nor_integrate(self):
-        # every command pays the import; the fits and the quadrature checks
-        # must not bring these two in (about a third of the start-up time)
+        # every command pays the import; the fits must not bring these two in
+        # (about a third of the start-up time), and the quadrature checks that
+        # need scipy.integrate live in tests/quadrature_oracles.py
         assert _loaded_scipy_modules("pass") == "[]"
 
     def test_coupling_loads_neither(self):
-        # the collected fidelity is a fixed Gauss-Legendre rule; only the
-        # check-only oracles in dipole import scipy.integrate
+        # the collected fidelity is a fixed Gauss-Legendre rule, not a quadrature
+        # from scipy.integrate
         assert _loaded_scipy_modules("pflens.cli.main(['coupling'])") == "[]"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from pflens import (
     DomainError,
     LensDesign,
     SchemaError,
+    ZoneLayout,
     chromatic_focal_shift,
     depth_of_focus,
     etch_depth,
@@ -96,6 +98,17 @@ class TestZoneLayout:
         with pytest.raises(DomainError, match=f"{name} must be finite"):
             LensDesign(**fields)
 
+    def test_design_rejects_an_overflowing_f_number(self):
+        with pytest.raises(DomainError, match="the f-number must be finite, got 0.003 m / 9.88131e-324 m"):
+            LensDesign(3e-3, 1e-323, REFERENCE_WAVELENGTH)
+
+    @pytest.mark.parametrize("name", ["etch_depth", "aperture_radius", "design_wavelength"])
+    def test_layout_rejects_non_finite_fields(self, name):
+        fields = dict(ring_radii=[1e-4], etch_depth=4e-7, aperture_radius=2e-4, design_wavelength=4e-7)
+        fields[name] = math.inf
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            ZoneLayout(**fields)
+
     def test_zone_identity(self, reference_design):
         # sqrt(f^2 + r_p^2) - f must equal p lam to machine precision.
         layout = zone_layout(reference_design)
@@ -152,6 +165,16 @@ class TestZoneLayout:
         # 17 significant digits read back bit for bit
         assert np.array_equal(loaded.ring_radii, layout.ring_radii)
         assert loaded.zone_count == layout.zone_count
+
+    @pytest.mark.parametrize("rows", ["1,inf\n", "1,1e-4\n2,inf\n", "1,inf\n2,inf\n", "1,nan\n"])
+    def test_zone_csv_refuses_non_finite_radii(self, tmp_path, rows):
+        # 1,inf read as a layout with an infinite aperture and focal length
+        path = tmp_path / "zones.csv"
+        path.write_text("p,r_p_m\n" + rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="ring radii must be finite"):
+                read_zone_csv(path, design_wavelength=REFERENCE_WAVELENGTH)
 
     def test_non_utf8_zone_csv_names_the_path(self, tmp_path):
         path = tmp_path / "zones.csv"

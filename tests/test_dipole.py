@@ -21,13 +21,11 @@ from pflens import (
     POLAR_SIGMA,
     coherent_coupling,
     collection_fraction,
-    collection_fraction_quadrature,
     collection_fraction_series,
     collection_probability,
     coupling_budget,
     effective_divergence,
     fidelity_series,
-    gaussian_overlap_oracle,
     polarization_fidelity_collected,
     polarization_fidelity_single,
 )
@@ -36,6 +34,7 @@ from pflens.dipole import (
     fidelity_curve_csv_text,
     radiation_pattern,
 )
+from quadrature_oracles import collection_fraction_quadrature, gaussian_overlap_oracle
 
 ALL_CHANNELS = (POLAR_SIGMA, POLAR_PI, EQUATORIAL_SIGMA, EQUATORIAL_PI)
 # the collected fidelity at NA = 1 in closed form, 0.831532098789439832 to 18
@@ -338,12 +337,6 @@ class TestGaussianOverlapOracle:
             EQUATORIAL_SIGMA, math.asin(math.sin(0.246) / math.sqrt(2))
         )
         assert abs(oracle - top_hat) / oracle < 0.02
-
-    def test_domain(self):
-        with pytest.raises(DomainError, match="gaussian_divergence"):
-            gaussian_overlap_oracle(POLAR_SIGMA, 0.0)
-        with pytest.raises(DomainError, match="gaussian_divergence"):
-            gaussian_overlap_oracle(POLAR_SIGMA, math.pi / 2)
 
 
 class TestPolarizationFidelity:

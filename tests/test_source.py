@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pflens"
-# __init__.py imports names to export them, so it is left out
-MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+ALL_MODULES = sorted(PACKAGE.glob("*.py"))
+# __init__.py imports names to export them, so the unused-import check leaves it out
+MODULES = [path for path in ALL_MODULES if path.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -24,6 +25,27 @@ def unused_imports(source: str) -> list[str]:
     ]
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [name for name in imported if name not in read]
+
+
+def imported_modules(source: str) -> set[str]:
+    """Every module a source imports, at any depth; `from a import b` gives a and a.b."""
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module)
+            modules.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return modules
+
+
+def slow_scipy_imports(source: str) -> list[str]:
+    """The scipy.integrate and scipy.optimize modules a source imports, sorted."""
+    return sorted(
+        name
+        for name in imported_modules(source)
+        if name.split(".")[:2] in (["scipy", "integrate"], ["scipy", "optimize"])
+    )
 
 
 def test_checker_flags_only_unread_names():
@@ -44,3 +66,28 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_scipy_checker_sees_every_form_at_any_depth():
+    source = (
+        "import scipy.special\n"
+        "from scipy import integrate, special\n"
+        "def f():\n"
+        "    import scipy.optimize as so\n"
+        "    class C:\n"
+        "        def g(self):\n"
+        "            from scipy.integrate import quad\n"
+        "from . import scipy\n"
+    )
+    assert slow_scipy_imports(source) == [
+        "scipy.integrate",
+        "scipy.integrate.quad",
+        "scipy.optimize",
+    ]
+
+
+# scipy.integrate and scipy.optimize would add about a third to the start-up time; read
+# from the source, this covers every code path, where a start-up probe runs only a few
+@pytest.mark.parametrize("path", ALL_MODULES, ids=[path.name for path in ALL_MODULES])
+def test_no_scipy_integrate_or_optimize(path):
+    assert slow_scipy_imports(path.read_text(encoding="utf-8")) == []
