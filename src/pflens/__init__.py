@@ -78,6 +78,7 @@ from .beamfit import (
     derived_beam_parameters,
     fit_caustic,
     fit_scan,
+    fit_scans,
     knife_edge_model,
     read_scans_csv,
     scans_csv_text,

@@ -17,7 +17,7 @@ direction); the caustic fit exposes it as a fourth parameter,
 direction_offset, fixed to zero when only one direction is present.
 
 Both fits use analytic Jacobians and one bounded least-squares solver,
-_solve_bounded: Levenberg-Marquardt with diag(J^T J) scaling (Marquardt,
+_solve_bounded (pflens._lsq): Levenberg-Marquardt with diag(J^T J) scaling (Marquardt,
 SIAM J. Appl. Math. 11, 431, 1963), whose trial points are clipped into
 the fit's bounds and kept only when their cost is finite and lower. It
 stops at a relative step of 1e-10, a relative cost drop of 1e-14, or
@@ -25,6 +25,14 @@ where no lower cost is reachable, within 200 model evaluations; then up
 to 5 undamped Gauss-Newton steps carry the point to the stationary point
 itself, so a rounding-level change in the data moves the fitted values
 by a rounding-level amount. Results are deterministic.
+
+The solver works on a stack of problems. fit_scans fits all scans of one
+sample count together, sharing one model evaluation and one stacked SVD
+per iteration, and the caustic fit is a stack of one. Each problem keeps
+its own damping, stopping rules, evaluation budget and failure, and every
+operation acts on each problem alone, so fitting is batch invariant: a
+scan's waist and uncertainty are the same to the bit whether it is
+fitted alone, among others or in any order.
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ import numpy as np
 from scipy.special import erfc
 
 from ._csv import csv_text, read_text
+from ._lsq import solve_bounded
 from .errors import DomainError, FitError, SchemaError, require
 
 _MIN_SCAN_SAMPLES = 8
@@ -50,11 +59,11 @@ _LEVEL_HIGH = 0.921350396474857
 _LEVEL_LOW = 0.078649603525143
 
 _MAX_MODEL_EVALS = 200
-_STEP_TOL = 1e-10
-_COST_TOL = 1e-14
-_POLISH_STEPS = 5
 # largest waist and far-field radius caustic_radius takes [m]: squares overflow from 1.3e154 m
 _MAX_WAIST = 1e150
+# largest (w_max / w_min)^2 / weight the caustic fit takes: a point's scaled residual and
+# Jacobian row are about that size, so their squares stay far below the float limit
+_MAX_WEIGHTED = 1e150
 # largest noise_fraction synthesis takes: a power sample p times 1 + noise_fraction z, for any
 # standard normal draw z (|z| < 40), stays below the 1.8e308 float limit for p up to 1e150
 _MAX_NOISE = 1e150
@@ -179,12 +188,35 @@ class CausticFit:
 # models and analytic Jacobians
 
 
-def _edge_argument(x, center: float, w: float, direction: str):
-    """(sign, t): sign is +1 for "in" and -1 for "out", t = sign sqrt(2) (x - center) / w."""
+def _edge_sign(w: float, direction: str) -> float:
+    """+1 for "in" and -1 for "out", once w and direction are checked."""
     require(w > 0, "w", "> 0", w)
     _check_direction(direction)
-    sign = 1.0 if direction == "in" else -1.0
-    return sign, sign * math.sqrt(2.0) * (x - center) / w
+    return 1.0 if direction == "in" else -1.0
+
+
+# the knife-edge model and its Jacobian broadcast over their arguments: the
+# public functions pass scalars, the stacked edge fit (k, 1) columns against
+# (k, n) positions, with the same operations in the same order
+
+def _edge_argument(x, center, w, sign):
+    """t = sign sqrt(2) (x - center) / w."""
+    return sign * math.sqrt(2.0) * (x - center) / w
+
+
+def _edge_model(x, total, center, w, sign, background):
+    return background + 0.5 * total * erfc(_edge_argument(x, center, w, sign))
+
+
+def _edge_jacobian(x, total, center, w, sign) -> np.ndarray:
+    t = _edge_argument(x, center, w, sign)
+    gauss = np.exp(-(t**2)) / math.sqrt(math.pi)
+    jac = np.empty(t.shape + (4,))
+    jac[..., 0] = 0.5 * erfc(t)
+    jac[..., 1] = total * sign * math.sqrt(2.0) / w * gauss
+    jac[..., 2] = total * t / w * gauss
+    jac[..., 3] = 1.0
+    return jac
 
 
 def knife_edge_model(
@@ -202,8 +234,10 @@ def knife_edge_model(
     total_power to background as the blade position sweeps upward; "out"
     is the mirror image. w is the 1/e^2 intensity radius [m].
     """
-    _, t = _edge_argument(np.asarray(blade_position, dtype=float), center, w, direction)
-    return background + 0.5 * total_power * erfc(t)
+    sign = _edge_sign(w, direction)
+    return _edge_model(
+        np.asarray(blade_position, dtype=float), total_power, center, w, sign, background
+    )
 
 
 def knife_edge_jacobian(
@@ -220,15 +254,9 @@ def knife_edge_jacobian(
     Returns an (n, 4) array for n blade positions, matching the
     parameter order used by fit_scan.
     """
+    sign = _edge_sign(w, direction)
     x = np.atleast_1d(np.asarray(blade_position, dtype=float))
-    sign, t = _edge_argument(x, center, w, direction)
-    gauss = np.exp(-(t**2)) / math.sqrt(math.pi)
-    jac = np.empty((x.size, 4))
-    jac[:, 0] = 0.5 * erfc(t)
-    jac[:, 1] = total_power * sign * math.sqrt(2.0) / w * gauss
-    jac[:, 2] = total_power * t / w * gauss
-    jac[:, 3] = 1.0
-    return jac
+    return _edge_jacobian(x, total_power, center, w, sign)
 
 
 def caustic_radius(z, w0: float, m2: float, z0: float, wavelength: float):
@@ -297,117 +325,35 @@ def caustic_squared_jacobian(
 
 
 def _solve_bounded(residuals, jacobian, start, lower, upper, what: str):
-    """Minimize cost = |residuals(x)|^2 / 2 over lower <= x <= upper.
-
-    Levenberg-Marquardt with Marquardt's diag(J^T J) scaling: in the
-    variables d x, with d the running largest column norms of J, each
-    damped step comes from one SVD of J / d per accepted point, so a
-    refused trial costs a residual evaluation and no factorization. Trial
-    points are clipped into the bounds and kept only when their cost is
-    finite and lower; the damping falls tenfold after a kept trial and
-    rises tenfold after a refused one. The iteration stops when a kept
-    step is below _STEP_TOL relative to x or drops the cost by less than
-    _COST_TOL relative, or when a proposed step is that short or the
-    linear model predicts it that small a drop (no lower cost is
-    reachable above rounding). Up to _POLISH_STEPS undamped Gauss-Newton
-    steps follow, each kept while it is shorter than the step before it
-    and longer than eps |x|: they carry x from within the step tolerance
-    to the stationary point itself, to rounding.
-
-    Returns (x, cost, jac) at the final point. Raises FitError naming
-    `what` when the residuals are not finite at the start, or when
-    _MAX_MODEL_EVALS residual evaluations pass before a stopping rule holds.
-    """
-    evaluations = 0
-
-    def evaluate(point):
-        nonlocal evaluations
-        evaluations += 1
-        # a trial where the model overflows is refused, not warned about
-        with np.errstate(all="ignore"):
-            values = residuals(point)
-            value = 0.5 * float(values @ values)
-        return values, value if math.isfinite(value) else math.inf
-
-    scale = 0.0
-
-    def factor(jac):
-        # the scaling d, the SVD of J / d, and u^T r in its left basis
-        nonlocal scale
-        scale = np.maximum(scale, np.linalg.norm(jac, axis=0))
-        d = np.where(scale > 0, scale, 1.0)
-        u, s, vt = np.linalg.svd(jac / d, full_matrices=False)
-        return d, s, vt, u.T @ r
-
-    def small(step, x):
-        return step <= _STEP_TOL * (_STEP_TOL + float(np.linalg.norm(x)))
-
-    x = np.asarray(start, dtype=float)
-    r, cost = evaluate(x)
-    if math.isinf(cost):
-        raise FitError(f"{what} residuals are not finite at the start point")
-    jac = jacobian(x)
-    d, s, vt, ur = factor(jac)
-    damping = 1e-3
-    last_step = math.inf
-    converged = False
-    while not converged:
-        t = s * ur / (s * s + damping)
-        # the drop in cost the linear model predicts for the unclipped step
-        predicted = float(t @ (s * ur) - 0.5 * (s * t) @ (s * t))
-        trial = np.clip(x - (vt.T @ t) / d, lower, upper)
-        step = float(np.linalg.norm(trial - x))
-        if small(step, x) or predicted <= _COST_TOL * cost:
-            break
-        if evaluations >= _MAX_MODEL_EVALS:
-            raise FitError(
-                f"{what} did not converge within {_MAX_MODEL_EVALS} evaluations",
-                residual=2.0 * cost,
-            )
-        trial_r, trial_cost = evaluate(trial)
-        if not trial_cost < cost:
-            damping *= 10.0
-            continue
-        converged = small(step, x) or cost - trial_cost <= _COST_TOL * cost
-        x, r, cost, jac = trial, trial_r, trial_cost, jacobian(trial)
-        damping /= 10.0
-        last_step = step
-        d, s, vt, ur = factor(jac)
-
-    for _ in range(_POLISH_STEPS):
-        if evaluations >= _MAX_MODEL_EVALS:
-            break
-        keep = s > s[0] * np.finfo(float).eps * max(jac.shape)
-        trial = np.clip(x - (vt[keep].T @ (ur[keep] / s[keep])) / d, lower, upper)
-        step = float(np.linalg.norm(trial - x))
-        if not np.finfo(float).eps * float(np.linalg.norm(x)) < step < last_step:
-            break
-        trial_r, trial_cost = evaluate(trial)
-        if math.isinf(trial_cost):
-            break
-        x, r, cost, jac = trial, trial_r, trial_cost, jacobian(trial)
-        last_step = step
-        d, s, vt, ur = factor(jac)
-    return x, cost, jac
+    """solve_bounded with at most _MAX_MODEL_EVALS residual evaluations per problem."""
+    return solve_bounded(residuals, jacobian, start, lower, upper, what, _MAX_MODEL_EVALS)
 
 
 # ---------------------------------------------------------------------------
 # scan fitting
 
+# lower bound on the normalized edge width; a fit ending within twice it has collapsed
+_EDGE_W_FLOOR = 1e-6
+
 
 def _initial_edge_parameters(u: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Crude (total, center, w, background) start in normalized units.
+    """Crude (total, center, w, background) starts in normalized units.
 
-    u are blade positions scaled to O(1), q powers scaled to [0, 1];
-    the center and width come from the 50% and erfc(+-1)/2 quantile
-    crossings (the latter sit w / sqrt(2) either side of the center).
+    u are blade positions scaled to O(1), q powers scaled to [0, 1], one
+    scan per row; the center and width come from the 50% and erfc(+-1)/2
+    quantile crossings (the latter sit w / sqrt(2) either side of the
+    center).
     """
-    center = float(u[np.argmin(np.abs(q - 0.5))])
-    u_high = float(u[np.argmin(np.abs(q - _LEVEL_HIGH))])
-    u_low = float(u[np.argmin(np.abs(q - _LEVEL_LOW))])
-    w = abs(u_low - u_high) / math.sqrt(2.0)
-    spacing = float(np.median(np.abs(np.diff(u))))
-    return np.array([1.0, center, max(w, spacing), 0.0])
+    rows = np.arange(u.shape[0])
+
+    def crossing(level):
+        return u[rows, np.argmin(np.abs(q - level), axis=1)]
+
+    w = np.abs(crossing(_LEVEL_LOW) - crossing(_LEVEL_HIGH)) / math.sqrt(2.0)
+    spacing = np.median(np.abs(np.diff(u, axis=1)), axis=1)
+    return np.stack(
+        [np.ones_like(w), crossing(0.5), np.maximum(w, spacing), np.zeros_like(w)], axis=1
+    )
 
 
 def fit_scan(scan: KnifeEdgeScan) -> WaistPoint:
@@ -419,61 +365,103 @@ def fit_scan(scan: KnifeEdgeScan) -> WaistPoint:
     their span, powers by their range) so convergence thresholds act on
     O(1) quantities regardless of physical magnitudes. The returned
     uncertainty is the 1 sigma value from the residual-scaled
-    covariance.
+    covariance. This is fit_scans([scan])[0].
 
     Raises FitError when the data are rank deficient (constant power)
     or the solver fails to converge within the evaluation budget.
     """
-    x = scan.blade_positions
-    p = scan.powers
-    power_span = float(p.max() - p.min())
-    if power_span <= 0 or power_span < 1e-12 * float(np.abs(p).max()):
-        raise FitError(
-            "rank-deficient scan: transmitted power is constant, no edge to fit"
-        )
+    result = fit_scans([scan])[0]
+    if isinstance(result, FitError):
+        raise result
+    return result
 
-    position_span = float(x.max() - x.min())
-    x_mid = 0.5 * float(x.max() + x.min())
-    p_min = float(p.min())
-    u = (x - x_mid) / position_span
-    q = (p - p_min) / power_span
 
-    w_floor = 1e-6
-    lower = np.array([0.0, -1.5, w_floor, -np.inf])
+def fit_scans(scans) -> list[WaistPoint | FitError]:
+    """Edge fits of many scans: each scan's WaistPoint, or the FitError
+    fit_scan would raise for it, in the order given.
+
+    Scans with the same sample count are solved as one stack (padding
+    others to it would change the SVD's rounding). Each scan keeps its own
+    iteration, stopping rules, evaluation budget and failure, so its result
+    is the same to the bit whatever else the call fits.
+    """
+    scans = list(scans)
+    results = [None] * len(scans)
+    stacks: dict = {}
+    for index, scan in enumerate(scans):
+        stacks.setdefault(scan.blade_positions.size, []).append(index)
+    for indices in stacks.values():
+        for index, result in zip(indices, _fit_edge_stack([scans[i] for i in indices])):
+            results[index] = result
+    return results
+
+
+def _fit_edge_stack(scans) -> list:
+    """fit_scans for scans that share one sample count."""
+    x = np.array([scan.blade_positions for scan in scans])
+    p = np.array([scan.powers for scan in scans])
+    power_span = p.max(axis=1) - p.min(axis=1)
+    flat = (power_span <= 0) | (power_span < 1e-12 * np.abs(p).max(axis=1))
+    results = [
+        FitError("rank-deficient scan: transmitted power is constant, no edge to fit")
+        if constant
+        else None
+        for constant in flat
+    ]
+    fitted = np.flatnonzero(~flat)
+    if not fitted.size:
+        return results
+    x, p, power_span = x[fitted], p[fitted], power_span[fitted]
+    position_span = x.max(axis=1) - x.min(axis=1)
+    x_mid = 0.5 * (x.max(axis=1) + x.min(axis=1))
+    u = (x - x_mid[:, None]) / position_span[:, None]
+    q = (p - p.min(axis=1)[:, None]) / power_span[:, None]
+    sign = np.array([[1.0 if scans[i].direction == "in" else -1.0] for i in fitted])
+
+    lower = np.array([0.0, -1.5, _EDGE_W_FLOOR, -np.inf])
     upper = np.array([np.inf, 1.5, 100.0, np.inf])
     start = np.clip(_initial_edge_parameters(u, q), lower, upper)
 
-    direction = scan.direction
+    def residuals(rows, params):
+        total, center, w, background = params.T[:, :, None]
+        return _edge_model(u[rows], total, center, w, sign[rows], background) - q[rows]
 
-    def residuals(params: np.ndarray) -> np.ndarray:
-        total, center, w, background = params
-        model = knife_edge_model(u, total, center, w, direction=direction, background=background)
-        return model - q
+    def jacobian(rows, params):
+        total, center, w, _ = params.T[:, :, None]
+        return _edge_jacobian(u[rows], total, center, w, sign[rows])
 
-    def jacobian(params: np.ndarray) -> np.ndarray:
-        total, center, w, background = params
-        return knife_edge_jacobian(u, total, center, w, direction=direction, background=background)
-
-    solution, cost, jac = _solve_bounded(residuals, jacobian, start, lower, upper, "edge fit")
-    w_scaled = float(solution[2])
-    if w_scaled <= 2.0 * w_floor:
-        raise FitError("edge fit collapsed to zero width", residual=2.0 * cost)
-
-    jtj = jac.T @ jac
-    if np.linalg.cond(jtj) > 1e14:
-        raise FitError(
+    solution, cost, jac, errors = _solve_bounded(
+        residuals, jacobian, start, lower, upper, "edge fit"
+    )
+    for row, error in errors.items():
+        results[fitted[row]] = error
+    solved = np.array([row not in errors for row in range(fitted.size)])
+    w_scaled = solution[:, 2]
+    collapsed = w_scaled <= 2.0 * _EDGE_W_FLOOR
+    for row in np.flatnonzero(solved & collapsed):
+        results[fitted[row]] = FitError(
+            "edge fit collapsed to zero width", residual=2.0 * cost[row]
+        )
+    rows = np.flatnonzero(solved & ~collapsed)
+    jtj = np.matmul(np.swapaxes(jac[rows], 1, 2), jac[rows])
+    singular = np.linalg.cond(jtj) > 1e14
+    for row in rows[singular]:
+        results[fitted[row]] = FitError(
             "rank-deficient scan: edge parameters are not independently "
             "determined by these samples",
-            residual=2.0 * cost,
+            residual=2.0 * cost[row],
         )
-    dof = x.size - 4
-    scale = 2.0 * cost / dof if dof > 0 else 0.0
-    covariance = np.linalg.inv(jtj) * scale
-    w = w_scaled * position_span
-    w_uncertainty = float(np.sqrt(max(covariance[2, 2], 0.0))) * position_span
-    return WaistPoint(
-        z=scan.z, w=w, w_uncertainty=w_uncertainty, direction=scan.direction
-    )
+    rows = rows[~singular]
+    dof = x.shape[1] - 4  # at least 4: a scan has _MIN_SCAN_SAMPLES = 8 or more
+    variance = np.linalg.inv(jtj[~singular])[:, 2, 2] * (2.0 * cost[rows] / dof)
+    widths = w_scaled[rows] * position_span[rows]
+    sigmas = np.sqrt(np.maximum(variance, 0.0)) * position_span[rows]
+    for row, w, sigma in zip(rows, widths, sigmas):
+        scan = scans[fitted[row]]
+        results[fitted[row]] = WaistPoint(
+            z=scan.z, w=float(w), w_uncertainty=float(sigma), direction=scan.direction
+        )
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -496,9 +484,9 @@ def fit_caustic(points, wavelength: float) -> CausticFit:
 
     Raises DomainError for fewer than 5 points, waists outside
     [1e-150, 1e150] m or spanning a ratio whose square overflows, a z
-    span that overflows, or a weight that overflows or underflows to 0;
-    FitError when the solver fails or the fitted waist collapses toward
-    zero.
+    span that overflows, or a weight that overflows, underflows to 0 or
+    is too small for its residual to square to a float; FitError when
+    the solver fails or the fitted waist collapses toward zero.
     """
     points = list(points)
     require(wavelength > 0, "wavelength", "> 0", wavelength)
@@ -554,6 +542,11 @@ def fit_caustic(points, wavelength: float) -> CausticFit:
             name = f"caustic fit point {i}'s weight 2 w sigma_w / w_min^2"
             value = f"w = {w[i]:g} m, sigma_w = {sigma[i]:g} m, w_min = {w_scale:g} m"
             require(0.0 < weight[i] < math.inf, name, "finite and nonzero", value)
+        # i is now the smallest weight's point; its residual and Jacobian row
+        # are about (w_max / w_min)^2 / weight, and their squares must not overflow
+        floor = ratio * ratio / _MAX_WEIGHTED
+        rule = f"at least (w_max / w_min)^2 / {_MAX_WEIGHTED:g} = {floor:.3g}"
+        require(weight[i] >= floor, name, rule, value)
     else:
         weight = np.ones_like(w)
         notes.append(
@@ -571,17 +564,23 @@ def fit_caustic(points, wavelength: float) -> CausticFit:
             return params[0], params[1], params[2], params[3]
         return params[0], params[1], params[2], 0.0
 
-    def residuals(params: np.ndarray) -> np.ndarray:
-        a, m2, b, c = expand(params)
+    # a stack of one problem for _solve_bounded
+    def residuals(rows, params: np.ndarray) -> np.ndarray:
+        a, m2, b, c = expand(params[0])
         model = caustic_squared_model(zeta, ind, a, m2, b, c, lam_scaled)
-        return (model - omega) / weight
+        return ((model - omega) / weight)[None]
 
-    def jacobian(params: np.ndarray) -> np.ndarray:
-        a, m2, b, c = expand(params)
+    def jacobian(rows, params: np.ndarray) -> np.ndarray:
+        a, m2, b, c = expand(params[0])
         jac = caustic_squared_jacobian(zeta, ind, a, m2, b, c, lam_scaled)
-        return jac[:, :n_params] / weight[:, None]
+        return (jac[:, :n_params] / weight[:, None])[None]
 
-    solution, cost, jac = _solve_bounded(residuals, jacobian, start, lower, upper, "caustic fit")
+    solutions, costs, jacs, errors = _solve_bounded(
+        residuals, jacobian, start[None], lower, upper, "caustic fit"
+    )
+    if errors:
+        raise errors[0]
+    solution, cost, jac = solutions[0], costs[0], jacs[0]
     a, m2, b, c = expand(solution)
     if a <= 2.0 * w0_floor:
         raise FitError(
@@ -849,6 +848,30 @@ def _read_single_scan(rows) -> list:
 
 
 def _read_combined_scans(rows) -> dict:
+    """Scans of a combined file, read in one pass over its rows with float()
+    on each cell; the z text a scan repeats on every row is converted once.
+
+    A malformed row sends the file to _read_combined_rows, which reads it
+    row by row and names the first malformed line.
+    """
+    groups: dict = {}
+    z_values: dict = {}
+    try:
+        for _, (z, position, power, direction) in rows[1:]:
+            value = z_values.get(z)
+            if value is None:
+                value = z_values[z] = float(z)
+            positions, powers = groups.setdefault((value, direction.strip()), ([], []))
+            positions.append(float(position))
+            powers.append(float(power))
+    except ValueError:  # a row of another length, or a cell that is not a number
+        return _read_combined_rows(rows)
+    if not {direction for _, direction in groups} <= set(_DIRECTIONS):
+        return _read_combined_rows(rows)
+    return groups
+
+
+def _read_combined_rows(rows) -> dict:
     groups: dict = {}
     for line_number, row in rows[1:]:
         if len(row) != 4:

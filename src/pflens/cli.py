@@ -215,11 +215,11 @@ def cmd_fit(args, config: ProjectConfig) -> str:
 
     points = []
     scan_errors = []
-    for index, scan in enumerate(scans):
-        try:
-            points.append(beamfit.fit_scan(scan))
-        except NumericalError as error:
-            scan_errors.append({"scan_index": index, "error": str(error)})
+    for index, result in enumerate(beamfit.fit_scans(scans)):
+        if isinstance(result, NumericalError):
+            scan_errors.append({"scan_index": index, "error": str(result)})
+        else:
+            points.append(result)
 
     if len(scans) == 1:
         if scan_errors:

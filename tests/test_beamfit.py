@@ -23,6 +23,7 @@ from pflens import (
     derived_beam_parameters,
     fit_caustic,
     fit_scan,
+    fit_scans,
     knife_edge_model,
     read_scans_csv,
     synthetic_caustic_points,
@@ -404,34 +405,38 @@ class TestSolver:
     def test_non_finite_trial_refused_without_warning(self):
         # the first undamped step from x = 0 lands at x = 1.98, where the
         # square root is nan; the solver must shrink the step, not warn
-        def residuals(x):
+        # (a stack of one problem)
+        def residuals(rows, x):
             return np.sqrt(1.0 - x) - 0.1
 
-        def jacobian(x):
-            return (-0.5 / np.sqrt(1.0 - x))[:, None]
+        def jacobian(rows, x):
+            return (-0.5 / np.sqrt(1.0 - x))[:, :, None]
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            x, cost, jac = beamfit._solve_bounded(
-                residuals, jacobian, np.zeros(1), np.full(1, -np.inf), np.full(1, np.inf), "test"
+            x, cost, jac, errors = beamfit._solve_bounded(
+                residuals, jacobian, np.zeros((1, 1)), np.full(1, -np.inf), np.full(1, np.inf), "test"
             )
-        assert x[0] == pytest.approx(0.99, rel=1e-12)
-        assert cost < 1e-28
-        assert jac.shape == (1, 1)
+        assert errors == {}
+        assert x[0, 0] == pytest.approx(0.99, rel=1e-12)
+        assert cost[0] < 1e-28
+        assert jac[0].shape == (1, 1)
 
     def test_no_point_evaluated_within_rounding_of_an_earlier_one(self, monkeypatch):
         # a polish step at or below eps |x| moves nothing; it must not cost a
         # residual evaluation, a Jacobian and an SVD
+        # (one record per problem of each stack)
         evaluated = []
         solve = beamfit._solve_bounded
 
         def recording(residuals, jacobian, start, lower, upper, what):
-            run = []
-            evaluated.append(run)
+            runs = [[] for _ in start]
+            evaluated.extend(runs)
 
-            def recorded(x):
-                run.append(np.array(x))
-                return residuals(x)
+            def recorded(rows, x):
+                for row, point in zip(rows, x):
+                    runs[row].append(np.array(point))
+                return residuals(rows, x)
 
             return solve(recorded, jacobian, start, lower, upper, what)
 
@@ -447,17 +452,136 @@ class TestSolver:
 
     def test_trials_clipped_into_bounds(self):
         # the unconstrained minimum x = 2 lies past the upper bound 1
-        def residuals(x):
-            return np.array([x[0] - 2.0, 0.5 * (x[0] - 2.0)])
+        # (a stack of one problem)
+        def residuals(rows, x):
+            return np.array([[x[0, 0] - 2.0, 0.5 * (x[0, 0] - 2.0)]])
 
-        def jacobian(x):
-            return np.array([[1.0], [0.5]])
+        def jacobian(rows, x):
+            return np.array([[[1.0], [0.5]]])
 
-        x, cost, _ = beamfit._solve_bounded(
-            residuals, jacobian, np.zeros(1), np.full(1, -1.0), np.ones(1), "test"
+        x, cost, _, errors = beamfit._solve_bounded(
+            residuals, jacobian, np.zeros((1, 1)), np.full(1, -1.0), np.ones(1), "test"
         )
-        assert x[0] == 1.0
-        assert cost == pytest.approx(0.5 * 1.25, rel=1e-15)
+        assert errors == {}
+        assert x[0, 0] == 1.0
+        assert cost[0] == pytest.approx(0.5 * 1.25, rel=1e-15)
+
+
+def _fit_one_at_a_time(scans) -> list:
+    results = []
+    for scan in scans:
+        try:
+            results.append(fit_scan(scan))
+        except FitError as error:
+            results.append(error)
+    return results
+
+
+def _outcomes(results):
+    """(w, w_uncertainty, error message) arrays; nan or "" where absent."""
+    widths = [r.w if isinstance(r, WaistPoint) else np.nan for r in results]
+    sigmas = [r.w_uncertainty if isinstance(r, WaistPoint) else np.nan for r in results]
+    messages = [str(r) if isinstance(r, FitError) else "" for r in results]
+    return np.array(widths), np.array(sigmas), messages
+
+
+class TestStackedFits:
+    # fit_scans solves the scans of one sample count as one stack; no scan's
+    # result may depend on what else is fitted with it
+
+    # at 5 evaluations 24 of the 50 bundled scans converge and 26 run out
+    @pytest.mark.parametrize("budget", [None, 5])
+    def test_fit_does_not_depend_on_the_batch(self, monkeypatch, budget):
+        if budget is not None:
+            monkeypatch.setattr(beamfit, "_MAX_MODEL_EVALS", budget)
+        scans = read_scans_csv(bundled_caustic_dataset_path())
+        together = _outcomes(fit_scans(scans))
+        for results in (
+            fit_scans(scans[::-1])[::-1],
+            [fit_scans([scan])[0] for scan in scans],
+            _fit_one_at_a_time(scans),
+        ):
+            widths, sigmas, messages = _outcomes(results)
+            np.testing.assert_array_equal(widths, together[0])
+            np.testing.assert_array_equal(sigmas, together[1])
+            assert messages == together[2]
+        failed = sum(bool(message) for message in together[2])
+        if budget is None:
+            assert failed == 0
+        else:
+            assert 0 < failed < len(scans)
+            assert "edge fit did not converge within 5 evaluations" in max(together[2])
+
+    def test_scans_of_different_lengths_fit_as_alone(self):
+        rng = np.random.default_rng(8)
+        bundled = read_scans_csv(bundled_caustic_dataset_path())[:6]
+        short = [
+            synthetic_knife_edge_scan(
+                z=1e-6 * k, w=REFERENCE_WAIST, n_positions=40, noise_fraction=0.01, rng=rng
+            )
+            for k in range(6)
+        ]
+        mixed = [scan for pair in zip(bundled, short) for scan in pair]
+        widths, sigmas, messages = _outcomes(fit_scans(mixed))
+        alone = _outcomes(_fit_one_at_a_time(mixed))
+        np.testing.assert_array_equal(widths, alone[0])
+        np.testing.assert_array_equal(sigmas, alone[1])
+        assert messages == alone[2] == [""] * 12
+
+    def test_a_failing_scan_fails_alone(self):
+        scans = read_scans_csv(bundled_caustic_dataset_path())
+        good = fit_scans(scans[:7] + scans[8:20] + scans[21:])
+        # scan 7 made flat (refused before the solver), scan 20 a sharp step
+        # (its width collapses inside the stack)
+        flat, edge = scans[7], scans[20]
+        scans[7] = KnifeEdgeScan(
+            z=flat.z, blade_positions=flat.blade_positions,
+            powers=np.full(flat.powers.size, 0.5), direction=flat.direction,
+        )
+        middle = np.median(edge.blade_positions)
+        scans[20] = KnifeEdgeScan(
+            z=edge.z, blade_positions=edge.blade_positions,
+            powers=np.where(edge.blade_positions < middle, 1.0, 0.0), direction=edge.direction,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = fit_scans(scans)
+        assert str(results[7]) == (
+            "rank-deficient scan: transmitted power is constant, no edge to fit"
+        )
+        assert str(results[20]).startswith("edge fit collapsed to zero width")
+        rest = results[:7] + results[8:20] + results[21:]
+        assert all(isinstance(result, WaistPoint) for result in rest)
+        assert rest == good
+
+    def test_solver_keeps_each_failure_to_its_row(self):
+        # the same problem three times; row 1's residuals are nan at the start,
+        # row 2's Jacobian is infinite, and row 0 solves as it does alone
+        def residuals(rows, x):
+            values = np.sqrt(1.0 - x) - 0.1
+            values[rows == 1] = np.nan
+            return values
+
+        def jacobian(rows, x):
+            jac = (-0.5 / np.sqrt(1.0 - x))[:, :, None]
+            jac[rows == 2] = np.inf
+            return jac
+
+        bounds = np.full(1, -np.inf), np.full(1, np.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, cost, _, errors = beamfit._solve_bounded(
+                residuals, jacobian, np.zeros((3, 1)), *bounds, "test"
+            )
+            alone_x, alone_cost, _, alone_errors = beamfit._solve_bounded(
+                residuals, jacobian, np.zeros((1, 1)), *bounds, "test"
+            )
+        assert sorted(errors) == [1, 2]
+        assert str(errors[1]) == "test residuals are not finite at the start point"
+        assert str(errors[2]).startswith("test Jacobian is not finite")
+        assert alone_errors == {}
+        assert x[0, 0] == alone_x[0, 0] == pytest.approx(0.99, rel=1e-12)
+        assert cost[0] == alone_cost[0]
 
 
 class TestDerivedParameters:
@@ -578,6 +702,26 @@ class TestCausticFitValidation:
             with pytest.raises(DomainError, match=message):
                 fit_caustic(points, WAVELENGTH)
 
+    @pytest.mark.parametrize("sigma", [1e-300, 1e-310])
+    def test_tiny_weight_refused_by_point_before_any_warning(self, sigma):
+        # 2 w sigma_w / w_min^2 is about 6e-294 or 6e-304: the point's residual
+        # and Jacobian row square past the float range
+        points = [
+            WaistPoint(z=p.z, w=p.w, w_uncertainty=sigma if i == 4 else 0.01 * p.w)
+            for i, p in enumerate(
+                synthetic_caustic_points(
+                    np.linspace(-20e-6, 20e-6, 9), REFERENCE_WAIST, REFERENCE_M2, WAVELENGTH,
+                    directions=("in",),
+                )
+            )
+        ]
+        assert points[4].w == pytest.approx(3.5e-7)
+        message = r"caustic fit point 4's weight 2 w sigma_w / w_min\^2 must be at least"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=message):
+                fit_caustic(points, WAVELENGTH)
+
     def test_noise_refused_where_samples_would_overflow(self):
         rng = np.random.default_rng(1)
         with pytest.raises(DomainError, match=r"at noise_fraction 1e\+09, got 1e\+308"):
@@ -643,6 +787,39 @@ class TestCsvInterchange:
         path.write_text("\n".join(text) + "\n")
         with pytest.raises(SchemaError, match="line 4"):
             read_scans_csv(path)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("0,1e-7,0.5", "line 3: column 1 is '0', expected 'z_m'"),
+            ("zero,1e-7,0.5,in", "line 3: z_m value 'zero' is not a number"),
+            ("0,1e-7,half,in", "line 3: power value 'half' is not a number"),
+            ("0,1e-7,0.5,up", "line 3: direction must be 'in' or 'out', got 'up'"),
+        ],
+    )
+    def test_first_malformed_row_named(self, tmp_path, bad, message):
+        # line 5 is malformed too; the error names line 3, the first
+        rows = ["z_m,blade_position_m,power,direction", "0,0,1,in", bad, "0,2e-7,0.2,in"]
+        rows += ["0,3e-7,x,in"] + [f"0,{k}e-7,0.1,in" for k in range(4, 12)]
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(SchemaError) as refused:
+            read_scans_csv(path)
+        assert str(refused.value) == message
+
+    def test_rows_of_one_scan_merge_in_file_order(self, tmp_path):
+        # scan (2 um, in) writes its z two ways; its rows interleave with (0, out)
+        rows = ["z_m,blade_position_m,power,direction"]
+        for k in range(10):
+            rows.append(f"{'2e-06' if k % 2 else '2.0e-6'},{k}e-7,{1 - k / 10},in")
+            rows.append(f"0,{k}e-7,{k / 10},out")
+        path = tmp_path / "interleaved.csv"
+        path.write_text("\n".join(rows) + "\n")
+        first, second = read_scans_csv(path)
+        assert (first.z, first.direction, second.z, second.direction) == (2e-6, "in", 0.0, "out")
+        np.testing.assert_array_equal(first.blade_positions, [k * 1e-7 for k in range(10)])
+        np.testing.assert_array_equal(first.powers, [1 - k / 10 for k in range(10)])
+        np.testing.assert_array_equal(second.powers, [k / 10 for k in range(10)])
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -17,7 +17,15 @@ import numpy as np
 import pytest
 
 from pflens import clear_transform_cache, hankel
-from pflens.beamfit import read_scans_csv, scans_csv_text, synthetic_knife_edge_scan
+from pflens.beamfit import (
+    KnifeEdgeScan,
+    bundled_caustic_dataset_path,
+    fit_caustic,
+    fit_scan,
+    read_scans_csv,
+    scans_csv_text,
+    synthetic_knife_edge_scan,
+)
 from pflens.cli import build_parser, main
 from pflens.config import ProjectConfig, config_text, default_config
 
@@ -344,6 +352,33 @@ class TestFit:
         assert code == 3
         assert "rank-deficient" in captured.err
 
+
+    def test_flat_scan_reported_alone_and_left_out_of_the_caustic(self, tmp_path, capsys):
+        scans = read_scans_csv(bundled_caustic_dataset_path())
+        flat = scans[7]
+        scans[7] = KnifeEdgeScan(
+            z=flat.z, blade_positions=flat.blade_positions,
+            powers=np.full(flat.powers.size, 0.5), direction=flat.direction,
+        )
+        path = tmp_path / "scans.csv"
+        path.write_text(scans_csv_text(scans))
+        report = run_json(["fit", "--input", str(path)], capsys)
+        assert report["scan_errors"] == [
+            {
+                "scan_index": 7,
+                "error": "rank-deficient scan: transmitted power is constant, no edge to fit",
+            }
+        ]
+        good = [fit_scan(scan) for index, scan in enumerate(scans) if index != 7]
+        expected = fit_caustic(good, default_config().wavelength)
+        assert report["parameters"] == {
+            "w0_m": expected.w0,
+            "m2": expected.m2,
+            "z0_m": expected.z0,
+            "direction_offset_m": expected.direction_offset,
+        }
+        assert report["covariance"] == expected.covariance.tolist()
+        assert [point["w_m"] for point in report["points"]] == [point.w for point in good]
 
     @pytest.mark.parametrize("scale", [1e160, 1e-165])
     def test_waists_whose_squares_leave_the_float_range_refused(self, tmp_path, capsys, scale):

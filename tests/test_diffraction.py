@@ -466,14 +466,15 @@ class TestFocalScans:
         np.testing.assert_allclose(scan.encircled_power, enc_p, rtol=1e-9)
 
     def test_batched_fine_values_match_per_plane_resample(self, converging_beam, monkeypatch):
+        # each plane's knife-edge curve is built from the scan's batched resample
         seen = []
-        measure = diffraction.measure_waist_knife_edge
+        build = diffraction._blade_curve
 
-        def recording(field, *args, **kwargs):
-            seen.append(kwargs["fine_values"])
-            return measure(field, *args, **kwargs)
+        def recording(field, n_blade_positions, fine_values):
+            seen.append(fine_values)
+            return build(field, n_blade_positions, fine_values)
 
-        monkeypatch.setattr(diffraction, "measure_waist_knife_edge", recording)
+        monkeypatch.setattr(diffraction, "_blade_curve", recording)
         z = np.linspace(
             LENS_FOCUS - 2 * LENS_RAYLEIGH_OUT, LENS_FOCUS + 2 * LENS_RAYLEIGH_OUT, 5
         )
