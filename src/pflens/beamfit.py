@@ -17,7 +17,7 @@ direction); the caustic fit exposes it as a fourth parameter,
 direction_offset, fixed to zero when only one direction is present.
 
 Both fits use analytic Jacobians and one bounded least-squares solver,
-_solve_bounded (pflens._lsq): Levenberg-Marquardt with diag(J^T J) scaling (Marquardt,
+solve_bounded (pflens._lsq): Levenberg-Marquardt with diag(J^T J) scaling (Marquardt,
 SIAM J. Appl. Math. 11, 431, 1963), whose trial points are clipped into
 the fit's bounds and kept only when their cost is finite and lower. It
 stops at a relative step of 1e-10, a relative cost drop of 1e-14, or
@@ -64,6 +64,9 @@ _MAX_WAIST = 1e150
 # largest (w_max / w_min)^2 / weight the caustic fit takes: a point's scaled residual and
 # Jacobian row are about that size, so their squares stay far below the float limit
 _MAX_WEIGHTED = 1e150
+# largest |min| + |max| of a scan's blade positions [m]: the edge fit's span max - min,
+# its max + min and a fitted width of up to 100 spans stay inside the float range
+_MAX_BLADE_EXTENT = 1e300
 # largest noise_fraction synthesis takes: a power sample p times 1 + noise_fraction z, for any
 # standard normal draw z (|z| < 40), stays below the 1.8e308 float limit for p up to 1e150
 _MAX_NOISE = 1e150
@@ -110,6 +113,14 @@ class KnifeEdgeScan:
         steps = np.diff(positions)
         if not (np.all(steps > 0) or np.all(steps < 0)):
             raise DomainError("blade_positions must be strictly monotone")
+        # Python floats: an overflowing sum is inf, with no warning
+        first, last = float(positions.min()), float(positions.max())
+        require(
+            abs(first) + abs(last) <= _MAX_BLADE_EXTENT,
+            "the blade positions' span",
+            f"within |min| + |max| <= {_MAX_BLADE_EXTENT:g} m",
+            f"{first:g} to {last:g} m",
+        )
         lowest = powers.min()
         require(lowest >= 0, "powers", "non-negative", lowest)
         _check_direction(self.direction)
@@ -321,15 +332,6 @@ def caustic_squared_jacobian(
 
 
 # ---------------------------------------------------------------------------
-# bounded least squares
-
-
-def _solve_bounded(residuals, jacobian, start, lower, upper, what: str):
-    """solve_bounded with at most _MAX_MODEL_EVALS residual evaluations per problem."""
-    return solve_bounded(residuals, jacobian, start, lower, upper, what, _MAX_MODEL_EVALS)
-
-
-# ---------------------------------------------------------------------------
 # scan fitting
 
 # lower bound on the normalized edge width; a fit ending within twice it has collapsed
@@ -430,8 +432,8 @@ def _fit_edge_stack(scans) -> list:
         total, center, w, _ = params.T[:, :, None]
         return _edge_jacobian(u[rows], total, center, w, sign[rows])
 
-    solution, cost, jac, errors = _solve_bounded(
-        residuals, jacobian, start, lower, upper, "edge fit"
+    solution, cost, jac, errors = solve_bounded(
+        residuals, jacobian, start, lower, upper, "edge fit", _MAX_MODEL_EVALS
     )
     for row, error in errors.items():
         results[fitted[row]] = error
@@ -564,7 +566,7 @@ def fit_caustic(points, wavelength: float) -> CausticFit:
             return params[0], params[1], params[2], params[3]
         return params[0], params[1], params[2], 0.0
 
-    # a stack of one problem for _solve_bounded
+    # a stack of one problem for solve_bounded
     def residuals(rows, params: np.ndarray) -> np.ndarray:
         a, m2, b, c = expand(params[0])
         model = caustic_squared_model(zeta, ind, a, m2, b, c, lam_scaled)
@@ -575,8 +577,8 @@ def fit_caustic(points, wavelength: float) -> CausticFit:
         jac = caustic_squared_jacobian(zeta, ind, a, m2, b, c, lam_scaled)
         return (jac[:, :n_params] / weight[:, None])[None]
 
-    solutions, costs, jacs, errors = _solve_bounded(
-        residuals, jacobian, start[None], lower, upper, "caustic fit"
+    solutions, costs, jacs, errors = solve_bounded(
+        residuals, jacobian, start[None], lower, upper, "caustic fit", _MAX_MODEL_EVALS
     )
     if errors:
         raise errors[0]
@@ -851,38 +853,31 @@ def _read_combined_scans(rows) -> dict:
     """Scans of a combined file, read in one pass over its rows with float()
     on each cell; the z text a scan repeats on every row is converted once.
 
-    A malformed row sends the file to _read_combined_rows, which reads it
-    row by row and names the first malformed line.
+    A malformed row is diagnosed where it is met, so the SchemaError names
+    the first malformed line; a scan's direction is checked at its first row.
     """
     groups: dict = {}
     z_values: dict = {}
-    try:
-        for _, (z, position, power, direction) in rows[1:]:
+    for line_number, row in rows[1:]:
+        try:
+            z, position, power, direction = row
             value = z_values.get(z)
             if value is None:
                 value = z_values[z] = float(z)
-            positions, powers = groups.setdefault((value, direction.strip()), ([], []))
-            positions.append(float(position))
-            powers.append(float(power))
-    except ValueError:  # a row of another length, or a cell that is not a number
-        return _read_combined_rows(rows)
-    if not {direction for _, direction in groups} <= set(_DIRECTIONS):
-        return _read_combined_rows(rows)
-    return groups
-
-
-def _read_combined_rows(rows) -> dict:
-    groups: dict = {}
-    for line_number, row in rows[1:]:
-        if len(row) != 4:
-            raise _schema_mismatch(line_number, row, COMBINED_HEADER)
-        z = _parse_float(row[0], line_number, COMBINED_HEADER[0])
-        position = _parse_float(row[1], line_number, COMBINED_HEADER[1])
-        power = _parse_float(row[2], line_number, COMBINED_HEADER[2])
-        key = (z, _parse_direction(row[3], line_number))
-        positions, powers = groups.setdefault(key, ([], []))
-        positions.append(position)
-        powers.append(power)
+            position, power = float(position), float(power)
+        except ValueError:  # a row of another length, or a cell that is not a number
+            if len(row) != 4:
+                raise _schema_mismatch(line_number, row, COMBINED_HEADER) from None
+            for text, column in zip(row, COMBINED_HEADER[:3]):
+                _parse_float(text, line_number, column)
+            raise
+        key = (value, direction.strip())
+        samples = groups.get(key)
+        if samples is None:
+            _parse_direction(direction, line_number)
+            samples = groups[key] = ([], [])
+        samples[0].append(position)
+        samples[1].append(power)
     return groups
 
 

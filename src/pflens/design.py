@@ -181,7 +181,11 @@ def zone_layout(design: LensDesign) -> ZoneLayout:
 
 def etch_depth(design: LensDesign) -> float:
     """Substrate etch depth [m] giving a half-wave step: lam / (2 (n - 1))."""
-    return design.design_wavelength / (2.0 * (design.substrate_index - 1.0))
+    return _half_wave_depth(design.design_wavelength, design.substrate_index)
+
+
+def _half_wave_depth(wavelength: float, substrate_index: float) -> float:
+    return wavelength / (2.0 * (substrate_index - 1.0))
 
 
 def multilevel_efficiency(
@@ -305,7 +309,7 @@ def read_zone_csv(
         radii.append(r)
     radii = np.asarray(radii)
     if etch_depth_m is None:
-        etch_depth_m = design_wavelength / (2.0 * (substrate_index - 1.0))
+        etch_depth_m = _half_wave_depth(design_wavelength, substrate_index)
     if aperture_radius is None:
         aperture_radius = float(radii[-1]) if radii.size else design_wavelength
     return ZoneLayout(

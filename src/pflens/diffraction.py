@@ -42,13 +42,6 @@ _GUARD_BAND_MAX_POWER = 1e-2
 _MIN_SAMPLES_PER_ZONE = 4.0
 # planes whose spectra scan_field stacks into one batched inverse transform
 _SCAN_CHUNK_PLANES = 64
-# Chebyshev nodes the near-axis fine grid is resampled through. A spectrum
-# holds k <= j_N / R < S / R and the fine grid reaches at most 60 spacings
-# of under pi R / S, so k r <= 60 pi there. J0(k r cos t) has Chebyshev
-# coefficients J_n(k r / 2)^2 at order 2n, below 1e-19 from n = 128 at
-# k r = 60 pi: the even interpolant through 2 x 128 first-kind points is
-# exact to j0's rounding on every grid (112 nodes leave 5e-9)
-_FINE_NODES = 128
 # knife_edge_power_curve expands arccos(x / r) in powers of x / r on radii
 # beyond this multiple of the largest blade offset, keeping the first
 # _KNIFE_EDGE_FAR_TERMS terms (truncation below 5.3e-18 rad; see there)
@@ -109,17 +102,13 @@ def gaussian_beam(transform: HankelTransform, waist: float, wavelength: float) -
     return RadialField(transform, values, wavelength)
 
 
-def _grid_max_spacing(grid: np.ndarray) -> float:
-    return float(np.max(np.diff(grid)))
-
-
 def _outer_zone_pitch(layout: ZoneLayout) -> float:
     return float(layout.ring_radii[-1] - layout.ring_radii[-2])
 
 
 def _undersampled(samples_per_zone: float, layout: ZoneLayout, max_radius: float) -> ResolutionError:
-    # the widest gap between collocation radii, (j_N - j_{N-1}) R / j_{N+1},
-    # is just under R / (N + 3/4), so this many points always suffice
+    # the grid's max_spacing is just under R / (N + 3/4), so this many
+    # points always suffice
     pitch = _outer_zone_pitch(layout)
     ratio = _MIN_SAMPLES_PER_ZONE * max_radius / pitch
     if math.isinf(ratio):
@@ -164,7 +153,7 @@ def apply_binary_pfl(field: RadialField, layout: ZoneLayout) -> RadialField:
         return field.with_amplitude(amplitude)
 
     if layout.zone_count >= 2:
-        samples_per_zone = _outer_zone_pitch(layout) / _grid_max_spacing(r)
+        samples_per_zone = _outer_zone_pitch(layout) / transform.max_spacing
         if samples_per_zone < _MIN_SAMPLES_PER_ZONE:
             raise _undersampled(samples_per_zone, layout, transform.max_radius)
 
@@ -195,7 +184,8 @@ def apply_ideal_lens(
     """
     require(focal_length > 0, "focal_length", "> 0", focal_length)
     require(aperture_radius > 0, "aperture_radius", "> 0", aperture_radius)
-    r = field.transform.radii
+    transform = field.transform
+    r = transform.radii
     # steepest phase gradient (at the rim) must stay below grid Nyquist
     if paraxial:
         rim_gradient = field.wavenumber * aperture_radius / focal_length
@@ -203,7 +193,7 @@ def apply_ideal_lens(
         rim_gradient = (
             field.wavenumber * aperture_radius / math.hypot(focal_length, aperture_radius)
         )
-    nyquist = math.pi / _grid_max_spacing(r)
+    nyquist = math.pi / transform.max_spacing
     if rim_gradient > nyquist:
         raise ResolutionError(
             f"lens phase oscillates at {rim_gradient:.3g} rad/m at the rim "
@@ -363,66 +353,17 @@ def knife_edge_power_curve(
     return curve
 
 
-def _fine_radii(transform: HankelTransform, fine_points: int) -> np.ndarray:
-    """Near-axis fine grid: fine_points radii evenly spaced out to 60 grid spacings (at most R)."""
-    fine_max = min(60 * _grid_max_spacing(transform.radii), transform.max_radius)
-    return np.linspace(0.0, fine_max, fine_points)
-
-
-def _fine_interpolation(radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The _FINE_NODES Chebyshev nodes on (0, radii[-1]) and the matrix from them to radii.
-
-    The nodes are the positive half of the 2 q first-kind points
-    x_j = radii[-1] cos t_j, t_j = (j + 1/2) pi / 2q, on [-radii[-1],
-    radii[-1]]. Their barycentric weights are (-1)^j sin t_j, and -x_j's
-    is the negative of x_j's (Berrut and Trefethen, SIAM Rev. 46, 501,
-    2004). A field even in r takes one value on each pair, which then
-    adds (-1)^j sin t_j 2 x_j / (r^2 - x_j^2) to the formula, so row i of
-    the (radii x q) matrix is those terms at radii[i], normalized to sum 1.
-    """
-    angles = (np.arange(_FINE_NODES) + 0.5) * (np.pi / (2 * _FINE_NODES))
-    cosines = np.cos(angles)
-    weights = (-1.0) ** np.arange(_FINE_NODES) * np.sin(angles) * cosines
-    # in units of radii[-1]; the product is the accurate form of u^2 - c^2 near a node
-    u = radii[:, None] / radii[-1]
-    with np.errstate(divide="ignore"):
-        terms = weights / ((u - cosines) * (u + cosines))
-    # a radius on a node takes that node's value
-    on_node = np.isinf(terms)
-    hits = on_node.any(axis=1)
-    terms[hits] = on_node[hits]
-    return radii[-1] * cosines, terms / terms.sum(axis=1, keepdims=True)
-
-
-def _fine_values(transform: HankelTransform, spectra: np.ndarray, fine_points: int) -> np.ndarray:
-    """Angular spectra, shape (N,) or (N, Z), summed on _fine_radii.
-
-    The spectra are summed at the _FINE_NODES Chebyshev nodes through the
-    transform's kept fine resample matrix (q x N, the same for every
-    fine_points), with the columns viewed as interleaved real and
-    imaginary float64 columns, so one product covers both parts of every
-    column. A (fine_points x q) interpolation matrix, built per call, then
-    carries the node values to the fine radii.
-    """
-    radii = _fine_radii(transform, fine_points)
-    nodes, interpolation = _fine_interpolation(radii)
-    resampler = transform.fine_resample_matrix(nodes, spectra)
-    columns = np.ascontiguousarray(spectra, dtype=complex).reshape(spectra.shape[0], -1)
-    fine = (interpolation @ (resampler @ columns.view(np.float64))).view(np.complex128)
-    return fine.reshape((fine_points,) + spectra.shape[1:])
-
-
 def _composite_radial_intensity(
     field_values: np.ndarray, transform: HankelTransform, fine_values: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Intensity on a grid refined near the axis.
 
-    Inside the fine grid (_fine_radii) it takes fine_values, the field
-    resampled there by _fine_values; outside it the native collocation
-    samples are used.
+    Inside the transform's fine grid (fine_radii) it takes fine_values, the
+    field resampled there by transform.fine_values; outside it the native
+    collocation samples are used.
     """
-    fine_r = _fine_radii(transform, fine_values.shape[0])
-    outer = transform.radii > fine_r[-1]
+    fine_r = transform.fine_radii(fine_values.shape[0])
+    outer = transform.radii > transform.fine_span
     radii = np.concatenate([fine_r, transform.radii[outer]])
     intensity = np.concatenate(
         [np.abs(fine_values) ** 2, np.abs(field_values[outer]) ** 2]
@@ -464,24 +405,17 @@ def _spot_radius_estimate(radii: np.ndarray, intensity: np.ndarray) -> float:
     return max(float(crossing - radii[i_peak]), float(radii[1] - radii[0]))
 
 
-def measure_waist_knife_edge(
-    field: RadialField,
-    n_blade_positions: int = 81,
-    fine_values: np.ndarray | None = None,
-) -> tuple[float, float]:
+def measure_waist_knife_edge(field: RadialField, n_blade_positions: int = 81) -> tuple[float, float]:
     """1/e^2 intensity radius of a field via a virtual knife edge.
 
     Returns (waist, 1 sigma uncertainty from the fit). The blade curve
     is generated over +-2.5 half-power radii and fitted with the same
     error-function model applied to measured scans. A spot narrower
     than 25 grid spacings is measured on the transform's near-axis fine
-    grid (_fine_radii), the one scan_field uses: fine_values are the
-    field's samples there (scan_field passes its batched resample), else
-    512 of them are resampled here from the field's forward transform
-    through the same kept 128 x N matrix and Chebyshev nodes
-    (_fine_values).
+    grid, the one scan_field uses: 512 samples there are resampled from
+    the field's forward transform (transform.fine_values).
     """
-    blade, powers = _blade_curve(field, n_blade_positions, fine_values)
+    blade, powers = _blade_curve(field, n_blade_positions, None)
     point = fit_scan(KnifeEdgeScan(z=0.0, blade_positions=blade, powers=powers, direction="in"))
     return point.w, point.w_uncertainty
 
@@ -489,15 +423,19 @@ def measure_waist_knife_edge(
 def _blade_curve(
     field: RadialField, n_blade_positions: int, fine_values: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(blade positions, transmitted powers) that measure_waist_knife_edge fits."""
+    """(blade positions, transmitted powers) that measure_waist_knife_edge fits.
+
+    fine_values are the field's samples on the transform's fine grid, or
+    None to resample 512 of them here.
+    """
     transform = field.transform
     values = field.amplitude
     native_intensity = np.abs(values) ** 2
 
     w_est = _spot_radius_estimate(transform.radii, native_intensity)
-    if w_est < 25 * _grid_max_spacing(transform.radii):
+    if w_est < 25 * transform.max_spacing:
         if fine_values is None:
-            fine_values = _fine_values(transform, transform.forward(values), 512)
+            fine_values = transform.fine_values(transform.forward(values), 512)
         radii, intensity = _composite_radial_intensity(values, transform, fine_values)
         w_est = _spot_radius_estimate(radii, intensity)
     else:
@@ -567,19 +505,19 @@ def _encircled_power_curve(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cumulative power within a radius at one plane.
 
-    The core, fine_values on _fine_radii, is integrated with the
+    The core, fine_values on transform.fine_radii, is integrated with the
     trapezoid rule; beyond it the curve switches to partial sums of the
     transform's quadrature weights, whose total equals the plane power
     exactly. (Trapezoid sums on the native grid lose percent-level power
     to near-Nyquist halo fringes; the quadrature weights integrate the
     band-limited series exactly.)
     """
-    fine_radii = _fine_radii(transform, fine_values.shape[0])
+    fine_radii = transform.fine_radii(fine_values.shape[0])
     integrand = 2.0 * math.pi * np.abs(fine_values) ** 2 * fine_radii
     core = np.concatenate(
         [[0.0], np.cumsum(np.diff(fine_radii) * 0.5 * (integrand[1:] + integrand[:-1]))]
     )
-    outer = transform.radii > fine_radii[-1]
+    outer = transform.radii > transform.fine_span
     if not np.any(outer):
         return fine_radii, core
     plane_power = transform.radial_power(field_values)
@@ -604,19 +542,14 @@ def scan_field(
     z positions are measured from the transmitted plane. The forward
     transform is computed once, and stops at the light cone: at _reach,
     past the last row where any plane's propagator phase is nonzero (the
-    exact exp(i z kz) underflows to 0 just beyond k). The near-axis fine
-    grid (_fine_radii: fine_points radii over 60 grid spacings) is
-    reached through _FINE_NODES = 128 Chebyshev nodes on the same span
-    (_fine_values): their 128 x N resample matrix depends on the
-    transform alone, so the transform keeps one, filled as far as
-    spectra reach, for every scan and standalone waist measurement on
-    its grid, whatever their fine_points. The propagated spectra of up
-    to _SCAN_CHUNK_PLANES planes are stacked as columns and inverted by
-    one batched transform (one pass over the kernel), so memory stays
-    O(N) whatever the plane count. The same stack goes through the
-    resample matrix in one BLAS-3 product, as interleaved real and
-    imaginary columns, and on to the fine radii through a small
-    (fine_points x 128) interpolation matrix. Each plane's knife-edge
+    exact exp(i z kz) underflows to 0 just beyond k). The propagated
+    spectra of up to _SCAN_CHUNK_PLANES planes are stacked as columns and
+    inverted by one batched transform (one pass over the kernel), so
+    memory stays O(N) whatever the plane count. The same stack is summed
+    on the transform's near-axis fine grid (transform.fine_values:
+    fine_points radii over 60 grid spacings, reached through 128
+    Chebyshev nodes whose matrix the transform keeps for every scan and
+    waist measurement on its grid). Each plane's knife-edge
     curve is then built from its native and fine samples, which costs
     near-axis work only, and the chunk's curves are fitted as one stack
     (beamfit.fit_scans), with the waists measure_waist_knife_edge would
@@ -659,7 +592,7 @@ def scan_field(
             spectra[:, column] = spectrum * np.exp(1j * z * kz)
         # resample first: the matrix the first call builds and keeps then sits
         # below the inverse's temporaries in the heap, not above their freed space
-        fine = _fine_values(transform, spectra, fine_points)
+        fine = transform.fine_values(spectra, fine_points)
         fields = transform.inverse(spectra)
         # the chunk's edge fits run as one stack; planes past one whose blade
         # curve fails are not fitted, and the first failure in z order raises.

@@ -59,13 +59,20 @@ j0(outer(j, j / S)) is set instead by rounding of the phase x, which
 reaches N pi: about 4e-14 at N = 4096 and below 1e-13 up to N = 18000.
 All block, chunk and term choices depend on N only.
 
-Two stages share one row-block helper: the kernel fill and
-resample_matrix (the Fourier-Bessel rows that scan planes are resampled
-through). A focal scan resamples at 128 Chebyshev nodes near the axis
-and interpolates from them to its fine grid (see diffraction._fine_values),
-so the one matrix fine_resample_matrix keeps is 128 x N, 18 MB at
-N = 18000; it is full width, but its columns are filled lazily, each
-once, as far as its spectra reach. Each
+A focal spot spans few collocation gaps, so its knife-edge curve is
+taken on a near-axis fine grid that the transform owns: fine_radii, evenly
+spaced over [0, fine_span], where fine_span = min(60 max_spacing, R) and
+max_spacing is the widest gap between collocation radii. fine_values sums
+spectra at 128 Chebyshev nodes on that span and interpolates from them to
+the fine radii (_FINE_NODES says why 128 suffice on every grid). The
+nodes' Fourier-Bessel matrix (resample_matrix's rows at the nodes) is
+128 x N, 18 MB at N = 18000, the same for every fine_points; the
+transform allocates it at the first fine_values call and keeps it. It is
+full width, but its columns are filled lazily, each once, as far as the
+spectra reach.
+
+Two stages share one row-block helper: the kernel fill and the
+Fourier-Bessel rows of resample_matrix and the node matrix. Each
 fills disjoint row blocks of its output in place, on a thread pool with
 one thread per CPU this process may use (its affinity mask where the
 platform has one, else the CPU count); the Bessel ufunc and BLAS release
@@ -135,9 +142,18 @@ _TILE_MULTIPLY_ADDS = 10**6
 _PACKED_BLOCK_ROWS = 512
 # columns per panel of a super-block in forward / inverse: 16 MB of kernel
 _PANEL_COLUMNS = 4096
-# resample_matrix has few rows (128 Chebyshev nodes in a focal scan), so
-# its blocks are smaller for every CPU to get a share
+# the node matrix has few rows (_FINE_NODES), so resample blocks are
+# smaller for every CPU to get a share
 _RESAMPLE_BLOCK_ROWS = 64
+# the near-axis fine grid spans this many of the widest collocation gaps
+_FINE_SPAN_SPACINGS = 60
+# Chebyshev nodes the near-axis fine grid is resampled through. A spectrum
+# holds k <= j_N / R < S / R and the fine grid reaches at most 60 spacings
+# of under pi R / S, so k r <= 60 pi there. J0(k r cos t) has Chebyshev
+# coefficients J_n(k r / 2)^2 at order 2n, below 1e-19 from n = 128 at
+# k r = 60 pi: the even interpolant through 2 x 128 first-kind points is
+# exact to j0's rounding on every grid (112 nodes leave 5e-9)
+_FINE_NODES = 128
 # total kernel bytes (_kernel_bytes per transform) get_transform keeps
 # cached: one 18000-point kernel (1.3 GB) and the three toy grids fit, two
 # 18000-point kernels (2.6 GB) never do
@@ -208,6 +224,31 @@ def _fill_row_blocks(starts: range, fill: Callable[[int, int], None]) -> None:
     with ThreadPoolExecutor(max_workers=max(1, min(_usable_cpus(), len(starts)))) as pool:
         # consuming the results re-raises any error from a block
         list(pool.map(lambda start: fill(start, min(start + starts.step, starts.stop)), starts))
+
+
+def _fine_interpolation(radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The _FINE_NODES Chebyshev nodes on (0, radii[-1]) and the matrix from them to radii.
+
+    The nodes are the positive half of the 2 q first-kind points
+    x_j = radii[-1] cos t_j, t_j = (j + 1/2) pi / 2q, on [-radii[-1],
+    radii[-1]]. Their barycentric weights are (-1)^j sin t_j, and -x_j's
+    is the negative of x_j's (Berrut and Trefethen, SIAM Rev. 46, 501,
+    2004). A field even in r takes one value on each pair, which then
+    adds (-1)^j sin t_j 2 x_j / (r^2 - x_j^2) to the formula, so row i of
+    the (radii x q) matrix is those terms at radii[i], normalized to sum 1.
+    """
+    angles = (np.arange(_FINE_NODES) + 0.5) * (np.pi / (2 * _FINE_NODES))
+    cosines = np.cos(angles)
+    weights = (-1.0) ** np.arange(_FINE_NODES) * np.sin(angles) * cosines
+    # in units of radii[-1]; the product is the accurate form of u^2 - c^2 near a node
+    u = radii[:, None] / radii[-1]
+    with np.errstate(divide="ignore"):
+        terms = weights / ((u - cosines) * (u + cosines))
+    # a radius on a node takes that node's value
+    on_node = np.isinf(terms)
+    hits = on_node.any(axis=1)
+    terms[hits] = on_node[hits]
+    return radii[-1] * cosines, terms / terms.sum(axis=1, keepdims=True)
 
 
 def _kernel_bytes(n_points: int) -> int:
@@ -400,7 +441,7 @@ class HankelTransform:
 
     Precomputes the Bessel-zero grid. Kernel blocks are filled when a
     call's input first reaches them, under a lock that has concurrent
-    calls fill each once; apart from them and the one fine resample matrix
+    calls fill each once; apart from them and the near-axis node matrix
     it keeps, an instance is immutable after construction, and shareable.
     A max_radius above 1e100 m is refused with ResolutionError before
     any work.
@@ -421,6 +462,10 @@ class HankelTransform:
         self._j = roots[:n_points]
         self._S = roots[n_points]
         self.radii = self._j * (self.max_radius / self._S)
+        # the widest gap between collocation radii, (j_N - j_{N-1}) R / j_{N+1},
+        # is just under R / (N + 3/4)
+        self.max_spacing = float(np.max(np.diff(self.radii)))
+        self.fine_span = min(_FINE_SPAN_SPACINGS * self.max_spacing, self.max_radius)
         self.k_radial = self._j / self.max_radius
         self._j1sq = j1(self._j) ** 2
 
@@ -432,8 +477,10 @@ class HankelTransform:
         self.power_weights = (4.0 * np.pi * self.max_radius**2 / self._S**2) / self._j1sq
         # same rule in k space: (1 / 2 pi) int |A|^2 k dk; inverse likewise
         self.spectral_power_weights = 1.0 / (np.pi * self.max_radius**2 * self._j1sq)
-        # fine radii, their resample matrix and how many of its columns are filled
-        self._fine_resampler: tuple[np.ndarray, np.ndarray, int] | None = None
+        # the Chebyshev nodes' resample matrix, made at the first fine_values
+        # call, and how many of its columns are filled
+        self._fine_matrix: np.ndarray | None = None
+        self._fine_filled = 0
 
     def _filled_blocks(self, support: int) -> list[np.ndarray]:
         """The super-blocks starting below support, the missing ones filled.
@@ -547,28 +594,34 @@ class HankelTransform:
 
         _fill_row_blocks(range(0, radii.size, _RESAMPLE_BLOCK_ROWS), fill_block)
 
-    def fine_resample_matrix(self, radii: np.ndarray, spectra: np.ndarray) -> np.ndarray:
-        """resample_matrix(radii), read-only, filled in the columns spectra reach.
+    def fine_radii(self, fine_points: int) -> np.ndarray:
+        """Near-axis fine grid: fine_points radii evenly spaced over [0, fine_span]."""
+        return np.linspace(0.0, self.fine_span, fine_points)
 
-        The transform keeps one full-width matrix, and frees it with
-        itself, so every scan and waist measurement that resamples onto
-        the same fine grid shares one. Its columns are filled when spectra
-        ((N,) or (N, Z)) first reach them, each once, under the fill lock;
-        the rest are zero and meet only zero rows of spectra.
+    def fine_values(self, spectra: np.ndarray, fine_points: int) -> np.ndarray:
+        """Angular spectra, shape (N,) or (N, Z), summed on fine_radii(fine_points).
+
+        The spectra are summed at the _FINE_NODES Chebyshev nodes through
+        the kept node matrix (q x N, the same for every fine_points), with
+        the columns viewed as interleaved real and imaginary float64
+        columns, so one product covers both parts of every column. A
+        (fine_points x q) interpolation matrix, built per call, then
+        carries the node values to the fine radii. The node matrix is made
+        at the first call and freed with the transform; its columns are
+        filled when spectra first reach them, each once, under the fill
+        lock, and the rest are zero and meet only zero rows of spectra.
         """
+        nodes, interpolation = _fine_interpolation(self.fine_radii(fine_points))
         support = _support(spectra)
         with self._fill_lock:
-            kept = self._fine_resampler
-            if kept is None or not np.array_equal(kept[0], radii):
-                radii = np.array(radii, dtype=float, ndmin=1)
-                kept = (radii, np.zeros((radii.size, self.n_points)), 0)
-            radii, matrix, filled = kept
-            if filled < support:
-                self._fill_resample_columns(radii, matrix, filled, support)
-            self._fine_resampler = (radii, matrix, max(filled, support))
-        view = matrix.view()
-        view.flags.writeable = False
-        return view
+            if self._fine_matrix is None:
+                self._fine_matrix = np.zeros((_FINE_NODES, self.n_points))
+            if self._fine_filled < support:
+                self._fill_resample_columns(nodes, self._fine_matrix, self._fine_filled, support)
+                self._fine_filled = support
+        columns = np.ascontiguousarray(spectra, dtype=complex).reshape(spectra.shape[0], -1)
+        fine = (interpolation @ (self._fine_matrix @ columns.view(np.float64))).view(np.complex128)
+        return fine.reshape((fine_points,) + spectra.shape[1:])
 
     def radial_power(self, field_values: np.ndarray) -> float:
         """Discretized total power 2 pi int |f(r)|^2 r dr."""

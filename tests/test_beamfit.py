@@ -10,8 +10,10 @@ import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erfc
 
 from pflens import beamfit
+from pflens._lsq import solve_bounded
 from pflens import (
     CausticFit,
     DomainError,
@@ -234,6 +236,32 @@ class TestScanValidation:
         with pytest.raises(DomainError, match="monotone"):
             KnifeEdgeScan(z=0.0, blade_positions=positions, powers=np.linspace(1, 0, 10))
 
+    @pytest.mark.parametrize(
+        "first, last", [(-1e308, 1e308), (9e307, 1e308), (-6e299, 6e299)], ids=["span", "sum", "edge"]
+    )
+    def test_positions_beyond_the_float_range_refused_without_a_warning(self, first, last):
+        # the edge fit takes max - min and max + min, which overflow in the first two
+        positions = [first * (1 - k / 11) + last * (k / 11) for k in range(12)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as refused:
+                KnifeEdgeScan(z=0.0, blade_positions=positions, powers=np.linspace(1, 0, 12))
+        assert str(refused.value) == (
+            "the blade positions' span must be within |min| + |max| <= 1e+300 m, "
+            f"got {first:g} to {last:g} m"
+        )
+
+    @pytest.mark.parametrize("edge_width", [0.4, 50.0])
+    def test_widest_positions_accepted_fit_without_a_warning(self, edge_width):
+        # |min| + |max| = 1e300, the edge up to 25 spans wide: the fitted w stays finite
+        u = np.linspace(-1.0, 1.0, 12)
+        powers = 0.5 * erfc(math.sqrt(2.0) * (u - 0.2) / edge_width)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            point = fit_scan(KnifeEdgeScan(z=0.0, blade_positions=5e299 * u, powers=powers))
+        assert point.w == pytest.approx(5e299 * edge_width, rel=1e-6)
+        assert math.isfinite(point.w_uncertainty)
+
     def test_negative_power(self):
         with pytest.raises(DomainError, match="non-negative"):
             KnifeEdgeScan(
@@ -414,8 +442,14 @@ class TestSolver:
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            x, cost, jac, errors = beamfit._solve_bounded(
-                residuals, jacobian, np.zeros((1, 1)), np.full(1, -np.inf), np.full(1, np.inf), "test"
+            x, cost, jac, errors = solve_bounded(
+                residuals,
+                jacobian,
+                np.zeros((1, 1)),
+                np.full(1, -np.inf),
+                np.full(1, np.inf),
+                "test",
+                beamfit._MAX_MODEL_EVALS,
             )
         assert errors == {}
         assert x[0, 0] == pytest.approx(0.99, rel=1e-12)
@@ -427,9 +461,8 @@ class TestSolver:
         # residual evaluation, a Jacobian and an SVD
         # (one record per problem of each stack)
         evaluated = []
-        solve = beamfit._solve_bounded
 
-        def recording(residuals, jacobian, start, lower, upper, what):
+        def recording(residuals, jacobian, start, lower, upper, what, max_evaluations):
             runs = [[] for _ in start]
             evaluated.extend(runs)
 
@@ -438,9 +471,9 @@ class TestSolver:
                     runs[row].append(np.array(point))
                 return residuals(rows, x)
 
-            return solve(recorded, jacobian, start, lower, upper, what)
+            return solve_bounded(recorded, jacobian, start, lower, upper, what, max_evaluations)
 
-        monkeypatch.setattr(beamfit, "_solve_bounded", recording)
+        monkeypatch.setattr(beamfit, "solve_bounded", recording)
         points = [fit_scan(scan) for scan in read_scans_csv(bundled_caustic_dataset_path())]
         fit_caustic(points, WAVELENGTH)
         assert len(evaluated) == len(points) + 1
@@ -459,8 +492,14 @@ class TestSolver:
         def jacobian(rows, x):
             return np.array([[[1.0], [0.5]]])
 
-        x, cost, _, errors = beamfit._solve_bounded(
-            residuals, jacobian, np.zeros((1, 1)), np.full(1, -1.0), np.ones(1), "test"
+        x, cost, _, errors = solve_bounded(
+            residuals,
+            jacobian,
+            np.zeros((1, 1)),
+            np.full(1, -1.0),
+            np.ones(1),
+            "test",
+            beamfit._MAX_MODEL_EVALS,
         )
         assert errors == {}
         assert x[0, 0] == 1.0
@@ -567,14 +606,12 @@ class TestStackedFits:
             jac[rows == 2] = np.inf
             return jac
 
-        bounds = np.full(1, -np.inf), np.full(1, np.inf)
+        rest = np.full(1, -np.inf), np.full(1, np.inf), "test", beamfit._MAX_MODEL_EVALS
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            x, cost, _, errors = beamfit._solve_bounded(
-                residuals, jacobian, np.zeros((3, 1)), *bounds, "test"
-            )
-            alone_x, alone_cost, _, alone_errors = beamfit._solve_bounded(
-                residuals, jacobian, np.zeros((1, 1)), *bounds, "test"
+            x, cost, _, errors = solve_bounded(residuals, jacobian, np.zeros((3, 1)), *rest)
+            alone_x, alone_cost, _, alone_errors = solve_bounded(
+                residuals, jacobian, np.zeros((1, 1)), *rest
             )
         assert sorted(errors) == [1, 2]
         assert str(errors[1]) == "test residuals are not finite at the start point"

@@ -352,6 +352,24 @@ class TestFit:
         assert code == 3
         assert "rank-deficient" in captured.err
 
+    def test_blade_span_beyond_the_float_range_exits_2_without_a_warning(self, tmp_path, capsys):
+        # five scans whose blade positions run from -1e308 to 1e308 m: max - min overflows
+        rows = ["z_m,blade_position_m,power,direction"]
+        for z in range(5):
+            rows += [f"{z}e-6,{(2 * k - 11) / 11 * 1e308!r},{1 - k / 11!r},in" for k in range(12)]
+        path = tmp_path / "scans.csv"
+        path.write_text("\n".join(rows) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["fit", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the blade positions' span must be within |min| + |max| <= 1e+300 m, "
+            "got -1e+308 to 1e+308 m\n"
+        )
+
 
     def test_flat_scan_reported_alone_and_left_out_of_the_caustic(self, tmp_path, capsys):
         scans = read_scans_csv(bundled_caustic_dataset_path())

@@ -31,7 +31,7 @@ from pflens import (
     scan_field,
     zone_layout,
 )
-from pflens import diffraction
+from pflens import diffraction, hankel
 from pflens.diffraction import RadialField, focal_scan_csv_text
 
 TOY_WAVELENGTH = 854e-9
@@ -510,23 +510,23 @@ class TestFocalScans:
         field = converging(transform)
         z = np.linspace(TOY_FOCAL_LENGTH - 2e-6, TOY_FOCAL_LENGTH + 2e-6, 5)
         scan_field(field, z)
-        reached = transform._fine_resampler[2]
+        reached = transform._fine_filled
         assert 900 < reached < 1100
         assert filled[transform] == Counter(range(reached))
-        matrix = transform._fine_resampler[1]
+        matrix = transform._fine_matrix
         kept = scan_field(field, z + 1e-6)
         assert filled[transform] == Counter(range(reached))
         # a standalone waist at focus resamples its full spectrum through the
         # same kept matrix, filling only the columns still missing
         measure_waist_knife_edge(propagate(field, TOY_FOCAL_LENGTH))
-        assert transform._fine_resampler[1] is matrix
+        assert transform._fine_matrix is matrix
         assert filled[transform] == Counter(range(transform.n_points))
         # a transform of its own fills the matrix afresh, only as far as these
         # later planes reach, with the same result
         fresh = HankelTransform(2048, TOY_GRID_RADIUS)
         rebuilt = scan_field(converging(fresh), z + 1e-6)
-        assert filled[fresh] == Counter(range(fresh._fine_resampler[2]))
-        assert fresh._fine_resampler[2] <= reached
+        assert filled[fresh] == Counter(range(fresh._fine_filled))
+        assert fresh._fine_filled <= reached
         for name in ("fitted_waists", "waist_uncertainties", "encircled_radii", "encircled_power"):
             assert np.array_equal(getattr(kept, name), getattr(rebuilt, name))
 
@@ -538,8 +538,8 @@ class TestFocalScans:
         rng = np.random.default_rng(n_points)
         spectra = rng.standard_normal((n_points, 2)) + 1j * rng.standard_normal((n_points, 2))
         for fine_points in (32, 256, 512):
-            fine = diffraction._fine_values(t, spectra, fine_points)
-            expected = t.resample_matrix(diffraction._fine_radii(t, fine_points)) @ spectra
+            fine = t.fine_values(spectra, fine_points)
+            expected = t.resample_matrix(t.fine_radii(fine_points)) @ spectra
             assert fine.shape == (fine_points, 2)
             assert np.max(np.abs(fine - expected)) <= 1e-14 * np.max(np.abs(expected))
 
@@ -547,25 +547,27 @@ class TestFocalScans:
         t = HankelTransform(1300, 1e-3)
         spectrum = np.ones(1300, dtype=complex)
         for fine_points in (32, 512):
-            diffraction._fine_values(t, spectrum, fine_points)
-            nodes, matrix, filled = t._fine_resampler
+            t.fine_values(spectrum, fine_points)
+            radii = t.fine_radii(fine_points)
+            assert radii.size == fine_points and radii[-1] == t.fine_span
+            nodes, _ = hankel._fine_interpolation(radii)
             # the positive half of the 256 first-kind Chebyshev points on
-            # [-fine_max, fine_max]
-            fine_max = diffraction._fine_radii(t, fine_points)[-1]
-            points = fine_max * np.cos((2 * np.arange(256) + 1) * np.pi / 512)
+            # [-fine_span, fine_span]
+            points = t.fine_span * np.cos((2 * np.arange(256) + 1) * np.pi / 512)
             np.testing.assert_allclose(nodes, points[:128], rtol=1e-15)
-            assert matrix.shape == (128, 1300) and filled == 1300
+            matrix = t._fine_matrix
+            assert matrix.shape == (128, 1300) and t._fine_filled == 1300
             assert np.array_equal(matrix, t.resample_matrix(nodes))
 
     def test_fine_radii_on_the_nodes_take_the_node_values(self):
         # u - cos t_j is exactly 0 there: each such row must be a unit row, not nan
         fine_max = 3e-5
-        nodes, _ = diffraction._fine_interpolation(np.array([0.0, fine_max]))
+        nodes, _ = hankel._fine_interpolation(np.array([0.0, fine_max]))
         radii = np.append(nodes[::-1], fine_max)
         cosines = np.cos((np.arange(nodes.size) + 0.5) * (np.pi / (2 * nodes.size)))
         on_node = radii[:-1] / fine_max == cosines[::-1]
         assert on_node.any()
-        _, interpolation = diffraction._fine_interpolation(radii)
+        _, interpolation = hankel._fine_interpolation(radii)
         assert np.all(np.isfinite(interpolation))
         np.testing.assert_allclose(interpolation[:-1, ::-1], np.eye(nodes.size), atol=1e-14)
         assert np.array_equal(interpolation[:-1, ::-1][on_node], np.eye(nodes.size)[on_node])
@@ -585,10 +587,10 @@ class TestFocalScans:
         )
         z = np.linspace(TOY_FOCAL_LENGTH - 2e-6, TOY_FOCAL_LENGTH + 2e-6, 5)
         scan_field(field, z, fine_points=256)
-        matrix = transform._fine_resampler[1]
+        matrix = transform._fine_matrix
         once = Counter(filled)
         scan_field(field, z, fine_points=512)
-        assert transform._fine_resampler[1] is matrix
+        assert transform._fine_matrix is matrix
         assert matrix.shape == (128, 2048)
         assert filled == once
 

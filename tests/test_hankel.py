@@ -49,6 +49,15 @@ class TestGridStructure:
         assert transform.radii[0] > 0
         assert transform.radii[-1] < transform.max_radius
 
+    @pytest.mark.parametrize("n_points", [4, 64, 1300, 4096, 18000])
+    def test_max_spacing_is_the_widest_gap_below_r_over_n_plus_three_quarters(self, n_points):
+        # the bound apply_binary_pfl's minimum grid_points is computed from
+        t = HankelTransform(n_points, 2.64e-3)
+        assert t.max_spacing == np.max(np.diff(t.radii))
+        assert t.max_spacing < t.max_radius / (n_points + 0.75)
+        assert t.fine_span == min(60 * t.max_spacing, t.max_radius)
+        assert isinstance(t.max_spacing, float) and isinstance(t.fine_span, float)
+
     def test_spectral_grid_increasing(self, transform):
         assert transform.k_radial.shape == (512,)
         assert np.all(np.diff(transform.k_radial) > 0)
@@ -355,8 +364,8 @@ class TestRowBound:
         spectra = np.stack([spectrum * phase for phase in phases], axis=1)
         # the matrix fills the columns the propagated spectra reach: the last
         # few rows below reach underflow to 0 in spectrum x phase
-        assert t._fine_resampler[2] == hankel._support(spectra)
-        assert reach - 16 < t._fine_resampler[2] <= reach
+        assert t._fine_filled == hankel._support(spectra)
+        assert reach - 16 < t._fine_filled <= reach
 
 
 class TestRoundTripAndParseval:
@@ -466,13 +475,12 @@ class TestResample:
 
         monkeypatch.setattr(HankelTransform, "_fill_resample_columns", counting)
         t = HankelTransform(n_points=1300, max_radius=1e-3)
-        radii = np.linspace(0.0, 1e-4, 100)
         supports = [100, 700, 1300, 300, 1000, 1, 650, 1299]
         barrier = threading.Barrier(len(supports))
 
         def call(support):
             barrier.wait(timeout=30)
-            return t.fine_resample_matrix(radii, supported(1300, support, columns=1))
+            return t.fine_values(supported(1300, support, columns=1), 100)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -482,10 +490,10 @@ class TestResample:
         finally:
             sys.setswitchinterval(interval)
         assert filled == Counter(range(1300))
-        kept = t._fine_resampler[1]
-        assert np.array_equal(kept, t.resample_matrix(radii))
-        for result in results:
-            assert np.shares_memory(result, kept) and not result.flags.writeable
+        nodes, _ = hankel._fine_interpolation(t.fine_radii(100))
+        assert np.array_equal(t._fine_matrix, t.resample_matrix(nodes))
+        for support, result in zip(supports, results):
+            assert np.array_equal(result, t.fine_values(supported(1300, support, columns=1), 100))
 
 
 class TestCache:
