@@ -14,7 +14,7 @@ reading it back is bit-exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from ._csv import read_text
@@ -151,10 +151,6 @@ class ProjectConfig:
             zeeman_splitting=self.zeeman_splitting,
             zeeman_coefficient=self.zeeman_coefficient,
         )
-
-    def with_updates(self, **changes) -> "ProjectConfig":
-        """Copy with the given fields replaced (same validation)."""
-        return replace(self, **changes)
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ProjectConfig)}

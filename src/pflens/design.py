@@ -188,24 +188,16 @@ def _half_wave_depth(wavelength: float, substrate_index: float) -> float:
     return wavelength / (2.0 * (substrate_index - 1.0))
 
 
-def multilevel_efficiency(
-    levels: int,
-    include_fresnel_losses: bool = False,
-    surface_transmission: float = 1.0,
-) -> float:
+def multilevel_efficiency(levels: int) -> float:
     """Scalar first-order efficiency of an N-level phase grating.
 
-    [sin(pi/N) / (pi/N)]^2, optionally multiplied by a two-surface
-    transmission factor when include_fresnel_losses is set. Approaches 1
-    as N grows (perfect blaze); equals (2/pi)^2 = 0.405 for binary.
+    [sin(pi/N) / (pi/N)]^2, without surface losses (multiply by
+    fresnel_plate_transmission for those). Approaches 1 as N grows
+    (perfect blaze); equals (2/pi)^2 = 0.405 for binary.
     """
     require(isinstance(levels, int) and levels >= 2, "levels", "an integer >= 2", levels)
-    require(0 < surface_transmission <= 1, "surface_transmission", "in (0, 1]", surface_transmission)
     x = math.pi / levels
-    eff = (math.sin(x) / x) ** 2
-    if include_fresnel_losses:
-        eff *= surface_transmission
-    return eff
+    return (math.sin(x) / x) ** 2
 
 
 def fresnel_plate_transmission(substrate_index: float) -> float:

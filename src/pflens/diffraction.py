@@ -269,13 +269,40 @@ def _reach(
     return max([_guard_band(transform, wavenumber).stop] + planes)
 
 
-def propagate(field: RadialField, distance: float, paraxial: bool = False) -> RadialField:
-    """Propagate a field forward by the given distance [m]."""
-    require(distance >= 0, "distance", ">= 0", distance)
+def _propagation_spectrum(
+    field: RadialField, z_positions: np.ndarray, paraxial: bool
+) -> np.ndarray:
+    """The field's angular spectrum, to be propagated to z_positions [m].
+
+    Refuses, in this order, planes not finite or with k z past 2^52 rad,
+    planes out of increasing order (one plane never is) or none, and
+    negative planes. The forward stops at _reach; then the guard band is
+    checked (_check_spectrum_resolved).
+    """
+    # beyond 2^52 rad floats are a radian or more apart: exp(i k z) is unresolved
+    z_limit = 2.0**52 / field.wavenumber
+    unresolved = z_positions[~(np.abs(z_positions) <= z_limit)]
+    if unresolved.size:
+        raise DomainError(
+            f"z_positions must be finite and at most {z_limit:.3g} m, where the "
+            f"propagation phase k z reaches 2^52 rad; got {unresolved[0]}"
+        )
+    if z_positions.size < 1 or np.any(np.diff(z_positions) <= 0):
+        raise DomainError("z_positions must be increasing and non-empty")
+    if np.any(z_positions < 0):
+        raise DomainError("z_positions must be non-negative (measured from the lens)")
     transform = field.transform
-    reach = _reach(transform, field.wavenumber, [distance], paraxial)
+    reach = _reach(transform, field.wavenumber, z_positions, paraxial)
     spectrum = transform.forward(field.amplitude, rows=reach)
     _check_spectrum_resolved(transform, spectrum, field.wavenumber)
+    return spectrum
+
+
+def propagate(field: RadialField, distance: float, paraxial: bool = False) -> RadialField:
+    """Propagate a field forward by the given distance [m], at most 2^52 / k."""
+    require(distance >= 0, "distance", ">= 0", distance)
+    spectrum = _propagation_spectrum(field, np.array([distance], dtype=float), paraxial)
+    transform = field.transform
     if distance == 0.0:
         return field
     phase = np.exp(1j * distance * _transfer_wavenumber(transform, field.wavenumber, paraxial))
@@ -356,18 +383,16 @@ def knife_edge_power_curve(
 def _composite_radial_intensity(
     field_values: np.ndarray, transform: HankelTransform, fine_values: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Intensity on a grid refined near the axis.
+    """(radii, |E|^2) on a grid refined near the axis.
 
     Inside the transform's fine grid (fine_radii) it takes fine_values, the
-    field resampled there by transform.fine_values; outside it the native
-    collocation samples are used.
+    field resampled there by transform.fine_values; beyond fine_span it
+    takes the native collocation samples, the transform's last radii.
     """
     fine_r = transform.fine_radii(fine_values.shape[0])
     outer = transform.radii > transform.fine_span
     radii = np.concatenate([fine_r, transform.radii[outer]])
-    intensity = np.concatenate(
-        [np.abs(fine_values) ** 2, np.abs(field_values[outer]) ** 2]
-    )
+    intensity = np.concatenate([np.abs(fine_values) ** 2, np.abs(field_values[outer]) ** 2])
     return radii, intensity
 
 
@@ -409,39 +434,27 @@ def measure_waist_knife_edge(field: RadialField, n_blade_positions: int = 81) ->
     """1/e^2 intensity radius of a field via a virtual knife edge.
 
     Returns (waist, 1 sigma uncertainty from the fit). The blade curve
-    is generated over +-2.5 half-power radii and fitted with the same
-    error-function model applied to measured scans. A spot narrower
-    than 25 grid spacings is measured on the transform's near-axis fine
-    grid, the one scan_field uses: 512 samples there are resampled from
-    the field's forward transform (transform.fine_values).
+    spans +-2.5 times the 1/e^2 spot radius estimate, on the grid
+    scan_field uses: 512 fine-grid samples resampled from the field's
+    forward transform (transform.fine_values), then the native ones. It is
+    fitted with the error-function model applied to measured scans.
     """
-    blade, powers = _blade_curve(field, n_blade_positions, None)
+    transform = field.transform
+    fine_values = transform.fine_values(transform.forward(field.amplitude), 512)
+    blade, powers = _blade_curve(field, n_blade_positions, fine_values)
     point = fit_scan(KnifeEdgeScan(z=0.0, blade_positions=blade, powers=powers, direction="in"))
     return point.w, point.w_uncertainty
 
 
 def _blade_curve(
-    field: RadialField, n_blade_positions: int, fine_values: np.ndarray | None
+    field: RadialField, n_blade_positions: int, fine_values: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(blade positions, transmitted powers) that measure_waist_knife_edge fits.
 
-    fine_values are the field's samples on the transform's fine grid, or
-    None to resample 512 of them here.
+    fine_values are the field's samples on the transform's fine grid.
     """
-    transform = field.transform
-    values = field.amplitude
-    native_intensity = np.abs(values) ** 2
-
-    w_est = _spot_radius_estimate(transform.radii, native_intensity)
-    if w_est < 25 * transform.max_spacing:
-        if fine_values is None:
-            fine_values = transform.fine_values(transform.forward(values), 512)
-        radii, intensity = _composite_radial_intensity(values, transform, fine_values)
-        w_est = _spot_radius_estimate(radii, intensity)
-    else:
-        radii, intensity = transform.radii, native_intensity
-
-    blade_span = 2.5 * w_est
+    radii, intensity = _composite_radial_intensity(field.amplitude, field.transform, fine_values)
+    blade_span = 2.5 * _spot_radius_estimate(radii, intensity)
     blade = np.linspace(-blade_span, blade_span, n_blade_positions)
     return blade, knife_edge_power_curve(radii, intensity, blade)
 
@@ -512,20 +525,20 @@ def _encircled_power_curve(
     to near-Nyquist halo fringes; the quadrature weights integrate the
     band-limited series exactly.)
     """
-    fine_radii = transform.fine_radii(fine_values.shape[0])
-    integrand = 2.0 * math.pi * np.abs(fine_values) ** 2 * fine_radii
+    radii, intensity = _composite_radial_intensity(field_values, transform, fine_values)
+    fine_points = fine_values.shape[0]
+    fine_radii = radii[:fine_points]
+    integrand = 2.0 * math.pi * intensity[:fine_points] * fine_radii
     core = np.concatenate(
         [[0.0], np.cumsum(np.diff(fine_radii) * 0.5 * (integrand[1:] + integrand[:-1]))]
     )
-    outer = transform.radii > transform.fine_span
-    if not np.any(outer):
+    outer = radii.size - fine_points
+    if outer == 0:
         return fine_radii, core
     plane_power = transform.radial_power(field_values)
-    ring_power = transform.power_weights[outer] * np.abs(field_values[outer]) ** 2
+    ring_power = transform.power_weights[-outer:] * intensity[fine_points:]
     beyond = np.cumsum(ring_power[::-1])[::-1] - ring_power
-    outer_curve = plane_power - beyond
-    radii = np.concatenate([fine_radii, transform.radii[outer]])
-    curve = np.concatenate([core, outer_curve])
+    curve = np.concatenate([core, plane_power - beyond])
     return radii, np.maximum.accumulate(curve)
 
 
@@ -539,7 +552,8 @@ def scan_field(
 ) -> FocalScanResult:
     """Waist-versus-z scan of an already-transmitted field.
 
-    z positions are measured from the transmitted plane. The forward
+    z positions are measured from the transmitted plane, and checked as
+    propagate checks its distance (_propagation_spectrum). The forward
     transform is computed once, and stops at the light cone: at _reach,
     past the last row where any plane's propagator phase is nonzero (the
     exact exp(i z kz) underflows to 0 just beyond k). The propagated
@@ -547,37 +561,21 @@ def scan_field(
     inverted by one batched transform (one pass over the kernel), so
     memory stays O(N) whatever the plane count. The same stack is summed
     on the transform's near-axis fine grid (transform.fine_values:
-    fine_points radii over 60 grid spacings, reached through 128
+    fine_points >= 32 radii over 60 grid spacings, reached through 128
     Chebyshev nodes whose matrix the transform keeps for every scan and
-    waist measurement on its grid). Each plane's knife-edge
-    curve is then built from its native and fine samples, which costs
-    near-axis work only, and the chunk's curves are fitted as one stack
-    (beamfit.fit_scans), with the waists measure_waist_knife_edge would
-    give. The first plane with the smallest waist is kept for the
-    encircled-power curve.
+    waist measurement on its grid). Each plane's knife-edge curve is
+    built on that fine grid joined to the native radii beyond it, and the
+    chunk's curves are fitted as one stack (beamfit.fit_scans), with the
+    waists measure_waist_knife_edge would give. The first plane with the
+    smallest waist is kept for the encircled-power curve, which is
+    integrated on the same joined grid.
     """
     transform = transmitted.transform
     z_positions = np.asarray(z_positions, dtype=float)
-    # beyond 2^52 rad floats are a radian or more apart: exp(i k z) is unresolved
-    z_limit = 2.0**52 / transmitted.wavenumber
-    unresolved = z_positions[~(np.abs(z_positions) <= z_limit)]
-    if unresolved.size:
-        raise DomainError(
-            f"z_positions must be finite and at most {z_limit:.3g} m, where the "
-            f"propagation phase k z reaches 2^52 rad; got {unresolved[0]}"
-        )
-    if z_positions.size < 1 or np.any(np.diff(z_positions) <= 0):
-        raise DomainError("z_positions must be increasing and non-empty")
-    if np.any(z_positions < 0):
-        raise DomainError("z_positions must be non-negative (measured from the lens)")
-
-    wavenumber = transmitted.wavenumber
-    reach = _reach(transform, wavenumber, z_positions, paraxial)
-    spectrum = transform.forward(transmitted.amplitude, rows=reach)
-    _check_spectrum_resolved(transform, spectrum, wavenumber)
+    spectrum = _propagation_spectrum(transmitted, z_positions, paraxial)
     # made after the forward: kept across its kernel fill, kz measured 5.6 MiB
     # more peak RSS on the default grid
-    kz = _transfer_wavenumber(transform, wavenumber, paraxial)
+    kz = _transfer_wavenumber(transform, transmitted.wavenumber, paraxial)
     transmitted_power = transform.radial_power(transmitted.amplitude)
     if input_power is None:
         input_power = transmitted_power
@@ -680,13 +678,9 @@ def efficiency_into_focus(
     require(input_power > 0, "input_power", "> 0", input_power)
     multiplier = capture_radius_multiplier
     require(multiplier > 0, "capture_radius_multiplier", "> 0", multiplier)
-    if math.isinf(capture_radius_multiplier):
-        captured = float(scan.encircled_power[-1])
-    else:
-        capture_radius = capture_radius_multiplier * scan.best_waist
-        captured = float(
-            np.interp(capture_radius, scan.encircled_radii, scan.encircled_power)
-        )
+    # np.interp at an infinite radius returns the last, full-power value
+    capture_radius = multiplier * scan.best_waist
+    captured = float(np.interp(capture_radius, scan.encircled_radii, scan.encircled_power))
     return captured / input_power
 
 

@@ -284,29 +284,24 @@ def fidelity_series(na: float) -> float:
 # ---------------------------------------------------------------------------
 # curve export
 
-_DEFAULT_CURVE_CHANNELS = (POLAR_SIGMA, EQUATORIAL_SIGMA, POLAR_PI)
+_CURVE_CHANNELS = (POLAR_SIGMA, EQUATORIAL_SIGMA, POLAR_PI)
 
 
-def collection_curve_csv_text(
-    n_steps: int = 101, channels=_DEFAULT_CURVE_CHANNELS, na_max: float = 1.0
-) -> str:
-    """Collection fraction vs NA for a set of channels (plot data)."""
+def collection_curve_csv_text(n_steps: int = 101) -> str:
+    """Collection fraction vs NA from 0 to 1 for the three channels (plot data)."""
     require(n_steps >= 2, "n_steps", ">= 2", n_steps)
-    check_na(na_max)
-    channels = tuple(channels)
     rows = []
-    for na in np.linspace(0.0, na_max, n_steps):
+    for na in np.linspace(0.0, 1.0, n_steps):
         theta = cone_from_na(float(na))
-        rows.append([na] + [collection_fraction(channel, theta) for channel in channels])
-    return csv_text(["na"] + [channel.label for channel in channels], rows)
+        rows.append([na] + [collection_fraction(channel, theta) for channel in _CURVE_CHANNELS])
+    return csv_text(["na"] + [channel.label for channel in _CURVE_CHANNELS], rows)
 
 
-def fidelity_curve_csv_text(n_steps: int = 101, na_max: float = 1.0) -> str:
-    """Collected polarization fidelity vs NA, integral and series."""
+def fidelity_curve_csv_text(n_steps: int = 101) -> str:
+    """Collected polarization fidelity vs NA from 0 to 1, integral and series."""
     require(n_steps >= 2, "n_steps", ">= 2", n_steps)
-    check_na(na_max)
     rows = (
         (na, polarization_fidelity_collected(na), fidelity_series(na))
-        for na in map(float, np.linspace(0.0, na_max, n_steps))
+        for na in map(float, np.linspace(0.0, 1.0, n_steps))
     )
     return csv_text(["na", "fidelity", "fidelity_series"], rows)

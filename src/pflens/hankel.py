@@ -59,7 +59,7 @@ j0(outer(j, j / S)) is set instead by rounding of the phase x, which
 reaches N pi: about 4e-14 at N = 4096 and below 1e-13 up to N = 18000.
 All block, chunk and term choices depend on N only.
 
-A focal spot spans few collocation gaps, so its knife-edge curve is
+A focal spot spans few collocation gaps, so every knife-edge curve is
 taken on a near-axis fine grid that the transform owns: fine_radii, evenly
 spaced over [0, fine_span], where fine_span = min(60 max_spacing, R) and
 max_spacing is the widest gap between collocation radii. fine_values sums
@@ -569,10 +569,11 @@ class HankelTransform:
 
         Row i of the result, applied to an angular spectrum, sums the
         Fourier-Bessel series at radii[i]:
-        j0(outer(radii, k_radial)) / (pi R^2 J1(j_m)^2). Used to
-        interpolate focal fields onto grids much finer than the native
-        collocation points. Blocks of rows are filled in place on the
-        row-block thread pool the kernel fill uses; the result is
+        j0(outer(radii, k_radial)) / (pi R^2 J1(j_m)^2). No stage of the
+        pipeline calls it: fine_values fills the rows it keeps, at its
+        Chebyshev nodes, through the same _fill_resample_columns, so they
+        equal this matrix at the nodes. Blocks of rows are filled in place
+        on the row-block thread pool the kernel fill uses; the result is
         bit-identical to the formula evaluated in one piece.
         """
         radii = np.atleast_1d(np.asarray(radii, dtype=float))
@@ -595,7 +596,8 @@ class HankelTransform:
         _fill_row_blocks(range(0, radii.size, _RESAMPLE_BLOCK_ROWS), fill_block)
 
     def fine_radii(self, fine_points: int) -> np.ndarray:
-        """Near-axis fine grid: fine_points radii evenly spaced over [0, fine_span]."""
+        """Near-axis fine grid: fine_points >= 32 radii evenly spaced over [0, fine_span]."""
+        require(fine_points >= 32, "fine_points", ">= 32", fine_points)
         return np.linspace(0.0, self.fine_span, fine_points)
 
     def fine_values(self, spectra: np.ndarray, fine_points: int) -> np.ndarray:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -72,11 +73,11 @@ class TestValidation:
         ]
         for key, bad in cases:
             with pytest.raises(ConfigError, match=key):
-                default_config().with_updates(**{key: bad})
+                replace(default_config(), **{key: bad})
 
-    def test_with_updates_returns_new_validated_config(self):
+    def test_replace_returns_new_validated_config(self):
         config = default_config()
-        updated = config.with_updates(eta_diff=0.5, scan_steps=11)
+        updated = replace(config, eta_diff=0.5, scan_steps=11)
         assert updated.eta_diff == 0.5
         assert updated.scan_steps == 11
         assert config.eta_diff == 0.30
@@ -84,8 +85,8 @@ class TestValidation:
 
 class TestParsing:
     def test_round_trip_is_identity(self):
-        config = default_config().with_updates(
-            focal_length_mm=0.2, wavelength_nm=854.0, grid_points=2048
+        config = replace(
+            default_config(), focal_length_mm=0.2, wavelength_nm=854.0, grid_points=2048
         )
         assert parse_config_text(config_text(config)) == config
 
@@ -131,7 +132,7 @@ class TestParsing:
 
 class TestFileIo:
     def test_write_then_read(self, tmp_path):
-        config = default_config().with_updates(aperture_diameter_mm=2.2)
+        config = replace(default_config(), aperture_diameter_mm=2.2)
         path = tmp_path / "lens.cfg"
         write_config(path, config)
         assert read_config(path) == config

@@ -208,13 +208,6 @@ class TestMultilevelEfficiency:
     def test_many_levels_approach_unity(self):
         assert multilevel_efficiency(10**6) == pytest.approx(1.0, abs=1e-9)
 
-    def test_fresnel_losses_flag(self):
-        base = multilevel_efficiency(2)
-        lossy = multilevel_efficiency(
-            2, include_fresnel_losses=True, surface_transmission=0.92
-        )
-        assert lossy == pytest.approx(base * 0.92, rel=1e-12)
-
     def test_rejects_degenerate_levels(self):
         with pytest.raises(DomainError):
             multilevel_efficiency(1)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -243,6 +244,15 @@ class TestPropagation:
         field = gaussian_beam(beam_transform, BEAM_WAIST, BEAM_WAVELENGTH)
         with pytest.raises(DomainError):
             propagate(field, -1e-6)
+
+    @pytest.mark.parametrize("distance", [math.inf, 1e300])
+    def test_unresolved_distance_refused_without_a_warning(self, beam_transform, distance):
+        # past 2^52 / k the phase k z is not resolved, and at inf it is nan
+        field = gaussian_beam(beam_transform, BEAM_WAIST, BEAM_WAVELENGTH)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="must be finite and at most .* 2\\^52 rad"):
+                propagate(field, distance)
 
     def test_power_conserved(self, beam_transform):
         field = gaussian_beam(beam_transform, BEAM_WAIST, BEAM_WAVELENGTH)
@@ -593,6 +603,38 @@ class TestFocalScans:
         assert transform._fine_matrix is matrix
         assert matrix.shape == (128, 2048)
         assert filled == once
+
+    @pytest.mark.parametrize(
+        "z, message",
+        [
+            ([math.nan], "z_positions must be finite and at most"),
+            ([-1e308, 1e308], "z_positions must be finite and at most"),
+            ([], "z_positions must be increasing and non-empty"),
+            ([2e-3, 1e-3], "z_positions must be increasing and non-empty"),
+            ([-1e-3, 1e-3], "z_positions must be non-negative \\(measured from the lens\\)"),
+        ],
+        ids=["nan", "beyond-2^52-rad", "empty", "decreasing", "negative"],
+    )
+    def test_bad_planes_refused_by_message_without_a_warning(self, converging_beam, z, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=message):
+                scan_field(converging_beam, np.array(z, dtype=float))
+
+    @pytest.mark.parametrize("fine_points", [1, 2, 31])
+    def test_fine_grid_below_32_points_refused_without_a_warning(
+        self, toy_transform, toy_layout, fine_points
+    ):
+        # one point made the fine grid the radius 0 alone (0 / 0 in the
+        # interpolation); two gave a waist 28 times too wide
+        field = gaussian_beam(toy_transform, 75e-6, TOY_WAVELENGTH)
+        z = np.linspace(TOY_FOCAL_LENGTH - 2e-6, TOY_FOCAL_LENGTH + 2e-6, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"fine_points must be >= 32, got {fine_points}"):
+                scan_field(apply_binary_pfl(field, toy_layout), z, fine_points=fine_points)
+            with pytest.raises(DomainError, match=f"fine_points must be >= 32, got {fine_points}"):
+                focal_scan(field, toy_layout, (z[0], z[-1]), z.size, fine_points=fine_points)
 
     def test_efficiency_capture_completeness(self, toy_transform, toy_layout):
         field = gaussian_beam(toy_transform, 75e-6, TOY_WAVELENGTH)
