@@ -39,8 +39,10 @@ def solve_bounded(residuals, jacobian, start, lower, upper, what: str, max_evalu
 
     start is (B, P), one row per problem; lower and upper broadcast to it.
     residuals(rows, x) returns the (k, n) residuals and jacobian(rows, x)
-    the (k, n, P) Jacobians of the problems `rows` (an index array) at
-    their points x (k, P).
+    the (k, n, P) Jacobians of the problems `rows` (an increasing index
+    array) at their points x (k, P). jacobian is asked only for rows of
+    the last residuals call, at that call's points, so it may reuse what
+    that call computed.
 
     Each problem runs its own Levenberg-Marquardt with Marquardt's
     diag(J^T J) scaling: in the variables d x, with d the running largest

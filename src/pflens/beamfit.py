@@ -44,9 +44,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import erfc
 
 from ._csv import csv_text, read_text
+from ._erfc import erfc
 from ._lsq import solve_bounded
 from .errors import DomainError, FitError, SchemaError, require
 
@@ -55,8 +55,8 @@ _DIRECTIONS = ("in", "out")
 
 # normalized transmission levels a distance w / sqrt(2) either side of
 # the edge center: erfc(-1) / 2 and erfc(1) / 2
-_LEVEL_HIGH = 0.921350396474857
-_LEVEL_LOW = 0.078649603525143
+_LEVEL_HIGH = 0.9213503964748574
+_LEVEL_LOW = 0.07864960352514257
 
 _MAX_MODEL_EVALS = 200
 # largest waist and far-field radius caustic_radius takes [m]: squares overflow from 1.3e154 m
@@ -208,22 +208,22 @@ def _edge_sign(w: float, direction: str) -> float:
 
 # the knife-edge model and its Jacobian broadcast over their arguments: the
 # public functions pass scalars, the stacked edge fit (k, 1) columns against
-# (k, n) positions, with the same operations in the same order
+# (k, n) positions, with the same operations in the same order. Both take
+# erfc(t) from the caller, so the edge fit computes it once per point
 
 def _edge_argument(x, center, w, sign):
     """t = sign sqrt(2) (x - center) / w."""
     return sign * math.sqrt(2.0) * (x - center) / w
 
 
-def _edge_model(x, total, center, w, sign, background):
-    return background + 0.5 * total * erfc(_edge_argument(x, center, w, sign))
+def _edge_model(erfc_t, total, background):
+    return background + 0.5 * total * erfc_t
 
 
-def _edge_jacobian(x, total, center, w, sign) -> np.ndarray:
-    t = _edge_argument(x, center, w, sign)
+def _edge_jacobian(t, erfc_t, total, w, sign) -> np.ndarray:
     gauss = np.exp(-(t**2)) / math.sqrt(math.pi)
     jac = np.empty(t.shape + (4,))
-    jac[..., 0] = 0.5 * erfc(t)
+    jac[..., 0] = 0.5 * erfc_t
     jac[..., 1] = total * sign * math.sqrt(2.0) / w * gauss
     jac[..., 2] = total * t / w * gauss
     jac[..., 3] = 1.0
@@ -246,9 +246,8 @@ def knife_edge_model(
     is the mirror image. w is the 1/e^2 intensity radius [m].
     """
     sign = _edge_sign(w, direction)
-    return _edge_model(
-        np.asarray(blade_position, dtype=float), total_power, center, w, sign, background
-    )
+    t = _edge_argument(np.asarray(blade_position, dtype=float), center, w, sign)
+    return _edge_model(erfc(t), total_power, background)
 
 
 def knife_edge_jacobian(
@@ -267,7 +266,8 @@ def knife_edge_jacobian(
     """
     sign = _edge_sign(w, direction)
     x = np.atleast_1d(np.asarray(blade_position, dtype=float))
-    return _edge_jacobian(x, total_power, center, w, sign)
+    t = _edge_argument(x, center, w, sign)
+    return _edge_jacobian(t, erfc(t), total_power, w, sign)
 
 
 def caustic_radius(z, w0: float, m2: float, z0: float, wavelength: float):
@@ -424,13 +424,22 @@ def _fit_edge_stack(scans) -> list:
     upper = np.array([np.inf, 1.5, 100.0, np.inf])
     start = np.clip(_initial_edge_parameters(u, q), lower, upper)
 
+    # solve_bounded asks for a Jacobian only for rows of its last residuals
+    # call, in order, at that call's points: t and erfc(t) are taken from it
+    last = {}
+
     def residuals(rows, params):
         total, center, w, background = params.T[:, :, None]
-        return _edge_model(u[rows], total, center, w, sign[rows], background) - q[rows]
+        t = _edge_argument(u[rows], center, w, sign[rows])
+        erfc_t = erfc(t)
+        last.update(rows=rows, t=t, erfc_t=erfc_t)
+        return _edge_model(erfc_t, total, background) - q[rows]
 
     def jacobian(rows, params):
-        total, center, w, _ = params.T[:, :, None]
-        return _edge_jacobian(u[rows], total, center, w, sign[rows])
+        total, _, w, _ = params.T[:, :, None]
+        evaluated = last["rows"]
+        at = slice(None) if rows.size == evaluated.size else np.searchsorted(evaluated, rows)
+        return _edge_jacobian(last["t"][at], last["erfc_t"][at], total, w, sign[rows])
 
     solution, cost, jac, errors = solve_bounded(
         residuals, jacobian, start, lower, upper, "edge fit", _MAX_MODEL_EVALS

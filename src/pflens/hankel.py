@@ -107,6 +107,10 @@ same on every call.
 
 The quadrature is spectrally accurate for fields that decay by r = R and
 whose spectra decay by k = S / R.
+
+scipy.special (j0, j1, jn_zeros) is imported when the first transform is
+built, not with this module: importing it takes about 0.25 s and 23 MiB,
+which the commands that build no transform (all but simulate) never pay.
 """
 
 from __future__ import annotations
@@ -121,7 +125,6 @@ from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal
 
 import numpy as np
-from scipy.special import j0, j1, jn_zeros
 
 from .errors import DomainError, ResolutionError, require
 
@@ -251,6 +254,11 @@ def _fine_interpolation(radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return radii[-1] * cosines, terms / terms.sum(axis=1, keepdims=True)
 
 
+def _check_fine_points(fine_points: int) -> None:
+    """Refuse a near-axis fine grid of fewer than 32 points, the config's floor."""
+    require(fine_points >= 32, "fine_points", ">= 32", fine_points)
+
+
 def _kernel_bytes(n_points: int) -> int:
     """Bytes of the packed kernel of an n_points grid: about 4 N^2 + 2048 N.
 
@@ -376,6 +384,8 @@ class _KernelRows:
 
     def fill(self, start: int, stop: int, out: np.ndarray) -> None:
         """Write kernel[start:stop, start:] into out, for rows of the block at start."""
+        from scipy.special import j0
+
         roots, scaled = self._roots, self._scaled
         n = roots.size
         split, orders, factors, power_rows = self._plans[start // _KERNEL_BLOCK_ROWS]
@@ -457,6 +467,9 @@ class HankelTransform:
         self.n_points = n_points
         self.max_radius = float(max_radius)
         _check_kernel_fits(n_points)
+
+        # here, not at the top of the module (see the module docstring)
+        from scipy.special import j1, jn_zeros
 
         roots = jn_zeros(0, n_points + 1)
         self._j = roots[:n_points]
@@ -583,6 +596,8 @@ class HankelTransform:
 
     def _fill_resample_columns(self, radii, matrix, first: int, stop: int) -> None:
         """Write columns [first, stop) of resample_matrix(radii) into matrix, in place."""
+        from scipy.special import j0
+
         if np.any(radii < 0) or np.any(radii > self.max_radius):
             raise DomainError("resample radii must lie in [0, max_radius]")
         norm = np.pi * self.max_radius**2 * self._j1sq[first:stop]
@@ -597,7 +612,7 @@ class HankelTransform:
 
     def fine_radii(self, fine_points: int) -> np.ndarray:
         """Near-axis fine grid: fine_points >= 32 radii evenly spaced over [0, fine_span]."""
-        require(fine_points >= 32, "fine_points", ">= 32", fine_points)
+        _check_fine_points(fine_points)
         return np.linspace(0.0, self.fine_span, fine_points)
 
     def fine_values(self, spectra: np.ndarray, fine_points: int) -> np.ndarray:

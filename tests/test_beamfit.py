@@ -483,6 +483,45 @@ class TestSolver:
                 closest = min((np.linalg.norm(point - before) for before in run[:j]), default=np.inf)
                 assert closest > eps * np.linalg.norm(point)
 
+    def test_jacobian_asked_only_at_the_last_residual_points(self, monkeypatch):
+        # the edge fit takes t and erfc(t) for a Jacobian from the last
+        # residual evaluation, which holds while every Jacobian is asked for
+        # rows of that evaluation, in its order, at its points
+        jacobians = 0
+
+        def checking(residuals, jacobian, start, lower, upper, what, max_evaluations):
+            last = {}
+
+            def recorded(rows, x):
+                assert np.all(np.diff(rows) > 0)
+                last.update(rows=rows.copy(), x=x.copy())
+                return residuals(rows, x)
+
+            def checked(rows, x):
+                nonlocal jacobians
+                at = np.searchsorted(last["rows"], rows)
+                assert np.array_equal(last["rows"][at], rows)
+                assert np.array_equal(last["x"][at], x)
+                jacobians += 1
+                return jacobian(rows, x)
+
+            return solve_bounded(recorded, checked, start, lower, upper, what, max_evaluations)
+
+        monkeypatch.setattr(beamfit, "solve_bounded", checking)
+        noisy = synthetic_caustic_scans(
+            SCAN_Z,
+            REFERENCE_WAIST,
+            REFERENCE_M2,
+            WAVELENGTH,
+            noise_fraction=0.01,
+            rng=np.random.default_rng(3),
+        )
+        for scans in (read_scans_csv(bundled_caustic_dataset_path()), noisy):
+            points = fit_scans(scans)
+            assert all(isinstance(point, WaistPoint) for point in points)
+            fit_caustic(points, WAVELENGTH)
+        assert jacobians > 0
+
     def test_trials_clipped_into_bounds(self):
         # the unconstrained minimum x = 2 lies past the upper bound 1
         # (a stack of one problem)

@@ -959,21 +959,25 @@ class TestConfigEdgeSweep:
                     _strict_json(out)
 
 
-def _loaded_scipy_modules(statement: str) -> str:
-    """Which of scipy.optimize and scipy.integrate a fresh interpreter holds after statement."""
+def _fresh_interpreter(probe: str) -> str:
+    """stderr of a fresh interpreter running probe with this checkout's pflens on the path."""
     import pflens
 
     source = str(Path(pflens.__file__).resolve().parents[1])
     path = os.pathsep.join([source, os.environ.get("PYTHONPATH", "")])
     env = {**os.environ, "PYTHONPATH": path}
-    probe = (
-        f"import sys, pflens, pflens.cli; {statement}; print(sorted(m for m in "
-        "('scipy.optimize', 'scipy.integrate') if m in sys.modules), file=sys.stderr)"
-    )
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     return result.stderr.strip()
+
+
+def _loaded_scipy_modules(statement: str, modules=("scipy.optimize", "scipy.integrate")) -> str:
+    """Which of modules a fresh interpreter holds after statement."""
+    return _fresh_interpreter(
+        f"import sys, pflens, pflens.cli; {statement}; print(sorted(m for m in "
+        f"{modules!r} if m in sys.modules), file=sys.stderr)"
+    )
 
 
 class TestStartup:
@@ -987,3 +991,38 @@ class TestStartup:
         # the collected fidelity is a fixed Gauss-Legendre rule, not a quadrature
         # from scipy.integrate
         assert _loaded_scipy_modules("pflens.cli.main(['coupling'])") == "[]"
+
+    def test_every_command_but_simulate_runs_without_scipy_special(self, tmp_path):
+        # scipy.special doubles the start-up time and memory; only the Hankel
+        # transform's Bessel functions need it. With it blocked, importing it
+        # raises ImportError, so each command here must run without it
+        commands = [
+            ["fit", "--curve-output", str(tmp_path / "curve.csv")],
+            ["synth", "--seed", "1"],
+            ["design", "--zones-output", str(tmp_path / "zones.csv")],
+            ["coupling"],
+            ["filter"],
+            ["budget"],
+            ["curves", "--kind", "collection"],
+            ["curves", "--kind", "fidelity"],
+            ["curves", "--kind", "etalon"],
+            ["show-config"],
+        ]
+        codes = _fresh_interpreter(
+            "import sys\n"
+            "sys.modules['scipy.special'] = None\n"
+            "import pflens.cli\n"
+            f"codes = [pflens.cli.main(argv) for argv in {commands!r}]\n"
+            "print(codes, file=sys.stderr)"
+        )
+        assert codes == str([0] * len(commands))
+        assert (tmp_path / "curve.csv").stat().st_size > 0
+        assert (tmp_path / "zones.csv").stat().st_size > 0
+
+    def test_building_a_transform_loads_scipy_special(self):
+        # the boundary: the import leaves scipy.special out, the first
+        # transform built brings it in
+        special = ("scipy.special",)
+        assert _loaded_scipy_modules("pass", special) == "[]"
+        built = "pflens.HankelTransform(n_points=64, max_radius=1e-3)"
+        assert _loaded_scipy_modules(built, special) == "['scipy.special']"

@@ -636,6 +636,17 @@ class TestFocalScans:
             with pytest.raises(DomainError, match=f"fine_points must be >= 32, got {fine_points}"):
                 focal_scan(field, toy_layout, (z[0], z[-1]), z.size, fine_points=fine_points)
 
+    def test_fine_grid_refused_before_any_kernel_block_is_filled(self, toy_layout):
+        # a transform of its own, so no other test has filled its kernel
+        transform = HankelTransform(n_points=2048, max_radius=TOY_GRID_RADIUS)
+        field = gaussian_beam(transform, 75e-6, TOY_WAVELENGTH)
+        z = np.linspace(TOY_FOCAL_LENGTH - 2e-6, TOY_FOCAL_LENGTH + 2e-6, 3)
+        with pytest.raises(DomainError, match="fine_points must be >= 32, got 1"):
+            scan_field(apply_binary_pfl(field, toy_layout), z, fine_points=1)
+        with pytest.raises(DomainError, match="fine_points must be >= 32, got 1"):
+            focal_scan(field, toy_layout, (z[0], z[-1]), z.size, fine_points=1)
+        assert all(block is None for block in transform._blocks)
+
     def test_efficiency_capture_completeness(self, toy_transform, toy_layout):
         field = gaussian_beam(toy_transform, 75e-6, TOY_WAVELENGTH)
         scan = focal_scan(

@@ -10,6 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.special
 from scipy.special import j0, jn_zeros
 
 from pflens import (
@@ -79,7 +80,7 @@ class TestGridStructure:
         def no_zeros(*args):
             raise AssertionError("jn_zeros ran for a refused grid")
 
-        monkeypatch.setattr(hankel, "jn_zeros", no_zeros)
+        monkeypatch.setattr(scipy.special, "jn_zeros", no_zeros)
         for radius in (1e160, 1e200, np.inf):
             with pytest.raises(ResolutionError, match="above the 1e\\+100 m a transform allows"):
                 HankelTransform(n_points=64, max_radius=radius)
@@ -191,7 +192,7 @@ class TestKernel:
             evaluated.append(np.size(x))
             return j0(x, *args, **kwargs)
 
-        monkeypatch.setattr(hankel, "j0", counting_j0)
+        monkeypatch.setattr(scipy.special, "j0", counting_j0)
         n_points = 4096
         HankelTransform(n_points=n_points, max_radius=1e-3)._filled_blocks(n_points)
         # under 10 % of the upper triangle goes through j0
@@ -560,7 +561,7 @@ class TestMemoryPreflight:
 
         available = 3 * 1024**3
         monkeypatch.setattr(hankel, "_available_memory", lambda: available)
-        monkeypatch.setattr(hankel, "jn_zeros", no_zeros)
+        monkeypatch.setattr(scipy.special, "jn_zeros", no_zeros)
         with pytest.raises(ResolutionError, match=r"30000-point grid needs a 3.66 GB") as error:
             HankelTransform(n_points=30000, max_radius=1e-3)
         largest = int(re.search(r"grid_points <= (\d+) fits", str(error.value)).group(1))

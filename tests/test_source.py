@@ -91,3 +91,73 @@ def test_scipy_checker_sees_every_form_at_any_depth():
 @pytest.mark.parametrize("path", ALL_MODULES, ids=[path.name for path in ALL_MODULES])
 def test_no_scipy_integrate_or_optimize(path):
     assert slow_scipy_imports(path.read_text(encoding="utf-8")) == []
+
+
+def scipy_special_uses(source: str) -> dict[str, list[int]]:
+    """Lines that import scipy.special or reach it as scipy.special, split into
+    those run on import (outside any function) and those inside a function."""
+    found = {"on import": [], "in a function": []}
+
+    def reaches_special(node) -> bool:
+        if isinstance(node, ast.Import):
+            return any(alias.name.split(".")[:2] == ["scipy", "special"] for alias in node.names)
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            module = node.module.split(".")
+            return module[:2] == ["scipy", "special"] or (
+                module == ["scipy"] and any(alias.name == "special" for alias in node.names)
+            )
+        # scipy loads its submodules lazily, so the attribute reaches it too
+        return (
+            isinstance(node, ast.Attribute)
+            and node.attr == "special"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "scipy"
+        )
+
+    def visit(node, in_function: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if reaches_special(child):
+                found["in a function" if in_function else "on import"].append(child.lineno)
+            functions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+            visit(child, in_function or isinstance(child, functions))
+
+    visit(ast.parse(source), False)
+    return found
+
+
+def test_scipy_special_checker_sees_every_form_at_any_depth():
+    source = (
+        "import scipy.special\n"  # 1
+        "from scipy import integrate, special\n"  # 2
+        "import scipy.special as sp\n"  # 3
+        "if True:\n"
+        "    from scipy.special import erfc\n"  # 5
+        "class C:\n"
+        "    import scipy\n"
+        "    j0 = scipy.special.j0\n"  # 8
+        "    def method(self):\n"
+        "        from scipy.special import j1\n"  # 10
+        "def f():\n"
+        "    def g():\n"
+        "        import scipy.special\n"  # 13
+        "    return lambda: scipy.special.jn_zeros\n"  # 14
+        "from scipy import optimize\n"
+        "from . import special\n"
+        "from .special import erfc\n"
+        "import scipy_special\n"
+    )
+    assert scipy_special_uses(source) == {
+        "on import": [1, 2, 3, 5, 8],
+        "in a function": [10, 13, 14],
+    }
+
+
+# scipy.special costs about 0.25 s and 23 MiB at start-up; only the Hankel
+# transform's Bessel functions need it, so only hankel.py reaches it, and only
+# when a transform is built
+@pytest.mark.parametrize("path", ALL_MODULES, ids=[path.name for path in ALL_MODULES])
+def test_scipy_special_never_loaded_on_import_and_only_by_hankel(path):
+    uses = scipy_special_uses(path.read_text(encoding="utf-8"))
+    assert uses["on import"] == []
+    if path.name != "hankel.py":
+        assert uses["in a function"] == []
