@@ -11,12 +11,13 @@ which returns its report; main writes that to stdout or to --output.
 Every subcommand is deterministic: identical invocations produce
 byte-identical files and stdout. Randomness exists only in synth,
 which requires an explicit seed. Exit codes: 0 success, 2 validation
-error (bad flags, config, schema, or domain), 3 numerical failure.
+error (bad flags, config, schema, or domain), 3 numerical or memory failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -461,6 +462,7 @@ def cmd_show_config(args, config: ProjectConfig) -> str:
 # parser
 
 
+@functools.cache  # built at the first main call, not at import, then reused
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pflens",
@@ -567,8 +569,9 @@ def main(argv=None) -> int:
     except DomainError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    except NumericalError as error:
-        print(f"numerical error: {error}", file=sys.stderr)
+    except (NumericalError, MemoryError) as error:
+        # numpy's MemoryError names the refused allocation: its size, shape and type
+        print(f"numerical error: {str(error) or 'out of memory'}", file=sys.stderr)
         return 3
     except OSError as error:
         # an input, config or output path that cannot be read or written

@@ -157,10 +157,6 @@ _FINE_SPAN_SPACINGS = 60
 # k r = 60 pi: the even interpolant through 2 x 128 first-kind points is
 # exact to j0's rounding on every grid (112 nodes leave 5e-9)
 _FINE_NODES = 128
-# total kernel bytes (_kernel_bytes per transform) get_transform keeps
-# cached: one 18000-point kernel (1.3 GB) and the three toy grids fit, two
-# 18000-point kernels (2.6 GB) never do
-_CACHE_MAX_BYTES = 2 * 1024**3
 # memory a new kernel must leave free, for the grids, tables, resample
 # matrices and scan planes that grow with N beside it
 _MEMORY_HEADROOM_BYTES = 512 * 1024**2
@@ -651,30 +647,28 @@ class HankelTransform:
         )
 
 
-_transform_cache: dict[tuple[int, float], HankelTransform] = {}
+_transform: HankelTransform | None = None
 
 
 def get_transform(n_points: int, max_radius: float) -> HankelTransform:
-    """Shared HankelTransform instances keyed by grid parameters.
+    """A shared HankelTransform for the grid, holding one grid at a time.
 
     Kernels are expensive (time and memory), so repeated requests for
-    the same grid reuse one instance. Before a new transform is made, the
-    oldest grids are dropped until the cached kernels plus the new one
-    take at most _CACHE_MAX_BYTES. Each counts as its whole kernel
-    (_kernel_bytes), however little is filled, since a later call may fill
-    the rest; a kernel larger than the bound is still made, cached alone.
+    the same grid reuse one instance. A request for another grid (another
+    N, or the same N with another R) drops the cached transform before
+    the new one is made, so its memory preflight sees the old kernel
+    freed once no caller holds it, and no two kernels are ever cached.
     """
-    key = (n_points, float(max_radius))
-    if key not in _transform_cache:
-        while _transform_cache and (
-            _kernel_bytes(n_points) + sum(_kernel_bytes(n) for n, _ in _transform_cache)
-            > _CACHE_MAX_BYTES
-        ):
-            _transform_cache.pop(next(iter(_transform_cache)))
-        _transform_cache[key] = HankelTransform(n_points, max_radius)
-    return _transform_cache[key]
+    global _transform
+    transform = _transform
+    grid = (n_points, float(max_radius))
+    if transform is None or (transform.n_points, transform.max_radius) != grid:
+        transform = _transform = None
+        transform = _transform = HankelTransform(n_points, max_radius)
+    return transform
 
 
 def clear_transform_cache() -> None:
-    """Release all cached transform kernels (they can be gigabytes)."""
-    _transform_cache.clear()
+    """Release the cached transform kernel (it can be gigabytes)."""
+    global _transform
+    _transform = None

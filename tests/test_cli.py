@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pflens import clear_transform_cache, hankel
+from pflens import cli, clear_transform_cache, hankel
 from pflens.beamfit import (
     KnifeEdgeScan,
     bundled_caustic_dataset_path,
@@ -277,6 +277,32 @@ class TestSimulate:
         assert code == 3
         assert "Traceback" not in err
         assert elapsed < 2.0
+
+    @pytest.mark.parametrize("key", ["fine_points", "blade_positions", "scan_steps", "--steps"])
+    def test_arrays_too_large_to_allocate_exit_3(self, tmp_path, capsys, key):
+        # 10**15 samples or planes: the refused allocation is named, not a traceback
+        path = tmp_path / "vast.cfg"
+        config = [line for line in TOY_CONFIG.splitlines() if not line.startswith(key)]
+        flags = []
+        if key.startswith("--"):
+            flags = [key, "1000000000000000"]
+        else:
+            config.append(f"{key} = 1000000000000000")
+        path.write_text("\n".join(config) + "\n")
+        argv = ["--config", str(path), "simulate", "--scan-output", str(tmp_path / "s.csv")]
+        code = main(argv + flags)
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert "Traceback" not in err
+        assert err.startswith("numerical error: Unable to allocate"), err
+
+    def test_memory_error_without_a_message_exits_3(self, capsys, monkeypatch):
+        def exhausted():
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "default_config", exhausted)
+        assert main(["show-config"]) == 3
+        assert capsys.readouterr().err == "numerical error: out of memory\n"
 
     def test_scan_flags_refused_by_name(self, toy_config_path, tmp_path, capsys):
         # a plane that is not finite, or whose phase k z is past 2^52 rad, is
@@ -811,8 +837,10 @@ class TestShowConfig:
 # every float and int flag of the cheap subcommands, one at a time, at each
 # edge value; each subcommand runs on the arguments it needs and its defaults
 _SWEEP_FLOATS = ["nan", "inf", "0", "-1", "1e-320", "1e308", "0.5", "2", "1e9"]
-# no large ints: synth --z-steps 10**8 alone would write 2e8 scans
-_SWEEP_INTS = ["0", "-1", "1", "2", "3"]
+# no large ints that would fit in memory (synth --z-steps 10**8 alone would
+# write 2e8 scans); an array of 10**15 float64 values exceeds any address
+# space, so its allocation is refused on every host
+_SWEEP_INTS = ["0", "-1", "1", "2", "3", "1000000000000000"]
 # (command, base arguments, id prefix); --finesse and --fsr-ghz act only on
 # the etalon curve, and are checked at every kind
 _SWEEP_BASES = [

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import re
 import sys
 import threading
+import weakref
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
@@ -515,28 +517,33 @@ class TestCache:
         b = get_transform(256, 1e-3)
         assert a is not b
 
-    def test_cache_bounded_by_kernel_bytes(self, monkeypatch):
+    def test_another_grid_replaces_the_cached_one(self):
         clear_transform_cache()
-        monkeypatch.setattr(
-            hankel, "_CACHE_MAX_BYTES", hankel._kernel_bytes(64) + hankel._kernel_bytes(48)
-        )
-        a = get_transform(64, 1e-3)
-        b = get_transform(48, 1e-3)
-        assert get_transform(64, 1e-3) is a
-        # 64 + 48 + 32 points exceed the bound: the oldest grid goes first
-        c = get_transform(32, 1e-3)
-        assert list(hankel._transform_cache) == [(48, 1e-3), (32, 1e-3)]
-        assert get_transform(48, 1e-3) is b
-        assert get_transform(32, 1e-3) is c
-        # a kernel above the bound by itself is still built, and cached alone
-        get_transform(128, 1e-3)
-        assert list(hankel._transform_cache) == [(128, 1e-3)]
+        a = get_transform(256, 1e-3)
+        # another N, then the same N at another R
+        for n_points, max_radius in ((128, 1e-3), (128, 2e-3)):
+            b = get_transform(n_points, max_radius)
+            assert b is not a and (b.n_points, b.max_radius) == (n_points, max_radius)
+            assert hankel._transform is b
+            assert get_transform(n_points, max_radius) is b
+            a = b
         clear_transform_cache()
 
-    def test_cache_bound_holds_one_default_kernel_and_the_toy_grids(self):
-        toy_grids = sum(hankel._kernel_bytes(n) for n in (2048, 4096, 8192))
-        default_kernel = hankel._kernel_bytes(18000)
-        assert default_kernel + toy_grids <= hankel._CACHE_MAX_BYTES < 2 * default_kernel
+    def test_replaced_transform_is_collectable_once_dropped(self):
+        clear_transform_cache()
+        dropped = weakref.ref(get_transform(256, 1e-3))
+        get_transform(128, 1e-3)
+        gc.collect()
+        assert dropped() is None
+        clear_transform_cache()
+
+    def test_refused_build_leaves_the_cache_empty(self, monkeypatch):
+        clear_transform_cache()
+        get_transform(256, 1e-3)
+        monkeypatch.setattr(hankel, "_available_memory", lambda: hankel._MEMORY_HEADROOM_BYTES)
+        with pytest.raises(ResolutionError, match="no grid fits"):
+            get_transform(128, 1e-3)
+        assert hankel._transform is None
 
 
 class TestMemoryPreflight:
