@@ -5,8 +5,8 @@ with surface losses, then a knife-edge focal scan of the binary profile
 against an ideal-lens control. Writes the zone table and both scan
 curves as CSV next to this script's working directory.
 
-Runtime is dominated by the quadrature-grid transform build; expect
-tens of seconds.
+Runtime is dominated by filling the 18000-point transform kernel: about
+3-4 s and 1.4 GB peak memory on 2 CPUs.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from pflens.design import (
     zone_layout,
 )
 from pflens.diffraction import (
+    DEFAULT_CAPTURE_RADIUS_MULTIPLIER,
     apply_binary_pfl,
     apply_ideal_lens,
     efficiency_into_focus,
@@ -82,7 +83,7 @@ def main():
     print(f"  minimum waist          {scan.best_waist * 1e9:.1f} nm at z = {best_z * 1e3:.4f} mm")
     print(f"  fitted w0, M2          {fit.w0 * 1e9:.1f} nm, {fit.m2:.3f}")
     print(f"  focal efficiency       {efficiency_into_focus(scan):.3f} of input "
-          "(3x-waist capture)")
+          f"({DEFAULT_CAPTURE_RADIUS_MULTIPLIER:g}x-waist capture)")
     with open("demo_focal_scan_binary.csv", "w") as fh:
         fh.write(focal_scan_csv_text(scan))
 

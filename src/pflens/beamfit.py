@@ -51,6 +51,7 @@ from ._lsq import solve_bounded
 from .errors import DomainError, FitError, SchemaError, require
 
 _MIN_SCAN_SAMPLES = 8
+MIN_CAUSTIC_POINTS = 5
 _DIRECTIONS = ("in", "out")
 
 # normalized transmission levels a distance w / sqrt(2) either side of
@@ -493,15 +494,16 @@ def fit_caustic(points, wavelength: float) -> CausticFit:
     fitted only when both blade directions are present; otherwise it is
     fixed to zero and its covariance entries are zero.
 
-    Raises DomainError for fewer than 5 points, waists outside
-    [1e-150, 1e150] m or spanning a ratio whose square overflows, a z
-    span that overflows, or a weight that overflows, underflows to 0 or
-    is too small for its residual to square to a float; FitError when
+    Raises DomainError for fewer than MIN_CAUSTIC_POINTS points, waists
+    outside [1e-150, 1e150] m or spanning a ratio whose square overflows,
+    a z span that overflows, or a weight that overflows, underflows to 0
+    or is too small for its residual to square to a float; FitError when
     the solver fails or the fitted waist collapses toward zero.
     """
     points = list(points)
     require(wavelength > 0, "wavelength", "> 0", wavelength)
-    require(len(points) >= 5, "a caustic fit's point count", "at least 5", len(points))
+    least = MIN_CAUSTIC_POINTS
+    require(len(points) >= least, "a caustic fit's point count", f"at least {least}", len(points))
     z = np.array([pt.z for pt in points])
     w = np.array([pt.w for pt in points])
     sigma = np.array([pt.w_uncertainty for pt in points])

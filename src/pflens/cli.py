@@ -121,10 +121,9 @@ def cmd_simulate(args, config: ProjectConfig) -> str:
     lens = config.lens_design()
     layout = design_mod.zone_layout(lens)
 
-    truncation_radius = config.truncation_waists * config.input_waist
-    truncation_radius = min(truncation_radius, lens.clear_aperture_diameter / 2.0)
+    truncated = layout.truncated(config.truncation_waists * config.input_waist)
+    truncation_radius = truncated.aperture_radius
     grid_radius = config.grid_padding_factor * truncation_radius
-    truncated = layout.truncated(truncation_radius)
     paraxial = bool(args.ideal)
     transform = get_transform(config.grid_points, grid_radius)
     beam = diffraction.gaussian_beam(transform, config.input_waist, config.wavelength)
@@ -155,18 +154,18 @@ def cmd_simulate(args, config: ProjectConfig) -> str:
         paraxial=paraxial,
     )
 
-    warnings = []
-    if not scan.has_interior_minimum():
-        warnings.append(
-            "waist minimum sits on the scan boundary; the focus lies outside the z range"
-        )
-
     points = [
         beamfit.WaistPoint(z=float(z), w=float(w), w_uncertainty=float(s), direction="in")
         for z, w, s in zip(scan.z_positions, scan.fitted_waists, scan.waist_uncertainties)
     ]
-    caustic = None
-    if scan.has_interior_minimum() and len(points) >= 5:
+    warnings, caustic, least = [], None, beamfit.MIN_CAUSTIC_POINTS
+    if not scan.has_interior_minimum():
+        warnings.append(
+            "waist minimum sits on the scan boundary; the focus lies outside the z range"
+        )
+    elif len(points) < least:
+        warnings.append(f"caustic fit skipped: {len(points)} planes; the fit needs at least {least}")
+    else:
         try:
             fit = beamfit.fit_caustic(points, config.wavelength)
             caustic = beamfit.caustic_fit_report(fit, wavelength=config.wavelength)
@@ -229,10 +228,10 @@ def cmd_fit(args, config: ProjectConfig) -> str:
         payload["input"] = str(input_path)
         return _json_text(payload)
 
-    if len(points) < 5:
+    if len(points) < beamfit.MIN_CAUSTIC_POINTS:
         raise NumericalError(
             f"only {len(points)} of {len(scans)} scans fitted; "
-            "a caustic fit needs at least 5"
+            f"a caustic fit needs at least {beamfit.MIN_CAUSTIC_POINTS}"
         )
     fit = beamfit.fit_caustic(points, wavelength)
     report = beamfit.caustic_fit_report(fit, points=points, wavelength=wavelength)
@@ -498,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--divergence-mrad", type=float, default=None)
     p_coup.add_argument("--m2", type=float, default=None)
     p_coup.add_argument("--eta", type=float, default=None)
-    p_coup.add_argument("--m-convention", choices=("sqrt", "unity"), default=None)
+    p_coup.add_argument("--m-convention", choices=dipole.M_CONVENTIONS, default=None)
     p_coup.add_argument("--collection-curve", default=None)
     p_coup.add_argument("--fidelity-curve", default=None)
     p_coup.add_argument("--curve-steps", type=int, default=101)
@@ -515,14 +514,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_budget = subparsers.add_parser("budget", help="trap-array scalability report")
     p_budget.add_argument("--electrode-distance-um", type=float, default=100.0)
-    p_budget.add_argument("--segments", type=int, default=7)
-    p_budget.add_argument("--segment-length-factor", type=float, default=0.5)
-    p_budget.add_argument("--measured-fraction", type=float, default=0.2)
-    p_budget.add_argument("--focal-factor", type=float, default=3.0)
+    trap, detector = budget_mod.TrapArraySpec, budget_mod.DetectorSpec  # flag defaults below
+    p_budget.add_argument("--segments", type=int, default=trap.segments_per_site)
+    p_budget.add_argument("--segment-length-factor", type=float, default=trap.segment_length_factor)
+    p_budget.add_argument("--measured-fraction", type=float, default=trap.measured_site_fraction)
+    p_budget.add_argument("--focal-factor", type=float, default=trap.focal_length_factor)
     p_budget.add_argument("--check-na", type=float, default=0.6)
     p_budget.add_argument("--check-eta", type=float, default=0.6)
-    p_budget.add_argument("--required-p-coll", type=float, default=0.05)
-    p_budget.add_argument("--quantum-efficiency", type=float, default=0.2)
+    required = budget_mod.DEFAULT_REQUIRED_P_COLL
+    p_budget.add_argument("--required-p-coll", type=float, default=required)
+    p_budget.add_argument("--quantum-efficiency", type=float, default=detector.quantum_efficiency)
     p_budget.add_argument("--networking-na", type=float, default=0.8)
     p_budget.add_argument("--networking-m2", type=float, default=1.5)
     p_budget.add_argument("--networking-eta", type=float, default=0.5)

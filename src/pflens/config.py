@@ -17,15 +17,14 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from . import diffraction
 from ._csv import read_text
+from .beamfit import _MIN_SCAN_SAMPLES
 from .design import FUSED_SILICA_INDEX, LensDesign
+from .dipole import M_CONVENTIONS
 from .errors import ConfigError
-from .filtering import FrequencyLayout
-
-_M_CONVENTIONS = ("sqrt", "unity")
-
-# back-solved operating point: 160 MHz at 67 G
-_DEFAULT_ZEEMAN_MHZ_PER_GAUSS = 160.0 / 67.0
+from .filtering import DEFAULT_ZEEMAN_MHZ_PER_GAUSS, FrequencyLayout
+from .hankel import _MIN_FINE_POINTS
 
 
 @dataclass(frozen=True)
@@ -41,7 +40,7 @@ class ProjectConfig:
     # ion frequencies
     raman_shift_ghz: float = 12.6
     zeeman_splitting_mhz: float = 160.0
-    zeeman_coefficient_mhz_per_gauss: float = _DEFAULT_ZEEMAN_MHZ_PER_GAUSS
+    zeeman_coefficient_mhz_per_gauss: float = DEFAULT_ZEEMAN_MHZ_PER_GAUSS
     # coupling defaults
     eta_diff: float = 0.30
     beam_m2: float = 1.08
@@ -53,14 +52,17 @@ class ProjectConfig:
     truncation_waists: float = 2.0
     scan_half_width_um: float = 2.0
     scan_steps: int = 21
-    capture_radius_multiplier: float = 3.0
-    blade_positions: int = 81
-    fine_points: int = 512
+    capture_radius_multiplier: float = diffraction.DEFAULT_CAPTURE_RADIUS_MULTIPLIER
+    blade_positions: int = diffraction.DEFAULT_BLADE_POSITIONS
+    fine_points: int = diffraction.DEFAULT_FINE_POINTS
 
     def __post_init__(self):
         def need(condition: bool, key: str, message: str):
             if not condition:
                 raise ConfigError(message, key=key)
+
+        def at_least(key: str, floor) -> None:
+            need(getattr(self, key) >= floor, key, f"must be >= {floor}")
 
         for spec in fields(self):
             if spec.type in ("float", float):
@@ -69,35 +71,23 @@ class ProjectConfig:
         need(self.focal_length_mm > 0, "focal_length_mm", "must be > 0")
         need(self.aperture_diameter_mm > 0, "aperture_diameter_mm", "must be > 0")
         need(self.wavelength_nm > 0, "wavelength_nm", "must be > 0")
-        need(self.phase_levels >= 2, "phase_levels", "must be >= 2")
+        at_least("phase_levels", 2)
         need(self.substrate_index > 1, "substrate_index", "must be > 1")
-        need(self.raman_shift_ghz >= 0, "raman_shift_ghz", "must be >= 0")
-        need(self.zeeman_splitting_mhz >= 0, "zeeman_splitting_mhz", "must be >= 0")
-        need(
-            self.zeeman_coefficient_mhz_per_gauss >= 0,
-            "zeeman_coefficient_mhz_per_gauss",
-            "must be >= 0",
-        )
+        at_least("raman_shift_ghz", 0)
+        at_least("zeeman_splitting_mhz", 0)
+        at_least("zeeman_coefficient_mhz_per_gauss", 0)
         need(0 < self.eta_diff <= 1, "eta_diff", "must be in (0, 1]")
-        need(self.beam_m2 >= 1, "beam_m2", "must be >= 1")
-        need(
-            self.m_convention in _M_CONVENTIONS,
-            "m_convention",
-            f"must be one of {_M_CONVENTIONS}",
-        )
+        at_least("beam_m2", 1)
+        need(self.m_convention in M_CONVENTIONS, "m_convention", f"must be one of {M_CONVENTIONS}")
         need(self.input_waist_mm > 0, "input_waist_mm", "must be > 0")
-        need(self.grid_points >= 64, "grid_points", "must be >= 64")
-        need(self.grid_padding_factor >= 1, "grid_padding_factor", "must be >= 1")
+        at_least("grid_points", 64)
+        at_least("grid_padding_factor", 1)
         need(self.truncation_waists > 0, "truncation_waists", "must be > 0")
         need(self.scan_half_width_um > 0, "scan_half_width_um", "must be > 0")
-        need(self.scan_steps >= 3, "scan_steps", "must be >= 3")
-        need(
-            self.capture_radius_multiplier > 0,
-            "capture_radius_multiplier",
-            "must be > 0",
-        )
-        need(self.blade_positions >= 8, "blade_positions", "must be >= 8")
-        need(self.fine_points >= 32, "fine_points", "must be >= 32")
+        at_least("scan_steps", 3)
+        need(self.capture_radius_multiplier > 0, "capture_radius_multiplier", "must be > 0")
+        at_least("blade_positions", _MIN_SCAN_SAMPLES)
+        at_least("fine_points", _MIN_FINE_POINTS)
 
     # SI properties
 

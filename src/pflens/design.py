@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,14 +53,19 @@ class LensDesign:
         require(self.substrate_index > 1, "substrate_index", "> 1", self.substrate_index)
 
 
+def path_excess(focal_length: float, radii: np.ndarray) -> np.ndarray:
+    """Extra path sqrt(f^2 + r^2) - f [m] from radius r to a focus f away on the axis."""
+    return np.sqrt(focal_length**2 + radii**2) - focal_length
+
+
 @dataclass(frozen=True)
 class ZoneLayout:
     """Realized ring radii and etch depth of a phase Fresnel lens.
 
     ring_radii are the full-period radii r_p in meters, strictly
-    increasing and bounded by aperture_radius. design_wavelength and
-    phase_levels are retained so that the diffraction module can
-    reconstruct the phase profile the rings realize.
+    increasing and bounded by aperture_radius. The layout owns the lens
+    profile: pupil gives the complex transmission the rings realize at
+    the design wavelength, quantized to phase_levels steps per period.
     """
 
     ring_radii: np.ndarray
@@ -102,18 +107,29 @@ class ZoneLayout:
         lam = self.design_wavelength
         return (float(self.ring_radii[0]) ** 2 - lam**2) / (2 * lam)
 
+    def pupil(self, radii: np.ndarray) -> np.ndarray:
+        """Complex amplitude transmission at the given radii [m].
+
+        0 beyond aperture_radius; inside it 1 for an empty layout, else
+        exp(-2 pi i l / L): the path_excess of the focal length implied by
+        the first ring, in design wavelengths, quantized down to step l of
+        L = phase_levels per cycle. Binary flips sign at every half cycle.
+        """
+        inside = radii <= self.aperture_radius
+        if self.zone_count == 0:
+            return inside.astype(complex)
+        levels = self.phase_levels
+        excess = path_excess(self.focal_length(), radii)
+        cycle_fraction = np.mod(excess / self.design_wavelength, 1.0)
+        level_index = np.minimum(np.floor(cycle_fraction * levels), levels - 1)
+        return np.where(inside, np.exp(-2j * math.pi * level_index / levels), 0j)
+
     def truncated(self, radius: float) -> "ZoneLayout":
         """Layout restricted to rings within the given radius [m]."""
         require(radius > 0, "truncation radius", "> 0", radius)
         radius = min(radius, self.aperture_radius)
         keep = self.ring_radii[self.ring_radii <= radius]
-        return ZoneLayout(
-            ring_radii=keep,
-            etch_depth=self.etch_depth,
-            aperture_radius=radius,
-            design_wavelength=self.design_wavelength,
-            phase_levels=self.phase_levels,
-        )
+        return replace(self, ring_radii=keep, aperture_radius=radius)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ import numpy as np
 
 from ._csv import csv_text
 from .beamfit import KnifeEdgeScan, fit_scan, fit_scans
-from .design import ZoneLayout
+from .design import ZoneLayout, path_excess
 from .errors import DomainError, FitError, ResolutionError, require
 from .hankel import HankelTransform, _check_fine_points, _kernel_bytes, _support
 
@@ -42,6 +42,12 @@ _GUARD_BAND_MAX_POWER = 1e-2
 _MIN_SAMPLES_PER_ZONE = 4.0
 # planes whose spectra scan_field stacks into one batched inverse transform
 _SCAN_CHUNK_PLANES = 64
+# scan defaults, which the config's keys of the same names start from:
+# near-axis fine-grid radii, blade positions per knife-edge curve, and the
+# capture radius of efficiency_into_focus in best-focus waists
+DEFAULT_FINE_POINTS = 512
+DEFAULT_BLADE_POSITIONS = 81
+DEFAULT_CAPTURE_RADIUS_MULTIPLIER = 3.0
 # knife_edge_power_curve expands arccos(x / r) in powers of x / r on radii
 # beyond this multiple of the largest blade offset, keeping the first
 # _KNIFE_EDGE_FAR_TERMS terms (truncation below 5.3e-18 rad; see there)
@@ -127,16 +133,13 @@ def _undersampled(samples_per_zone: float, layout: ZoneLayout, max_radius: float
 def apply_binary_pfl(field: RadialField, layout: ZoneLayout) -> RadialField:
     """Transmit a field through a phase Fresnel lens layout.
 
-    The listed ring radii are the full-period contours of the lens phase
-    profile; the profile between them is reconstructed from the focal
-    length implied by the first ring and quantized to the layout's phase
-    level count. For a binary layout this multiplies the amplitude by
-    -1 on the half-period annuli (every level boundary midway between
-    consecutive rings and at each ring). The field is zeroed outside the
-    clear aperture.
+    Multiplies the amplitude by layout.pupil, sampled at each grid
+    radius: the layout's quantized phase profile inside the clear
+    aperture, zero outside it.
 
-    Raises ResolutionError when the grid provides fewer than 4 samples
-    across the outermost ring period.
+    Raises DomainError when the grid does not cover the aperture, and
+    ResolutionError when it provides fewer than 4 samples across the
+    outermost ring period.
     """
     transform = field.transform
     if transform.max_radius < layout.aperture_radius * (1 - 1e-12):
@@ -144,27 +147,11 @@ def apply_binary_pfl(field: RadialField, layout: ZoneLayout) -> RadialField:
             "field grid must cover the layout aperture: grid extends to "
             f"{transform.max_radius:.6g} m, aperture radius is {layout.aperture_radius:.6g} m"
         )
-
-    r = transform.radii
-    inside = r <= layout.aperture_radius
-    amplitude = np.where(inside, field.amplitude, 0.0)
-
-    if layout.zone_count == 0:
-        return field.with_amplitude(amplitude)
-
     if layout.zone_count >= 2:
         samples_per_zone = _outer_zone_pitch(layout) / transform.max_spacing
         if samples_per_zone < _MIN_SAMPLES_PER_ZONE:
             raise _undersampled(samples_per_zone, layout, transform.max_radius)
-
-    focal_length = layout.focal_length()
-    lam = layout.design_wavelength
-    levels = layout.phase_levels
-    path_excess = np.sqrt(focal_length**2 + r**2) - focal_length
-    cycle_fraction = np.mod(path_excess / lam, 1.0)
-    level_index = np.minimum(np.floor(cycle_fraction * levels), levels - 1)
-    phase = np.exp(-2j * math.pi * level_index / levels)
-    return field.with_amplitude(amplitude * np.where(inside, phase, 1.0))
+    return field.with_amplitude(field.amplitude * layout.pupil(transform.radii))
 
 
 def apply_ideal_lens(
@@ -201,10 +188,10 @@ def apply_ideal_lens(
         )
     inside = r <= aperture_radius
     if paraxial:
-        path_excess = r**2 / (2.0 * focal_length)
+        excess = r**2 / (2.0 * focal_length)
     else:
-        path_excess = np.sqrt(focal_length**2 + r**2) - focal_length
-    phase = np.exp(-1j * field.wavenumber * path_excess)
+        excess = path_excess(focal_length, r)
+    phase = np.exp(-1j * field.wavenumber * excess)
     return field.with_amplitude(np.where(inside, field.amplitude * phase, 0.0))
 
 
@@ -430,17 +417,20 @@ def _spot_radius_estimate(radii: np.ndarray, intensity: np.ndarray) -> float:
     return max(float(crossing - radii[i_peak]), float(radii[1] - radii[0]))
 
 
-def measure_waist_knife_edge(field: RadialField, n_blade_positions: int = 81) -> tuple[float, float]:
+def measure_waist_knife_edge(
+    field: RadialField, n_blade_positions: int = DEFAULT_BLADE_POSITIONS
+) -> tuple[float, float]:
     """1/e^2 intensity radius of a field via a virtual knife edge.
 
     Returns (waist, 1 sigma uncertainty from the fit). The blade curve
     spans +-2.5 times the 1/e^2 spot radius estimate, on the grid
-    scan_field uses: 512 fine-grid samples resampled from the field's
-    forward transform (transform.fine_values), then the native ones. It is
-    fitted with the error-function model applied to measured scans.
+    scan_field uses by default: DEFAULT_FINE_POINTS fine-grid samples
+    resampled from the field's forward transform (transform.fine_values),
+    then the native ones. It is fitted with the error-function model
+    applied to measured scans.
     """
     transform = field.transform
-    fine_values = transform.fine_values(transform.forward(field.amplitude), 512)
+    fine_values = transform.fine_values(transform.forward(field.amplitude), DEFAULT_FINE_POINTS)
     blade, powers = _blade_curve(field, n_blade_positions, fine_values)
     point = fit_scan(KnifeEdgeScan(z=0.0, blade_positions=blade, powers=powers, direction="in"))
     return point.w, point.w_uncertainty
@@ -546,8 +536,8 @@ def scan_field(
     transmitted: RadialField,
     z_positions: np.ndarray,
     input_power: float | None = None,
-    n_blade_positions: int = 81,
-    fine_points: int = 512,
+    n_blade_positions: int = DEFAULT_BLADE_POSITIONS,
+    fine_points: int = DEFAULT_FINE_POINTS,
     paraxial: bool = False,
 ) -> FocalScanResult:
     """Waist-versus-z scan of an already-transmitted field.
@@ -561,7 +551,7 @@ def scan_field(
     inverted by one batched transform (one pass over the kernel), so
     memory stays O(N) whatever the plane count. The same stack is summed
     on the transform's near-axis fine grid (transform.fine_values:
-    fine_points >= 32 radii over 60 grid spacings, reached through 128
+    fine_points radii over 60 grid spacings, reached through 128
     Chebyshev nodes whose matrix the transform keeps for every scan and
     waist measurement on its grid). Each plane's knife-edge curve is
     built on that fine grid joined to the native radii beyond it, and the
@@ -641,7 +631,7 @@ def focal_scan(
     layout: ZoneLayout,
     z_range: tuple[float, float],
     n_steps: int,
-    fine_points: int = 512,
+    fine_points: int = DEFAULT_FINE_POINTS,
 ) -> FocalScanResult:
     """Transmit a field through a lens layout and scan waists over z.
 
@@ -654,18 +644,13 @@ def focal_scan(
     input_power = field.power()
     transmitted = apply_binary_pfl(field, layout)
     z_positions = np.linspace(z_lo, z_hi, n_steps)
-    return scan_field(
-        transmitted,
-        z_positions,
-        input_power=input_power,
-        fine_points=fine_points,
-    )
+    return scan_field(transmitted, z_positions, input_power=input_power, fine_points=fine_points)
 
 
 def efficiency_into_focus(
     scan: FocalScanResult,
     input_power: float | None = None,
-    capture_radius_multiplier: float = 3.0,
+    capture_radius_multiplier: float = DEFAULT_CAPTURE_RADIUS_MULTIPLIER,
 ) -> float:
     """Fraction of the input power inside the focal capture radius.
 

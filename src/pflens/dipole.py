@@ -42,6 +42,7 @@ from .geometry import check_cone_angle, check_na, cone_from_na
 
 _POLARIZATIONS = ("sigma_plus", "sigma_minus", "pi")
 _ORIENTATIONS = ("polar", "equatorial")
+M_CONVENTIONS = ("sqrt", "unity")  # M = sqrt(m2) or M = 1 in effective_divergence
 
 # 12 nodes put the fidelity ratio at rounding: its integrands are analytic
 # in an ellipse of Bernstein radius about 4.6 around the interval
@@ -197,7 +198,8 @@ def effective_divergence(quality: BeamQuality, m_convention: str = "sqrt") -> fl
     which ignores the measured beam quality; both conventions appear in
     published estimates, so the choice is explicit.
     """
-    require(m_convention in ("sqrt", "unity"), "m_convention", "'sqrt' or 'unity'", repr(m_convention))
+    rule = " or ".join(map(repr, M_CONVENTIONS))
+    require(m_convention in M_CONVENTIONS, "m_convention", rule, repr(m_convention))
     m_factor = math.sqrt(quality.m2) if m_convention == "sqrt" else 1.0
     return quality.divergence_half_angle / (m_factor * math.sqrt(2.0))
 

@@ -150,6 +150,7 @@ _PANEL_COLUMNS = 4096
 _RESAMPLE_BLOCK_ROWS = 64
 # the near-axis fine grid spans this many of the widest collocation gaps
 _FINE_SPAN_SPACINGS = 60
+_MIN_FINE_POINTS = 32  # fewest radii a fine grid may have
 # Chebyshev nodes the near-axis fine grid is resampled through. A spectrum
 # holds k <= j_N / R < S / R and the fine grid reaches at most 60 spacings
 # of under pi R / S, so k r <= 60 pi there. J0(k r cos t) has Chebyshev
@@ -251,8 +252,8 @@ def _fine_interpolation(radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_fine_points(fine_points: int) -> None:
-    """Refuse a near-axis fine grid of fewer than 32 points, the config's floor."""
-    require(fine_points >= 32, "fine_points", ">= 32", fine_points)
+    """Refuse a near-axis fine grid of fewer than _MIN_FINE_POINTS points."""
+    require(fine_points >= _MIN_FINE_POINTS, "fine_points", f">= {_MIN_FINE_POINTS}", fine_points)
 
 
 def _kernel_bytes(n_points: int) -> int:

@@ -201,6 +201,20 @@ class TestSimulate:
         assert any("boundary" in warning for warning in summary["warnings"])
         assert summary["caustic_fit"] is None
 
+    @pytest.mark.parametrize("steps", [3, 4])
+    def test_too_few_planes_for_the_caustic_fit_warns(
+        self, steps, toy_config_path, tmp_path, capsys
+    ):
+        # the minimum is interior, but a caustic fit needs 5 planes
+        argv = ["--config", toy_config_path, "simulate", "--z-min-um", "199", "--z-max-um", "201"]
+        argv += ["--steps", str(steps), "--scan-output", str(tmp_path / "scan.csv")]
+        summary = run_json(argv, capsys)
+        assert 199e-6 < summary["best_focus_z_m"] < 201e-6
+        assert summary["caustic_fit"] is None
+        assert summary["warnings"] == [
+            f"caustic fit skipped: {steps} planes; the fit needs at least 5"
+        ]
+
     def test_undersampled_grid_refused_before_kernel_build(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "coarse.cfg"
         path.write_text(TOY_CONFIG.replace("grid_points = 2048", "grid_points = 64"))

@@ -9,6 +9,7 @@ import pytest
 
 from pflens import (
     ConfigError,
+    FrequencyLayout,
     ProjectConfig,
     config_text,
     default_config,
@@ -49,6 +50,11 @@ class TestDefaults:
         layout = config.frequency_layout()
         assert layout.raman_shift == pytest.approx(12.6e9)
         assert layout.zeeman_splitting == pytest.approx(160e6)
+
+    def test_frequency_layout_is_the_library_default(self):
+        # the Zeeman operating point is stored once: converted from MHz/G by
+        # the config, it is the very float FrequencyLayout defaults to
+        assert default_config().frequency_layout() == FrequencyLayout()
 
 
 class TestValidation:

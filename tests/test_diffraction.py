@@ -15,11 +15,13 @@ from pflens import (
     DomainError,
     HankelTransform,
     LensDesign,
+    ProjectConfig,
     ResolutionError,
     WaistPoint,
     apply_binary_pfl,
     apply_ideal_lens,
     clear_transform_cache,
+    default_config,
     efficiency_into_focus,
     fit_caustic,
     focal_scan,
@@ -66,15 +68,57 @@ def analytic_gaussian_radius(z: float) -> float:
     return BEAM_WAIST * math.sqrt(1.0 + (z / BEAM_RAYLEIGH) ** 2)
 
 
-def half_period_radii(focal_length: float, wavelength: float, psi_max: float):
-    """Radii where the path excess sqrt(f^2+r^2) - f crosses j lam / 2."""
+def level_radii(focal_length: float, wavelength: float, psi_max: float, levels: int = 2):
+    """Radii where the path excess sqrt(f^2+r^2) - f crosses j lam / levels."""
     radii = []
     j = 1
-    while j * 0.5 <= psi_max:
-        excess = j * 0.5 * wavelength
+    while j / levels <= psi_max:
+        excess = j / levels * wavelength
         radii.append(math.sqrt((focal_length + excess) ** 2 - focal_length**2))
         j += 1
     return radii
+
+
+# the criterion-03 toy lens, as the CLI tests configure it
+CLI_TOY_CONFIG = ProjectConfig(
+    focal_length_mm=0.2,
+    aperture_diameter_mm=0.3,
+    wavelength_nm=854.0,
+    input_waist_mm=0.075,
+    grid_points=2048,
+)
+
+
+def simulated_lens(config):
+    """(grid points, grid radius, truncated layout, input waist), as `pflens simulate` has them."""
+    truncation = min(config.truncation_waists * config.input_waist, config.aperture_diameter / 2)
+    layout = zone_layout(config.lens_design()).truncated(truncation)
+    return config.grid_points, config.grid_padding_factor * truncation, layout, config.input_waist
+
+
+def toy_lens(n_points: int, levels: int = 2):
+    """The criterion-03 toy lens on its window, as simulated_lens returns it."""
+    design = LensDesign(TOY_FOCAL_LENGTH, TOY_APERTURE, TOY_WAVELENGTH, phase_levels=levels)
+    return n_points, TOY_GRID_RADIUS, zone_layout(design), TOY_APERTURE / 4
+
+
+def pre_change_transmission(field, layout):
+    """apply_binary_pfl's amplitude before ZoneLayout.pupil held the profile, verbatim."""
+    r = field.transform.radii
+    inside = r <= layout.aperture_radius
+    amplitude = np.where(inside, field.amplitude, 0.0)
+
+    if layout.zone_count == 0:
+        return amplitude
+
+    focal_length = layout.focal_length()
+    lam = layout.design_wavelength
+    levels = layout.phase_levels
+    path_excess = np.sqrt(focal_length**2 + r**2) - focal_length
+    cycle_fraction = np.mod(path_excess / lam, 1.0)
+    level_index = np.minimum(np.floor(cycle_fraction * levels), levels - 1)
+    phase = np.exp(-2j * math.pi * level_index / levels)
+    return amplitude * np.where(inside, phase, 1.0)
 
 
 class TestFieldConstructors:
@@ -124,12 +168,55 @@ class TestBinaryLensTransmission:
             math.sqrt(TOY_FOCAL_LENGTH**2 + layout.aperture_radius**2)
             - TOY_FOCAL_LENGTH
         ) / TOY_WAVELENGTH
-        flips = half_period_radii(TOY_FOCAL_LENGTH, TOY_WAVELENGTH, psi_edge)
+        flips = level_radii(TOY_FOCAL_LENGTH, TOY_WAVELENGTH, psi_edge)
         # sign is +1 up to the first half-period radius, then alternates
         crossings = np.searchsorted(np.asarray(flips), r[inside])
         expected = np.where(crossings % 2 == 0, 1.0, -1.0)
         np.testing.assert_allclose(out.amplitude[inside].real, expected, atol=1e-12)
         assert np.max(np.abs(out.amplitude[inside].imag)) < 1e-12
+
+    @pytest.mark.parametrize("levels", [3, 4, 8])
+    def test_multilevel_phase_steps_on_level_annuli(self, toy_transform, levels):
+        # the whole toy aperture: the phase steps by -2 pi / levels at every
+        # radius where the path excess crosses a multiple of lam / levels,
+        # independently recomputed here
+        design = LensDesign(TOY_FOCAL_LENGTH, TOY_APERTURE, TOY_WAVELENGTH, phase_levels=levels)
+        layout = zone_layout(design)
+        out = apply_binary_pfl(plane_wave(toy_transform, TOY_WAVELENGTH), layout)
+
+        r = toy_transform.radii
+        inside = r <= layout.aperture_radius
+        edge_excess = math.hypot(TOY_FOCAL_LENGTH, layout.aperture_radius) - TOY_FOCAL_LENGTH
+        psi_edge = edge_excess / TOY_WAVELENGTH
+        steps = level_radii(TOY_FOCAL_LENGTH, TOY_WAVELENGTH, psi_edge, levels)
+        level = np.searchsorted(np.asarray(steps), r[inside]) % levels
+        assert set(level.tolist()) == set(range(levels))
+        expected = np.exp(-2j * math.pi * level / levels)
+        np.testing.assert_allclose(out.amplitude[inside], expected, rtol=0, atol=1e-12)
+        assert np.all(out.amplitude[~inside] == 0.0)
+
+    @pytest.mark.parametrize(
+        "lens",
+        [
+            pytest.param(lambda: simulated_lens(default_config()), id="default"),
+            pytest.param(lambda: simulated_lens(CLI_TOY_CONFIG), id="cli-toy"),
+            pytest.param(lambda: toy_lens(2048), id="toy-2048"),
+            pytest.param(lambda: toy_lens(4096), id="toy-4096"),
+            pytest.param(lambda: toy_lens(8192), id="toy-8192"),
+            pytest.param(lambda: toy_lens(2048, levels=3), id="toy-2048-levels-3"),
+            pytest.param(lambda: toy_lens(2048, levels=8), id="toy-2048-levels-8"),
+        ],
+    )
+    def test_pupil_reproduces_the_pre_change_transmission_bit_for_bit(self, lens):
+        n_points, max_radius, layout, waist = lens()
+        transform = HankelTransform(n_points, max_radius)
+        field = gaussian_beam(transform, waist, layout.design_wavelength)
+        before = pre_change_transmission(field, layout)
+        after = apply_binary_pfl(field, layout).amplitude
+        np.testing.assert_array_equal(after.view(np.uint64), before.view(np.uint64))
+        # the profile alone: the old formula applied to a unit plane wave
+        unit = pre_change_transmission(plane_wave(transform, layout.design_wavelength), layout)
+        np.testing.assert_array_equal(layout.pupil(transform.radii), unit)
 
     def test_magnitude_preserved_inside_aperture(self, toy_transform, toy_layout):
         field = gaussian_beam(toy_transform, TOY_APERTURE / 4, TOY_WAVELENGTH)
