@@ -6,7 +6,9 @@ against an ideal-lens control. Writes the zone table and both scan
 curves as CSV next to this script's working directory.
 
 Runtime is dominated by filling the 18000-point transform kernel: about
-3-4 s and 1.4 GB peak memory on 2 CPUs.
+4-5 s and 1.4 GB peak memory on 2 CPUs. The binary scan is the
+transform's first pass and keeps no kernel tile (about 0.7 GB at its
+peak), so the control's scan fills the whole kernel again and keeps it.
 """
 
 from __future__ import annotations

@@ -431,20 +431,24 @@ def cmd_synth(args, config: ProjectConfig) -> str:
     wavelength = (
         args.wavelength_nm * 1e-9 if args.wavelength_nm is not None else config.wavelength
     )
+    # flags left unset take synthetic_caustic_scans' own defaults
+    optional = {
+        "z0": None if args.z0_um is None else args.z0_um * 1e-6,
+        "total_power": args.total_power,
+        "background": args.background,
+        "span_factor": args.span_factor,
+    }
     scans = beamfit.synthetic_caustic_scans(
         z_positions,
         w0=args.w0_nm * 1e-9,
         m2=args.m2,
         wavelength=wavelength,
-        z0=args.z0_um * 1e-6,
         direction_offset=args.offset_um * 1e-6,
         directions=directions,
-        total_power=args.total_power,
-        background=args.background,
         n_positions=args.n_blade,
-        span_factor=args.span_factor,
         noise_fraction=args.noise,
         rng=rng,
+        **{name: value for name, value in optional.items() if value is not None},
     )
     return beamfit.scans_csv_text(scans)
 
@@ -500,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_coup.add_argument("--m-convention", choices=dipole.M_CONVENTIONS, default=None)
     p_coup.add_argument("--collection-curve", default=None)
     p_coup.add_argument("--fidelity-curve", default=None)
-    p_coup.add_argument("--curve-steps", type=int, default=101)
+    p_coup.add_argument("--curve-steps", type=int, default=dipole.DEFAULT_CURVE_STEPS)
     p_coup.set_defaults(func=cmd_coupling)
 
     p_filt = subparsers.add_parser("filter", help="etalon suppression and error budget")
@@ -532,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_curves = subparsers.add_parser("curves", help="figure-data CSV emitter")
     p_curves.add_argument("--kind", choices=("collection", "fidelity", "etalon"), required=True)
-    p_curves.add_argument("--steps", type=int, default=101)
+    p_curves.add_argument("--steps", type=int, default=dipole.DEFAULT_CURVE_STEPS)
     p_curves.add_argument("--finesse", type=float, default=filtering.PI_ETALON_FINESSE)
     p_curves.add_argument("--fsr-ghz", type=float, default=None)
     p_curves.set_defaults(func=cmd_curves)
@@ -541,15 +545,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--seed", type=int, required=True)
     p_synth.add_argument("--w0-nm", type=float, default=350.0)
     p_synth.add_argument("--m2", type=float, default=1.08)
-    p_synth.add_argument("--z0-um", type=float, default=0.0)
+    p_synth.add_argument("--z0-um", type=float, default=None)
     p_synth.add_argument("--offset-um", type=float, default=1.11)
     p_synth.add_argument("--z-half-range-um", type=float, default=20.0)
     p_synth.add_argument("--z-steps", type=int, default=25)
     p_synth.add_argument("--n-blade", type=int, default=60)
-    p_synth.add_argument("--span-factor", type=float, default=3.0)
+    p_synth.add_argument("--span-factor", type=float, default=None)
     p_synth.add_argument("--noise", type=float, default=0.01)
-    p_synth.add_argument("--total-power", type=float, default=1.0)
-    p_synth.add_argument("--background", type=float, default=0.0)
+    p_synth.add_argument("--total-power", type=float, default=None)
+    p_synth.add_argument("--background", type=float, default=None)
     p_synth.add_argument("--directions", choices=("both", "in", "out"), default="both")
     p_synth.add_argument("--wavelength-nm", type=float, default=None)
     p_synth.set_defaults(func=cmd_synth)

@@ -20,10 +20,15 @@ from pathlib import Path
 from . import diffraction
 from ._csv import read_text
 from .beamfit import _MIN_SCAN_SAMPLES
-from .design import FUSED_SILICA_INDEX, LensDesign
+from .design import FUSED_SILICA_INDEX, MIN_PHASE_LEVELS, LensDesign
 from .dipole import M_CONVENTIONS
 from .errors import ConfigError
-from .filtering import DEFAULT_ZEEMAN_MHZ_PER_GAUSS, FrequencyLayout
+from .filtering import (
+    DEFAULT_RAMAN_SHIFT,
+    DEFAULT_ZEEMAN_MHZ_PER_GAUSS,
+    DEFAULT_ZEEMAN_SPLITTING,
+    FrequencyLayout,
+)
 from .hankel import _MIN_FINE_POINTS
 
 
@@ -38,8 +43,9 @@ class ProjectConfig:
     phase_levels: int = 2
     substrate_index: float = FUSED_SILICA_INDEX
     # ion frequencies
-    raman_shift_ghz: float = 12.6
-    zeeman_splitting_mhz: float = 160.0
+    # exact: 12.6e9 / 1e9 == 12.6 and 160e6 / 1e6 == 160.0
+    raman_shift_ghz: float = DEFAULT_RAMAN_SHIFT / 1e9
+    zeeman_splitting_mhz: float = DEFAULT_ZEEMAN_SPLITTING / 1e6
     zeeman_coefficient_mhz_per_gauss: float = DEFAULT_ZEEMAN_MHZ_PER_GAUSS
     # coupling defaults
     eta_diff: float = 0.30
@@ -71,7 +77,7 @@ class ProjectConfig:
         need(self.focal_length_mm > 0, "focal_length_mm", "must be > 0")
         need(self.aperture_diameter_mm > 0, "aperture_diameter_mm", "must be > 0")
         need(self.wavelength_nm > 0, "wavelength_nm", "must be > 0")
-        at_least("phase_levels", 2)
+        at_least("phase_levels", MIN_PHASE_LEVELS)
         need(self.substrate_index > 1, "substrate_index", "must be > 1")
         at_least("raman_shift_ghz", 0)
         at_least("zeeman_splitting_mhz", 0)

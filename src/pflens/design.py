@@ -23,6 +23,8 @@ from ._csv import csv_text, read_text
 from .errors import DomainError, SchemaError, require, require_finite_fields
 
 FUSED_SILICA_INDEX = 1.4738  # near-UV value; reproduces a 390 nm half-wave etch at 369.5 nm
+# fewest phase levels a lens profile may have: binary
+MIN_PHASE_LEVELS = 2
 # most rings zone_layout enumerates (80 MB of radii); the reference lens has 2449
 MAX_ZONE_COUNT = 10**7
 
@@ -49,7 +51,12 @@ class LensDesign:
         focal, aperture = self.focal_length, self.clear_aperture_diameter
         require(focal / aperture < math.inf, "the f-number", "finite", f"{focal:g} m / {aperture:g} m")
         levels = self.phase_levels
-        require(isinstance(levels, int) and levels >= 2, "phase_levels", "an integer >= 2", levels)
+        require(
+            isinstance(levels, int) and levels >= MIN_PHASE_LEVELS,
+            "phase_levels",
+            f"an integer >= {MIN_PHASE_LEVELS}",
+            levels,
+        )
         require(self.substrate_index > 1, "substrate_index", "> 1", self.substrate_index)
 
 
@@ -91,7 +98,12 @@ class ZoneLayout:
         for name in ("etch_depth", "aperture_radius", "design_wavelength"):
             require(getattr(self, name) > 0, name, "> 0", getattr(self, name))
         levels = self.phase_levels
-        require(isinstance(levels, int) and levels >= 2, "phase_levels", "an integer >= 2", levels)
+        require(
+            isinstance(levels, int) and levels >= MIN_PHASE_LEVELS,
+            "phase_levels",
+            f"an integer >= {MIN_PHASE_LEVELS}",
+            levels,
+        )
 
     @property
     def zone_count(self) -> int:

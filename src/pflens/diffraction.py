@@ -256,15 +256,12 @@ def _reach(
     return max([_guard_band(transform, wavenumber).stop] + planes)
 
 
-def _propagation_spectrum(
-    field: RadialField, z_positions: np.ndarray, paraxial: bool
-) -> np.ndarray:
-    """The field's angular spectrum, to be propagated to z_positions [m].
+def _planes(field: RadialField, z_positions: np.ndarray, paraxial: bool) -> tuple[np.ndarray, int]:
+    """(kz, reach) for propagating the field to z_positions [m].
 
     Refuses, in this order, planes not finite or with k z past 2^52 rad,
     planes out of increasing order (one plane never is) or none, and
-    negative planes. The forward stops at _reach; then the guard band is
-    checked (_check_spectrum_resolved).
+    negative planes.
     """
     # beyond 2^52 rad floats are a radian or more apart: exp(i k z) is unresolved
     z_limit = 2.0**52 / field.wavenumber
@@ -279,21 +276,34 @@ def _propagation_spectrum(
     if np.any(z_positions < 0):
         raise DomainError("z_positions must be non-negative (measured from the lens)")
     transform = field.transform
-    reach = _reach(transform, field.wavenumber, z_positions, paraxial)
-    spectrum = transform.forward(field.amplitude, rows=reach)
+    kz = _transfer_wavenumber(transform, field.wavenumber, paraxial)
+    return kz, _reach(transform, field.wavenumber, z_positions, paraxial)
+
+
+def _transfer(kz: np.ndarray, z_positions: np.ndarray, reach: int) -> np.ndarray:
+    """(reach, Z) propagator phases exp(i z kz), one column per plane."""
+    return np.exp(1j * z_positions * kz[:reach, None])
+
+
+def _propagated(
+    field: RadialField, transfer: np.ndarray, keep: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """(spectrum, fields) of the field propagated by transfer's columns, in one
+    kernel pass (HankelTransform.forward_inverse), after which the
+    spectrum's guard band is checked (_check_spectrum_resolved)."""
+    transform = field.transform
+    spectrum, fields = transform.forward_inverse(field.amplitude, transfer, keep)
     _check_spectrum_resolved(transform, spectrum, field.wavenumber)
-    return spectrum
+    return spectrum, fields
 
 
 def propagate(field: RadialField, distance: float, paraxial: bool = False) -> RadialField:
     """Propagate a field forward by the given distance [m], at most 2^52 / k."""
     require(distance >= 0, "distance", ">= 0", distance)
-    spectrum = _propagation_spectrum(field, np.array([distance], dtype=float), paraxial)
-    transform = field.transform
-    if distance == 0.0:
-        return field
-    phase = np.exp(1j * distance * _transfer_wavenumber(transform, field.wavenumber, paraxial))
-    return field.with_amplitude(transform.inverse(spectrum * phase))
+    z = np.array([distance], dtype=float)
+    kz, reach = _planes(field, z, paraxial)
+    _, fields = _propagated(field, _transfer(kz, z, reach))
+    return field if distance == 0.0 else field.with_amplitude(fields[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -543,13 +553,16 @@ def scan_field(
     """Waist-versus-z scan of an already-transmitted field.
 
     z positions are measured from the transmitted plane, and checked as
-    propagate checks its distance (_propagation_spectrum). The forward
-    transform is computed once, and stops at the light cone: at _reach,
-    past the last row where any plane's propagator phase is nonzero (the
-    exact exp(i z kz) underflows to 0 just beyond k). The propagated
-    spectra of up to _SCAN_CHUNK_PLANES planes are stacked as columns and
-    inverted by one batched transform (one pass over the kernel), so
-    memory stays O(N) whatever the plane count. The same stack is summed
+    propagate checks its distance (_planes). The forward transform is
+    computed once, and stops at the light cone: at _reach, past the last
+    row where any plane's propagator phase is nonzero (the exact
+    exp(i z kz) underflows to 0 just beyond k). The propagated spectra of
+    up to _SCAN_CHUNK_PLANES planes are stacked as columns and inverted
+    as one batch, the first batch in the forward's own kernel pass
+    (HankelTransform.forward_inverse, which keeps the kernel when more
+    batches follow), so memory stays O(N) beside the kernel whatever the
+    plane count. The guard band is checked on the spectrum before any
+    knife edge is taken. The same stack is summed
     on the transform's near-axis fine grid (transform.fine_values:
     fine_points radii over 60 grid spacings, reached through 128
     Chebyshev nodes whose matrix the transform keeps for every scan and
@@ -562,12 +575,9 @@ def scan_field(
     """
     transform = transmitted.transform
     z_positions = np.asarray(z_positions, dtype=float)
-    # before the forward transform, which fills kernel blocks
+    # before the kernel pass, which fills kernel tiles
     _check_fine_points(fine_points)
-    spectrum = _propagation_spectrum(transmitted, z_positions, paraxial)
-    # made after the forward: kept across its kernel fill, kz measured 5.6 MiB
-    # more peak RSS on the default grid
-    kz = _transfer_wavenumber(transform, transmitted.wavenumber, paraxial)
+    kz, reach = _planes(transmitted, z_positions, paraxial)
     transmitted_power = transform.radial_power(transmitted.amplitude)
     if input_power is None:
         input_power = transmitted_power
@@ -577,13 +587,17 @@ def scan_field(
     best_waist = math.inf
     for first in range(0, z_positions.size, _SCAN_CHUNK_PLANES):
         chunk = z_positions[first : first + _SCAN_CHUNK_PLANES]
-        spectra = np.empty((transform.n_points, chunk.size), dtype=complex)
-        for column, z in enumerate(chunk):
-            spectra[:, column] = spectrum * np.exp(1j * z * kz)
-        # resample first: the matrix the first call builds and keeps then sits
-        # below the inverse's temporaries in the heap, not above their freed space
+        transfer = _transfer(kz, chunk, reach)
+        if first == 0:
+            # later chunks pass over the kernel again, so the first keeps it
+            spectrum, fields = _propagated(
+                transmitted, transfer, keep=z_positions.size > _SCAN_CHUNK_PLANES
+            )
+        spectra = np.zeros((transform.n_points, chunk.size), dtype=complex)
+        np.multiply(spectrum[:reach, None], transfer, out=spectra[:reach])
+        if first:
+            fields = transform.inverse(spectra)
         fine = transform.fine_values(spectra, fine_points)
-        fields = transform.inverse(spectra)
         # the chunk's edge fits run as one stack; planes past one whose blade
         # curve fails are not fitted, and the first failure in z order raises.
         # The curves are copied into one array made before their temporaries:

@@ -287,9 +287,11 @@ def fidelity_series(na: float) -> float:
 # curve export
 
 _CURVE_CHANNELS = (POLAR_SIGMA, EQUATORIAL_SIGMA, POLAR_PI)
+# points per exported curve, from 0 to the curve's end inclusive
+DEFAULT_CURVE_STEPS = 101
 
 
-def collection_curve_csv_text(n_steps: int = 101) -> str:
+def collection_curve_csv_text(n_steps: int = DEFAULT_CURVE_STEPS) -> str:
     """Collection fraction vs NA from 0 to 1 for the three channels (plot data)."""
     require(n_steps >= 2, "n_steps", ">= 2", n_steps)
     rows = []
@@ -299,7 +301,7 @@ def collection_curve_csv_text(n_steps: int = 101) -> str:
     return csv_text(["na"] + [channel.label for channel in _CURVE_CHANNELS], rows)
 
 
-def fidelity_curve_csv_text(n_steps: int = 101) -> str:
+def fidelity_curve_csv_text(n_steps: int = DEFAULT_CURVE_STEPS) -> str:
     """Collected polarization fidelity vs NA from 0 to 1, integral and series."""
     require(n_steps >= 2, "n_steps", ">= 2", n_steps)
     rows = (

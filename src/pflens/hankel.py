@@ -9,21 +9,22 @@ angular spectra sampled at k_m = j_m / R. The transform pair used here
     f(r_n) = sum_m A(k_m) J0(j_m j_n / S) / (pi R^2 J1(j_m)^2)
 
 Both directions share the symmetric kernel J0(j_m j_n / S), and only
-its upper triangle is stored, in row super-blocks of 512 rows: the block
-at row A holds kernel[A:A + r, A:], r = min(512, N - A), so the whole
-takes 8 sum r (N - A) bytes, about 4 N^2 + 2048 N (1.3 GB at N = 18000;
-_kernel_bytes). No N x N array is allocated. A call whose input is zero
-from row s (its support) on needs only the blocks that start below s,
-and fills just those still missing, in ascending order. Each is filled
-in place in rows of 128 from the diagonal rightwards; the lower triangle
-of its r x r diagonal block is then copied from the upper, so the kernel
-the blocks stand for is exactly symmetric. Filling and storing it is the
-dominant time and memory for N in the ten-thousands; a grid whose whole
-kernel would not fit in MemAvailable less 512 MiB is refused before
-anything is allocated.
+its upper triangle is stored, as tiles: row block A (512 rows from row
+A) holds kernel[A:A + r, A:], r = min(512, N - A), cut at the multiples
+of 1024 into tiles of at most 512 x 1024 entries (4 MiB). The second row
+block of each 1024 columns starts with a 512 x 512 diagonal tile, so
+the tiles of the whole kernel take 8 sum r (N - A) bytes, about
+4 N^2 + 2048 N (1.3 GB at N = 18000; _kernel_bytes), and no N x N
+array is allocated. Tiles are filled in place in rows of 128 from the
+diagonal rightwards; the lower triangle of each diagonal tile's leading
+square is then copied from the upper, so the kernel the tiles stand for
+is exactly symmetric. Filling and storing it is the dominant time and
+memory for N in the ten-thousands; a grid whose whole kernel would not
+fit in MemAvailable less 512 MiB is refused before anything is
+allocated.
 
-Within a row block [m0, m0 + B) the kernel entry J0(x), x = j_m s_n with
-s_n = j_n / S, is evaluated in one of two ways:
+Within a fill block of B = 128 rows [m0, m0 + B) the kernel entry
+J0(x), x = j_m s_n with s_n = j_n / S, is evaluated in one of two ways:
 
 * direct: scipy's j0, for the columns where x0 = j_m0 s_n < 60. That is
   all of the first block (so the whole kernel for N <= 128), 6.8 % of
@@ -46,7 +47,9 @@ s_n = j_n / S, is evaluated in one of two ways:
   so each column chunk of a block costs one real matrix product over
   the stacked real and imaginary parts, then Re(UV) Re(E) - Im(UV) Im(E)
   elementwise, and no Bessel call. E is one B x N table shared by every
-  block.
+  block. Chunks run from the block's first asymptotic column to the next
+  multiple of 512, then 512 apart, so every tile's columns are whole
+  chunks and an entry is the same whichever tiles a call fills.
 
 Term-count rule: for a column chunk whose smallest argument is x0, the
 orders k < K are kept, where K is the first order with |a_K| x0^-K <
@@ -71,39 +74,69 @@ transform allocates it at the first fine_values call and keeps it. It is
 full width, but its columns are filled lazily, each once, as far as the
 spectra reach.
 
-Two stages share one row-block helper: the kernel fill and the
-Fourier-Bessel rows of resample_matrix and the node matrix. Each
-fills disjoint row blocks of its output in place, on a thread pool with
-one thread per CPU this process may use (its affinity mask where the
-platform has one, else the CPU count); the Bessel ufunc and BLAS release
-the interpreter lock. The kernel's products are cut into tiles of at
-most 10^6 multiply-adds, which OpenBLAS runs on the calling thread (its
+Two stages share one row-block pool: the kernel fill and the
+Fourier-Bessel rows of resample_matrix and the node matrix. Each fills
+disjoint parts of its output in place, on a thread pool with one thread
+per CPU this process may use (its affinity mask where the platform has
+one, else the CPU count); the Bessel ufunc and BLAS release the
+interpreter lock. The fill's products are cut into pieces of at most
+10^6 multiply-adds, which OpenBLAS runs on the calling thread (its
 small-matrix path on AVX-512 CPUs), so the pool's threads do not contend
 with BLAS threads of their own. No entry's arithmetic depends on which
-thread computes it, when, or what was filled before, so both outputs are
-bit-identical whatever the thread count.
+thread computes it, when, which tiles a call asks for, or what was
+filled before, so both outputs are bit-identical whatever the thread
+count.
 
 forward and inverse take samples of shape (N,) or a stack of Z columns
-of shape (N, Z) and return the same shape. A complex stack is viewed as
-2Z interleaved float64 columns, transposed to a C x N array X (C = Z or
-2Z), so every product is a plain (C x K) @ (K x M) BLAS-3 product. The
-super-blocks are taken in ascending order, each first through its
-diagonal block D (out[:, A:b] += X[:, A:b] D) and then through its column
-panels P = kernel[A:b, c0:c1] of at most 4096 columns, ascending; each
-panel is applied both ways while it is in cache (BLAS-3 work on
-triangle-only storage, as in the rectangular full packed format of
+of shape (N, Z) and return the same shape; forward_inverse takes one
+field, forwards it, multiplies the spectrum by each of Z transfer
+columns (a scan's propagators) and inverts them all. A complex stack is
+viewed as 2Z interleaved float64 columns, transposed to a C x N array X
+(C = Z or 2Z), so every product is a plain (C x K) @ (K x M) BLAS-3
+product. Each call is one pass over the row blocks in ascending order.
+At row block k [a, b) the pass fills the tiles T = kernel[a:b, c0:c1]
+it needs, and applies each both ways while it is in cache (BLAS-3 work
+on triangle-only storage, as in the rectangular full packed format of
 Gustavson, Wasniewski, Dongarra and Langou, ACM TOMS 37(2), 18, 2010):
 
-    out[:, A:b] += X[:, c0:c1] P^T,    out[:, c0:c1] += X[:, A:b] P.
+    A[:, a:b] += X[:, c0:c1] T^T,    A[:, c0:c1] += X[:, a:b] T
 
-Blocks and panels starting at or beyond the support s would add exact
-zeros (a panel, through its first product), so they are skipped. So is a
-product that writes only rows at or beyond forward's output-row bound (a
-scan's light cone): only blocks starting below min(s, bound) are filled,
-and rows from the bound on come back zero; the rest are bit-identical to
-a full forward's, as the products kept keep their shapes and order. The
-kernel is read once per call, and the fixed order makes the result the
-same on every call.
+(the second beyond the diagonal square). A's columns a:b are then whole:
+every earlier row block has pushed into them. forward and inverse stop
+here. forward_inverse forms Y[:, a:b], A's spectrum there times each
+transfer column and the spectral weights, and inverts through the same
+tiles: tiles in columns beyond the last row of Y at once (out[:, c0:c1]
++= Y[:, a:b] T), and the tiles of 1024 columns [q0, q1) both ways once
+the last row block in them is done, when Y is whole there:
+
+    out[:, q0:q1] += Y[:, i:i + 512] T,    out[:, i:i + 512] += Y[:, q0:q1] T^T.
+
+So each tile is read twice per pass, as forward then inverse read it,
+and the kernel is filled once. A transform's first pass keeps no tile
+(unless asked to, as a scan of more than one 64-plane chunk does): a
+tile goes back to a buffer pool once read for the last time, so the pass
+holds the tiles that a later column block still reads, about
+(rows of Y / 2)^2 entries mid-pass. Fills are made in bands of row
+blocks, each filled before its products, long near the ends of the pass
+and short mid-pass, so the pass holds at most two row blocks more than
+that; each switch from products back to a fill costs about 30 ms on
+2 CPUs while the BLAS threads of the products wait for work. The default
+`simulate` scan (rows of Y to 14336 of 18000) peaks at about 690 MiB,
+against 1316 MiB when its forward and inverse kept the kernel. From a
+transform's second pass on, every tile filled is kept and never filled
+again (verify_warm's later ops fill nothing). The arithmetic is the same
+either way, so a kept pass and a pass that keeps nothing give
+bit-identical results. Passes on one transform run one at a time.
+
+A row block starting at or beyond the input's support s, or a product
+whose input columns start there, would add exact zeros, so it is
+skipped. So is a product that writes only rows at or beyond forward's
+output-row bound (a scan's light cone): only row blocks starting below
+min(s, bound) are filled, and only their tiles starting below max(s,
+bound); rows from the bound on come back zero, and the rest are
+bit-identical to a full forward's, as the products kept keep their
+shapes and order. The fixed order makes the result the same on every
+call.
 
 The quadrature is spectrally accurate for fields that decay by r = R and
 whose spectra decay by k = S / R.
@@ -116,11 +149,12 @@ which the commands that build no transform (all but simulate) never pay.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import os
 import queue
 import threading
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal
 
@@ -140,11 +174,16 @@ _ASYMPTOTIC_MIN_ARGUMENT = 60.0
 _SERIES_TOLERANCE = 1e-17
 # largest M N K of one product in the kernel fill: OpenBLAS runs dgemm
 # this small on the calling thread
-_TILE_MULTIPLY_ADDS = 10**6
-# rows per super-block of the packed kernel, a multiple of _KERNEL_BLOCK_ROWS
+_PIECE_MULTIPLY_ADDS = 10**6
+# rows per row block of the packed kernel, a multiple of _KERNEL_BLOCK_ROWS
 _PACKED_BLOCK_ROWS = 512
-# columns per panel of a super-block in forward / inverse: 16 MB of kernel
-_PANEL_COLUMNS = 4096
+# columns per kernel tile, a multiple of _PACKED_BLOCK_ROWS and of
+# _KERNEL_CHUNK_COLUMNS: a full tile is 512 x 1024, 4 MiB
+_TILE_COLUMNS = 1024
+# tile buffers of a pass that keeps none are made this many at a time: 64 MiB,
+# above glibc's largest mmap threshold (32 MiB), so they are returned to the
+# system when the pass ends
+_SLOT_GROUP = 16
 # the node matrix has few rows (_FINE_NODES), so resample blocks are
 # smaller for every CPU to get a share
 _RESAMPLE_BLOCK_ROWS = 64
@@ -216,14 +255,91 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _fill_row_blocks(starts: range, fill: Callable[[int, int], None]) -> None:
-    """Call fill(start, stop) for each block of rows in starts, one thread per usable CPU.
+def _map_on_pool(work: Callable, items: Sequence) -> None:
+    """Call work(item) for each item, in order, one thread per usable CPU.
 
-    The blocks must write disjoint parts of the output.
+    The items must write disjoint parts of the output.
     """
-    with ThreadPoolExecutor(max_workers=max(1, min(_usable_cpus(), len(starts)))) as pool:
-        # consuming the results re-raises any error from a block
-        list(pool.map(lambda start: fill(start, min(start + starts.step, starts.stop)), starts))
+    with ThreadPoolExecutor(max_workers=max(1, min(_usable_cpus(), len(items)))) as pool:
+        # consuming the results re-raises any error from an item
+        list(pool.map(work, items))
+
+
+def _tile_edges(n_points: int, start: int) -> list[int]:
+    """Column edges of the tiles of the row block at start: start, the
+    multiples of _TILE_COLUMNS above it, and n_points."""
+    above = (start // _TILE_COLUMNS + 1) * _TILE_COLUMNS
+    return [start, *range(above, n_points, _TILE_COLUMNS), n_points]
+
+
+def _row_tile(flat: np.ndarray, n_points: int, start: int, c0: int, c1: int) -> np.ndarray:
+    """Columns c0:c1 of the row block at start, a tile: a view of the row
+    block's flat array, which holds its tiles one after another."""
+    rows = min(_PACKED_BLOCK_ROWS, n_points - start)
+    return flat[rows * (c0 - start) : rows * (c1 - start)].reshape(rows, c1 - c0)
+
+
+def _columns(rows: np.ndarray, is_complex: bool, shape: tuple) -> np.ndarray:
+    """C x N rows back to (N,) or (N, Z) values; complex ones from interleaved rows."""
+    values = np.ascontiguousarray(rows.T)
+    return (values.view(np.complex128) if is_complex else values).reshape(shape)
+
+
+def _bands(plan: list, n_points: int, y_rows: int, inner: int) -> list[list]:
+    """plan's row blocks (start, edges, count) in bands, each filled before its products.
+
+    A pass that keeps no tile holds, at row block k, the tiles of earlier
+    row blocks that a column block from k's on reads again: up to about
+    (y_rows / 2)^2 entries mid-pass, and few near its ends. A band may hold
+    as many more entries as that peak leaves below the peak plus two row
+    blocks, so bands are long near the ends and a row block or two
+    mid-pass. Each switch from products back to a fill costs time while
+    the BLAS threads of the products wait for more work (about 30 ms on
+    2 CPUs), so fewer bands are faster.
+    """
+    height = _PACKED_BLOCK_ROWS
+
+    def held(start: int) -> int:
+        # entries of earlier row blocks, below y_rows, kept for a column block from start's on
+        q0 = start // _TILE_COLUMNS * _TILE_COLUMNS
+        earlier = range(0, min(start, y_rows), height)
+        return sum(min(height, n_points - i) * max(inner - max(q0, i), 0) for i in earlier)
+
+    sizes = [min(height, n_points - start) * (edges[count] - start) for start, edges, count in plan]
+    cap = max(held(start) for start, _, _ in plan) + 2 * max(sizes)
+    bands, size = [], cap
+    for block, entries in zip(plan, sizes):
+        if size + entries > cap:
+            bands.append([])
+            size = held(block[0])
+        bands[-1].append(block)
+        size += entries
+    return bands
+
+
+class _TileSlots:
+    """Reusable tile buffers for a pass that keeps no tile.
+
+    Each buffer holds a full tile, and a tile is a contiguous view of its
+    leading entries. Buffers are made _SLOT_GROUP at a time, and given back
+    once a tile is read for the last time, so the pass allocates only as
+    many as it holds at once.
+    """
+
+    def __init__(self):
+        self._free: list[np.ndarray] = []
+        self._taken: dict[int, np.ndarray] = {}
+
+    def take(self, rows: int, columns: int) -> np.ndarray:
+        if not self._free:
+            self._free.extend(np.empty((_SLOT_GROUP, _PACKED_BLOCK_ROWS * _TILE_COLUMNS)))
+        buffer = self._free.pop()
+        tile = buffer[: rows * columns].reshape(rows, columns)
+        self._taken[id(tile)] = buffer
+        return tile
+
+    def give(self, tile: np.ndarray) -> None:
+        self._free.append(self._taken.pop(id(tile)))
 
 
 def _fine_interpolation(radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -259,7 +375,7 @@ def _check_fine_points(fine_points: int) -> None:
 def _kernel_bytes(n_points: int) -> int:
     """Bytes of the packed kernel of an n_points grid: about 4 N^2 + 2048 N.
 
-    Each super-block at row A stores kernel[A:A + r, A:], r = min(B, N - A),
+    Each row block at row A stores kernel[A:A + r, A:], r = min(B, N - A),
     B = 512. With q, r = divmod(N, B) the q full blocks hold
     sum_{i<q} B (N - B i) = B q N - B^2 q (q - 1) / 2 entries and the last
     holds r (N - B q) = r^2.
@@ -379,17 +495,25 @@ class _KernelRows:
         factors = np.array([coefficients.real, coefficients.imag, -orders - 0.5, powers])
         return split, orders, factors, powers - orders
 
-    def fill(self, start: int, stop: int, out: np.ndarray) -> None:
-        """Write kernel[start:stop, start:] into out, for rows of the block at start."""
+    def fill(self, start: int, stop: int, pieces: list[tuple[int, np.ndarray]]) -> None:
+        """Write kernel[start:stop, first:first + out.shape[1]] into out for each (first, out) in pieces.
+
+        The rows are those of the fill block at start. Each first is start
+        or a multiple of _KERNEL_CHUNK_COLUMNS, and each piece's columns end
+        at one or at N: asymptotic chunks run from the block's split column
+        to the next multiple, then one multiple apart, so every entry is the
+        same whichever columns a call asks for.
+        """
         from scipy.special import j0
 
         roots, scaled = self._roots, self._scaled
-        n = roots.size
         split, orders, factors, power_rows = self._plans[start // _KERNEL_BLOCK_ROWS]
-        direct = out[:, : split - start]
-        np.multiply.outer(roots[start:stop], scaled[start:split], out=direct)
-        j0(direct, out=direct)
-        if split == n:
+        for first, out in pieces:
+            direct = out[:, : max(min(split, first + out.shape[1]) - first, 0)]
+            np.multiply.outer(roots[start:stop], scaled[first : first + direct.shape[1]], out=direct)
+            j0(direct, out=direct)
+        pieces = [(first, out) for first, out in pieces if first + out.shape[1] > split]
+        if not pieces:
             return
 
         rows, terms = stop - start, orders.size
@@ -412,33 +536,36 @@ class _KernelRows:
             np.negative(weights[1, :, :, 0], out=weights[0, :, :, 1])
             weights[1, :, :, 1] = weights[0, :, :, 0]
             weights = weights.reshape(2 * rows, 2 * terms)
-            for c0 in range(split, n, _KERNEL_CHUNK_COLUMNS):
-                c1 = min(c0 + _KERNEL_CHUNK_COLUMNS, n)
-                width = c1 - c0
-                used = int(np.searchsorted(orders, _series_orders(roots[start] * scaled[c0])))
-                # V rows: s_n^(p-k-1/2) times the real and imaginary parts of e^{i j_m0 s_n}
-                amplitude = amplitude_buffer[:used, :width]
-                # rows are in range; mode="clip" lets take write out unbuffered
-                rows_used = power_rows[:used]
-                np.take(self._powers[:, c0:c1], rows_used, axis=0, out=amplitude, mode="clip")
-                phase, sine = trig[:, :width]
-                np.multiply(roots[start], scaled[c0:c1], out=phase)
-                np.sin(phase, out=sine)
-                cosine = np.cos(phase, out=phase)
-                v = columns[:used, :, :width]
-                np.multiply(amplitude, cosine, out=v[:, 0])
-                np.multiply(amplitude, sine, out=v[:, 1])
-                v = v.reshape(2 * used, width)
-                w = weights[:, : 2 * used]
-                g = product[: 2 * rows, :width]
-                tile = max(1, _TILE_MULTIPLY_ADDS // (2 * rows * 2 * used))
-                for t0 in range(0, width, tile):
-                    np.matmul(w, v[:, t0 : t0 + tile], out=g[:, t0 : t0 + tile])
-                real, imag = g[:rows], g[rows:]
-                e0, e1 = c0 - self._first_column, c1 - self._first_column
-                np.multiply(real, self._phase_real[:rows, e0:e1], out=real)
-                np.multiply(imag, self._phase_imag[:rows, e0:e1], out=imag)
-                np.subtract(real, imag, out=out[:, c0 - start : c1 - start])
+            for first, out in pieces:
+                begin, last = max(split, first), first + out.shape[1]
+                above = (begin // _KERNEL_CHUNK_COLUMNS + 1) * _KERNEL_CHUNK_COLUMNS
+                chunks = [begin, *range(above, last, _KERNEL_CHUNK_COLUMNS), last]
+                for c0, c1 in zip(chunks, chunks[1:]):
+                    width = c1 - c0
+                    used = int(np.searchsorted(orders, _series_orders(roots[start] * scaled[c0])))
+                    # V rows: s_n^(p-k-1/2) times the real and imaginary parts of e^{i j_m0 s_n}
+                    amplitude = amplitude_buffer[:used, :width]
+                    # rows are in range; mode="clip" lets take write out unbuffered
+                    rows_used = power_rows[:used]
+                    np.take(self._powers[:, c0:c1], rows_used, axis=0, out=amplitude, mode="clip")
+                    phase, sine = trig[:, :width]
+                    np.multiply(roots[start], scaled[c0:c1], out=phase)
+                    np.sin(phase, out=sine)
+                    cosine = np.cos(phase, out=phase)
+                    v = columns[:used, :, :width]
+                    np.multiply(amplitude, cosine, out=v[:, 0])
+                    np.multiply(amplitude, sine, out=v[:, 1])
+                    v = v.reshape(2 * used, width)
+                    w = weights[:, : 2 * used]
+                    g = product[: 2 * rows, :width]
+                    piece = max(1, _PIECE_MULTIPLY_ADDS // (2 * rows * 2 * used))
+                    for t0 in range(0, width, piece):
+                        np.matmul(w, v[:, t0 : t0 + piece], out=g[:, t0 : t0 + piece])
+                    real, imag = g[:rows], g[rows:]
+                    e0, e1 = c0 - self._first_column, c1 - self._first_column
+                    np.multiply(real, self._phase_real[:rows, e0:e1], out=real)
+                    np.multiply(imag, self._phase_imag[:rows, e0:e1], out=imag)
+                    np.subtract(real, imag, out=out[:, c0 - first : c1 - first])
         finally:
             self._buffers.put(buffers)
 
@@ -446,10 +573,11 @@ class _KernelRows:
 class HankelTransform:
     """Order-zero quasi-discrete Hankel transform on [0, R].
 
-    Precomputes the Bessel-zero grid. Kernel blocks are filled when a
-    call's input first reaches them, under a lock that has concurrent
-    calls fill each once; apart from them and the near-axis node matrix
-    it keeps, an instance is immutable after construction, and shareable.
+    Precomputes the Bessel-zero grid. Kernel tiles are filled when a
+    call's input first reaches them: the first pass keeps none, and later
+    passes keep every tile they fill. Passes run one at a time, under a
+    lock; apart from the kept tiles and the near-axis node matrix, an
+    instance is immutable after construction, and shareable.
     A max_radius above 1e100 m is refused with ResolutionError before
     any work.
     """
@@ -479,8 +607,14 @@ class HankelTransform:
         self.k_radial = self._j / self.max_radius
         self._j1sq = j1(self._j) ** 2
 
-        self._blocks: list[np.ndarray | None] = [None] * -(-n_points // _PACKED_BLOCK_ROWS)
-        self._fill_lock = threading.Lock()
+        # the kept kernel: one flat array per row block, its tiles in column
+        # order (_row_tile), and how many of them, always a leading run, are filled
+        blocks = -(-n_points // _PACKED_BLOCK_ROWS)
+        self._row_blocks: list[np.ndarray | None] = [None] * blocks
+        self._kept_tiles = [0] * blocks
+        # passes that read the kernel: the first keeps no tile unless asked to
+        self._passes = 0
+        self._lock = threading.Lock()
 
         # quadrature weights for radial power integrals: 2 pi int |f|^2 r dr;
         # forward applies the kernel to samples times these weights
@@ -492,50 +626,183 @@ class HankelTransform:
         self._fine_matrix: np.ndarray | None = None
         self._fine_filled = 0
 
-    def _filled_blocks(self, support: int) -> list[np.ndarray]:
-        """The super-blocks starting below support, the missing ones filled.
+    def _tiles(
+        self, band: list, table: _KernelRows | None, tile: Callable, keep: bool
+    ) -> list[list[np.ndarray]]:
+        """The first count tiles of each row block (start, edges, count) in band, filled.
 
-        They are allocated on this thread before the fill's tables, which
-        then sit above them in the heap and go when the fill returns.
+        tile(start, edges, i) gives tile i of the row block at start. On a
+        pass that keeps tiles, only those not yet filled are filled. The
+        band is filled on the row-block pool, one task per fill block of
+        rows; then each diagonal tile filled has the lower triangle of its
+        leading square copied from the upper.
         """
-        n = self.n_points
-        count = -(-support // _PACKED_BLOCK_ROWS)
-        with self._fill_lock:
-            filled = sum(block is not None for block in self._blocks)
-            if filled < count:
-                first = filled * _PACKED_BLOCK_ROWS
-                blocks = [
-                    np.empty((min(_PACKED_BLOCK_ROWS, n - start), n - start))
-                    for start in range(first, support, _PACKED_BLOCK_ROWS)
+        height = _PACKED_BLOCK_ROWS
+        filled = [self._kept_tiles[start // height] if keep else 0 for start, _, _ in band]
+        tiles, work = [], []
+        for (start, edges, count), done in zip(band, filled):
+            row_tiles = [tile(start, edges, i) for i in range(count)]
+            tiles.append(row_tiles)
+            rows = row_tiles[0].shape[0]
+            for row in range(start, start + rows, _KERNEL_BLOCK_ROWS) if done < count else ():
+                last = min(row + _KERNEL_BLOCK_ROWS, start + rows)
+                pieces = []
+                for i in range(done, count):
+                    first = max(edges[i], row)
+                    pieces.append((first, row_tiles[i][row - start : last - start, first - edges[i] :]))
+                work.append((row, last, pieces))
+        if work:
+            _map_on_pool(lambda item: table.fill(*item), work)
+        for (start, _, count), row_tiles, done in zip(band, tiles, filled):
+            if done == 0:
+                diagonal = row_tiles[0]
+                for row in range(1, diagonal.shape[0]):
+                    diagonal[row, :row] = diagonal[:row, row]
+            if keep and done < count:
+                # counted only once filled: an error leaves no part-filled tile kept
+                self._kept_tiles[start // height] = count
+        return tiles
+
+    def _sweep(
+        self,
+        x: np.ndarray,
+        support: int,
+        rows: int,
+        transfer: np.ndarray | None = None,
+        keep: bool = False,
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """One ascending pass over the kernel's row blocks (module docstring).
+
+        x holds C weighted input rows of N entries, zero from column support
+        on. Returns A = x K on its first rows columns (zero from there on)
+        and, with transfer (rows x Z complex), Y K for the 2Z rows of Y:
+        the real and imaginary parts of A's spectrum times each transfer
+        column, times spectral_power_weights. keep, or any pass after the
+        transform's first, keeps every tile the pass fills; otherwise each
+        tile is freed once read for the last time, and none is kept.
+        """
+        n, height = self.n_points, _PACKED_BLOCK_ROWS
+        spectrum = np.zeros_like(x)
+        fields = y = None
+        y_rows = 0
+        if transfer is not None:
+            fields = np.zeros((2 * transfer.shape[1], n))
+            if support and transfer.shape[0]:
+                y_rows = min(-(-_support(transfer) // height) * height, n)
+                y = np.zeros((fields.shape[0], y_rows))
+        # row blocks where Y is nonzero need every tile; the others only the
+        # tiles starting below the input's support or the output rows
+        plan = []
+        for start in range(0, max(min(support, rows), y_rows), height):
+            edges = _tile_edges(n, start)
+            count = len(edges) - 1
+            if start >= y_rows:
+                count = bisect.bisect_left(edges, max(support, rows), hi=count)
+            plan.append((start, edges, count))
+        if not plan:
+            return spectrum, fields
+        # column blocks below inner hold rows of Y: their tiles are read again
+        # when the last of those rows is reached
+        inner = min(-(-y_rows // _TILE_COLUMNS) * _TILE_COLUMNS, n)
+
+        with self._lock:
+            keep = keep or self._passes > 0
+            self._passes += 1
+            if keep:
+                missing = [
+                    edges[self._kept_tiles[start // height]]
+                    for start, edges, count in plan
+                    if self._kept_tiles[start // height] < count
                 ]
-                rows = _KernelRows(self._j, self._S, first)
+                first = min(missing, default=None)
+                # allocated before the fill's tables, which then sit above them
+                # in the heap and go when the pass returns
+                for start, _, _ in plan:
+                    if self._row_blocks[start // height] is None:
+                        width = n - start
+                        self._row_blocks[start // height] = np.empty(min(height, width) * width)
+            else:
+                slots = _TileSlots()
+                first = 0
+            table = None if first is None else _KernelRows(self._j, self._S, first)
 
-                def fill_block(start: int, stop: int) -> None:
-                    block = blocks[(start - first) // _PACKED_BLOCK_ROWS]
-                    for row in range(0, stop - start, _KERNEL_BLOCK_ROWS):
-                        last = min(row + _KERNEL_BLOCK_ROWS, stop - start)
-                        rows.fill(start + row, start + last, block[row:last, row:])
-                    for row in range(1, stop - start):
-                        block[row, :row] = block[:row, row]
+            def tile(start: int, edges: list[int], index: int) -> np.ndarray:
+                c0, c1 = edges[index], edges[index + 1]
+                if keep:
+                    return _row_tile(self._row_blocks[start // height], n, start, c0, c1)
+                return slots.take(min(height, n - start), c1 - c0)
 
-                stop = min(count * _PACKED_BLOCK_ROWS, n)
-                _fill_row_blocks(range(first, stop, _PACKED_BLOCK_ROWS), fill_block)
-                # kept only once whole: an error leaves no part-filled block
-                self._blocks[filled:count] = blocks
-            return self._blocks[:count]
+            release = (lambda tile: None) if keep else slots.give
+            held: dict[tuple[int, int], np.ndarray] = {}
+            bands = [plan] if keep else _bands(plan, n, y_rows, inner)
+            filled = (zip(band, self._tiles(band, table, tile, keep)) for band in bands)
+            for (start, edges, count), tiles in itertools.chain.from_iterable(filled):
+                stop = min(start + height, n)
+                columns = list(zip(edges, edges[1:]))
+                for (c0, c1), block in zip(columns, tiles):
+                    # A[rows of this block] from columns c0:c1, then, while the
+                    # tile is in cache, A[c0:c1] from this block's rows (by
+                    # symmetry), beyond the diagonal square
+                    if start < rows and c0 < support:
+                        spectrum[:, start:stop] += x[:, c0:c1] @ block.T
+                    p0 = max(c0, stop)
+                    if start < support and p0 < min(c1, rows):
+                        spectrum[:, p0:c1] += x[:, start:stop] @ block[:, p0 - c0 :]
+                if start >= y_rows:
+                    for block in tiles:
+                        release(block)
+                    continue
 
-    def _apply(self, values: np.ndarray, weights: np.ndarray, rows: int) -> np.ndarray:
-        values = np.asarray(values)
+                # A is whole on this block's rows: every push into them is made
+                self._transfer_rows(spectrum, transfer, y, start, stop)
+                for (c0, c1), block in zip(columns, tiles):
+                    if c0 >= inner:
+                        fields[:, c0:c1] += y[:, start:stop] @ block
+                        release(block)
+                    else:
+                        held[start, c0] = block
+                # the last row block of its column block: Y is whole there, so
+                # the column block's tiles are applied both ways, then freed
+                q0 = start // _TILE_COLUMNS * _TILE_COLUMNS
+                q1, qr = min(q0 + _TILE_COLUMNS, n), min(q0 + _TILE_COLUMNS, y_rows)
+                if stop < qr:
+                    continue
+                for i in range(0, q0, height):
+                    block = held.pop((i, q0))
+                    fields[:, q0:q1] += y[:, i : i + height] @ block
+                    fields[:, i : i + height] += y[:, q0:qr] @ block[:, : qr - q0].T
+                    release(block)
+                for d0 in range(q0, qr, height):
+                    block = held.pop((d0, d0))
+                    d1 = d0 + block.shape[0]
+                    fields[:, d0:q1] += y[:, d0:d1] @ block
+                    if d1 < qr:
+                        fields[:, d0:d1] += y[:, d1:qr] @ block[:, d1 - d0 : qr - d0].T
+                    release(block)
+        spectrum[:, rows:] = 0.0
+        return spectrum, fields
+
+    def _transfer_rows(self, spectrum, transfer, y, start: int, stop: int) -> None:
+        """Write rows start:stop of Y (see _sweep) from A's spectrum there."""
+        rows = slice(start, min(stop, transfer.shape[0]))
+        values = np.zeros(rows.stop - rows.start, dtype=complex)
+        values.real = spectrum[0, rows]
+        if spectrum.shape[0] == 2:
+            values.imag = spectrum[1, rows]
+        product = values[:, None] * transfer[rows]
+        weights = self.spectral_power_weights[rows]
+        np.multiply(product.real.T, weights, out=y[0::2, rows])
+        np.multiply(product.imag.T, weights, out=y[1::2, rows])
+
+    def _weighted(self, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """(N,) or (N, Z) values times weights, as rows of float64: a complex
+        column gives interleaved real and imaginary rows, so one pass over the
+        real kernel covers both."""
         if values.ndim not in (1, 2) or values.shape[0] != self.n_points:
             raise DomainError(
                 f"expected shape ({self.n_points},) or ({self.n_points}, Z), "
                 f"got {values.shape}"
             )
-        support = _support(values)
-        blocks = self._filled_blocks(min(support, rows))
-        # one row per column, so both products below are (C x K) @ (K x M).
-        # The kernel is real, so a complex column becomes interleaved real
-        # and imaginary float64 rows: one pass over the kernel covers both
         stack = values.reshape(self.n_points, -1).T
         is_complex = np.iscomplexobj(stack)
         x = np.empty(((1 + is_complex) * stack.shape[0], self.n_points))
@@ -544,24 +811,15 @@ class HankelTransform:
             np.multiply(stack.imag, weights, out=x[1::2])
         else:
             np.multiply(stack, weights, out=x)
-        out = np.zeros_like(x)
-        for start, block in zip(range(0, support, _PACKED_BLOCK_ROWS), blocks):
-            near = slice(start, start + block.shape[0])
-            for first in range(0, block.shape[1], _PANEL_COLUMNS):
-                # kernel[near, far] = panel, and below the (symmetric) diagonal
-                # block kernel[far, near] = panel.T, applied while it is in cache
-                panel = block[:, first : first + _PANEL_COLUMNS]
-                stop = start + first + panel.shape[1]
-                if start + first < support:
-                    out[:, near] += x[:, start + first : stop] @ panel.T
-                below = max(block.shape[0] - first, 0)
-                if start + first + below < rows:
-                    out[:, start + first + below : stop] += x[:, near] @ panel[:, below:]
-        out[:, rows:] = 0.0
+        return x
+
+    def _apply(self, values: np.ndarray, weights: np.ndarray, rows: int) -> np.ndarray:
+        values = np.asarray(values)
+        x = self._weighted(values, weights)
+        out, _ = self._sweep(x, _support(values), rows)
         # freed first, so at most two C x N arrays are alive at once
         del x
-        result = np.ascontiguousarray(out.T)
-        return (result.view(np.complex128) if is_complex else result).reshape(values.shape)
+        return _columns(out, np.iscomplexobj(values), values.shape)
 
     def forward(self, field_values: np.ndarray, rows: int | None = None) -> np.ndarray:
         """Angular spectrum A(k_m) of samples f(r_n), one per column of (N, Z) input.
@@ -573,6 +831,34 @@ class HankelTransform:
     def inverse(self, spectrum_values: np.ndarray) -> np.ndarray:
         """Field samples f(r_n) from an angular spectrum A(k_m), one per column of (N, Z) input."""
         return self._apply(spectrum_values, self.spectral_power_weights, self.n_points)
+
+    def forward_inverse(
+        self, field_values: np.ndarray, transfer: np.ndarray, keep: bool = False
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(spectrum, fields): forward, times each column of transfer, and inverse, in one kernel pass.
+
+        field_values has shape (N,); transfer is (rows, Z), rows <= N. The
+        spectrum is forward(field_values, rows); column z of the (N, Z)
+        fields is inverse(spectrum * transfer[:, z]) up to rounding, with
+        the spectrum's rows from rows on taken as zero. keep has the pass
+        keep the tiles it fills even as the transform's first pass.
+        """
+        values = np.asarray(field_values)
+        transfer = np.asarray(transfer)
+        if values.shape != (self.n_points,) or transfer.ndim != 2 or not (
+            transfer.shape[0] <= self.n_points and transfer.shape[1] >= 1
+        ):
+            raise DomainError(
+                f"expected shapes ({self.n_points},) and (rows <= {self.n_points}, Z >= 1), "
+                f"got {values.shape} and {transfer.shape}"
+            )
+        x = self._weighted(values, self.power_weights)
+        spectrum, fields = self._sweep(x, _support(values), transfer.shape[0], transfer, keep)
+        del x
+        return (
+            _columns(spectrum, np.iscomplexobj(values), values.shape),
+            _columns(fields, True, (self.n_points, transfer.shape[1])),
+        )
 
     def resample_matrix(self, radii: np.ndarray) -> np.ndarray:
         """Matrix evaluating the band-limited field at arbitrary radii.
@@ -599,13 +885,14 @@ class HankelTransform:
             raise DomainError("resample radii must lie in [0, max_radius]")
         norm = np.pi * self.max_radius**2 * self._j1sq[first:stop]
 
-        def fill_block(start: int, end: int) -> None:
+        def fill_block(start: int) -> None:
+            end = start + _RESAMPLE_BLOCK_ROWS
             rows = matrix[start:end, first:stop]
             np.multiply.outer(radii[start:end], self.k_radial[first:stop], out=rows)
             j0(rows, out=rows)
             np.divide(rows, norm, out=rows)
 
-        _fill_row_blocks(range(0, radii.size, _RESAMPLE_BLOCK_ROWS), fill_block)
+        _map_on_pool(fill_block, range(0, radii.size, _RESAMPLE_BLOCK_ROWS))
 
     def fine_radii(self, fine_points: int) -> np.ndarray:
         """Near-axis fine grid: fine_points >= 32 radii evenly spaced over [0, fine_span]."""
@@ -627,7 +914,7 @@ class HankelTransform:
         """
         nodes, interpolation = _fine_interpolation(self.fine_radii(fine_points))
         support = _support(spectra)
-        with self._fill_lock:
+        with self._lock:
             if self._fine_matrix is None:
                 self._fine_matrix = np.zeros((_FINE_NODES, self.n_points))
             if self._fine_filled < support:

@@ -88,32 +88,54 @@ class TestGridStructure:
                 HankelTransform(n_points=64, max_radius=radius)
 
 
-def super_blocks(t: HankelTransform):
-    """(start, block) for each super-block of t's packed kernel: block = kernel[start:stop, start:]."""
-    return zip(range(0, t.n_points, hankel._PACKED_BLOCK_ROWS), t._blocks)
+def kept_tiles(t: HankelTransform):
+    """(start, c0, tile) for each kept tile of t: tile = kernel[start:start + rows, c0:c1]."""
+    rows = hankel._PACKED_BLOCK_ROWS
+    for start, flat in zip(range(0, t.n_points, rows), t._row_blocks):
+        edges = hankel._tile_edges(t.n_points, start)
+        for c0, c1 in list(zip(edges, edges[1:]))[: t._kept_tiles[start // rows]]:
+            yield start, c0, hankel._row_tile(flat, t.n_points, start, c0, c1)
+
+
+def keep_whole_kernel(t: HankelTransform) -> None:
+    """Fill and keep every tile of t's kernel: a kept pass whose spectrum reaches every row."""
+    t.forward_inverse(np.ones(t.n_points), np.ones((t.n_points, 1)), keep=True)
+
+
+@pytest.fixture
+def filled_entries(monkeypatch) -> Counter:
+    """Kernel entries filled while the test runs, by the first row of each fill block."""
+    entries = Counter()
+    fill = hankel._KernelRows.fill
+
+    def counting(rows, start, stop, pieces):
+        entries[start] += (stop - start) * sum(out.shape[1] for _, out in pieces)
+        fill(rows, start, stop, pieces)
+
+    monkeypatch.setattr(hankel._KernelRows, "fill", counting)
+    return entries
 
 
 @pytest.fixture(scope="module", params=[100, 1300, 4096, 8192])
 def packed_case(request):
-    """A transform checked one slab of rows at a time against j0(outer(j, j / S)).
+    """A transform checked one row block at a time against j0(outer(j, j / S)).
 
-    100 is all direct j0 in one row block and super-block, 1300 ends in a
-    ragged row block and super-block; at 4096 and 8192 the expansion fills
-    most of the kernel. The dense reference is never held as an N x N array:
-    each slab gives the deviation of its super-block and its rows of the
+    100 is all direct j0 in one row block and tile, 1300 ends in a ragged
+    row block and tile; at 4096 and 8192 the expansion fills most of the
+    kernel. The dense reference is never held as an N x N array: each
+    row block gives the deviation of its tiles and its rows of the
     reference products of forward and inverse.
     """
     n = request.param
     t = HankelTransform(n_points=n, max_radius=1e-3)
-    # blocks are filled on first use; fill them all
-    t._filled_blocks(n)
+    keep_whole_kernel(t)
     rng = np.random.default_rng(n)
     inputs = {}
     for shape in [(n,), (n, 1), (n, 42)]:
         inputs["real", shape] = rng.standard_normal(shape)
         inputs["complex", shape] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     # every input, weighted for each direction, as float64 columns of one
-    # matrix, so each slab makes one real product per direction
+    # matrix, so each row block makes one real product per direction
     directions = {"forward": t.power_weights, "inverse": t.spectral_power_weights}
     stacks = {
         direction: np.hstack(
@@ -125,12 +147,16 @@ def packed_case(request):
         for direction, weights in directions.items()
     }
     products = {direction: np.empty_like(stack) for direction, stack in stacks.items()}
+    tiles = {}
+    for start, c0, tile in kept_tiles(t):
+        tiles.setdefault(start, []).append((c0, tile))
     deviation, symmetric = 0.0, True
-    for start, block in super_blocks(t):
-        stop = start + block.shape[0]
+    for start in range(0, n, hankel._PACKED_BLOCK_ROWS):
+        stop = min(start + hankel._PACKED_BLOCK_ROWS, n)
         direct = j0(np.outer(t._j[start:stop], t._j / t._S))
-        deviation = max(deviation, np.max(np.abs(block - direct[:, start:])))
-        diagonal = block[:, : stop - start]
+        for c0, tile in tiles[start]:
+            deviation = max(deviation, np.max(np.abs(tile - direct[:, c0 : c0 + tile.shape[1]])))
+        diagonal = tiles[start][0][1][:, : stop - start]
         symmetric &= np.array_equal(diagonal, diagonal.T)
         for direction, stack in stacks.items():
             np.matmul(direct, stack, out=products[direction][start:stop])
@@ -147,8 +173,8 @@ def packed_case(request):
 
 class TestKernel:
     def test_matches_direct_evaluation_and_is_symmetric(self, packed_case):
-        # off the diagonal blocks the kernel is symmetric by construction:
-        # the blocks stand for kernel[stop:, start:stop] through their transpose
+        # off the diagonal tiles the kernel is symmetric by construction:
+        # the tiles stand for the lower triangle through their transpose
         _, _, _, deviation, symmetric = packed_case
         assert symmetric
         assert deviation < 1e-13
@@ -165,15 +191,23 @@ class TestKernel:
     def test_stores_only_the_upper_triangle(self, packed_case):
         t = packed_case[0]
         n = t.n_points
-        assert sum(block.nbytes for block in t._blocks) == hankel._kernel_bytes(n)
-        for start, block in super_blocks(t):
-            assert block.shape == (min(hankel._PACKED_BLOCK_ROWS, n - start), n - start)
-        # about half the dense 8 N^2 bytes once N spans several super-blocks
+        rows = hankel._PACKED_BLOCK_ROWS
+        assert sum(flat.nbytes for flat in t._row_blocks) == hankel._kernel_bytes(n)
+        # a row block's tiles run from its diagonal to N, their edges on
+        # multiples of the tile width: the diagonal tile of the second row
+        # block of each column block is square
+        expected = []
+        for start in range(0, n, rows):
+            edges = [start, *range((start // 1024 + 1) * 1024, n, 1024), n]
+            assert hankel._tile_edges(n, start) == edges
+            expected += [(start, c0, (min(rows, n - start), c1 - c0)) for c0, c1 in zip(edges, edges[1:])]
+        assert [(start, c0, tile.shape) for start, c0, tile in kept_tiles(t)] == expected
+        # about half the dense 8 N^2 bytes once N spans several row blocks
         if n >= 4096:
             assert hankel._kernel_bytes(n) < 0.57 * 8 * n**2
 
     def test_default_grid_row_blocks_match_direct_evaluation(self):
-        # row blocks of the 18000-point kernel, filled without the 2.6 GB matrix:
+        # fill blocks of the 18000-point kernel, filled without the 2.6 GB matrix:
         # all direct, direct then asymptotic, asymptotic only, and the ragged last
         n_points = 18000
         roots = jn_zeros(0, n_points + 1)
@@ -183,9 +217,17 @@ class TestKernel:
         for start in (0, block, 70 * block, (n_points - 1) // block * block):
             stop = min(start + block, n_points)
             out = np.empty((stop - start, n_points - start))
-            rows.fill(start, stop, out)
+            rows.fill(start, stop, [(start, out)])
             direct = j0(np.outer(j[start:stop], scaled[start:]))
             assert np.max(np.abs(out - direct)) < 1e-13
+            # the same rows asked for as tiles, in two pieces of columns per call:
+            # every entry is the one the whole row gave
+            edges = hankel._tile_edges(n_points, start // 512 * 512)
+            tiles = [np.empty((stop - start, c1 - max(c0, start))) for c0, c1 in zip(edges, edges[1:])]
+            firsts = [max(c0, start) for c0 in edges[:-1]]
+            for pair in range(0, len(tiles), 2):
+                rows.fill(start, stop, list(zip(firsts, tiles))[pair : pair + 2])
+            assert np.array_equal(np.hstack(tiles), out)
 
     def test_expansion_replaces_most_bessel_calls(self, monkeypatch):
         evaluated = []
@@ -196,23 +238,25 @@ class TestKernel:
 
         monkeypatch.setattr(scipy.special, "j0", counting_j0)
         n_points = 4096
-        HankelTransform(n_points=n_points, max_radius=1e-3)._filled_blocks(n_points)
+        keep_whole_kernel(HankelTransform(n_points=n_points, max_radius=1e-3))
         # under 10 % of the upper triangle goes through j0
         assert 0 < sum(evaluated) < 0.1 * n_points * (n_points + 1) / 2
 
     def test_threaded_build_is_deterministic(self, monkeypatch):
-        # 1300 points: three super-blocks, the last ragged, so four CPUs all get work
-        monkeypatch.setattr(hankel, "_usable_cpus", lambda: 4)
-        first = HankelTransform(n_points=1300, max_radius=1e-3)._filled_blocks(1300)
-        second = HankelTransform(n_points=1300, max_radius=1e-3)._filled_blocks(1300)
-        monkeypatch.setattr(hankel, "_usable_cpus", lambda: 1)
-        sequential = HankelTransform(n_points=1300, max_radius=1e-3)._filled_blocks(1300)
-        assert len(first) == len(second) == len(sequential) == 3
-        for a, b, c in zip(first, second, sequential):
+        # 1300 points: three row blocks and five tiles, the last ragged, so four CPUs all get work
+        kernels = []
+        for cpus in (4, 4, 1):
+            monkeypatch.setattr(hankel, "_usable_cpus", lambda: cpus)
+            t = HankelTransform(n_points=1300, max_radius=1e-3)
+            keep_whole_kernel(t)
+            kernels.append([tile for *_, tile in kept_tiles(t)])
+        assert [len(tiles) for tiles in kernels] == [5, 5, 5]
+        for a, b, c in zip(*kernels):
             assert np.array_equal(a, b)
             assert np.array_equal(a, c)
 
     def test_repeat_calls_are_bit_identical(self):
+        # the first call keeps no tile, the second keeps them, the third fills none
         t = HankelTransform(n_points=1300, max_radius=1e-3)
         rng = np.random.default_rng(3)
         columns = rng.standard_normal((1300, 42)) + 1j * rng.standard_normal((1300, 42))
@@ -233,82 +277,119 @@ def supported(n_points: int, support: int, columns: int = 3, seed: int = 0) -> n
 
 
 def unskipped_apply(t: HankelTransform, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """forward / inverse of complex (N, Z) values through every block and product, none skipped."""
+    """forward / inverse of complex (N, Z) values through every kept tile and product, none skipped."""
     x = np.ascontiguousarray((values * weights[:, None]).view(np.float64).T)
     out = np.zeros_like(x)
-    for start, block in super_blocks(t):
-        near = slice(start, start + block.shape[0])
-        for first in range(0, block.shape[1], hankel._PANEL_COLUMNS):
-            panel = block[:, first : first + hankel._PANEL_COLUMNS]
-            stop = start + first + panel.shape[1]
-            out[:, near] += x[:, start + first : stop] @ panel.T
-            below = max(block.shape[0] - first, 0)
-            out[:, start + first + below : stop] += x[:, near] @ panel[:, below:]
+    for start, c0, tile in kept_tiles(t):
+        stop, c1 = start + tile.shape[0], c0 + tile.shape[1]
+        out[:, start:stop] += x[:, c0:c1] @ tile.T
+        pushed = max(c0, stop)
+        out[:, pushed:c1] += x[:, start:stop] @ tile[:, pushed - c0 :]
     return np.ascontiguousarray(out.T).view(np.complex128)
 
 
+def bounded_transfer(rows: int, reach: int, planes: int = 2) -> np.ndarray:
+    """(rows, planes) unit phases, nonzero in the first reach rows only."""
+    transfer = np.zeros((rows, planes), complex)
+    transfer[:reach] = np.exp(1j * np.linspace(0.0, 3.0, reach * planes)).reshape(reach, planes)
+    return transfer
+
+
 class TestLazyFill:
-    # 1300 points: three super-blocks, the last ragged
+    # 1300 points: three row blocks, the last ragged, and two column blocks,
+    # the last ragged
+
+    # kernel entries the parent's super-blocks of 512 whole rows filled for
+    # forward(supported(1300, support))
+    PARENT_SUPPORT = {1: 567296, 511: 567296, 512: 567296, 513: 872448, 1100: 927120, 1300: 927120}
+    # ... and for forward(field, rows) then inverse of the propagated spectra,
+    # by (N, field support, rows, transfer reach)
+    PARENT_SCANS = {
+        (1300, 1300, 1300, 1300): 927120,
+        (1300, 1300, 700, 650): 872448,
+        (1300, 400, 1300, 1000): 872448,
+        (1300, 1100, 600, 513): 872448,
+        (4096, 4096, 1100, 1050): 5210112,
+        (4096, 2000, 4096, 3000): 8060928,
+        (4096, 3000, 2500, 2049): 7372800,
+    }
 
     @pytest.mark.parametrize("support", [1, 511, 512, 513, 1100, 1300])
-    def test_support_fills_the_blocks_it_reaches(self, support):
+    def test_support_fills_the_blocks_it_reaches(self, support, filled_entries):
+        # a first pass fills the row blocks starting below the support and keeps none
         t = HankelTransform(n_points=1300, max_radius=1e-3)
         t.forward(supported(1300, support))
-        filled = [block is not None for block in t._blocks]
-        expected = -(-support // hankel._PACKED_BLOCK_ROWS)
-        assert filled == [True] * expected + [False] * (len(filled) - expected)
+        reached = min(-(-support // hankel._PACKED_BLOCK_ROWS) * hankel._PACKED_BLOCK_ROWS, 1300)
+        assert set(filled_entries) == set(range(0, reached, hankel._KERNEL_BLOCK_ROWS))
+        assert sum(filled_entries.values()) <= self.PARENT_SUPPORT[support]
+        assert t._row_blocks == [None] * 3 and t._kept_tiles == [0] * 3
 
-    def test_zero_input_fills_nothing(self):
+    def test_zero_input_fills_nothing(self, filled_entries):
         t = HankelTransform(n_points=1300, max_radius=1e-3)
         for values in (np.zeros(1300), np.zeros((1300, 4), complex)):
             assert not np.any(t.forward(values))
             assert not np.any(t.inverse(values))
-        assert t._blocks == [None] * 3
+        spectrum, fields = t.forward_inverse(np.zeros(1300), np.ones((1300, 2)))
+        assert not np.any(spectrum) and not np.any(fields)
+        assert not filled_entries
+        assert t._row_blocks == [None] * 3 and t._passes == 0
 
     def test_fill_order_and_threads_leave_the_kernel_bit_identical(self, monkeypatch):
         monkeypatch.setattr(hankel, "_usable_cpus", lambda: 1)
-        reference = HankelTransform(n_points=1300, max_radius=1e-3)._filled_blocks(1300)
+        reference = HankelTransform(n_points=1300, max_radius=1e-3)
+        keep_whole_kernel(reference)
+        expected = [tile for *_, tile in kept_tiles(reference)]
+        # (support, rows) of forward calls after a first pass, which keeps
+        # nothing: (40, 600) and (513, 700) keep only the first tile of a row block
         for cpus in (1, 2, 4):
             monkeypatch.setattr(hankel, "_usable_cpus", lambda: cpus)
-            for prefixes in ([1], [600], [1, 1025], [513, 1300]):
+            for calls in (
+                [], [(1, 1300)], [(600, 1300)], [(1, 1300), (1025, 1300)], [(40, 600)],
+                [(513, 700), (1300, 1300)],
+            ):
                 t = HankelTransform(n_points=1300, max_radius=1e-3)
-                for support in prefixes:
-                    t._filled_blocks(support)
-                blocks = t._filled_blocks(1300)
-                assert len(blocks) == len(reference)
-                for block, expected in zip(blocks, reference):
-                    assert np.array_equal(block, expected), (cpus, prefixes)
+                t.forward(supported(1300, 1))
+                for support, rows in calls:
+                    t.forward(supported(1300, support), rows=rows)
+                keep_whole_kernel(t)
+                tiles = [tile for *_, tile in kept_tiles(t)]
+                assert len(tiles) == len(expected)
+                for tile, reference_tile in zip(tiles, expected):
+                    assert np.array_equal(tile, reference_tile), (cpus, calls)
 
-    def test_concurrent_first_calls_fill_each_block_once(self, monkeypatch):
-        filled_rows = Counter()
-        fill = hankel._KernelRows.fill
-
-        def counting_fill(rows, start, stop, out):
-            filled_rows[start] += 1
-            fill(rows, start, stop, out)
-
-        monkeypatch.setattr(hankel._KernelRows, "fill", counting_fill)
+    def test_concurrent_first_calls_run_one_at_a_time(self, filled_entries):
         t = HankelTransform(n_points=1300, max_radius=1e-3)
         values = supported(1300, 1300, columns=4)
-        barrier = threading.Barrier(2)
-        results = [None, None]
+        calls = 4
+        barrier = threading.Barrier(calls)
+        results = [None] * calls
 
         def first_call(i):
-            barrier.wait()
+            barrier.wait(timeout=30)
             results[i] = t.inverse(values)
 
-        threads = [threading.Thread(target=first_call, args=(i,)) for i in range(2)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert filled_rows == Counter(range(0, 1300, hankel._KERNEL_BLOCK_ROWS))
-        assert np.array_equal(results[0], results[1])
+        threads = [threading.Thread(target=first_call, args=(i,)) for i in range(calls)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        # one call keeps nothing, the next fills every row again and keeps
+        # it, and the others fill nothing
+        rows = {start: min(128, 1300 - start) * (1300 - start) for start in range(0, 1300, 128)}
+        assert filled_entries == Counter({start: 2 * entries for start, entries in rows.items()})
+        for result in results[1:]:
+            assert np.array_equal(result, results[0])
 
     @pytest.mark.parametrize("direction", ["forward", "inverse"])
     def test_support_limited_results_match_a_full_kernel(self, direction):
         full = HankelTransform(n_points=1300, max_radius=1e-3)
-        full._filled_blocks(1300)
+        keep_whole_kernel(full)
         weights = {"forward": full.power_weights, "inverse": full.spectral_power_weights}
         for support in (1, 300, 700, 1300):
             lazy = HankelTransform(n_points=1300, max_radius=1e-3)
@@ -318,28 +399,82 @@ class TestLazyFill:
             # skipping the products whose input is zero changes no bit
             assert np.array_equal(result, unskipped_apply(full, values, weights[direction]))
 
+    @pytest.mark.parametrize("case", PARENT_SCANS)
+    def test_scans_keep_tiles_from_their_second_pass(self, case, filled_entries):
+        n, support, rows, reach = case
+        t = HankelTransform(n_points=n, max_radius=1e-3)
+        field = supported(n, support, columns=1, seed=support)[:, 0]
+        transfer = bounded_transfer(rows, reach)
+        results, filled, kept = [], [], []
+        for _ in range(3):
+            filled_entries.clear()
+            results.append(t.forward_inverse(field, transfer))
+            filled.append(sum(filled_entries.values()))
+            kept.append(sum(t._kept_tiles))
+        # the first scan fills no more than the parent's forward and inverse
+        # and keeps nothing; the second fills the same again and keeps it, the
+        # third fills nothing
+        assert 0 < filled[0] <= self.PARENT_SCANS[case]
+        assert filled == [filled[0], filled[0], 0]
+        assert kept[0] == 0 < kept[1] == kept[2]
+        # streamed and kept passes give the same bits
+        for spectrum, fields in results[1:]:
+            assert np.array_equal(spectrum, results[0][0])
+            assert np.array_equal(fields, results[0][1])
+        # the spectrum is the bounded forward's; the fields are the inverse of
+        # its propagated columns, to rounding
+        spectrum, fields = results[0]
+        assert np.array_equal(spectrum, t.forward(field, rows=rows))
+        spectra = np.zeros((n, 2), complex)
+        spectra[:rows] = spectrum[:rows, None] * transfer
+        reference = t.inverse(spectra)
+        assert fields.shape == (n, 2)
+        assert np.max(np.abs(fields - reference)) <= 1e-14 * np.max(np.abs(reference))
+
+    def test_a_scan_asked_to_keep_keeps_from_its_first_pass(self, filled_entries):
+        t = HankelTransform(n_points=1300, max_radius=1e-3)
+        field = supported(1300, 1300, columns=1)[:, 0]
+        first = t.forward_inverse(field, bounded_transfer(700, 650), keep=True)
+        filled = sum(filled_entries.values())
+        assert sum(t._kept_tiles) == 4
+        filled_entries.clear()
+        again = t.forward_inverse(field, bounded_transfer(700, 650))
+        assert not filled_entries and filled == 872448
+        assert np.array_equal(first[1], again[1])
+
 
 class TestRowBound:
-    # 1300 points: three super-blocks, the last ragged; with 300-column panels
-    # each super-block holds several, their edges at start + 300 i
+    # 1300 points: three row blocks, the last ragged; with 512-column tiles
+    # every diagonal tile is square, with 2048 the first row block is one tile
     CASES = [
         (1300, 1), (1300, 299), (1300, 300), (1300, 301), (1300, 511), (1300, 512),
         (1300, 513), (1300, 811), (1300, 812), (1300, 813), (1300, 1024), (1300, 1299),
         (700, 512), (700, 900), (513, 1100), (40, 600), (1300, 0),
     ]
+    # kernel entries the parent's super-blocks of 512 whole rows filled for
+    # each case's first bounded forward
+    PARENT = {
+        (1300, 1): 567296, (1300, 299): 567296, (1300, 300): 567296, (1300, 301): 567296,
+        (1300, 511): 567296, (1300, 512): 567296, (1300, 513): 872448, (1300, 811): 872448,
+        (1300, 812): 872448, (1300, 813): 872448, (1300, 1024): 872448, (1300, 1299): 927120,
+        (700, 512): 567296, (700, 900): 872448, (513, 1100): 872448, (40, 600): 567296,
+        (1300, 0): 0,
+    }
 
-    @pytest.mark.parametrize("panel", [hankel._PANEL_COLUMNS, 300])
+    @pytest.mark.parametrize("tile_columns", [hankel._TILE_COLUMNS, 512, 2048])
     @pytest.mark.parametrize("support, rows", CASES)
     def test_bounded_forward_matches_full_forward_below_the_bound(
-        self, monkeypatch, panel, support, rows
+        self, monkeypatch, filled_entries, tile_columns, support, rows
     ):
-        monkeypatch.setattr(hankel, "_PANEL_COLUMNS", panel)
+        monkeypatch.setattr(hankel, "_TILE_COLUMNS", tile_columns)
         columns = supported(1300, support, seed=rows)
         bounded = HankelTransform(n_points=1300, max_radius=1e-3)
         bounded.forward(columns, rows=rows)
-        filled = [block is not None for block in bounded._blocks]
-        expected = -(-min(support, rows) // hankel._PACKED_BLOCK_ROWS)
-        assert filled == [True] * expected + [False] * (3 - expected)
+        # the row blocks starting below min(support, rows), and no more than the parent
+        reached = min(-(-min(support, rows) // 512) * 512, 1300)
+        assert set(filled_entries) == set(range(0, reached, hankel._KERNEL_BLOCK_ROWS))
+        assert sum(filled_entries.values()) <= self.PARENT[support, rows]
+        # the first call on each transform keeps nothing, the later ones keep
         full = HankelTransform(n_points=1300, max_radius=1e-3)
         for values in (columns, columns[:, 0], columns.real):
             result = bounded.forward(values, rows=rows)
@@ -348,10 +483,10 @@ class TestRowBound:
             assert not np.any(result[rows:])
         assert np.array_equal(bounded.forward(columns, rows=1300), full.forward(columns))
 
-    def test_criterion_03_scan_stops_at_the_light_cone(self):
+    def test_criterion_03_scan_stops_at_the_light_cone(self, filled_entries):
         # every plane's exact propagator underflows to 0 beyond k ~ 1.12 k0,
-        # row ~1050 of 8192: the forward, the inverse and the fine resample
-        # matrix stop there
+        # row ~1050 of 8192: the kernel pass, the inverse and the fine
+        # resample matrix stop there
         t = HankelTransform(n_points=8192, max_radius=400e-6)
         layout = zone_layout(LensDesign(200e-6, 300e-6, 854e-9))
         field = gaussian_beam(t, 75e-6, 854e-9)
@@ -362,7 +497,11 @@ class TestRowBound:
         phases = [np.exp(1j * zi * kz) for zi in z]
         reach = diffraction._reach(t, transmitted.wavenumber, z)
         assert 1024 < reach < 1100
-        assert [block is not None for block in t._blocks] == [True] * 3 + [False] * 13
+        # three of the sixteen row blocks, whole, as the parent's forward and
+        # inverse filled them; the scan's one pass keeps none
+        assert set(filled_entries) == set(range(0, 1536, hankel._KERNEL_BLOCK_ROWS))
+        assert sum(filled_entries.values()) == sum(128 * (8192 - start) for start in range(0, 1536, 128))
+        assert t._kept_tiles == [0] * 16
         spectrum = t.forward(transmitted.amplitude, rows=reach)
         spectra = np.stack([spectrum * phase for phase in phases], axis=1)
         # the matrix fills the columns the propagated spectra reach: the last
@@ -440,6 +579,14 @@ class TestBatchedColumns:
     def test_rejects_other_shapes(self, transform, direction, shape):
         with pytest.raises(DomainError):
             getattr(transform, direction)(np.ones(shape))
+
+    @pytest.mark.parametrize(
+        "field_shape, transfer_shape",
+        [((512, 1), (10, 2)), ((512,), (10,)), ((512,), (513, 2)), ((512,), (10, 0))],
+    )
+    def test_forward_inverse_rejects_other_shapes(self, transform, field_shape, transfer_shape):
+        with pytest.raises(DomainError):
+            transform.forward_inverse(np.ones(field_shape), np.ones(transfer_shape))
 
 
 class TestResample:
