@@ -215,9 +215,10 @@ def _check_spectrum_resolved(
     beyond the light cone are evanescent and decay within a wavelength,
     so physical edge-diffraction tails out there are ignored.
 
-    A spectrum bounded at or beyond the guard band (forward's rows) has
-    the band's power unchanged and a total, over the computed rows, never
-    larger than over all rows, so any field refused unbounded is refused.
+    A spectrum bounded at or beyond the guard band (forward_inverse's
+    rows) has the band's power unchanged and a total, over the computed
+    rows, never larger than over all rows, so any field refused unbounded
+    is refused.
     """
     power = transform.spectral_power_weights * np.abs(spectrum) ** 2
     total = float(np.sum(power))
@@ -245,13 +246,10 @@ def _transfer_wavenumber(
     return np.sqrt((wavenumber**2 - transform.k_radial**2).astype(complex))
 
 
-def _reach(
-    transform: HankelTransform, wavenumber: float, z_positions, paraxial: bool = False
-) -> int:
+def _reach(transform: HankelTransform, wavenumber: float, kz: np.ndarray, z_positions) -> int:
     """Spectrum rows that propagation to z_positions keeps: 1 + the last row
     where any plane's phase exp(i z kz) is nonzero, and never short of the
     guard band's top."""
-    kz = _transfer_wavenumber(transform, wavenumber, paraxial)
     planes = [_support(np.exp(1j * z * kz)) for z in z_positions]
     return max([_guard_band(transform, wavenumber).stop] + planes)
 
@@ -277,7 +275,7 @@ def _planes(field: RadialField, z_positions: np.ndarray, paraxial: bool) -> tupl
         raise DomainError("z_positions must be non-negative (measured from the lens)")
     transform = field.transform
     kz = _transfer_wavenumber(transform, field.wavenumber, paraxial)
-    return kz, _reach(transform, field.wavenumber, z_positions, paraxial)
+    return kz, _reach(transform, field.wavenumber, kz, z_positions)
 
 
 def _transfer(kz: np.ndarray, z_positions: np.ndarray, reach: int) -> np.ndarray:

@@ -88,12 +88,13 @@ filled before, so both outputs are bit-identical whatever the thread
 count.
 
 forward and inverse take samples of shape (N,) or a stack of Z columns
-of shape (N, Z) and return the same shape; forward_inverse takes one
-field, forwards it, multiplies the spectrum by each of Z transfer
-columns (a scan's propagators) and inverts them all. A complex stack is
-viewed as 2Z interleaved float64 columns, transposed to a C x N array X
-(C = Z or 2Z), so every product is a plain (C x K) @ (K x M) BLAS-3
-product. Each call is one pass over the row blocks in ascending order.
+of shape (N, Z) and return complex values of the same shape;
+forward_inverse takes one field, forwards it, multiplies the spectrum by
+each of Z transfer columns (a scan's propagators) and inverts them all.
+Samples are taken as complex (a real input has zero imaginary part) and
+viewed as 2Z interleaved float64 columns, transposed to a 2Z x N array
+X, so every product is a plain (2Z x K) @ (K x M) BLAS-3 product. Each
+call is one pass over the row blocks in ascending order.
 At row block k [a, b) the pass fills the tiles T = kernel[a:b, c0:c1]
 it needs, and applies each both ways while it is in cache (BLAS-3 work
 on triangle-only storage, as in the rectangular full packed format of
@@ -130,13 +131,9 @@ bit-identical results. Passes on one transform run one at a time.
 
 A row block starting at or beyond the input's support s, or a product
 whose input columns start there, would add exact zeros, so it is
-skipped. So is a product that writes only rows at or beyond forward's
-output-row bound (a scan's light cone): only row blocks starting below
-min(s, bound) are filled, and only their tiles starting below max(s,
-bound); rows from the bound on come back zero, and the rest are
-bit-identical to a full forward's, as the products kept keep their
-shapes and order. The fixed order makes the result the same on every
-call.
+skipped; forward_inverse also skips what lies beyond its spectrum's
+row bound (see there). The fixed order makes the result the same on
+every call.
 
 The quadrature is spectrally accurate for fields that decay by r = R and
 whose spectra decay by k = S / R.
@@ -279,10 +276,9 @@ def _row_tile(flat: np.ndarray, n_points: int, start: int, c0: int, c1: int) -> 
     return flat[rows * (c0 - start) : rows * (c1 - start)].reshape(rows, c1 - c0)
 
 
-def _columns(rows: np.ndarray, is_complex: bool, shape: tuple) -> np.ndarray:
-    """C x N rows back to (N,) or (N, Z) values; complex ones from interleaved rows."""
-    values = np.ascontiguousarray(rows.T)
-    return (values.view(np.complex128) if is_complex else values).reshape(shape)
+def _columns(rows: np.ndarray, shape: tuple) -> np.ndarray:
+    """2Z x N interleaved real and imaginary rows back to complex (N,) or (N, Z) values."""
+    return np.ascontiguousarray(rows.T).view(np.complex128).reshape(shape)
 
 
 def _bands(plan: list, n_points: int, y_rows: int, inner: int) -> list[list]:
@@ -573,13 +569,14 @@ class _KernelRows:
 class HankelTransform:
     """Order-zero quasi-discrete Hankel transform on [0, R].
 
-    Precomputes the Bessel-zero grid. Kernel tiles are filled when a
-    call's input first reaches them: the first pass keeps none, and later
-    passes keep every tile they fill. Passes run one at a time, under a
-    lock; apart from the kept tiles and the near-axis node matrix, an
-    instance is immutable after construction, and shareable.
-    A max_radius above 1e100 m is refused with ResolutionError before
-    any work.
+    Precomputes the Bessel-zero grid. Every pass takes complex samples
+    (a real input has zero imaginary part) and returns complex values.
+    Kernel tiles are filled when a call's input first reaches them: the
+    first pass keeps none, and later passes keep every tile they fill.
+    Passes run one at a time, under a lock; apart from the kept tiles and
+    the near-axis node matrix, an instance is immutable after
+    construction, and shareable. A max_radius above 1e100 m is refused
+    with ResolutionError before any work.
     """
 
     def __init__(self, n_points: int, max_radius: float):
@@ -667,21 +664,21 @@ class HankelTransform:
         self,
         x: np.ndarray,
         support: int,
-        rows: int,
         transfer: np.ndarray | None = None,
         keep: bool = False,
     ) -> tuple[np.ndarray, np.ndarray | None]:
         """One ascending pass over the kernel's row blocks (module docstring).
 
-        x holds C weighted input rows of N entries, zero from column support
-        on. Returns A = x K on its first rows columns (zero from there on)
-        and, with transfer (rows x Z complex), Y K for the 2Z rows of Y:
-        the real and imaginary parts of A's spectrum times each transfer
-        column, times spectral_power_weights. keep, or any pass after the
-        transform's first, keeps every tile the pass fills; otherwise each
-        tile is freed once read for the last time, and none is kept.
+        x holds the weighted input rows of N entries (_weighted), zero from
+        column support on. Returns A = x K and, with transfer (rows x Z
+        complex), A on its first rows columns (zero from there on) and Y K
+        for the 2Z rows of Y: the real and imaginary parts of A's spectrum
+        times each transfer column, times spectral_power_weights. keep, or any pass after the transform's
+        first, keeps every tile the pass fills; otherwise each tile is freed
+        once read for the last time, and none is kept.
         """
         n, height = self.n_points, _PACKED_BLOCK_ROWS
+        rows = n if transfer is None else transfer.shape[0]
         spectrum = np.zeros_like(x)
         fields = y = None
         y_rows = 0
@@ -785,63 +782,58 @@ class HankelTransform:
     def _transfer_rows(self, spectrum, transfer, y, start: int, stop: int) -> None:
         """Write rows start:stop of Y (see _sweep) from A's spectrum there."""
         rows = slice(start, min(stop, transfer.shape[0]))
-        values = np.zeros(rows.stop - rows.start, dtype=complex)
-        values.real = spectrum[0, rows]
-        if spectrum.shape[0] == 2:
-            values.imag = spectrum[1, rows]
+        values = np.empty(rows.stop - rows.start, dtype=complex)
+        values.real, values.imag = spectrum[:, rows]
         product = values[:, None] * transfer[rows]
         weights = self.spectral_power_weights[rows]
         np.multiply(product.real.T, weights, out=y[0::2, rows])
         np.multiply(product.imag.T, weights, out=y[1::2, rows])
 
     def _weighted(self, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """(N,) or (N, Z) values times weights, as rows of float64: a complex
-        column gives interleaved real and imaginary rows, so one pass over the
-        real kernel covers both."""
+        """(N,) or (N, Z) values times weights, as 2Z interleaved rows of the
+        real and imaginary parts, so one pass over the real kernel covers both."""
         if values.ndim not in (1, 2) or values.shape[0] != self.n_points:
             raise DomainError(
                 f"expected shape ({self.n_points},) or ({self.n_points}, Z), "
                 f"got {values.shape}"
             )
         stack = values.reshape(self.n_points, -1).T
-        is_complex = np.iscomplexobj(stack)
-        x = np.empty(((1 + is_complex) * stack.shape[0], self.n_points))
-        if is_complex:
-            np.multiply(stack.real, weights, out=x[0::2])
-            np.multiply(stack.imag, weights, out=x[1::2])
-        else:
-            np.multiply(stack, weights, out=x)
+        x = np.empty((2 * stack.shape[0], self.n_points))
+        np.multiply(stack.real, weights, out=x[0::2])
+        np.multiply(stack.imag, weights, out=x[1::2])
         return x
 
-    def _apply(self, values: np.ndarray, weights: np.ndarray, rows: int) -> np.ndarray:
+    def _apply(self, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
         values = np.asarray(values)
         x = self._weighted(values, weights)
-        out, _ = self._sweep(x, _support(values), rows)
-        # freed first, so at most two C x N arrays are alive at once
+        out, _ = self._sweep(x, _support(values))
+        # freed first, so at most two 2Z x N arrays are alive at once
         del x
-        return _columns(out, np.iscomplexobj(values), values.shape)
+        return _columns(out, values.shape)
 
-    def forward(self, field_values: np.ndarray, rows: int | None = None) -> np.ndarray:
-        """Angular spectrum A(k_m) of samples f(r_n), one per column of (N, Z) input.
-
-        Only rows m < rows (default N) are computed; the rest are zero.
-        """
-        return self._apply(field_values, self.power_weights, self.n_points if rows is None else rows)
+    def forward(self, field_values: np.ndarray) -> np.ndarray:
+        """Angular spectrum A(k_m) of samples f(r_n), one per column of (N, Z) input."""
+        return self._apply(field_values, self.power_weights)
 
     def inverse(self, spectrum_values: np.ndarray) -> np.ndarray:
         """Field samples f(r_n) from an angular spectrum A(k_m), one per column of (N, Z) input."""
-        return self._apply(spectrum_values, self.spectral_power_weights, self.n_points)
+        return self._apply(spectrum_values, self.spectral_power_weights)
 
     def forward_inverse(
         self, field_values: np.ndarray, transfer: np.ndarray, keep: bool = False
     ) -> tuple[np.ndarray, np.ndarray]:
         """(spectrum, fields): forward, times each column of transfer, and inverse, in one kernel pass.
 
-        field_values has shape (N,); transfer is (rows, Z), rows <= N. The
-        spectrum is forward(field_values, rows); column z of the (N, Z)
-        fields is inverse(spectrum * transfer[:, z]) up to rounding, with
-        the spectrum's rows from rows on taken as zero. keep has the pass
-        keep the tiles it fills even as the transform's first pass.
+        field_values has shape (N,); transfer is (rows, Z), rows <= N. rows
+        bounds the spectrum (a scan's light cone): the pass skips each
+        product that writes only rows from rows on, so it fills the row
+        blocks starting below min(s, rows), s the field's support, with
+        their tiles starting below max(s, rows), and every tile of the row
+        blocks where transfer is nonzero. The products kept keep their
+        shapes and order, so the spectrum is forward(field_values) with its
+        rows from rows on set to zero, bit for bit. Column z of the (N, Z)
+        fields is inverse(spectrum * transfer[:, z]) up to rounding. keep
+        has the pass keep the tiles it fills even as its transform's first.
         """
         values = np.asarray(field_values)
         transfer = np.asarray(transfer)
@@ -853,12 +845,9 @@ class HankelTransform:
                 f"got {values.shape} and {transfer.shape}"
             )
         x = self._weighted(values, self.power_weights)
-        spectrum, fields = self._sweep(x, _support(values), transfer.shape[0], transfer, keep)
+        spectrum, fields = self._sweep(x, _support(values), transfer, keep)
         del x
-        return (
-            _columns(spectrum, np.iscomplexobj(values), values.shape),
-            _columns(fields, True, (self.n_points, transfer.shape[1])),
-        )
+        return _columns(spectrum, values.shape), _columns(fields, (self.n_points, transfer.shape[1]))
 
     def resample_matrix(self, radii: np.ndarray) -> np.ndarray:
         """Matrix evaluating the band-limited field at arbitrary radii.
@@ -927,12 +916,6 @@ class HankelTransform:
     def radial_power(self, field_values: np.ndarray) -> float:
         """Discretized total power 2 pi int |f(r)|^2 r dr."""
         return float(np.sum(self.power_weights * np.abs(field_values) ** 2))
-
-    def spectral_power(self, spectrum_values: np.ndarray) -> float:
-        """Discretized total power (1 / 2 pi) int |A(k)|^2 k dk."""
-        return float(
-            np.sum(self.spectral_power_weights * np.abs(spectrum_values) ** 2)
-        )
 
 
 _transform: HankelTransform | None = None

@@ -393,11 +393,15 @@ class TestPropagation:
             monkeypatch.setattr(diffraction, "_GUARD_BAND_MAX_POWER", share * (1 - 1e-9))
             with pytest.raises(ResolutionError):
                 diffraction._check_spectrum_resolved(t, full, k)
+            kz = diffraction._transfer_wavenumber(t, k)
             for z in (20e-6, 50e-6, BEAM_RAYLEIGH):
-                reach = diffraction._reach(t, k, [z])
+                reach = diffraction._reach(t, k, kz, [z])
                 assert reach < t.n_points
+                # forward_inverse's spectrum, bounded at reach
+                bounded = full.copy()
+                bounded[reach:] = 0
                 with pytest.raises(ResolutionError):
-                    diffraction._check_spectrum_resolved(t, t.forward(values, rows=reach), k)
+                    diffraction._check_spectrum_resolved(t, bounded, k)
 
     def test_evanescent_components_decay(self):
         # transverse frequency beyond the free-space wavenumber: the

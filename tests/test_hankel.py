@@ -184,7 +184,10 @@ class TestKernel:
         for (direction, key), reference in expected.items():
             result = getattr(t, direction)(inputs[key])
             assert result.shape == reference.shape
-            assert result.dtype == reference.dtype
+            # every pass returns complex values; a real input's are real
+            assert result.dtype == np.complex128
+            if key[0] == "real":
+                assert not np.any(result.imag)
             error = np.max(np.abs(result - reference)) / np.max(np.abs(reference))
             assert error <= 1e-12, (direction, key, error)
 
@@ -295,6 +298,15 @@ def bounded_transfer(rows: int, reach: int, planes: int = 2) -> np.ndarray:
     return transfer
 
 
+def bounded_forward(t: HankelTransform, values: np.ndarray, rows: int) -> np.ndarray:
+    """The spectrum of (N,) or (N, Z) values from a pass bounded at rows, as
+    forward_inverse bounds it: a zero transfer of rows rows, which forms no Y."""
+    spectrum, _ = t._sweep(
+        t._weighted(values, t.power_weights), hankel._support(values), np.zeros((rows, 1), complex)
+    )
+    return hankel._columns(spectrum, values.shape)
+
+
 class TestLazyFill:
     # 1300 points: three row blocks, the last ragged, and two column blocks,
     # the last ragged
@@ -339,7 +351,7 @@ class TestLazyFill:
         reference = HankelTransform(n_points=1300, max_radius=1e-3)
         keep_whole_kernel(reference)
         expected = [tile for *_, tile in kept_tiles(reference)]
-        # (support, rows) of forward calls after a first pass, which keeps
+        # (support, rows) of bounded passes after a first pass, which keeps
         # nothing: (40, 600) and (513, 700) keep only the first tile of a row block
         for cpus in (1, 2, 4):
             monkeypatch.setattr(hankel, "_usable_cpus", lambda: cpus)
@@ -350,7 +362,7 @@ class TestLazyFill:
                 t = HankelTransform(n_points=1300, max_radius=1e-3)
                 t.forward(supported(1300, 1))
                 for support, rows in calls:
-                    t.forward(supported(1300, support), rows=rows)
+                    bounded_forward(t, supported(1300, support), rows)
                 keep_whole_kernel(t)
                 tiles = [tile for *_, tile in kept_tiles(t)]
                 assert len(tiles) == len(expected)
@@ -421,10 +433,13 @@ class TestLazyFill:
         for spectrum, fields in results[1:]:
             assert np.array_equal(spectrum, results[0][0])
             assert np.array_equal(fields, results[0][1])
-        # the spectrum is the bounded forward's; the fields are the inverse of
-        # its propagated columns, to rounding
+        # the spectrum is a whole forward's with the rows from the bound on
+        # set to zero; the fields are the inverse of its propagated columns,
+        # to rounding
         spectrum, fields = results[0]
-        assert np.array_equal(spectrum, t.forward(field, rows=rows))
+        whole = t.forward(field)
+        whole[rows:] = 0
+        assert np.array_equal(spectrum, whole)
         spectra = np.zeros((n, 2), complex)
         spectra[:rows] = spectrum[:rows, None] * transfer
         reference = t.inverse(spectra)
@@ -469,7 +484,7 @@ class TestRowBound:
         monkeypatch.setattr(hankel, "_TILE_COLUMNS", tile_columns)
         columns = supported(1300, support, seed=rows)
         bounded = HankelTransform(n_points=1300, max_radius=1e-3)
-        bounded.forward(columns, rows=rows)
+        bounded_forward(bounded, columns, rows)
         # the row blocks starting below min(support, rows), and no more than the parent
         reached = min(-(-min(support, rows) // 512) * 512, 1300)
         assert set(filled_entries) == set(range(0, reached, hankel._KERNEL_BLOCK_ROWS))
@@ -477,11 +492,14 @@ class TestRowBound:
         # the first call on each transform keeps nothing, the later ones keep
         full = HankelTransform(n_points=1300, max_radius=1e-3)
         for values in (columns, columns[:, 0], columns.real):
-            result = bounded.forward(values, rows=rows)
             reference = full.forward(values)
-            assert np.array_equal(result[:rows], reference[:rows])
-            assert not np.any(result[rows:])
-        assert np.array_equal(bounded.forward(columns, rows=1300), full.forward(columns))
+            reference[rows:] = 0
+            assert np.array_equal(bounded_forward(bounded, values, rows), reference)
+            if values.ndim == 1:
+                # the same bound through the public fused pass
+                spectrum, _ = bounded.forward_inverse(values, np.zeros((rows, 1)))
+                assert np.array_equal(spectrum, reference)
+        assert np.array_equal(bounded_forward(bounded, columns, 1300), full.forward(columns))
 
     def test_criterion_03_scan_stops_at_the_light_cone(self, filled_entries):
         # every plane's exact propagator underflows to 0 beyond k ~ 1.12 k0,
@@ -495,14 +513,14 @@ class TestRowBound:
         transmitted = apply_binary_pfl(field, layout)
         kz = diffraction._transfer_wavenumber(t, transmitted.wavenumber)
         phases = [np.exp(1j * zi * kz) for zi in z]
-        reach = diffraction._reach(t, transmitted.wavenumber, z)
+        reach = diffraction._reach(t, transmitted.wavenumber, kz, z)
         assert 1024 < reach < 1100
         # three of the sixteen row blocks, whole, as the parent's forward and
         # inverse filled them; the scan's one pass keeps none
         assert set(filled_entries) == set(range(0, 1536, hankel._KERNEL_BLOCK_ROWS))
         assert sum(filled_entries.values()) == sum(128 * (8192 - start) for start in range(0, 1536, 128))
         assert t._kept_tiles == [0] * 16
-        spectrum = t.forward(transmitted.amplitude, rows=reach)
+        spectrum, _ = t.forward_inverse(transmitted.amplitude, np.zeros((reach, 1)))
         spectra = np.stack([spectrum * phase for phase in phases], axis=1)
         # the matrix fills the columns the propagated spectra reach: the last
         # few rows below reach underflow to 0 in spectrum x phase
@@ -533,7 +551,8 @@ class TestRoundTripAndParseval:
         )
         spectrum = transform.forward(field)
         p_real = transform.radial_power(field)
-        p_spec = transform.spectral_power(spectrum)
+        # (1 / 2 pi) int |A(k)|^2 k dk
+        p_spec = float(np.sum(transform.spectral_power_weights * np.abs(spectrum) ** 2))
         assert p_spec == pytest.approx(p_real, rel=1e-6)
 
     def test_radial_power_matches_analytic_gaussian(self, transform):
@@ -567,12 +586,35 @@ class TestBatchedColumns:
         batched = apply(columns)
         one_by_one = np.stack([apply(columns[:, z]) for z in range(5)], axis=1)
         assert batched.shape == columns.shape
-        assert np.iscomplexobj(batched) == complex_input
+        assert batched.dtype == np.complex128
         assert np.max(np.abs(batched - one_by_one)) <= 1e-14 * np.max(np.abs(one_by_one))
         if complex_input:
-            # the transform is real-linear: the real path is the reference
-            parts = apply(columns.real) + 1j * apply(columns.imag)
+            # the transform is real-linear: the real parts' transforms are the reference
+            parts = apply(columns.real).real + 1j * apply(columns.imag).real
             assert np.max(np.abs(batched - parts)) <= 1e-14 * np.max(np.abs(parts))
+
+    def test_real_samples_pass_as_their_complex_cast(self, transform):
+        # a real input is taken as complex with zero imaginary part: every
+        # pass gives the cast's bits, signed zeros included
+        def same_bits(a, b):
+            return a.dtype == b.dtype and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+        rng = np.random.default_rng(11)
+        n = transform.n_points
+        columns = rng.standard_normal((n, 3))
+        columns[::7] = -0.0
+        columns[n // 2 :] = 0.0
+        transfer = np.exp(1j * rng.uniform(0.0, 3.0, (n // 2, 2)))
+        for values in (columns, columns[:, 0]):
+            cast = values.astype(complex)
+            for direction in ("forward", "inverse"):
+                apply = getattr(transform, direction)
+                assert same_bits(apply(values), apply(cast)), (direction, values.shape)
+        for fused, reference in zip(
+            transform.forward_inverse(columns[:, 0], transfer),
+            transform.forward_inverse(columns[:, 0].astype(complex), transfer),
+        ):
+            assert same_bits(fused, reference)
 
     @pytest.mark.parametrize("direction", ["forward", "inverse"])
     @pytest.mark.parametrize("shape", [(513, 3), (512, 3, 1), (3, 512)])
