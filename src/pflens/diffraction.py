@@ -40,8 +40,6 @@ _GUARD_BAND_FRACTION = 0.02
 _GUARD_BAND_MAX_POWER = 1e-2
 # collocation samples apply_binary_pfl requires across the outermost zone period
 _MIN_SAMPLES_PER_ZONE = 4.0
-# planes whose spectra scan_field stacks into one batched inverse transform
-_SCAN_CHUNK_PLANES = 64
 # scan defaults, which the config's keys of the same names start from:
 # near-axis fine-grid radii, blade positions per knife-edge curve, and the
 # capture radius of efficiency_into_focus in best-focus waists
@@ -247,11 +245,12 @@ def _transfer_wavenumber(
 
 
 def _reach(transform: HankelTransform, wavenumber: float, kz: np.ndarray, z_positions) -> int:
-    """Spectrum rows that propagation to z_positions keeps: 1 + the last row
-    where any plane's phase exp(i z kz) is nonzero, and never short of the
-    guard band's top."""
-    planes = [_support(np.exp(1j * z * kz)) for z in z_positions]
-    return max([_guard_band(transform, wavenumber).stop] + planes)
+    """Spectrum rows that propagation to z_positions (>= 0) keeps: 1 + the last
+    row where any plane's phase exp(i z kz) is nonzero, and never short of the
+    guard band's top. On every row |exp(i z kz)| = exp(-z Im kz), Im kz >= 0,
+    falls as z grows, so only the nearest plane is evaluated."""
+    nearest = _support(np.exp(1j * np.min(z_positions) * kz))
+    return max(_guard_band(transform, wavenumber).stop, nearest)
 
 
 def _planes(field: RadialField, z_positions: np.ndarray, paraxial: bool) -> tuple[np.ndarray, int]:
@@ -283,14 +282,12 @@ def _transfer(kz: np.ndarray, z_positions: np.ndarray, reach: int) -> np.ndarray
     return np.exp(1j * z_positions * kz[:reach, None])
 
 
-def _propagated(
-    field: RadialField, transfer: np.ndarray, keep: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
+def _propagated(field: RadialField, transfer: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(spectrum, fields) of the field propagated by transfer's columns, in one
     kernel pass (HankelTransform.forward_inverse), after which the
     spectrum's guard band is checked (_check_spectrum_resolved)."""
     transform = field.transform
-    spectrum, fields = transform.forward_inverse(field.amplitude, transfer, keep)
+    spectrum, fields = transform.forward_inverse(field.amplitude, transfer)
     _check_spectrum_resolved(transform, spectrum, field.wavenumber)
     return spectrum, fields
 
@@ -551,86 +548,67 @@ def scan_field(
     """Waist-versus-z scan of an already-transmitted field.
 
     z positions are measured from the transmitted plane, and checked as
-    propagate checks its distance (_planes). The forward transform is
-    computed once, and stops at the light cone: at _reach, past the last
-    row where any plane's propagator phase is nonzero (the exact
-    exp(i z kz) underflows to 0 just beyond k). The propagated spectra of
-    up to _SCAN_CHUNK_PLANES planes are stacked as columns and inverted
-    as one batch, the first batch in the forward's own kernel pass
-    (HankelTransform.forward_inverse, which keeps the kernel when more
-    batches follow), so memory stays O(N) beside the kernel whatever the
-    plane count. The guard band is checked on the spectrum before any
-    knife edge is taken. The same stack is summed
-    on the transform's near-axis fine grid (transform.fine_values:
-    fine_points radii over 60 grid spacings, reached through 128
-    Chebyshev nodes whose matrix the transform keeps for every scan and
-    waist measurement on its grid). Each plane's knife-edge curve is
-    built on that fine grid joined to the native radii beyond it, and the
-    chunk's curves are fitted as one stack (beamfit.fit_scans), with the
-    waists measure_waist_knife_edge would give. The first plane with the
-    smallest waist is kept for the encircled-power curve, which is
-    integrated on the same joined grid.
+    propagate checks its distance (_planes). The scan is one kernel pass
+    (HankelTransform.forward_inverse) over every plane: the forward
+    transform stops at the light cone (_reach: the exact exp(i z kz)
+    underflows to 0 just beyond k), and the propagated spectra, one column
+    per plane, are inverted as one batch. Memory beside the kernel is
+    O(N Z) for Z planes, and a scan that would not fit is refused first
+    (HankelTransform._check_scan_fits). The guard band is checked before
+    any knife edge is taken. The propagated spectra are summed on the
+    transform's near-axis fine grid (transform.fine_values), and each
+    plane's knife-edge curve, built on that grid joined to the native radii
+    beyond it, is fitted in one stack (beamfit.fit_scans), with the waists
+    measure_waist_knife_edge would give. The first plane with the smallest
+    waist gives the encircled-power curve, integrated on the same joined
+    grid.
     """
     transform = transmitted.transform
     z_positions = np.asarray(z_positions, dtype=float)
     # before the kernel pass, which fills kernel tiles
     _check_fine_points(fine_points)
     kz, reach = _planes(transmitted, z_positions, paraxial)
+    transform._check_scan_fits(z_positions.size)
     transmitted_power = transform.radial_power(transmitted.amplitude)
     if input_power is None:
         input_power = transmitted_power
 
-    waists = np.empty_like(z_positions)
-    sigmas = np.empty_like(z_positions)
-    best_waist = math.inf
-    for first in range(0, z_positions.size, _SCAN_CHUNK_PLANES):
-        chunk = z_positions[first : first + _SCAN_CHUNK_PLANES]
-        transfer = _transfer(kz, chunk, reach)
-        if first == 0:
-            # later chunks pass over the kernel again, so the first keeps it
-            spectrum, fields = _propagated(
-                transmitted, transfer, keep=z_positions.size > _SCAN_CHUNK_PLANES
-            )
-        spectra = np.zeros((transform.n_points, chunk.size), dtype=complex)
-        np.multiply(spectrum[:reach, None], transfer, out=spectra[:reach])
-        if first:
-            fields = transform.inverse(spectra)
-        fine = transform.fine_values(spectra, fine_points)
-        # the chunk's edge fits run as one stack; planes past one whose blade
-        # curve fails are not fitted, and the first failure in z order raises.
-        # The curves are copied into one array made before their temporaries:
-        # kept in arrays of their own, among those temporaries, they raised the
-        # peak RSS of repeated default simulations in one process by 2.7 MiB
-        # (Linux, glibc malloc)
-        curves = np.empty((chunk.size, 2, n_blade_positions))
-        scans, failure = [], None
-        for column in range(chunk.size):
-            field = transmitted.with_amplitude(fields[:, column])
-            try:
-                curves[column] = _blade_curve(field, n_blade_positions, fine[:, column])
-                blade, powers = curves[column]
-                scans.append(KnifeEdgeScan(z=0.0, blade_positions=blade, powers=powers))
-            except DomainError as error:
-                failure = error
-                break
-        for column, point in enumerate(fit_scans(scans)):
-            if isinstance(point, FitError):
-                raise point
-            waists[first + column] = point.w
-            sigmas[first + column] = point.w_uncertainty
-            if point.w < best_waist:
-                best_waist = point.w
-                fine_best = fine[:, column].copy()
-                values_best = fields[:, column].copy()
-        if failure is not None:
-            raise failure
-
-    enc_r, enc_p = _encircled_power_curve(transform, values_best, fine_best)
+    transfer = _transfer(kz, z_positions, reach)
+    spectrum, fields = _propagated(transmitted, transfer)
+    spectra = np.zeros((transform.n_points, z_positions.size), dtype=complex)
+    np.multiply(spectrum[:reach, None], transfer, out=spectra[:reach])
+    del transfer  # each plane holds at most three columns of N samples (_check_scan_fits)
+    fine = transform.fine_values(spectra, fine_points)
+    # the edge fits run as one stack; planes past one whose blade curve fails
+    # are not fitted, and the first failure in z order raises. The curves are
+    # copied into one array made before their temporaries: kept in arrays of
+    # their own, among those temporaries, they raised the peak RSS of repeated
+    # default simulations in one process by 2.7 MiB (Linux, glibc malloc)
+    curves = np.empty((z_positions.size, 2, n_blade_positions))
+    scans, failure = [], None
+    for column in range(z_positions.size):
+        field = transmitted.with_amplitude(fields[:, column])
+        try:
+            curves[column] = _blade_curve(field, n_blade_positions, fine[:, column])
+            blade, powers = curves[column]
+            scans.append(KnifeEdgeScan(z=0.0, blade_positions=blade, powers=powers))
+        except DomainError as error:
+            failure = error
+            break
+    points = fit_scans(scans)
+    for point in points:
+        if isinstance(point, FitError):
+            raise point
+    if failure is not None:
+        raise failure
+    waists = np.array([point.w for point in points])
+    best = int(np.argmin(waists))
+    enc_r, enc_p = _encircled_power_curve(transform, fields[:, best], fine[:, best])
 
     return FocalScanResult(
         z_positions=z_positions,
         fitted_waists=waists,
-        waist_uncertainties=sigmas,
+        waist_uncertainties=[point.w_uncertainty for point in points],
         encircled_radii=enc_r,
         encircled_power=enc_p,
         input_power=float(input_power),

@@ -20,8 +20,9 @@ diagonal rightwards; the lower triangle of each diagonal tile's leading
 square is then copied from the upper, so the kernel the tiles stand for
 is exactly symmetric. Filling and storing it is the dominant time and
 memory for N in the ten-thousands; a grid whose whole kernel would not
-fit in MemAvailable less 512 MiB is refused before anything is
-allocated.
+fit in MemAvailable less 512 MiB (_memory_budget) is refused before
+anything is allocated, and so is a scan whose planes would not fit beside
+the kernel bytes not yet held (_check_scan_fits).
 
 Within a fill block of B = 128 rows [m0, m0 + B) the kernel entry
 J0(x), x = j_m s_n with s_n = j_n / S, is evaluated in one of two ways:
@@ -113,10 +114,9 @@ the last row block in them is done, when Y is whole there:
     out[:, q0:q1] += Y[:, i:i + 512] T,    out[:, i:i + 512] += Y[:, q0:q1] T^T.
 
 So each tile is read twice per pass, as forward then inverse read it,
-and the kernel is filled once. A transform's first pass keeps no tile
-(unless asked to, as a scan of more than one 64-plane chunk does): a
-tile goes back to a buffer pool once read for the last time, so the pass
-holds the tiles that a later column block still reads, about
+and the kernel is filled once. A transform's first pass keeps no tile:
+a tile goes back to a buffer pool once read for the last time, so the
+pass holds the tiles that a later column block still reads, about
 (rows of Y / 2)^2 entries mid-pass. Fills are made in bands of row
 blocks, each filled before its products, long near the ends of the pass
 and short mid-pass, so the pass holds at most two row blocks more than
@@ -402,9 +402,14 @@ def _available_memory() -> int:
     return _FALLBACK_AVAILABLE_BYTES
 
 
+def _memory_budget() -> int:
+    """Bytes new arrays may take: MemAvailable less _MEMORY_HEADROOM_BYTES."""
+    return _available_memory() - _MEMORY_HEADROOM_BYTES
+
+
 def _check_kernel_fits(n_points: int) -> None:
     """Refuse, before anything is allocated, a kernel that would not fit in memory."""
-    budget = _available_memory() - _MEMORY_HEADROOM_BYTES
+    budget = _memory_budget()
     needed = _kernel_bytes(n_points)
     if needed > budget:
         # a kernel takes over 4 N^2 bytes, so no grid beyond sqrt(budget / 4) fits
@@ -609,7 +614,7 @@ class HankelTransform:
         blocks = -(-n_points // _PACKED_BLOCK_ROWS)
         self._row_blocks: list[np.ndarray | None] = [None] * blocks
         self._kept_tiles = [0] * blocks
-        # passes that read the kernel: the first keeps no tile unless asked to
+        # passes that read the kernel: the first keeps no tile, later ones keep all they fill
         self._passes = 0
         self._lock = threading.Lock()
 
@@ -623,19 +628,17 @@ class HankelTransform:
         self._fine_matrix: np.ndarray | None = None
         self._fine_filled = 0
 
-    def _tiles(
-        self, band: list, table: _KernelRows | None, tile: Callable, keep: bool
-    ) -> list[list[np.ndarray]]:
+    def _tiles(self, band: list, table: _KernelRows | None, tile: Callable) -> list[list[np.ndarray]]:
         """The first count tiles of each row block (start, edges, count) in band, filled.
 
-        tile(start, edges, i) gives tile i of the row block at start. On a
-        pass that keeps tiles, only those not yet filled are filled. The
-        band is filled on the row-block pool, one task per fill block of
-        rows; then each diagonal tile filled has the lower triangle of its
-        leading square copied from the upper.
+        tile(start, edges, i) gives tile i of the row block at start. Only
+        tiles not yet kept are filled, and kept unless the pass is the
+        transform's first. The band is filled on the row-block pool, one task
+        per fill block of rows; then each diagonal tile filled has the lower
+        triangle of its leading square copied from the upper.
         """
         height = _PACKED_BLOCK_ROWS
-        filled = [self._kept_tiles[start // height] if keep else 0 for start, _, _ in band]
+        filled = [self._kept_tiles[start // height] for start, _, _ in band]
         tiles, work = [], []
         for (start, edges, count), done in zip(band, filled):
             row_tiles = [tile(start, edges, i) for i in range(count)]
@@ -655,17 +658,14 @@ class HankelTransform:
                 diagonal = row_tiles[0]
                 for row in range(1, diagonal.shape[0]):
                     diagonal[row, :row] = diagonal[:row, row]
-            if keep and done < count:
-                # counted only once filled: an error leaves no part-filled tile kept
+            if self._passes > 1 and done < count:
+                # kept as this pass (counted in _passes) is not the first; counted
+                # only once filled: an error leaves no part-filled tile kept
                 self._kept_tiles[start // height] = count
         return tiles
 
     def _sweep(
-        self,
-        x: np.ndarray,
-        support: int,
-        transfer: np.ndarray | None = None,
-        keep: bool = False,
+        self, x: np.ndarray, support: int, transfer: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray | None]:
         """One ascending pass over the kernel's row blocks (module docstring).
 
@@ -673,9 +673,9 @@ class HankelTransform:
         column support on. Returns A = x K and, with transfer (rows x Z
         complex), A on its first rows columns (zero from there on) and Y K
         for the 2Z rows of Y: the real and imaginary parts of A's spectrum
-        times each transfer column, times spectral_power_weights. keep, or any pass after the transform's
-        first, keeps every tile the pass fills; otherwise each tile is freed
-        once read for the last time, and none is kept.
+        times each transfer column, times spectral_power_weights. A pass after
+        the transform's first keeps every tile it fills; the first frees each
+        tile once read for the last time, and keeps none.
         """
         n, height = self.n_points, _PACKED_BLOCK_ROWS
         rows = n if transfer is None else transfer.shape[0]
@@ -703,7 +703,7 @@ class HankelTransform:
         inner = min(-(-y_rows // _TILE_COLUMNS) * _TILE_COLUMNS, n)
 
         with self._lock:
-            keep = keep or self._passes > 0
+            keep = self._passes > 0
             self._passes += 1
             if keep:
                 missing = [
@@ -732,7 +732,7 @@ class HankelTransform:
             release = (lambda tile: None) if keep else slots.give
             held: dict[tuple[int, int], np.ndarray] = {}
             bands = [plan] if keep else _bands(plan, n, y_rows, inner)
-            filled = (zip(band, self._tiles(band, table, tile, keep)) for band in bands)
+            filled = (zip(band, self._tiles(band, table, tile)) for band in bands)
             for (start, edges, count), tiles in itertools.chain.from_iterable(filled):
                 stop = min(start + height, n)
                 columns = list(zip(edges, edges[1:]))
@@ -820,7 +820,7 @@ class HankelTransform:
         return self._apply(spectrum_values, self.spectral_power_weights)
 
     def forward_inverse(
-        self, field_values: np.ndarray, transfer: np.ndarray, keep: bool = False
+        self, field_values: np.ndarray, transfer: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """(spectrum, fields): forward, times each column of transfer, and inverse, in one kernel pass.
 
@@ -832,8 +832,8 @@ class HankelTransform:
         blocks where transfer is nonzero. The products kept keep their
         shapes and order, so the spectrum is forward(field_values) with its
         rows from rows on set to zero, bit for bit. Column z of the (N, Z)
-        fields is inverse(spectrum * transfer[:, z]) up to rounding. keep
-        has the pass keep the tiles it fills even as its transform's first.
+        fields is inverse(spectrum * transfer[:, z]) up to rounding. The
+        pass keeps the tiles it fills unless it is the transform's first.
         """
         values = np.asarray(field_values)
         transfer = np.asarray(transfer)
@@ -845,9 +845,28 @@ class HankelTransform:
                 f"got {values.shape} and {transfer.shape}"
             )
         x = self._weighted(values, self.power_weights)
-        spectrum, fields = self._sweep(x, _support(values), transfer, keep)
+        spectrum, fields = self._sweep(x, _support(values), transfer)
         del x
         return _columns(spectrum, values.shape), _columns(fields, (self.n_points, transfer.shape[1]))
+
+    def _check_scan_fits(self, planes: int) -> None:
+        """Refuse, before anything is allocated, a scan whose planes, beside the
+        kernel bytes not yet held, would not fit in memory. A plane holds at
+        most three columns of N complex samples at once (its transfer, fields,
+        and Y or the fields' returned copy; later its fields, spectra and small
+        fine values and fits) and products a tile and a row block wide."""
+        plane_bytes = 16 * (3 * self.n_points + _TILE_COLUMNS + _PACKED_BLOCK_ROWS)
+        kernel = _kernel_bytes(self.n_points) - sum(b.nbytes for b in self._row_blocks if b is not None)
+        budget = _memory_budget() - kernel
+        if planes * plane_bytes > budget:
+            largest = max(budget, 0) // plane_bytes
+            raise ResolutionError(
+                f"a {planes}-plane scan needs {planes * plane_bytes / 1e9:,.2f} GB for its planes, "
+                f"but {max(budget, 0) / 1e9:,.2f} GB of memory is available for them "
+                f"({_MEMORY_HEADROOM_BYTES / 2**30:.2g} GiB is kept free, and "
+                f"{kernel / 1e9:,.2f} GB for the kernel tiles not yet held): "
+                + (f"scan_steps <= {largest} fits" if largest else "no scan fits")
+            )
 
     def resample_matrix(self, radii: np.ndarray) -> np.ndarray:
         """Matrix evaluating the band-limited field at arbitrary radii.

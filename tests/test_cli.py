@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pflens import cli, clear_transform_cache, hankel
+from pflens import cli, clear_transform_cache, diffraction, hankel
 from pflens.beamfit import (
     KnifeEdgeScan,
     bundled_caustic_dataset_path,
@@ -259,6 +259,69 @@ class TestSimulate:
         assert "grid_points <= 44614 fits" in err
         assert "Traceback" not in err
         assert elapsed < 1.0
+
+    @staticmethod
+    def refused_scans_fill_nothing(monkeypatch) -> list:
+        """Fail a test at the first transfer or kernel fill table a scan makes; the tables made."""
+
+        def no_transfer(*args):
+            raise AssertionError("a refused scan made its transfer")
+
+        class RecordingRows(hankel._KernelRows):
+            def __init__(self, *args):
+                made.append(args)
+                super().__init__(*args)
+
+        made = []
+        monkeypatch.setattr(diffraction, "_transfer", no_transfer)
+        monkeypatch.setattr(hankel, "_KernelRows", RecordingRows)
+        return made
+
+    def test_scan_too_large_for_memory_refused_on_both_sides(
+        self, toy_config_path, tmp_path, capsys, monkeypatch
+    ):
+        # with 5 MB free beside the toy grid's kernel, the refusal names the
+        # largest scan_steps that fits: one more is refused before its transfer
+        # is made or any kernel tile filled, and that many runs
+        available = hankel._MEMORY_HEADROOM_BYTES + hankel._kernel_bytes(2048) + 5 * 10**6
+        monkeypatch.setattr(hankel, "_available_memory", lambda: available)
+        clear_transform_cache()
+        argv = ["--config", toy_config_path, "simulate", "--scan-output", str(tmp_path / "s.csv")]
+        with monkeypatch.context() as refusing:
+            made = self.refused_scans_fill_nothing(refusing)
+            assert main(argv + ["--steps", "1000"]) == 3
+            largest = int(capsys.readouterr().err.split("scan_steps <= ")[1].split()[0])
+            assert 5 < largest < 1000
+            assert main(argv + ["--steps", str(largest + 1)]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith(f"numerical error: a {largest + 1}-plane scan needs ")
+            assert f"scan_steps <= {largest} fits" in err and "Traceback" not in err
+            assert made == [] and hankel._transform._passes == 0
+        summary = run_json(argv + ["--steps", str(largest)], capsys)
+        assert summary["warnings"] == []
+        assert len((tmp_path / "s.csv").read_text().splitlines()) == largest + 1
+
+    @pytest.mark.parametrize("key", ["scan_steps", "--steps"])
+    def test_vast_scan_refused_quickly(self, tmp_path, capsys, monkeypatch, key):
+        # 100000 toy planes need about 12 GB, and would take about 200 s to
+        # run: refused at once, before the transfer or any kernel tile
+        path = tmp_path / "vast.cfg"
+        config = [line for line in TOY_CONFIG.splitlines() if not line.startswith(key)]
+        flags = [key, "100000"] if key.startswith("--") else []
+        path.write_text("\n".join(config + ([] if flags else [f"{key} = 100000"])) + "\n")
+        monkeypatch.setattr(hankel, "_available_memory", lambda: 8 * 1024**3)
+        made = self.refused_scans_fill_nothing(monkeypatch)
+        clear_transform_cache()
+        argv = ["--config", str(path), "simulate", "--scan-output", str(tmp_path / "s.csv")]
+        started = time.perf_counter()
+        code = main(argv + flags)
+        elapsed = time.perf_counter() - started
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("numerical error: a 100000-plane scan needs "), err
+        assert "scan_steps <= " in err and "Traceback" not in err
+        assert made == []
+        assert elapsed < 2.0
 
 
     @pytest.mark.parametrize(
@@ -961,11 +1024,13 @@ class TestEdgeValueSweep:
                 assert json.loads(captured.out)["polarization_fidelity"] == 1.0
 
 
-# every float and int key of the config, one at a time, at the flags' edge values
+# every float and int key of the config, one at a time, at the flags' edge values;
+# the ints also at 100000, a scan_steps refused for memory on the toy lens
+# (TestSimulate) and cheap for every other int key
 _CONFIG_KEY_CASES = [
     pytest.param(
         spec.name,
-        _SWEEP_FLOATS if spec.type in ("float", float) else _SWEEP_INTS,
+        _SWEEP_FLOATS if spec.type in ("float", float) else _SWEEP_INTS + ["100000"],
         id=spec.name,
     )
     for spec in fields(ProjectConfig)

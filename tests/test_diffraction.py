@@ -544,8 +544,8 @@ class TestFocalScans:
         assert not one_sided.has_interior_minimum()
 
     def test_batched_planes_match_per_plane_propagation(self, converging_beam):
-        # more planes than one batched inverse takes, so the last chunk is ragged
-        n_planes = diffraction._SCAN_CHUNK_PLANES + 3
+        # 67 planes, more than a batch of 64: every one is inverted in the scan's one pass
+        n_planes = 67
         z = np.linspace(
             LENS_FOCUS - 2 * LENS_RAYLEIGH_OUT, LENS_FOCUS + 2 * LENS_RAYLEIGH_OUT, n_planes
         )

@@ -21,6 +21,7 @@ from pflens import (
     LensDesign,
     ResolutionError,
     apply_binary_pfl,
+    apply_ideal_lens,
     clear_transform_cache,
     diffraction,
     focal_scan,
@@ -97,9 +98,19 @@ def kept_tiles(t: HankelTransform):
             yield start, c0, hankel._row_tile(flat, t.n_points, start, c0, c1)
 
 
+def first_pass(t: HankelTransform) -> None:
+    """t's first pass, which keeps no tile: a forward of one sample, which fills the first row block only."""
+    sample = np.zeros(t.n_points)
+    sample[0] = 1.0
+    t.forward(sample)
+
+
 def keep_whole_kernel(t: HankelTransform) -> None:
-    """Fill and keep every tile of t's kernel: a kept pass whose spectrum reaches every row."""
-    t.forward_inverse(np.ones(t.n_points), np.ones((t.n_points, 1)), keep=True)
+    """Fill and keep every tile of t's kernel: a pass whose spectrum reaches every
+    row, kept because it is not t's first (first_pass runs if none has)."""
+    if not t._passes:
+        first_pass(t)
+    t.forward_inverse(np.ones(t.n_points), np.ones((t.n_points, 1)))
 
 
 @pytest.fixture
@@ -241,8 +252,11 @@ class TestKernel:
 
         monkeypatch.setattr(scipy.special, "j0", counting_j0)
         n_points = 4096
-        keep_whole_kernel(HankelTransform(n_points=n_points, max_radius=1e-3))
-        # under 10 % of the upper triangle goes through j0
+        t = HankelTransform(n_points=n_points, max_radius=1e-3)
+        first_pass(t)
+        # the keeping pass's fill only: under 10 % of the upper triangle goes through j0
+        evaluated.clear()
+        keep_whole_kernel(t)
         assert 0 < sum(evaluated) < 0.1 * n_points * (n_points + 1) / 2
 
     def test_threaded_build_is_deterministic(self, monkeypatch):
@@ -446,16 +460,28 @@ class TestLazyFill:
         assert fields.shape == (n, 2)
         assert np.max(np.abs(fields - reference)) <= 1e-14 * np.max(np.abs(reference))
 
-    def test_a_scan_asked_to_keep_keeps_from_its_first_pass(self, filled_entries):
-        t = HankelTransform(n_points=1300, max_radius=1e-3)
-        field = supported(1300, 1300, columns=1)[:, 0]
-        first = t.forward_inverse(field, bounded_transfer(700, 650), keep=True)
-        filled = sum(filled_entries.values())
-        assert sum(t._kept_tiles) == 4
-        filled_entries.clear()
-        again = t.forward_inverse(field, bounded_transfer(700, 650))
-        assert not filled_entries and filled == 872448
-        assert np.array_equal(first[1], again[1])
+    @pytest.mark.parametrize("n_points", [1300, 4096])
+    def test_a_long_scan_is_one_pass(self, n_points, filled_entries, monkeypatch):
+        # 130 planes, more than two batches of 64: one forward_inverse and no
+        # other pass, each kernel entry filled at most once, and no tile kept
+        t = HankelTransform(n_points=n_points, max_radius=400e-6)
+        calls = []
+
+        def recorded(name):
+            method = getattr(t, name)
+            return lambda *args: calls.append(name) or method(*args)
+
+        for name in ("forward", "inverse", "forward_inverse"):
+            monkeypatch.setattr(t, name, recorded(name))
+        field = apply_ideal_lens(gaussian_beam(t, 75e-6, 854e-9), 200e-6, 150e-6)
+        assert t._passes == 0
+        scan = diffraction.scan_field(field, np.linspace(195e-6, 205e-6, 130), fine_points=256)
+        assert scan.has_interior_minimum() and scan.fitted_waists.shape == (130,)
+        assert calls == ["forward_inverse"] and t._passes == 1
+        assert filled_entries
+        for start, entries in filled_entries.items():
+            assert entries <= min(128, n_points - start) * (n_points - start), start
+        assert t._row_blocks == [None] * len(t._row_blocks) and sum(t._kept_tiles) == 0
 
 
 class TestRowBound:
