@@ -123,17 +123,19 @@ and short mid-pass, so the pass holds at most two row blocks more than
 that; each switch from products back to a fill costs about 30 ms on
 2 CPUs while the BLAS threads of the products wait for work. The default
 `simulate` scan (rows of Y to 14336 of 18000) peaks at about 690 MiB,
-against 1316 MiB when its forward and inverse kept the kernel. From a
-transform's second pass on, every tile filled is kept and never filled
-again (verify_warm's later ops fill nothing). The arithmetic is the same
+against 1316 MiB when its forward and inverse kept the kernel. A
+transform keeps its whole kernel or none of it: its second pass, whatever
+its input reaches, first fills every tile once, in one band, and keeps
+them, and it and every later pass read the kept tiles and fill nothing
+(verify_warm's later ops fill nothing). The arithmetic is the same
 either way, so a kept pass and a pass that keeps nothing give
 bit-identical results. Passes on one transform run one at a time.
 
 A row block starting at or beyond the input's support s, or a product
 whose input columns start there, would add exact zeros, so it is
-skipped; forward_inverse also skips what lies beyond its spectrum's
-row bound (see there). The fixed order makes the result the same on
-every call.
+skipped (and a first pass does not fill it); forward_inverse also skips
+what lies beyond its spectrum's row bound (see there). The fixed order
+makes the result the same on every call.
 
 The quadrature is spectrally accurate for fields that decay by r = R and
 whose spectra decay by k = S / R.
@@ -146,6 +148,7 @@ which the commands that build no transform (all but simulate) never pay.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 import os
@@ -269,10 +272,11 @@ def _tile_edges(n_points: int, start: int) -> list[int]:
     return [start, *range(above, n_points, _TILE_COLUMNS), n_points]
 
 
-def _row_tile(flat: np.ndarray, n_points: int, start: int, c0: int, c1: int) -> np.ndarray:
+def _row_tile(blocks: list[np.ndarray], n_points: int, start: int, c0: int, c1: int) -> np.ndarray:
     """Columns c0:c1 of the row block at start, a tile: a view of the row
-    block's flat array, which holds its tiles one after another."""
+    block's flat array in blocks, which holds its tiles one after another."""
     rows = min(_PACKED_BLOCK_ROWS, n_points - start)
+    flat = blocks[start // _PACKED_BLOCK_ROWS]
     return flat[rows * (c0 - start) : rows * (c1 - start)].reshape(rows, c1 - c0)
 
 
@@ -282,7 +286,7 @@ def _columns(rows: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _bands(plan: list, n_points: int, y_rows: int, inner: int) -> list[list]:
-    """plan's row blocks (start, edges, count) in bands, each filled before its products.
+    """plan's row blocks (start, edges) in bands, each filled before its products.
 
     A pass that keeps no tile holds, at row block k, the tiles of earlier
     row blocks that a column block from k's on reads again: up to about
@@ -301,8 +305,8 @@ def _bands(plan: list, n_points: int, y_rows: int, inner: int) -> list[list]:
         earlier = range(0, min(start, y_rows), height)
         return sum(min(height, n_points - i) * max(inner - max(q0, i), 0) for i in earlier)
 
-    sizes = [min(height, n_points - start) * (edges[count] - start) for start, edges, count in plan]
-    cap = max(held(start) for start, _, _ in plan) + 2 * max(sizes)
+    sizes = [min(height, n_points - start) * (n_points - start) for start, _ in plan]
+    cap = max(held(start) for start, _ in plan) + 2 * max(sizes)
     bands, size = [], cap
     for block, entries in zip(plan, sizes):
         if size + entries > cap:
@@ -426,10 +430,9 @@ def _check_kernel_fits(n_points: int) -> None:
 class _KernelRows:
     """Upper-triangle rows of the kernel J0(j_m j_n / S), one row block at a time.
 
-    Holds what every block shares: the phase table E from first_column (the
-    first row filled) on, powers of s_n, each block's split column and series
-    terms, and one set of product buffers per usable CPU. Plans and powers span
-    all columns: numpy's broadcast power may round differently at an offset.
+    Holds what every block shares: the phase table E, powers of s_n, each
+    block's split column and series terms, and one set of product buffers
+    per usable CPU.
 
     All of it is allocated on the constructing thread, and fill writes
     every temporary into these buffers: arrays that pool threads allocate
@@ -437,17 +440,16 @@ class _KernelRows:
     would add to the peak memory of what runs next.
     """
 
-    def __init__(self, roots: np.ndarray, last_root: float, first_column: int):
+    def __init__(self, roots: np.ndarray, last_root: float):
         n = roots.size
         self._roots = roots
         self._scaled = roots / last_root
         # j_i and (i + 3/4) pi are within a factor 2, so this difference is exact
         self._offsets = roots - (np.arange(n) + 0.75) * np.pi
-        # Re E and Im E in one allocation: 37 MB at N = 18000 from column 0
-        self._first_column = first_column
-        phase = np.empty((2, _KERNEL_BLOCK_ROWS, n - first_column))
+        # Re E and Im E in one allocation: 37 MB at N = 18000
+        phase = np.empty((2, _KERNEL_BLOCK_ROWS, n))
         steps = np.arange(_KERNEL_BLOCK_ROWS) * np.pi
-        np.multiply.outer(steps, self._scaled[first_column:], out=phase[0])
+        np.multiply.outer(steps, self._scaled, out=phase[0])
         np.sin(phase[0], out=phase[1])
         np.cos(phase[0], out=phase[0])
         self._phase_real, self._phase_imag = phase
@@ -563,9 +565,8 @@ class _KernelRows:
                     for t0 in range(0, width, piece):
                         np.matmul(w, v[:, t0 : t0 + piece], out=g[:, t0 : t0 + piece])
                     real, imag = g[:rows], g[rows:]
-                    e0, e1 = c0 - self._first_column, c1 - self._first_column
-                    np.multiply(real, self._phase_real[:rows, e0:e1], out=real)
-                    np.multiply(imag, self._phase_imag[:rows, e0:e1], out=imag)
+                    np.multiply(real, self._phase_real[:rows, c0:c1], out=real)
+                    np.multiply(imag, self._phase_imag[:rows, c0:c1], out=imag)
                     np.subtract(real, imag, out=out[:, c0 - first : c1 - first])
         finally:
             self._buffers.put(buffers)
@@ -576,8 +577,8 @@ class HankelTransform:
 
     Precomputes the Bessel-zero grid. Every pass takes complex samples
     (a real input has zero imaginary part) and returns complex values.
-    Kernel tiles are filled when a call's input first reaches them: the
-    first pass keeps none, and later passes keep every tile they fill.
+    The first pass fills the row blocks its input reaches and keeps no
+    tile; the second fills the whole kernel and keeps it for every later pass.
     Passes run one at a time, under a lock; apart from the kept tiles and
     the near-axis node matrix, an instance is immutable after
     construction, and shareable. A max_radius above 1e100 m is refused
@@ -609,12 +610,11 @@ class HankelTransform:
         self.k_radial = self._j / self.max_radius
         self._j1sq = j1(self._j) ** 2
 
-        # the kept kernel: one flat array per row block, its tiles in column
-        # order (_row_tile), and how many of them, always a leading run, are filled
-        blocks = -(-n_points // _PACKED_BLOCK_ROWS)
-        self._row_blocks: list[np.ndarray | None] = [None] * blocks
-        self._kept_tiles = [0] * blocks
-        # passes that read the kernel: the first keeps no tile, later ones keep all they fill
+        # the kept kernel, whole or None: one flat array per row block, its
+        # tiles in column order (_row_tile)
+        self._row_blocks: list[np.ndarray] | None = None
+        # passes that read the kernel: the first keeps no tile, the second
+        # fills the whole kernel and keeps it
         self._passes = 0
         self._lock = threading.Lock()
 
@@ -628,41 +628,43 @@ class HankelTransform:
         self._fine_matrix: np.ndarray | None = None
         self._fine_filled = 0
 
-    def _tiles(self, band: list, table: _KernelRows | None, tile: Callable) -> list[list[np.ndarray]]:
-        """The first count tiles of each row block (start, edges, count) in band, filled.
+    def _tiles(self, band: list, table: _KernelRows, tile: Callable) -> list[list[np.ndarray]]:
+        """Every tile of each row block (start, edges) in band, filled.
 
-        tile(start, edges, i) gives tile i of the row block at start. Only
-        tiles not yet kept are filled, and kept unless the pass is the
-        transform's first. The band is filled on the row-block pool, one task
-        per fill block of rows; then each diagonal tile filled has the lower
-        triangle of its leading square copied from the upper.
+        tile(start, c0, c1) gives the tile in columns c0:c1 of the row block
+        at start. The band is filled on the row-block pool, one task per fill
+        block of rows; then each diagonal tile has the lower triangle of its
+        leading square copied from the upper.
         """
-        height = _PACKED_BLOCK_ROWS
-        filled = [self._kept_tiles[start // height] for start, _, _ in band]
         tiles, work = [], []
-        for (start, edges, count), done in zip(band, filled):
-            row_tiles = [tile(start, edges, i) for i in range(count)]
+        for start, edges in band:
+            row_tiles = [tile(start, c0, c1) for c0, c1 in zip(edges, edges[1:])]
             tiles.append(row_tiles)
             rows = row_tiles[0].shape[0]
-            for row in range(start, start + rows, _KERNEL_BLOCK_ROWS) if done < count else ():
+            for row in range(start, start + rows, _KERNEL_BLOCK_ROWS):
                 last = min(row + _KERNEL_BLOCK_ROWS, start + rows)
                 pieces = []
-                for i in range(done, count):
-                    first = max(edges[i], row)
-                    pieces.append((first, row_tiles[i][row - start : last - start, first - edges[i] :]))
+                for c0, block in zip(edges, row_tiles):
+                    first = max(c0, row)
+                    pieces.append((first, block[row - start : last - start, first - c0 :]))
                 work.append((row, last, pieces))
-        if work:
-            _map_on_pool(lambda item: table.fill(*item), work)
-        for (start, _, count), row_tiles, done in zip(band, tiles, filled):
-            if done == 0:
-                diagonal = row_tiles[0]
-                for row in range(1, diagonal.shape[0]):
-                    diagonal[row, :row] = diagonal[:row, row]
-            if self._passes > 1 and done < count:
-                # kept as this pass (counted in _passes) is not the first; counted
-                # only once filled: an error leaves no part-filled tile kept
-                self._kept_tiles[start // height] = count
+        _map_on_pool(lambda item: table.fill(*item), work)
+        for row_tiles in tiles:
+            diagonal = row_tiles[0]
+            for row in range(1, diagonal.shape[0]):
+                diagonal[row, :row] = diagonal[:row, row]
         return tiles
+
+    def _keep_kernel(self) -> None:
+        """Fill the whole kernel into new row-block arrays and keep it."""
+        n, height = self.n_points, _PACKED_BLOCK_ROWS
+        plan = [(start, _tile_edges(n, start)) for start in range(0, n, height)]
+        # allocated before the fill's tables, which then sit above them in the
+        # heap and go when the fill returns
+        blocks = [np.empty(min(height, n - start) * (n - start)) for start, _ in plan]
+        self._tiles(plan, _KernelRows(self._j, self._S), functools.partial(_row_tile, blocks, n))
+        # kept only once filled: an error leaves no part-filled kernel kept
+        self._row_blocks = blocks
 
     def _sweep(
         self, x: np.ndarray, support: int, transfer: np.ndarray | None = None
@@ -673,9 +675,10 @@ class HankelTransform:
         column support on. Returns A = x K and, with transfer (rows x Z
         complex), A on its first rows columns (zero from there on) and Y K
         for the 2Z rows of Y: the real and imaginary parts of A's spectrum
-        times each transfer column, times spectral_power_weights. A pass after
-        the transform's first keeps every tile it fills; the first frees each
-        tile once read for the last time, and keeps none.
+        times each transfer column, times spectral_power_weights. The
+        transform's first pass fills the row blocks it reaches and frees each
+        tile once read for the last time; a later pass reads the kept kernel,
+        filling and keeping the whole of it first if none is held.
         """
         n, height = self.n_points, _PACKED_BLOCK_ROWS
         rows = n if transfer is None else transfer.shape[0]
@@ -687,15 +690,12 @@ class HankelTransform:
             if support and transfer.shape[0]:
                 y_rows = min(-(-_support(transfer) // height) * height, n)
                 y = np.zeros((fields.shape[0], y_rows))
-        # row blocks where Y is nonzero need every tile; the others only the
-        # tiles starting below the input's support or the output rows
-        plan = []
-        for start in range(0, max(min(support, rows), y_rows), height):
-            edges = _tile_edges(n, start)
-            count = len(edges) - 1
-            if start >= y_rows:
-                count = bisect.bisect_left(edges, max(support, rows), hi=count)
-            plan.append((start, edges, count))
+        # the row blocks below the input's support and the output rows, and
+        # those where Y is nonzero
+        plan = [
+            (start, _tile_edges(n, start))
+            for start in range(0, max(min(support, rows), y_rows), height)
+        ]
         if not plan:
             return spectrum, fields
         # column blocks below inner hold rows of Y: their tiles are read again
@@ -703,37 +703,29 @@ class HankelTransform:
         inner = min(-(-y_rows // _TILE_COLUMNS) * _TILE_COLUMNS, n)
 
         with self._lock:
-            keep = self._passes > 0
             self._passes += 1
+            keep = self._passes > 1
             if keep:
-                missing = [
-                    edges[self._kept_tiles[start // height]]
-                    for start, edges, count in plan
-                    if self._kept_tiles[start // height] < count
+                if self._row_blocks is None:
+                    self._keep_kernel()
+                tile = functools.partial(_row_tile, self._row_blocks, n)
+                row_tiles = [
+                    ((start, edges), [tile(start, c0, c1) for c0, c1 in zip(edges, edges[1:])])
+                    for start, edges in plan
                 ]
-                first = min(missing, default=None)
-                # allocated before the fill's tables, which then sit above them
-                # in the heap and go when the pass returns
-                for start, _, _ in plan:
-                    if self._row_blocks[start // height] is None:
-                        width = n - start
-                        self._row_blocks[start // height] = np.empty(min(height, width) * width)
             else:
                 slots = _TileSlots()
-                first = 0
-            table = None if first is None else _KernelRows(self._j, self._S, first)
+                table = _KernelRows(self._j, self._S)
+                bands = _bands(plan, n, y_rows, inner)
 
-            def tile(start: int, edges: list[int], index: int) -> np.ndarray:
-                c0, c1 = edges[index], edges[index + 1]
-                if keep:
-                    return _row_tile(self._row_blocks[start // height], n, start, c0, c1)
-                return slots.take(min(height, n - start), c1 - c0)
+                def take(start: int, c0: int, c1: int) -> np.ndarray:
+                    return slots.take(min(height, n - start), c1 - c0)
 
+                filled = (zip(band, self._tiles(band, table, take)) for band in bands)
+                row_tiles = itertools.chain.from_iterable(filled)
             release = (lambda tile: None) if keep else slots.give
             held: dict[tuple[int, int], np.ndarray] = {}
-            bands = [plan] if keep else _bands(plan, n, y_rows, inner)
-            filled = (zip(band, self._tiles(band, table, tile)) for band in bands)
-            for (start, edges, count), tiles in itertools.chain.from_iterable(filled):
+            for (start, edges), tiles in row_tiles:
                 stop = min(start + height, n)
                 columns = list(zip(edges, edges[1:]))
                 for (c0, c1), block in zip(columns, tiles):
@@ -826,14 +818,14 @@ class HankelTransform:
 
         field_values has shape (N,); transfer is (rows, Z), rows <= N. rows
         bounds the spectrum (a scan's light cone): the pass skips each
-        product that writes only rows from rows on, so it fills the row
-        blocks starting below min(s, rows), s the field's support, with
-        their tiles starting below max(s, rows), and every tile of the row
-        blocks where transfer is nonzero. The products kept keep their
+        product that writes only rows from rows on, so it reads the row
+        blocks starting below min(s, rows), s the field's support, and the
+        row blocks where transfer is nonzero. The products kept keep their
         shapes and order, so the spectrum is forward(field_values) with its
         rows from rows on set to zero, bit for bit. Column z of the (N, Z)
         fields is inverse(spectrum * transfer[:, z]) up to rounding. The
-        pass keeps the tiles it fills unless it is the transform's first.
+        transform's first pass fills only the row blocks it reads and keeps
+        none; a later pass reads the whole kept kernel (_sweep).
         """
         values = np.asarray(field_values)
         transfer = np.asarray(transfer)
@@ -851,12 +843,12 @@ class HankelTransform:
 
     def _check_scan_fits(self, planes: int) -> None:
         """Refuse, before anything is allocated, a scan whose planes, beside the
-        kernel bytes not yet held, would not fit in memory. A plane holds at
+        whole kernel unless it is held, would not fit in memory. A plane holds at
         most three columns of N complex samples at once (its transfer, fields,
         and Y or the fields' returned copy; later its fields, spectra and small
         fine values and fits) and products a tile and a row block wide."""
         plane_bytes = 16 * (3 * self.n_points + _TILE_COLUMNS + _PACKED_BLOCK_ROWS)
-        kernel = _kernel_bytes(self.n_points) - sum(b.nbytes for b in self._row_blocks if b is not None)
+        kernel = 0 if self._row_blocks is not None else _kernel_bytes(self.n_points)
         budget = _memory_budget() - kernel
         if planes * plane_bytes > budget:
             largest = max(budget, 0) // plane_bytes

@@ -237,7 +237,7 @@ class TestSimulate:
         assert code == 3
         assert "grid_points >= " in capsys.readouterr().err
         assert filled == []
-        assert all(block is None for transform in built for block in transform._row_blocks)
+        assert all(transform._row_blocks is None for transform in built)
 
     @pytest.mark.parametrize("ideal", [False, True], ids=["binary", "ideal"])
     def test_grid_too_large_for_memory_exits_3_before_any_work(

@@ -90,12 +90,11 @@ class TestGridStructure:
 
 
 def kept_tiles(t: HankelTransform):
-    """(start, c0, tile) for each kept tile of t: tile = kernel[start:start + rows, c0:c1]."""
-    rows = hankel._PACKED_BLOCK_ROWS
-    for start, flat in zip(range(0, t.n_points, rows), t._row_blocks):
+    """(start, c0, tile) for each kept tile of t, all or none: tile = kernel[start:start + rows, c0:c1]."""
+    for start in range(0, t.n_points, hankel._PACKED_BLOCK_ROWS) if t._row_blocks else ():
         edges = hankel._tile_edges(t.n_points, start)
-        for c0, c1 in list(zip(edges, edges[1:]))[: t._kept_tiles[start // rows]]:
-            yield start, c0, hankel._row_tile(flat, t.n_points, start, c0, c1)
+        for c0, c1 in zip(edges, edges[1:]):
+            yield start, c0, hankel._row_tile(t._row_blocks, t.n_points, start, c0, c1)
 
 
 def first_pass(t: HankelTransform) -> None:
@@ -106,11 +105,12 @@ def first_pass(t: HankelTransform) -> None:
 
 
 def keep_whole_kernel(t: HankelTransform) -> None:
-    """Fill and keep every tile of t's kernel: a pass whose spectrum reaches every
-    row, kept because it is not t's first (first_pass runs if none has)."""
+    """Fill and keep t's whole kernel, unless it is kept: t's second pass keeps
+    it whatever the pass reaches, so a second one-sample forward serves."""
     if not t._passes:
         first_pass(t)
-    t.forward_inverse(np.ones(t.n_points), np.ones((t.n_points, 1)))
+    if t._row_blocks is None:
+        first_pass(t)
 
 
 @pytest.fixture
@@ -226,7 +226,7 @@ class TestKernel:
         n_points = 18000
         roots = jn_zeros(0, n_points + 1)
         j, scaled = roots[:n_points], roots[:n_points] / roots[n_points]
-        rows = hankel._KernelRows(j, roots[n_points], 0)
+        rows = hankel._KernelRows(j, roots[n_points])
         block = hankel._KERNEL_BLOCK_ROWS
         for start in (0, block, 70 * block, (n_points - 1) // block * block):
             stop = min(start + block, n_points)
@@ -348,7 +348,7 @@ class TestLazyFill:
         reached = min(-(-support // hankel._PACKED_BLOCK_ROWS) * hankel._PACKED_BLOCK_ROWS, 1300)
         assert set(filled_entries) == set(range(0, reached, hankel._KERNEL_BLOCK_ROWS))
         assert sum(filled_entries.values()) <= self.PARENT_SUPPORT[support]
-        assert t._row_blocks == [None] * 3 and t._kept_tiles == [0] * 3
+        assert t._row_blocks is None
 
     def test_zero_input_fills_nothing(self, filled_entries):
         t = HankelTransform(n_points=1300, max_radius=1e-3)
@@ -358,7 +358,7 @@ class TestLazyFill:
         spectrum, fields = t.forward_inverse(np.zeros(1300), np.ones((1300, 2)))
         assert not np.any(spectrum) and not np.any(fields)
         assert not filled_entries
-        assert t._row_blocks == [None] * 3 and t._passes == 0
+        assert t._row_blocks is None and t._passes == 0
 
     def test_fill_order_and_threads_leave_the_kernel_bit_identical(self, monkeypatch):
         monkeypatch.setattr(hankel, "_usable_cpus", lambda: 1)
@@ -366,7 +366,8 @@ class TestLazyFill:
         keep_whole_kernel(reference)
         expected = [tile for *_, tile in kept_tiles(reference)]
         # (support, rows) of bounded passes after a first pass, which keeps
-        # nothing: (40, 600) and (513, 700) keep only the first tile of a row block
+        # nothing: the first of them fills and keeps the whole kernel, though
+        # (40, 600) and (513, 700) read only the first row block
         for cpus in (1, 2, 4):
             monkeypatch.setattr(hankel, "_usable_cpus", lambda: cpus)
             for calls in (
@@ -436,13 +437,14 @@ class TestLazyFill:
             filled_entries.clear()
             results.append(t.forward_inverse(field, transfer))
             filled.append(sum(filled_entries.values()))
-            kept.append(sum(t._kept_tiles))
+            kept.append(t._row_blocks)
         # the first scan fills no more than the parent's forward and inverse
-        # and keeps nothing; the second fills the same again and keeps it, the
-        # third fills nothing
+        # and keeps nothing; the second fills the whole triangle and keeps
+        # it, the third fills nothing
+        triangle = sum(min(128, n - start) * (n - start) for start in range(0, n, 128))
         assert 0 < filled[0] <= self.PARENT_SCANS[case]
-        assert filled == [filled[0], filled[0], 0]
-        assert kept[0] == 0 < kept[1] == kept[2]
+        assert filled == [filled[0], triangle, 0]
+        assert kept[0] is None and kept[1] is not None and kept[2] is kept[1]
         # streamed and kept passes give the same bits
         for spectrum, fields in results[1:]:
             assert np.array_equal(spectrum, results[0][0])
@@ -459,6 +461,60 @@ class TestLazyFill:
         reference = t.inverse(spectra)
         assert fields.shape == (n, 2)
         assert np.max(np.abs(fields - reference)) <= 1e-14 * np.max(np.abs(reference))
+
+    def test_a_second_pass_fills_each_entry_once_whatever_it_reaches(self, filled_entries):
+        # a scan whose light cone reaches 3 of the 8 row blocks: its second
+        # pass fills every entry of the upper triangle once and keeps every
+        # row block, and a third pass fills nothing
+        n = 4096
+        t = HankelTransform(n_points=n, max_radius=1e-3)
+        field = supported(n, n, columns=1, seed=5)[:, 0]
+        transfer = bounded_transfer(1100, 1050)
+        results = [t.forward_inverse(field, transfer)]
+        filled_entries.clear()
+        results.append(t.forward_inverse(field, transfer))
+        assert filled_entries == Counter(
+            {start: min(128, n - start) * (n - start) for start in range(0, n, 128)}
+        )
+        rows = hankel._PACKED_BLOCK_ROWS
+        assert [flat.size for flat in t._row_blocks] == [
+            min(rows, n - start) * (n - start) for start in range(0, n, rows)
+        ]
+        filled_entries.clear()
+        results.append(t.forward_inverse(field, transfer))
+        assert not filled_entries
+        for spectrum, fields in results[1:]:
+            assert np.array_equal(spectrum, results[0][0])
+            assert np.array_equal(fields, results[0][1])
+
+    def test_a_keeping_fill_that_fails_keeps_nothing(self, monkeypatch):
+        class FillFailed(Exception):
+            pass
+
+        fill = hankel._KernelRows.fill
+
+        def failing(rows, start, stop, pieces):
+            if start == 640:
+                raise FillFailed
+            fill(rows, start, stop, pieces)
+
+        t = HankelTransform(n_points=1300, max_radius=1e-3)
+        values = supported(1300, 1300)
+        first_pass(t)
+        with monkeypatch.context() as patched:
+            patched.setattr(hankel._KernelRows, "fill", failing)
+            with pytest.raises(FillFailed):
+                t.forward(values)
+        assert t._row_blocks is None
+        # the next pass fills the kernel again and keeps it, with the bits of
+        # a transform whose fill never failed
+        clean = HankelTransform(n_points=1300, max_radius=1e-3)
+        keep_whole_kernel(clean)
+        assert np.array_equal(t.forward(values), clean.forward(values))
+        tiles = list(kept_tiles(t))
+        assert len(tiles) == 5
+        for (*_, tile), (*_, reference) in zip(tiles, kept_tiles(clean)):
+            assert np.array_equal(tile, reference)
 
     @pytest.mark.parametrize("n_points", [1300, 4096])
     def test_a_long_scan_is_one_pass(self, n_points, filled_entries, monkeypatch):
@@ -481,7 +537,7 @@ class TestLazyFill:
         assert filled_entries
         for start, entries in filled_entries.items():
             assert entries <= min(128, n_points - start) * (n_points - start), start
-        assert t._row_blocks == [None] * len(t._row_blocks) and sum(t._kept_tiles) == 0
+        assert t._row_blocks is None
 
 
 class TestRowBound:
@@ -545,7 +601,7 @@ class TestRowBound:
         # inverse filled them; the scan's one pass keeps none
         assert set(filled_entries) == set(range(0, 1536, hankel._KERNEL_BLOCK_ROWS))
         assert sum(filled_entries.values()) == sum(128 * (8192 - start) for start in range(0, 1536, 128))
-        assert t._kept_tiles == [0] * 16
+        assert t._row_blocks is None
         spectrum, _ = t.forward_inverse(transmitted.amplitude, np.zeros((reach, 1)))
         spectra = np.stack([spectrum * phase for phase in phases], axis=1)
         # the matrix fills the columns the propagated spectra reach: the last
