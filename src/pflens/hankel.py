@@ -134,8 +134,16 @@ bit-identical results. Passes on one transform run one at a time.
 A row block starting at or beyond the input's support s, or a product
 whose input columns start there, would add exact zeros, so it is
 skipped (and a first pass does not fill it); forward_inverse also skips
-what lies beyond its spectrum's row bound (see there). The fixed order
-makes the result the same on every call.
+what lies beyond its spectrum's row bound (see there). A pass's row
+bound b is s, or for forward_inverse max(min(s, rows), t), rows its
+spectrum's row bound and t the light cone, one past the last nonzero
+row of its transfer. A first pass fills only the fill blocks of 128
+rows that start below b, and writes the others of its last row block
+as zeros: kernel rows from b on meet only zero input samples, zero rows
+of Y, or spectrum rows set to zero, and the lower triangle a diagonal
+tile mirrors below b comes from filled rows. Every product keeps its
+shape, so results are bit-identical to a pass that fills whole row
+blocks. The fixed order makes the result the same on every call.
 
 The quadrature is spectrally accurate for fields that decay by r = R and
 whose spectra decay by k = S / R.
@@ -577,7 +585,7 @@ class HankelTransform:
 
     Precomputes the Bessel-zero grid. Every pass takes complex samples
     (a real input has zero imaginary part) and returns complex values.
-    The first pass fills the row blocks its input reaches and keeps no
+    The first pass fills the fill blocks below its row bound and keeps no
     tile; the second fills the whole kernel and keeps it for every later pass.
     Passes run one at a time, under a lock; apart from the kept tiles and
     the near-axis node matrix, an instance is immutable after
@@ -628,13 +636,16 @@ class HankelTransform:
         self._fine_matrix: np.ndarray | None = None
         self._fine_filled = 0
 
-    def _tiles(self, band: list, table: _KernelRows, tile: Callable) -> list[list[np.ndarray]]:
-        """Every tile of each row block (start, edges) in band, filled.
+    def _tiles(
+        self, band: list, table: _KernelRows, tile: Callable, bound: int
+    ) -> list[list[np.ndarray]]:
+        """Every tile of each row block (start, edges) in band, filled below row bound.
 
         tile(start, c0, c1) gives the tile in columns c0:c1 of the row block
         at start. The band is filled on the row-block pool, one task per fill
-        block of rows; then each diagonal tile has the lower triangle of its
-        leading square copied from the upper.
+        block of rows starting below bound; a fill block starting at or
+        beyond it is written as zeros. Then each diagonal tile has the lower
+        triangle of its leading square copied from the upper.
         """
         tiles, work = [], []
         for start, edges in band:
@@ -647,7 +658,11 @@ class HankelTransform:
                 for c0, block in zip(edges, row_tiles):
                     first = max(c0, row)
                     pieces.append((first, block[row - start : last - start, first - c0 :]))
-                work.append((row, last, pieces))
+                if row < bound:
+                    work.append((row, last, pieces))
+                else:
+                    for _, piece in pieces:
+                        piece.fill(0.0)
         _map_on_pool(lambda item: table.fill(*item), work)
         for row_tiles in tiles:
             diagonal = row_tiles[0]
@@ -662,7 +677,7 @@ class HankelTransform:
         # allocated before the fill's tables, which then sit above them in the
         # heap and go when the fill returns
         blocks = [np.empty(min(height, n - start) * (n - start)) for start, _ in plan]
-        self._tiles(plan, _KernelRows(self._j, self._S), functools.partial(_row_tile, blocks, n))
+        self._tiles(plan, _KernelRows(self._j, self._S), functools.partial(_row_tile, blocks, n), n)
         # kept only once filled: an error leaves no part-filled kernel kept
         self._row_blocks = blocks
 
@@ -675,27 +690,30 @@ class HankelTransform:
         column support on. Returns A = x K and, with transfer (rows x Z
         complex), A on its first rows columns (zero from there on) and Y K
         for the 2Z rows of Y: the real and imaginary parts of A's spectrum
-        times each transfer column, times spectral_power_weights. The
-        transform's first pass fills the row blocks it reaches and frees each
-        tile once read for the last time; a later pass reads the kept kernel,
-        filling and keeping the whole of it first if none is held.
+        times each transfer column, times spectral_power_weights. The pass
+        reads the row blocks starting below its row bound b = max(min(support,
+        rows), t), t the light cone (one past transfer's last nonzero row, 0
+        without transfer). The transform's first pass fills only the fill
+        blocks starting below b, writes the rest of its row blocks as zeros,
+        and frees each tile once read for the last time; a later pass reads
+        the kept kernel, filling and keeping the whole of it first if none is
+        held.
         """
         n, height = self.n_points, _PACKED_BLOCK_ROWS
         rows = n if transfer is None else transfer.shape[0]
         spectrum = np.zeros_like(x)
         fields = y = None
-        y_rows = 0
+        cone = y_rows = 0
         if transfer is not None:
             fields = np.zeros((2 * transfer.shape[1], n))
             if support and transfer.shape[0]:
-                y_rows = min(-(-_support(transfer) // height) * height, n)
+                cone = _support(transfer)
+                y_rows = min(-(-cone // height) * height, n)
                 y = np.zeros((fields.shape[0], y_rows))
-        # the row blocks below the input's support and the output rows, and
-        # those where Y is nonzero
-        plan = [
-            (start, _tile_edges(n, start))
-            for start in range(0, max(min(support, rows), y_rows), height)
-        ]
+        # kernel rows from bound on meet only zero input samples, zero rows
+        # of Y or spectrum rows set to zero (module docstring)
+        bound = max(min(support, rows), cone)
+        plan = [(start, _tile_edges(n, start)) for start in range(0, bound, height)]
         if not plan:
             return spectrum, fields
         # column blocks below inner hold rows of Y: their tiles are read again
@@ -721,7 +739,7 @@ class HankelTransform:
                 def take(start: int, c0: int, c1: int) -> np.ndarray:
                     return slots.take(min(height, n - start), c1 - c0)
 
-                filled = (zip(band, self._tiles(band, table, take)) for band in bands)
+                filled = (zip(band, self._tiles(band, table, take, bound)) for band in bands)
                 row_tiles = itertools.chain.from_iterable(filled)
             release = (lambda tile: None) if keep else slots.give
             held: dict[tuple[int, int], np.ndarray] = {}
@@ -824,8 +842,11 @@ class HankelTransform:
         shapes and order, so the spectrum is forward(field_values) with its
         rows from rows on set to zero, bit for bit. Column z of the (N, Z)
         fields is inverse(spectrum * transfer[:, z]) up to rounding. The
-        transform's first pass fills only the row blocks it reads and keeps
-        none; a later pass reads the whole kept kernel (_sweep).
+        transform's first pass fills only the fill blocks of 128 rows that
+        start below b = max(min(s, rows), t), t one past transfer's last
+        nonzero row, writes the rest of the row blocks it reads as zeros,
+        and keeps none; a later pass reads the whole kept kernel (_sweep).
+        Both give the same bits.
         """
         values = np.asarray(field_values)
         transfer = np.asarray(transfer)

@@ -98,7 +98,7 @@ def kept_tiles(t: HankelTransform):
 
 
 def first_pass(t: HankelTransform) -> None:
-    """t's first pass, which keeps no tile: a forward of one sample, which fills the first row block only."""
+    """t's first pass, which keeps no tile: a forward of one sample, which fills the first fill block only."""
     sample = np.zeros(t.n_points)
     sample[0] = 1.0
     t.forward(sample)
@@ -111,6 +111,15 @@ def keep_whole_kernel(t: HankelTransform) -> None:
         first_pass(t)
     if t._row_blocks is None:
         first_pass(t)
+
+
+def fill_blocks_below(n_points: int, bound: int) -> Counter:
+    """Entries a pass fills in each fill block starting below bound (its rows
+    from the diagonal on), by the block's first row, as filled_entries counts them."""
+    block = hankel._KERNEL_BLOCK_ROWS
+    return Counter(
+        {start: min(block, n_points - start) * (n_points - start) for start in range(0, bound, block)}
+    )
 
 
 @pytest.fixture
@@ -342,11 +351,10 @@ class TestLazyFill:
 
     @pytest.mark.parametrize("support", [1, 511, 512, 513, 1100, 1300])
     def test_support_fills_the_blocks_it_reaches(self, support, filled_entries):
-        # a first pass fills the row blocks starting below the support and keeps none
+        # a first pass fills the fill blocks starting below the support and keeps none
         t = HankelTransform(n_points=1300, max_radius=1e-3)
         t.forward(supported(1300, support))
-        reached = min(-(-support // hankel._PACKED_BLOCK_ROWS) * hankel._PACKED_BLOCK_ROWS, 1300)
-        assert set(filled_entries) == set(range(0, reached, hankel._KERNEL_BLOCK_ROWS))
+        assert filled_entries == fill_blocks_below(1300, support)
         assert sum(filled_entries.values()) <= self.PARENT_SUPPORT[support]
         assert t._row_blocks is None
 
@@ -567,9 +575,8 @@ class TestRowBound:
         columns = supported(1300, support, seed=rows)
         bounded = HankelTransform(n_points=1300, max_radius=1e-3)
         bounded_forward(bounded, columns, rows)
-        # the row blocks starting below min(support, rows), and no more than the parent
-        reached = min(-(-min(support, rows) // 512) * 512, 1300)
-        assert set(filled_entries) == set(range(0, reached, hankel._KERNEL_BLOCK_ROWS))
+        # the fill blocks starting below min(support, rows), and no more than the parent
+        assert filled_entries == fill_blocks_below(1300, min(support, rows))
         assert sum(filled_entries.values()) <= self.PARENT[support, rows]
         # the first call on each transform keeps nothing, the later ones keep
         full = HankelTransform(n_points=1300, max_radius=1e-3)
@@ -582,6 +589,65 @@ class TestRowBound:
                 spectrum, _ = bounded.forward_inverse(values, np.zeros((rows, 1)))
                 assert np.array_equal(spectrum, reference)
         assert np.array_equal(bounded_forward(bounded, columns, 1300), full.forward(columns))
+
+    # (pass, field support s, (transfer rows, transfer reach t) or None):
+    # bounds b = max(min(s, rows), t) inside a row block, set by s, by rows
+    # and t together, and by t alone
+    INNER_BOUNDS = [
+        ("forward", 129, None), ("forward", 700, None), ("forward", 1025, None),
+        ("inverse", 129, None), ("inverse", 700, None), ("inverse", 1025, None),
+        ("forward_inverse", 129, (1300, 50)), ("forward_inverse", 1025, (1300, 129)),
+        ("forward_inverse", 1300, (700, 700)), ("forward_inverse", 129, (1300, 700)),
+        ("forward_inverse", 300, (1300, 1025)),
+    ]
+
+    @pytest.mark.parametrize("direction, support, scan", INNER_BOUNDS)
+    def test_a_first_pass_fills_below_a_bound_inside_a_row_block(
+        self, monkeypatch, filled_entries, direction, support, scan
+    ):
+        n = 1300
+        if scan is None:
+            args, bound = (supported(n, support, seed=support),), support
+        else:
+            rows, reach = scan
+            field = supported(n, support, columns=1, seed=support)[:, 0]
+            args, bound = (field, bounded_transfer(rows, reach)), max(min(support, rows), reach)
+
+        def run(t: HankelTransform) -> tuple:
+            result = getattr(t, direction)(*args)
+            return result if isinstance(result, tuple) else (result,)
+
+        # a first pass's tiles start as NaN: an entry neither filled, zeroed
+        # nor mirrored would show in every result
+        take = hankel._TileSlots.take
+
+        def poisoned(slots, rows, columns):
+            tile = take(slots, rows, columns)
+            tile.fill(np.nan)
+            return tile
+
+        monkeypatch.setattr(hankel._TileSlots, "take", poisoned)
+        t = HankelTransform(n_points=n, max_radius=1e-3)
+        first = run(t)
+        assert filled_entries == fill_blocks_below(n, bound)
+        assert t._row_blocks is None
+        kept = run(t)
+        assert t._row_blocks is not None
+        # a first pass with the bound at N fills its row blocks whole
+        tiles = HankelTransform._tiles
+        monkeypatch.setattr(
+            HankelTransform,
+            "_tiles",
+            lambda self, band, table, tile, bound: tiles(self, band, table, tile, self.n_points),
+        )
+        filled_entries.clear()
+        whole = run(HankelTransform(n_points=n, max_radius=1e-3))
+        assert filled_entries == fill_blocks_below(n, min(-(-bound // 512) * 512, n))
+        for reference in (kept, whole):
+            assert len(first) == len(reference)
+            for result, expected in zip(first, reference):
+                assert np.all(np.isfinite(result))
+                assert np.array_equal(result, expected)
 
     def test_criterion_03_scan_stops_at_the_light_cone(self, filled_entries):
         # every plane's exact propagator underflows to 0 beyond k ~ 1.12 k0,
@@ -597,10 +663,10 @@ class TestRowBound:
         phases = [np.exp(1j * zi * kz) for zi in z]
         reach = diffraction._reach(t, transmitted.wavenumber, kz, z)
         assert 1024 < reach < 1100
-        # three of the sixteen row blocks, whole, as the parent's forward and
-        # inverse filled them; the scan's one pass keeps none
-        assert set(filled_entries) == set(range(0, 1536, hankel._KERNEL_BLOCK_ROWS))
-        assert sum(filled_entries.values()) == sum(128 * (8192 - start) for start in range(0, 1536, 128))
+        # the nine fill blocks starting below the light cone (8.85M entries,
+        # where three whole row blocks were 11.50M); the scan's one pass keeps none
+        assert filled_entries == fill_blocks_below(8192, 1152)
+        assert sum(filled_entries.values()) == 8_847_360
         assert t._row_blocks is None
         spectrum, _ = t.forward_inverse(transmitted.amplitude, np.zeros((reach, 1)))
         spectra = np.stack([spectrum * phase for phase in phases], axis=1)
