@@ -29,7 +29,7 @@ from ._csv import csv_text
 from .beamfit import KnifeEdgeScan, fit_scan, fit_scans
 from .design import ZoneLayout, path_excess
 from .errors import DomainError, FitError, ResolutionError, require
-from .hankel import HankelTransform, _check_fine_points, _kernel_bytes, _support
+from .hankel import HankelTransform, _check_fine_points, _kernel_bytes
 
 # fraction of the propagating k range treated as the aliasing guard band,
 # and the maximum relative power allowed there before propagation is
@@ -213,10 +213,10 @@ def _check_spectrum_resolved(
     beyond the light cone are evanescent and decay within a wavelength,
     so physical edge-diffraction tails out there are ignored.
 
-    A spectrum bounded at or beyond the guard band (forward_inverse's
-    rows) has the band's power unchanged and a total, over the computed
-    rows, never larger than over all rows, so any field refused unbounded
-    is refused.
+    forward_inverse's spectrum stops at the light cone (the row bound in
+    pflens.hankel's module docstring), at or beyond the guard band's top,
+    so the band's power is unchanged and the total is never larger than
+    over all rows: any field refused unbounded is refused.
     """
     power = transform.spectral_power_weights * np.abs(spectrum) ** 2
     total = float(np.sum(power))
@@ -244,17 +244,8 @@ def _transfer_wavenumber(
     return np.sqrt((wavenumber**2 - transform.k_radial**2).astype(complex))
 
 
-def _reach(transform: HankelTransform, wavenumber: float, kz: np.ndarray, z_positions) -> int:
-    """Spectrum rows that propagation to z_positions (>= 0) keeps: 1 + the last
-    row where any plane's phase exp(i z kz) is nonzero, and never short of the
-    guard band's top. On every row |exp(i z kz)| = exp(-z Im kz), Im kz >= 0,
-    falls as z grows, so only the nearest plane is evaluated."""
-    nearest = _support(np.exp(1j * np.min(z_positions) * kz))
-    return max(_guard_band(transform, wavenumber).stop, nearest)
-
-
-def _planes(field: RadialField, z_positions: np.ndarray, paraxial: bool) -> tuple[np.ndarray, int]:
-    """(kz, reach) for propagating the field to z_positions [m].
+def _planes(field: RadialField, z_positions: np.ndarray, paraxial: bool) -> np.ndarray:
+    """kz (_transfer_wavenumber) for propagating the field to z_positions [m].
 
     Refuses, in this order, planes not finite or with k z past 2^52 rad,
     planes out of increasing order (one plane never is) or none, and
@@ -272,14 +263,17 @@ def _planes(field: RadialField, z_positions: np.ndarray, paraxial: bool) -> tupl
         raise DomainError("z_positions must be increasing and non-empty")
     if np.any(z_positions < 0):
         raise DomainError("z_positions must be non-negative (measured from the lens)")
-    transform = field.transform
-    kz = _transfer_wavenumber(transform, field.wavenumber, paraxial)
-    return kz, _reach(transform, field.wavenumber, kz, z_positions)
+    return _transfer_wavenumber(field.transform, field.wavenumber, paraxial)
 
 
-def _transfer(kz: np.ndarray, z_positions: np.ndarray, reach: int) -> np.ndarray:
-    """(reach, Z) propagator phases exp(i z kz), one column per plane."""
-    return np.exp(1j * z_positions * kz[:reach, None])
+def _transfer(kz: np.ndarray, z_positions: np.ndarray) -> np.ndarray:
+    """(N, Z) propagator phases exp(i z kz), one column per plane, built in place.
+
+    Beyond the light cone the exact propagator underflows to 0, where
+    forward_inverse's pass stops.
+    """
+    transfer = np.multiply.outer(kz, 1j * z_positions)
+    return np.exp(transfer, out=transfer)
 
 
 def _propagated(field: RadialField, transfer: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -296,8 +290,7 @@ def propagate(field: RadialField, distance: float, paraxial: bool = False) -> Ra
     """Propagate a field forward by the given distance [m], at most 2^52 / k."""
     require(distance >= 0, "distance", ">= 0", distance)
     z = np.array([distance], dtype=float)
-    kz, reach = _planes(field, z, paraxial)
-    _, fields = _propagated(field, _transfer(kz, z, reach))
+    _, fields = _propagated(field, _transfer(_planes(field, z, paraxial), z))
     return field if distance == 0.0 else field.with_amplitude(fields[:, 0])
 
 
@@ -550,8 +543,8 @@ def scan_field(
     z positions are measured from the transmitted plane, and checked as
     propagate checks its distance (_planes). The scan is one kernel pass
     (HankelTransform.forward_inverse) over every plane: the forward
-    transform stops at the light cone (_reach: the exact exp(i z kz)
-    underflows to 0 just beyond k), and the propagated spectra, one column
+    transform stops at the light cone, where the exact exp(i z kz)
+    underflows to 0 just beyond k, and the propagated spectra, one column
     per plane, are inverted as one batch. Memory beside the kernel is
     O(N Z) for Z planes, and a scan that would not fit is refused first
     (HankelTransform._check_scan_fits). The guard band is checked before
@@ -567,17 +560,16 @@ def scan_field(
     z_positions = np.asarray(z_positions, dtype=float)
     # before the kernel pass, which fills kernel tiles
     _check_fine_points(fine_points)
-    kz, reach = _planes(transmitted, z_positions, paraxial)
+    kz = _planes(transmitted, z_positions, paraxial)
     transform._check_scan_fits(z_positions.size)
     transmitted_power = transform.radial_power(transmitted.amplitude)
     if input_power is None:
         input_power = transmitted_power
 
-    transfer = _transfer(kz, z_positions, reach)
+    transfer = _transfer(kz, z_positions)
     spectrum, fields = _propagated(transmitted, transfer)
-    spectra = np.zeros((transform.n_points, z_positions.size), dtype=complex)
-    np.multiply(spectrum[:reach, None], transfer, out=spectra[:reach])
-    del transfer  # each plane holds at most three columns of N samples (_check_scan_fits)
+    # in place: each plane holds at most three columns of N samples (_check_scan_fits)
+    spectra = np.multiply(spectrum[:, None], transfer, out=transfer)
     fine = transform.fine_values(spectra, fine_points)
     # the edge fits run as one stack; planes past one whose blade curve fails
     # are not fitted, and the first failure in z order raises. The curves are

@@ -22,7 +22,7 @@ is exactly symmetric. Filling and storing it is the dominant time and
 memory for N in the ten-thousands; a grid whose whole kernel would not
 fit in MemAvailable less 512 MiB (_memory_budget) is refused before
 anything is allocated, and so is a scan whose planes would not fit beside
-the kernel bytes not yet held (_check_scan_fits).
+the kernel tiles its pass adds (_check_scan_fits).
 
 Within a fill block of B = 128 rows [m0, m0 + B) the kernel entry
 J0(x), x = j_m s_n with s_n = j_n / S, is evaluated in one of two ways:
@@ -91,7 +91,8 @@ count.
 forward and inverse take samples of shape (N,) or a stack of Z columns
 of shape (N, Z) and return complex values of the same shape;
 forward_inverse takes one field, forwards it, multiplies the spectrum by
-each of Z transfer columns (a scan's propagators) and inverts them all.
+each column of an (N, Z) transfer (a scan's propagators) and inverts
+them all.
 Samples are taken as complex (a real input has zero imaginary part) and
 viewed as 2Z interleaved float64 columns, transposed to a 2Z x N array
 X, so every product is a plain (2Z x K) @ (K x M) BLAS-3 product. Each
@@ -122,8 +123,7 @@ blocks, each filled before its products, long near the ends of the pass
 and short mid-pass, so the pass holds at most two row blocks more than
 that; each switch from products back to a fill costs about 30 ms on
 2 CPUs while the BLAS threads of the products wait for work. The default
-`simulate` scan (rows of Y to 14336 of 18000) peaks at about 690 MiB,
-against 1316 MiB when its forward and inverse kept the kernel. A
+`simulate` scan (rows of Y to 14336 of 18000) peaks at about 690 MiB. A
 transform keeps its whole kernel or none of it: its second pass, whatever
 its input reaches, first fills every tile once, in one band, and keeps
 them, and it and every later pass read the kept tiles and fill nothing
@@ -131,19 +131,18 @@ them, and it and every later pass read the kept tiles and fill nothing
 either way, so a kept pass and a pass that keeps nothing give
 bit-identical results. Passes on one transform run one at a time.
 
-A row block starting at or beyond the input's support s, or a product
-whose input columns start there, would add exact zeros, so it is
-skipped (and a first pass does not fill it); forward_inverse also skips
-what lies beyond its spectrum's row bound (see there). A pass's row
-bound b is s, or for forward_inverse max(min(s, rows), t), rows its
-spectrum's row bound and t the light cone, one past the last nonzero
-row of its transfer. A first pass fills only the fill blocks of 128
-rows that start below b, and writes the others of its last row block
-as zeros: kernel rows from b on meet only zero input samples, zero rows
-of Y, or spectrum rows set to zero, and the lower triangle a diagonal
-tile mirrors below b comes from filled rows. Every product keeps its
-shape, so results are bit-identical to a pass that fills whole row
-blocks. The fixed order makes the result the same on every call.
+A pass reads only the row blocks starting below its row bound b: for
+forward and inverse the input's support s, one past its last nonzero
+row; for forward_inverse the light cone t, one past the transfer's last
+nonzero row (a scan's exact propagator underflows to 0 beyond it), or 0
+for a zero field. It skips each product that would add exact zeros: one
+whose input columns start at s or beyond, or that writes only spectrum
+rows from t on, which are returned as zeros. A first pass fills only the
+fill blocks of 128 rows that start below b, and writes the rest of its
+last row block as zeros: those kernel rows meet only zero input samples,
+zero rows of Y or zeroed spectrum rows. Every product keeps its shape,
+so results are bit-identical to a pass that fills whole row blocks, and
+the fixed order makes them the same on every call.
 
 The quadrature is spectrally accurate for fields that decay by r = R and
 whose spectra decay by k = S / R.
@@ -293,36 +292,52 @@ def _columns(rows: np.ndarray, shape: tuple) -> np.ndarray:
     return np.ascontiguousarray(rows.T).view(np.complex128).reshape(shape)
 
 
+def _held(start: int, y_rows: int, inner: int) -> int:
+    """Entries a pass keeping no tile holds at row block start for the column
+    blocks from start's on: of each (full) earlier row block below y_rows,
+    the columns from q0, start rounded down to _TILE_COLUMNS, to inner."""
+    q0 = start // _TILE_COLUMNS * _TILE_COLUMNS
+    return min(start, y_rows) * max(inner - q0, 0)
+
+
 def _bands(plan: list, n_points: int, y_rows: int, inner: int) -> list[list]:
     """plan's row blocks (start, edges) in bands, each filled before its products.
 
     A pass that keeps no tile holds, at row block k, the tiles of earlier
-    row blocks that a column block from k's on reads again: up to about
-    (y_rows / 2)^2 entries mid-pass, and few near its ends. A band may hold
-    as many more entries as that peak leaves below the peak plus two row
-    blocks, so bands are long near the ends and a row block or two
+    row blocks that a column block from k's on reads again (_held): up to
+    about (y_rows / 2)^2 entries mid-pass, and few near its ends. A band may
+    hold as many more entries as that peak leaves below the peak plus two
+    row blocks, so bands are long near the ends and a row block or two
     mid-pass. Each switch from products back to a fill costs time while
     the BLAS threads of the products wait for more work (about 30 ms on
     2 CPUs), so fewer bands are faster.
     """
     height = _PACKED_BLOCK_ROWS
-
-    def held(start: int) -> int:
-        # entries of earlier row blocks, below y_rows, kept for a column block from start's on
-        q0 = start // _TILE_COLUMNS * _TILE_COLUMNS
-        earlier = range(0, min(start, y_rows), height)
-        return sum(min(height, n_points - i) * max(inner - max(q0, i), 0) for i in earlier)
-
     sizes = [min(height, n_points - start) * (n_points - start) for start, _ in plan]
-    cap = max(held(start) for start, _ in plan) + 2 * max(sizes)
+    cap = max(_held(start, y_rows, inner) for start, _ in plan) + 2 * max(sizes)
     bands, size = [], cap
     for block, entries in zip(plan, sizes):
         if size + entries > cap:
             bands.append([])
-            size = held(block[0])
+            size = _held(block[0], y_rows, inner)
         bands[-1].append(block)
         size += entries
     return bands
+
+
+def _first_pass_bytes(n_points: int) -> int:
+    """The most bytes of tile buffers a first pass holds, in slot groups:
+    a full-height scan's (rows of Y to N), at the fill of one of its bands,
+    of the band's tiles and, of each earlier row block, the tiles in the
+    column blocks from the band's on, none of which is freed yet."""
+    height, width = _PACKED_BLOCK_ROWS, _TILE_COLUMNS
+    plan = [(start, _tile_edges(n_points, start)) for start in range(0, n_points, height)]
+    most = 0
+    for band in _bands(plan, n_points, n_points, n_points):
+        start = band[0][0]
+        held = start // height * -(-(n_points - start // width * width) // width)
+        most = max(most, held + sum(len(edges) - 1 for _, edges in band))
+    return -(-most // _SLOT_GROUP) * _SLOT_GROUP * 8 * height * width
 
 
 class _TileSlots:
@@ -585,12 +600,13 @@ class HankelTransform:
 
     Precomputes the Bessel-zero grid. Every pass takes complex samples
     (a real input has zero imaginary part) and returns complex values.
-    The first pass fills the fill blocks below its row bound and keeps no
-    tile; the second fills the whole kernel and keeps it for every later pass.
-    Passes run one at a time, under a lock; apart from the kept tiles and
-    the near-axis node matrix, an instance is immutable after
-    construction, and shareable. A max_radius above 1e100 m is refused
-    with ResolutionError before any work.
+    The first pass fills the fill blocks below its row bound (module
+    docstring) and keeps no tile; the second fills the whole kernel and
+    keeps it for every later pass. Passes run one at a time, under a
+    lock; apart from the kept tiles and the near-axis node matrix, an
+    instance is immutable after construction, and shareable. A
+    max_radius above 1e100 m is refused with ResolutionError before any
+    work.
     """
 
     def __init__(self, n_points: int, max_radius: float):
@@ -639,7 +655,7 @@ class HankelTransform:
     def _tiles(
         self, band: list, table: _KernelRows, tile: Callable, bound: int
     ) -> list[list[np.ndarray]]:
-        """Every tile of each row block (start, edges) in band, filled below row bound.
+        """Every tile of each row block (start, edges) in band, filled below bound (module docstring).
 
         tile(start, c0, c1) gives the tile in columns c0:c1 of the row block
         at start. The band is filled on the row-block pool, one task per fill
@@ -684,35 +700,27 @@ class HankelTransform:
     def _sweep(
         self, x: np.ndarray, support: int, transfer: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray | None]:
-        """One ascending pass over the kernel's row blocks (module docstring).
+        """One ascending pass over the kernel's row blocks below the row bound,
+        support or the light cone t (module docstring).
 
         x holds the weighted input rows of N entries (_weighted), zero from
-        column support on. Returns A = x K and, with transfer (rows x Z
-        complex), A on its first rows columns (zero from there on) and Y K
-        for the 2Z rows of Y: the real and imaginary parts of A's spectrum
-        times each transfer column, times spectral_power_weights. The pass
-        reads the row blocks starting below its row bound b = max(min(support,
-        rows), t), t the light cone (one past transfer's last nonzero row, 0
-        without transfer). The transform's first pass fills only the fill
-        blocks starting below b, writes the rest of its row blocks as zeros,
-        and frees each tile once read for the last time; a later pass reads
-        the kept kernel, filling and keeping the whole of it first if none is
-        held.
+        column support on. Returns A = x K and, with an (N, Z) complex
+        transfer, A zero from t on and Y K for the 2Z rows of Y: the real
+        and imaginary parts of A's spectrum times each transfer column,
+        times spectral_power_weights. The transform's first pass frees each
+        tile once read for the last time; a later pass reads the kept
+        kernel, filling and keeping the whole of it first if none is held.
         """
         n, height = self.n_points, _PACKED_BLOCK_ROWS
-        rows = n if transfer is None else transfer.shape[0]
         spectrum = np.zeros_like(x)
         fields = y = None
-        cone = y_rows = 0
+        # the row bound, and the spectrum rows the pass computes
+        bound, rows, y_rows = support, n, 0
         if transfer is not None:
             fields = np.zeros((2 * transfer.shape[1], n))
-            if support and transfer.shape[0]:
-                cone = _support(transfer)
-                y_rows = min(-(-cone // height) * height, n)
-                y = np.zeros((fields.shape[0], y_rows))
-        # kernel rows from bound on meet only zero input samples, zero rows
-        # of Y or spectrum rows set to zero (module docstring)
-        bound = max(min(support, rows), cone)
+            bound = rows = _support(transfer) if support else 0
+            y_rows = min(-(-rows // height) * height, n)
+            y = np.zeros((fields.shape[0], y_rows))
         plan = [(start, _tile_edges(n, start)) for start in range(0, bound, height)]
         if not plan:
             return spectrum, fields
@@ -750,7 +758,7 @@ class HankelTransform:
                     # A[rows of this block] from columns c0:c1, then, while the
                     # tile is in cache, A[c0:c1] from this block's rows (by
                     # symmetry), beyond the diagonal square
-                    if start < rows and c0 < support:
+                    if c0 < support:
                         spectrum[:, start:stop] += x[:, c0:c1] @ block.T
                     p0 = max(c0, stop)
                     if start < support and p0 < min(c1, rows):
@@ -761,7 +769,7 @@ class HankelTransform:
                     continue
 
                 # A is whole on this block's rows: every push into them is made
-                self._transfer_rows(spectrum, transfer, y, start, stop)
+                self._transfer_rows(spectrum, transfer, y, start, min(stop, rows))
                 for (c0, c1), block in zip(columns, tiles):
                     if c0 >= inner:
                         fields[:, c0:c1] += y[:, start:stop] @ block
@@ -791,8 +799,8 @@ class HankelTransform:
 
     def _transfer_rows(self, spectrum, transfer, y, start: int, stop: int) -> None:
         """Write rows start:stop of Y (see _sweep) from A's spectrum there."""
-        rows = slice(start, min(stop, transfer.shape[0]))
-        values = np.empty(rows.stop - rows.start, dtype=complex)
+        rows = slice(start, stop)
+        values = np.empty(stop - start, dtype=complex)
         values.real, values.imag = spectrum[:, rows]
         product = values[:, None] * transfer[rows]
         weights = self.spectral_power_weights[rows]
@@ -834,42 +842,39 @@ class HankelTransform:
     ) -> tuple[np.ndarray, np.ndarray]:
         """(spectrum, fields): forward, times each column of transfer, and inverse, in one kernel pass.
 
-        field_values has shape (N,); transfer is (rows, Z), rows <= N. rows
-        bounds the spectrum (a scan's light cone): the pass skips each
-        product that writes only rows from rows on, so it reads the row
-        blocks starting below min(s, rows), s the field's support, and the
-        row blocks where transfer is nonzero. The products kept keep their
-        shapes and order, so the spectrum is forward(field_values) with its
-        rows from rows on set to zero, bit for bit. Column z of the (N, Z)
-        fields is inverse(spectrum * transfer[:, z]) up to rounding. The
-        transform's first pass fills only the fill blocks of 128 rows that
-        start below b = max(min(s, rows), t), t one past transfer's last
-        nonzero row, writes the rest of the row blocks it reads as zeros,
-        and keeps none; a later pass reads the whole kept kernel (_sweep).
-        Both give the same bits.
+        field_values has shape (N,) and transfer (N, Z). The pass stops at
+        the light cone t, one past transfer's last nonzero row (the row
+        bound, module docstring): the spectrum is forward(field_values) with
+        its rows from t on set to zero, bit for bit, and column z of the
+        (N, Z) fields is inverse(spectrum * transfer[:, z]) up to rounding.
+        The transform's first pass and a later one give the same bits.
         """
+        n = self.n_points
         values = np.asarray(field_values)
         transfer = np.asarray(transfer)
-        if values.shape != (self.n_points,) or transfer.ndim != 2 or not (
-            transfer.shape[0] <= self.n_points and transfer.shape[1] >= 1
-        ):
+        if values.shape != (n,) or transfer.ndim != 2 or transfer.shape[0] != n or not transfer.shape[1]:
             raise DomainError(
-                f"expected shapes ({self.n_points},) and (rows <= {self.n_points}, Z >= 1), "
-                f"got {values.shape} and {transfer.shape}"
+                f"expected shapes ({n},) and ({n}, Z >= 1), got {values.shape} and {transfer.shape}"
             )
         x = self._weighted(values, self.power_weights)
         spectrum, fields = self._sweep(x, _support(values), transfer)
         del x
-        return _columns(spectrum, values.shape), _columns(fields, (self.n_points, transfer.shape[1]))
+        return _columns(spectrum, values.shape), _columns(fields, transfer.shape)
 
     def _check_scan_fits(self, planes: int) -> None:
-        """Refuse, before anything is allocated, a scan whose planes, beside the
-        whole kernel unless it is held, would not fit in memory. A plane holds at
-        most three columns of N complex samples at once (its transfer, fields,
-        and Y or the fields' returned copy; later its fields, spectra and small
+        """Refuse, before anything is allocated, a scan whose planes would not
+        fit in memory beside the kernel tiles its pass adds: a first pass's
+        tile buffers (_first_pass_bytes), the whole kernel for the second
+        pass, which keeps it, and none once it is kept. A plane holds at most
+        three columns of N complex samples at once (its transfer, fields, and
+        Y or the fields' returned copy; later its fields, spectra and small
         fine values and fits) and products a tile and a row block wide."""
-        plane_bytes = 16 * (3 * self.n_points + _TILE_COLUMNS + _PACKED_BLOCK_ROWS)
-        kernel = 0 if self._row_blocks is not None else _kernel_bytes(self.n_points)
+        n = self.n_points
+        plane_bytes = 16 * (3 * n + _TILE_COLUMNS + _PACKED_BLOCK_ROWS)
+        if not self._passes:
+            kernel = _first_pass_bytes(n)
+        else:
+            kernel = 0 if self._row_blocks is not None else _kernel_bytes(n)
         budget = _memory_budget() - kernel
         if planes * plane_bytes > budget:
             largest = max(budget, 0) // plane_bytes
@@ -877,7 +882,7 @@ class HankelTransform:
                 f"a {planes}-plane scan needs {planes * plane_bytes / 1e9:,.2f} GB for its planes, "
                 f"but {max(budget, 0) / 1e9:,.2f} GB of memory is available for them "
                 f"({_MEMORY_HEADROOM_BYTES / 2**30:.2g} GiB is kept free, and "
-                f"{kernel / 1e9:,.2f} GB for the kernel tiles not yet held): "
+                f"{kernel / 1e9:,.2f} GB for the kernel tiles its pass adds): "
                 + (f"scan_steps <= {largest} fits" if largest else "no scan fits")
             )
 

@@ -280,10 +280,11 @@ class TestSimulate:
     def test_scan_too_large_for_memory_refused_on_both_sides(
         self, toy_config_path, tmp_path, capsys, monkeypatch
     ):
-        # with 5 MB free beside the toy grid's kernel, the refusal names the
-        # largest scan_steps that fits: one more is refused before its transfer
-        # is made or any kernel tile filled, and that many runs
-        available = hankel._MEMORY_HEADROOM_BYTES + hankel._kernel_bytes(2048) + 5 * 10**6
+        # with 5 MB free beside the tile buffers of the toy grid's first pass,
+        # the refusal names the largest scan_steps that fits: one more is
+        # refused before its transfer is made or any kernel tile filled, and
+        # that many runs
+        available = hankel._MEMORY_HEADROOM_BYTES + hankel._first_pass_bytes(2048) + 5 * 10**6
         monkeypatch.setattr(hankel, "_available_memory", lambda: available)
         clear_transform_cache()
         argv = ["--config", toy_config_path, "simulate", "--scan-output", str(tmp_path / "s.csv")]
@@ -291,7 +292,8 @@ class TestSimulate:
             made = self.refused_scans_fill_nothing(refusing)
             assert main(argv + ["--steps", "1000"]) == 3
             largest = int(capsys.readouterr().err.split("scan_steps <= ")[1].split()[0])
-            assert 5 < largest < 1000
+            # 5 MB over 122,880 bytes a plane
+            assert largest == 40
             assert main(argv + ["--steps", str(largest + 1)]) == 3
             err = capsys.readouterr().err
             assert err.startswith(f"numerical error: a {largest + 1}-plane scan needs ")

@@ -378,7 +378,7 @@ class TestPropagation:
     def test_bounded_spectrum_refused_wherever_the_full_one_is(self, beam_transform, monkeypatch):
         # with the refusal threshold just below a field's guard-band share over
         # all N rows (k < the grid's k limit here), the full spectrum is
-        # refused, and so must be the spectrum bounded at a propagator's reach
+        # refused, and so must be the spectrum bounded at a propagator's light cone
         rng = np.random.default_rng(5)
         t, k = beam_transform, 2 * math.pi / BEAM_WAVELENGTH
         for smoothing in (0.0, 3e-8, 6e-8):
@@ -395,13 +395,29 @@ class TestPropagation:
                 diffraction._check_spectrum_resolved(t, full, k)
             kz = diffraction._transfer_wavenumber(t, k)
             for z in (20e-6, 50e-6, BEAM_RAYLEIGH):
-                reach = diffraction._reach(t, k, kz, [z])
-                assert reach < t.n_points
-                # forward_inverse's spectrum, bounded at reach
+                cone = hankel._support(diffraction._transfer(kz, np.array([z])))
+                assert cone < t.n_points
+                # forward_inverse's spectrum, bounded at the light cone
                 bounded = full.copy()
-                bounded[reach:] = 0
+                bounded[cone:] = 0
                 with pytest.raises(ResolutionError):
                     diffraction._check_spectrum_resolved(t, bounded, k)
+
+    @pytest.mark.parametrize("paraxial", [False, True], ids=["exact", "paraxial"])
+    @pytest.mark.parametrize("n_points", [512, 2048])
+    def test_every_propagator_reaches_the_guard_band(self, n_points, paraxial):
+        # |exp(i z kz)| = 1 on every propagating row, so the light cone that
+        # bounds forward_inverse's spectrum never stops short of the guard
+        # band _check_spectrum_resolved reads: on a grid whose k limit is
+        # below k (512 points) and one where it is above (2048)
+        t = HankelTransform(n_points, TOY_GRID_RADIUS)
+        k = 2 * math.pi / TOY_WAVELENGTH
+        assert (t.k_radial[-1] < k) == (n_points == 512)
+        kz = diffraction._transfer_wavenumber(t, k, paraxial)
+        stop = diffraction._guard_band(t, k).stop
+        for z in (0.0, 1e-6, TOY_FOCAL_LENGTH, 1.0):
+            cone = hankel._support(diffraction._transfer(kz, np.array([z])))
+            assert stop <= cone <= n_points, z
 
     def test_evanescent_components_decay(self):
         # transverse frequency beyond the free-space wavenumber: the

@@ -314,20 +314,17 @@ def unskipped_apply(t: HankelTransform, values: np.ndarray, weights: np.ndarray)
     return np.ascontiguousarray(out.T).view(np.complex128)
 
 
-def bounded_transfer(rows: int, reach: int, planes: int = 2) -> np.ndarray:
-    """(rows, planes) unit phases, nonzero in the first reach rows only."""
-    transfer = np.zeros((rows, planes), complex)
-    transfer[:reach] = np.exp(1j * np.linspace(0.0, 3.0, reach * planes)).reshape(reach, planes)
+def cone_transfer(n_points: int, cone: int, planes: int = 2) -> np.ndarray:
+    """(n_points, planes) unit phases below row cone, zero from there on: a light cone at cone."""
+    transfer = np.zeros((n_points, planes), complex)
+    transfer[:cone] = np.exp(1j * np.linspace(0.0, 3.0, cone * planes)).reshape(cone, planes)
     return transfer
 
 
-def bounded_forward(t: HankelTransform, values: np.ndarray, rows: int) -> np.ndarray:
-    """The spectrum of (N,) or (N, Z) values from a pass bounded at rows, as
-    forward_inverse bounds it: a zero transfer of rows rows, which forms no Y."""
-    spectrum, _ = t._sweep(
-        t._weighted(values, t.power_weights), hankel._support(values), np.zeros((rows, 1), complex)
-    )
-    return hankel._columns(spectrum, values.shape)
+def bounded_forward(t: HankelTransform, values: np.ndarray, cone: int) -> np.ndarray:
+    """The spectrum of (N,) values from forward_inverse with a light cone at cone."""
+    spectrum, _ = t.forward_inverse(values, cone_transfer(t.n_points, cone, 1))
+    return spectrum
 
 
 class TestLazyFill:
@@ -337,16 +334,16 @@ class TestLazyFill:
     # kernel entries the parent's super-blocks of 512 whole rows filled for
     # forward(supported(1300, support))
     PARENT_SUPPORT = {1: 567296, 511: 567296, 512: 567296, 513: 872448, 1100: 927120, 1300: 927120}
-    # ... and for forward(field, rows) then inverse of the propagated spectra,
-    # by (N, field support, rows, transfer reach)
+    # ... and for a forward then inverse of the propagated spectra, by (N,
+    # field support, light cone of the transfer)
     PARENT_SCANS = {
-        (1300, 1300, 1300, 1300): 927120,
-        (1300, 1300, 700, 650): 872448,
-        (1300, 400, 1300, 1000): 872448,
-        (1300, 1100, 600, 513): 872448,
-        (4096, 4096, 1100, 1050): 5210112,
-        (4096, 2000, 4096, 3000): 8060928,
-        (4096, 3000, 2500, 2049): 7372800,
+        (1300, 1300, 1300): 927120,
+        (1300, 1300, 650): 872448,
+        (1300, 400, 1000): 872448,
+        (1300, 1100, 513): 872448,
+        (4096, 4096, 1050): 5210112,
+        (4096, 2000, 3000): 8060928,
+        (4096, 3000, 2049): 7372800,
     }
 
     @pytest.mark.parametrize("support", [1, 511, 512, 513, 1100, 1300])
@@ -373,7 +370,7 @@ class TestLazyFill:
         reference = HankelTransform(n_points=1300, max_radius=1e-3)
         keep_whole_kernel(reference)
         expected = [tile for *_, tile in kept_tiles(reference)]
-        # (support, rows) of bounded passes after a first pass, which keeps
+        # (support, light cone) of bounded passes after a first pass, which keeps
         # nothing: the first of them fills and keeps the whole kernel, though
         # (40, 600) and (513, 700) read only the first row block
         for cpus in (1, 2, 4):
@@ -384,8 +381,8 @@ class TestLazyFill:
             ):
                 t = HankelTransform(n_points=1300, max_radius=1e-3)
                 t.forward(supported(1300, 1))
-                for support, rows in calls:
-                    bounded_forward(t, supported(1300, support), rows)
+                for support, cone in calls:
+                    bounded_forward(t, supported(1300, support)[:, 0], cone)
                 keep_whole_kernel(t)
                 tiles = [tile for *_, tile in kept_tiles(t)]
                 assert len(tiles) == len(expected)
@@ -436,20 +433,21 @@ class TestLazyFill:
 
     @pytest.mark.parametrize("case", PARENT_SCANS)
     def test_scans_keep_tiles_from_their_second_pass(self, case, filled_entries):
-        n, support, rows, reach = case
+        n, support, cone = case
         t = HankelTransform(n_points=n, max_radius=1e-3)
         field = supported(n, support, columns=1, seed=support)[:, 0]
-        transfer = bounded_transfer(rows, reach)
+        transfer = cone_transfer(n, cone)
         results, filled, kept = [], [], []
         for _ in range(3):
             filled_entries.clear()
             results.append(t.forward_inverse(field, transfer))
             filled.append(sum(filled_entries.values()))
             kept.append(t._row_blocks)
-        # the first scan fills no more than the parent's forward and inverse
-        # and keeps nothing; the second fills the whole triangle and keeps
-        # it, the third fills nothing
+        # the first scan fills the fill blocks below the light cone, no more
+        # than the parent's forward and inverse, and keeps nothing; the second
+        # fills the whole triangle and keeps it, the third fills nothing
         triangle = sum(min(128, n - start) * (n - start) for start in range(0, n, 128))
+        assert filled[0] == sum(fill_blocks_below(n, cone).values())
         assert 0 < filled[0] <= self.PARENT_SCANS[case]
         assert filled == [filled[0], triangle, 0]
         assert kept[0] is None and kept[1] is not None and kept[2] is kept[1]
@@ -457,16 +455,14 @@ class TestLazyFill:
         for spectrum, fields in results[1:]:
             assert np.array_equal(spectrum, results[0][0])
             assert np.array_equal(fields, results[0][1])
-        # the spectrum is a whole forward's with the rows from the bound on
-        # set to zero; the fields are the inverse of its propagated columns,
-        # to rounding
+        # the spectrum is a whole forward's with the rows from the light cone
+        # on set to zero; the fields are the inverse of its propagated
+        # columns, to rounding
         spectrum, fields = results[0]
         whole = t.forward(field)
-        whole[rows:] = 0
+        whole[cone:] = 0
         assert np.array_equal(spectrum, whole)
-        spectra = np.zeros((n, 2), complex)
-        spectra[:rows] = spectrum[:rows, None] * transfer
-        reference = t.inverse(spectra)
+        reference = t.inverse(spectrum[:, None] * transfer)
         assert fields.shape == (n, 2)
         assert np.max(np.abs(fields - reference)) <= 1e-14 * np.max(np.abs(reference))
 
@@ -477,7 +473,7 @@ class TestLazyFill:
         n = 4096
         t = HankelTransform(n_points=n, max_radius=1e-3)
         field = supported(n, n, columns=1, seed=5)[:, 0]
-        transfer = bounded_transfer(1100, 1050)
+        transfer = cone_transfer(n, 1050)
         results = [t.forward_inverse(field, transfer)]
         filled_entries.clear()
         results.append(t.forward_inverse(field, transfer))
@@ -550,68 +546,55 @@ class TestLazyFill:
 
 class TestRowBound:
     # 1300 points: three row blocks, the last ragged; with 512-column tiles
-    # every diagonal tile is square, with 2048 the first row block is one tile
+    # every diagonal tile is square, with 2048 the first row block is one tile.
+    # (field support, light cone); supported(1300, 0) is nonzero in its last row
     CASES = [
         (1300, 1), (1300, 299), (1300, 300), (1300, 301), (1300, 511), (1300, 512),
         (1300, 513), (1300, 811), (1300, 812), (1300, 813), (1300, 1024), (1300, 1299),
         (700, 512), (700, 900), (513, 1100), (40, 600), (1300, 0),
     ]
-    # kernel entries the parent's super-blocks of 512 whole rows filled for
-    # each case's first bounded forward
-    PARENT = {
-        (1300, 1): 567296, (1300, 299): 567296, (1300, 300): 567296, (1300, 301): 567296,
-        (1300, 511): 567296, (1300, 512): 567296, (1300, 513): 872448, (1300, 811): 872448,
-        (1300, 812): 872448, (1300, 813): 872448, (1300, 1024): 872448, (1300, 1299): 927120,
-        (700, 512): 567296, (700, 900): 872448, (513, 1100): 872448, (40, 600): 567296,
-        (1300, 0): 0,
-    }
 
     @pytest.mark.parametrize("tile_columns", [hankel._TILE_COLUMNS, 512, 2048])
-    @pytest.mark.parametrize("support, rows", CASES)
+    @pytest.mark.parametrize("support, cone", CASES)
     def test_bounded_forward_matches_full_forward_below_the_bound(
-        self, monkeypatch, filled_entries, tile_columns, support, rows
+        self, monkeypatch, filled_entries, tile_columns, support, cone
     ):
         monkeypatch.setattr(hankel, "_TILE_COLUMNS", tile_columns)
-        columns = supported(1300, support, seed=rows)
+        columns = supported(1300, support, seed=cone)
         bounded = HankelTransform(n_points=1300, max_radius=1e-3)
-        bounded_forward(bounded, columns, rows)
-        # the fill blocks starting below min(support, rows), and no more than the parent
-        assert filled_entries == fill_blocks_below(1300, min(support, rows))
-        assert sum(filled_entries.values()) <= self.PARENT[support, rows]
+        bounded_forward(bounded, columns[:, 0], cone)
+        # the fill blocks starting below the light cone, whatever the support
+        assert filled_entries == fill_blocks_below(1300, cone)
         # the first call on each transform keeps nothing, the later ones keep
         full = HankelTransform(n_points=1300, max_radius=1e-3)
-        for values in (columns, columns[:, 0], columns.real):
+        for values in (*columns.T, columns[:, 0].real):
             reference = full.forward(values)
-            reference[rows:] = 0
-            assert np.array_equal(bounded_forward(bounded, values, rows), reference)
-            if values.ndim == 1:
-                # the same bound through the public fused pass
-                spectrum, _ = bounded.forward_inverse(values, np.zeros((rows, 1)))
-                assert np.array_equal(spectrum, reference)
-        assert np.array_equal(bounded_forward(bounded, columns, 1300), full.forward(columns))
+            reference[cone:] = 0
+            assert np.array_equal(bounded_forward(bounded, values, cone), reference)
+        values = columns[:, 0]
+        assert np.array_equal(bounded_forward(bounded, values, 1300), full.forward(values))
 
-    # (pass, field support s, (transfer rows, transfer reach t) or None):
-    # bounds b = max(min(s, rows), t) inside a row block, set by s, by rows
-    # and t together, and by t alone
+    # (pass, field support s, light cone t or None): row bounds b inside a
+    # row block, s for forward and inverse and t for forward_inverse, with s
+    # below, inside and beyond t's row block
     INNER_BOUNDS = [
         ("forward", 129, None), ("forward", 700, None), ("forward", 1025, None),
         ("inverse", 129, None), ("inverse", 700, None), ("inverse", 1025, None),
-        ("forward_inverse", 129, (1300, 50)), ("forward_inverse", 1025, (1300, 129)),
-        ("forward_inverse", 1300, (700, 700)), ("forward_inverse", 129, (1300, 700)),
-        ("forward_inverse", 300, (1300, 1025)),
+        ("forward_inverse", 129, 50), ("forward_inverse", 1025, 129),
+        ("forward_inverse", 1300, 700), ("forward_inverse", 129, 700),
+        ("forward_inverse", 300, 1025),
     ]
 
-    @pytest.mark.parametrize("direction, support, scan", INNER_BOUNDS)
+    @pytest.mark.parametrize("direction, support, cone", INNER_BOUNDS)
     def test_a_first_pass_fills_below_a_bound_inside_a_row_block(
-        self, monkeypatch, filled_entries, direction, support, scan
+        self, monkeypatch, filled_entries, direction, support, cone
     ):
         n = 1300
-        if scan is None:
+        if cone is None:
             args, bound = (supported(n, support, seed=support),), support
         else:
-            rows, reach = scan
             field = supported(n, support, columns=1, seed=support)[:, 0]
-            args, bound = (field, bounded_transfer(rows, reach)), max(min(support, rows), reach)
+            args, bound = (field, cone_transfer(n, cone)), cone
 
         def run(t: HankelTransform) -> tuple:
             result = getattr(t, direction)(*args)
@@ -660,20 +643,19 @@ class TestRowBound:
         focal_scan(field, layout, (z[0], z[-1]), z.size, fine_points=256)
         transmitted = apply_binary_pfl(field, layout)
         kz = diffraction._transfer_wavenumber(t, transmitted.wavenumber)
-        phases = [np.exp(1j * zi * kz) for zi in z]
-        reach = diffraction._reach(t, transmitted.wavenumber, kz, z)
-        assert 1024 < reach < 1100
+        transfer = diffraction._transfer(kz, z)
+        cone = hankel._support(transfer)
+        assert 1024 < cone < 1100
         # the nine fill blocks starting below the light cone (8.85M entries,
         # where three whole row blocks were 11.50M); the scan's one pass keeps none
         assert filled_entries == fill_blocks_below(8192, 1152)
         assert sum(filled_entries.values()) == 8_847_360
         assert t._row_blocks is None
-        spectrum, _ = t.forward_inverse(transmitted.amplitude, np.zeros((reach, 1)))
-        spectra = np.stack([spectrum * phase for phase in phases], axis=1)
+        spectrum, _ = t.forward_inverse(transmitted.amplitude, transfer)
         # the matrix fills the columns the propagated spectra reach: the last
-        # few rows below reach underflow to 0 in spectrum x phase
-        assert t._fine_filled == hankel._support(spectra)
-        assert reach - 16 < t._fine_filled <= reach
+        # few rows below the light cone underflow to 0 in spectrum x phase
+        assert t._fine_filled == hankel._support(spectrum[:, None] * transfer)
+        assert cone - 16 < t._fine_filled <= cone
 
 
 class TestRoundTripAndParseval:
@@ -752,7 +734,8 @@ class TestBatchedColumns:
         columns = rng.standard_normal((n, 3))
         columns[::7] = -0.0
         columns[n // 2 :] = 0.0
-        transfer = np.exp(1j * rng.uniform(0.0, 3.0, (n // 2, 2)))
+        transfer = np.zeros((n, 2), complex)
+        transfer[: n // 2] = np.exp(1j * rng.uniform(0.0, 3.0, (n // 2, 2)))
         for values in (columns, columns[:, 0]):
             cast = values.astype(complex)
             for direction in ("forward", "inverse"):
@@ -772,7 +755,10 @@ class TestBatchedColumns:
 
     @pytest.mark.parametrize(
         "field_shape, transfer_shape",
-        [((512, 1), (10, 2)), ((512,), (10,)), ((512,), (513, 2)), ((512,), (10, 0))],
+        [
+            ((512, 1), (512, 2)), ((512,), (512,)), ((512,), (513, 2)), ((512,), (511, 2)),
+            ((512,), (512, 0)),
+        ],
     )
     def test_forward_inverse_rejects_other_shapes(self, transform, field_shape, transfer_shape):
         with pytest.raises(DomainError):
@@ -898,6 +884,47 @@ class TestMemoryPreflight:
         for n in range(1, 3001):
             stored = sum(min(rows, n - start) * (n - start) for start in range(0, n, rows))
             assert hankel._kernel_bytes(n) == 8 * stored, n
+
+    def test_held_entries_closed_form_matches_block_sum(self):
+        # _bands' held entries, summed over the earlier row blocks, at every
+        # rows of Y a pass can have: multiples of 512 below N, and N
+        height, width = hankel._PACKED_BLOCK_ROWS, hankel._TILE_COLUMNS
+        for n in (513, 1300, 2048, 4500, 8192, 18000):
+            for y_rows in [*range(height, n, height), n]:
+                inner = min(-(-y_rows // width) * width, n)
+                for start in range(0, n, height):
+                    q0 = start // width * width
+                    earlier = range(0, min(start, y_rows), height)
+                    held = sum(min(height, n - i) * max(inner - max(q0, i), 0) for i in earlier)
+                    assert hankel._held(start, y_rows, inner) == held, (n, y_rows, start)
+
+    @pytest.mark.parametrize("n_points", [1300, 4096, 5000])
+    def test_a_first_pass_holds_no_more_tiles_than_the_scan_check_counts(
+        self, n_points, monkeypatch
+    ):
+        # with one buffer per slot group, a full-height scan's first pass
+        # makes exactly the buffers _first_pass_bytes counts, and a shorter
+        # scan or a forward makes no more
+        monkeypatch.setattr(hankel, "_SLOT_GROUP", 1)
+        made = []
+        take = hankel._TileSlots.take
+
+        def counting(slots, rows, columns):
+            tile = take(slots, rows, columns)
+            made.append(len(slots._free) + len(slots._taken))
+            return tile
+
+        monkeypatch.setattr(hankel._TileSlots, "take", counting)
+        slot = 8 * hankel._PACKED_BLOCK_ROWS * hankel._TILE_COLUMNS
+        counted = hankel._first_pass_bytes(n_points) // slot
+        field = np.ones(n_points)
+        for cone in (n_points, n_points // 2 + 1, 600):
+            made.clear()
+            HankelTransform(n_points, 1e-3).forward_inverse(field, cone_transfer(n_points, cone))
+            assert max(made) == counted if cone == n_points else max(made) <= counted
+            made.clear()
+            HankelTransform(n_points, 1e-3).forward(supported(n_points, cone))
+            assert max(made) <= counted
 
     def test_grid_too_large_for_memory_refused_before_any_work(self, monkeypatch):
         def no_zeros(*args):
