@@ -53,7 +53,7 @@ class ProjectConfig:
     m_convention: str = "sqrt"
     # simulation and measurement defaults
     input_waist_mm: float = 1.1
-    grid_points: int = 18000
+    grid_points: int = 14400
     grid_padding_factor: float = 1.2
     truncation_waists: float = 2.0
     scan_half_width_um: float = 2.0

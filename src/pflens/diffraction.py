@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal
-from fractions import Fraction
 
 import numpy as np
 
@@ -29,7 +27,7 @@ from ._csv import csv_text
 from .beamfit import KnifeEdgeScan, fit_scan, fit_scans
 from .design import ZoneLayout, path_excess
 from .errors import DomainError, FitError, ResolutionError, require
-from .hankel import HankelTransform, _check_fine_points, _kernel_bytes
+from .hankel import HankelTransform, _check_fine_points, _check_light_cone
 
 # fraction of the propagating k range treated as the aliasing guard band,
 # and the maximum relative power allowed there before propagation is
@@ -38,8 +36,6 @@ from .hankel import HankelTransform, _check_fine_points, _kernel_bytes
 # orders of magnitude larger.
 _GUARD_BAND_FRACTION = 0.02
 _GUARD_BAND_MAX_POWER = 1e-2
-# collocation samples apply_binary_pfl requires across the outermost zone period
-_MIN_SAMPLES_PER_ZONE = 4.0
 # scan defaults, which the config's keys of the same names start from:
 # near-axis fine-grid radii, blade positions per knife-edge curve, and the
 # capture radius of efficiency_into_focus in best-focus waists
@@ -106,28 +102,6 @@ def gaussian_beam(transform: HankelTransform, waist: float, wavelength: float) -
     return RadialField(transform, values, wavelength)
 
 
-def _outer_zone_pitch(layout: ZoneLayout) -> float:
-    return float(layout.ring_radii[-1] - layout.ring_radii[-2])
-
-
-def _undersampled(samples_per_zone: float, layout: ZoneLayout, max_radius: float) -> ResolutionError:
-    # the grid's max_spacing is just under R / (N + 3/4), so this many
-    # points always suffice
-    pitch = _outer_zone_pitch(layout)
-    ratio = _MIN_SAMPLES_PER_ZONE * max_radius / pitch
-    if math.isinf(ratio):
-        # exactly, for a window so wide that the count overflows a float
-        ratio = Fraction(_MIN_SAMPLES_PER_ZONE) * Fraction(max_radius) / Fraction(pitch)
-    n_min = math.ceil(ratio - Fraction(3, 4))
-    # in decimal: the kernel bytes of a vast grid overflow a float
-    gigabytes = Decimal(_kernel_bytes(n_min)) / 10**9
-    return ResolutionError(
-        f"grid under-samples the outermost zone: {samples_per_zone:.2f} samples per zone "
-        f"period, need at least {_MIN_SAMPLES_PER_ZONE:g}: grid_points >= {n_min} "
-        f"(a {gigabytes:.3g} GB kernel, about 4 N^2 bytes)"
-    )
-
-
 def apply_binary_pfl(field: RadialField, layout: ZoneLayout) -> RadialField:
     """Transmit a field through a phase Fresnel lens layout.
 
@@ -136,8 +110,8 @@ def apply_binary_pfl(field: RadialField, layout: ZoneLayout) -> RadialField:
     aperture, zero outside it.
 
     Raises DomainError when the grid does not cover the aperture, and
-    ResolutionError when it provides fewer than 4 samples across the
-    outermost ring period.
+    ResolutionError when its band j_{N+1} / R is below the field's
+    wavenumber k: the grid's spectrum then stops inside the light cone.
     """
     transform = field.transform
     if transform.max_radius < layout.aperture_radius * (1 - 1e-12):
@@ -146,9 +120,7 @@ def apply_binary_pfl(field: RadialField, layout: ZoneLayout) -> RadialField:
             f"{transform.max_radius:.6g} m, aperture radius is {layout.aperture_radius:.6g} m"
         )
     if layout.zone_count >= 2:
-        samples_per_zone = _outer_zone_pitch(layout) / transform.max_spacing
-        if samples_per_zone < _MIN_SAMPLES_PER_ZONE:
-            raise _undersampled(samples_per_zone, layout, transform.max_radius)
+        _check_light_cone(transform, field.wavelength)
     return field.with_amplitude(field.amplitude * layout.pupil(transform.radii))
 
 
@@ -172,12 +144,8 @@ def apply_ideal_lens(
     transform = field.transform
     r = transform.radii
     # steepest phase gradient (at the rim) must stay below grid Nyquist
-    if paraxial:
-        rim_gradient = field.wavenumber * aperture_radius / focal_length
-    else:
-        rim_gradient = (
-            field.wavenumber * aperture_radius / math.hypot(focal_length, aperture_radius)
-        )
+    rim_distance = focal_length if paraxial else math.hypot(focal_length, aperture_radius)
+    rim_gradient = field.wavenumber * aperture_radius / rim_distance
     nyquist = math.pi / transform.max_spacing
     if rim_gradient > nyquist:
         raise ResolutionError(
@@ -185,10 +153,7 @@ def apply_ideal_lens(
             f"but the grid resolves only {nyquist:.3g} rad/m"
         )
     inside = r <= aperture_radius
-    if paraxial:
-        excess = r**2 / (2.0 * focal_length)
-    else:
-        excess = path_excess(focal_length, r)
+    excess = r**2 / (2.0 * focal_length) if paraxial else path_excess(focal_length, r)
     phase = np.exp(-1j * field.wavenumber * excess)
     return field.with_amplitude(np.where(inside, field.amplitude * phase, 0.0))
 

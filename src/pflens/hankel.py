@@ -123,7 +123,7 @@ blocks, each filled before its products, long near the ends of the pass
 and short mid-pass, so the pass holds at most two row blocks more than
 that; each switch from products back to a fill costs about 30 ms on
 2 CPUs while the BLAS threads of the products wait for work. The default
-`simulate` scan (rows of Y to 14336 of 18000) peaks at about 690 MiB. A
+`simulate` scan (rows of Y to 14336 of 14400) peaks at about 665 MiB. A
 transform keeps its whole kernel or none of it: its second pass, whatever
 its input reaches, first fills every tile once, in one band, and keeps
 them, and it and every later pass read the kept tiles and fill nothing
@@ -164,6 +164,7 @@ import threading
 from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 
@@ -415,6 +416,38 @@ def _support(values: np.ndarray) -> int:
     """One past the last row of (N,) or (N, Z) values with a nonzero entry."""
     nonzero = np.flatnonzero(values.reshape(values.shape[0], -1).any(axis=1))
     return int(nonzero[-1]) + 1 if nonzero.size else 0
+
+
+def _light_cone_floor(max_radius: float, wavelength: float) -> int:
+    """The fewest points whose band j_{N+1} / R reaches k = 2 pi / wavelength."""
+    # k R / pi, exactly: it overflows a float for a vast window. As (N + 3/4) pi
+    # < j_{N+1} < (N + 3/4) pi + 1 / (8 (N + 3/4) pi), n suffices and n - 1 may
+    reach = 2 * Fraction(max_radius) / Fraction(wavelength)
+    n = math.ceil(reach - Fraction(3, 4))
+    # McMahon's expansion, b = n - 1/4: (j_n / pi - b) b = sum c_i / (pi b)^2i / pi^2
+    # to 3e-4 / b^8, so only a k R within 1e-9 of j_n is misjudged, for every n a
+    # refusal meets (its grid has N >= 4 points, so k R is past j_5)
+    b = n - Fraction(1, 4)
+    terms = (1 / 8, -31 / 384, 3779 / 15360, -6277237 / 3440640)
+    v = float(1 / b**2) / math.pi**2
+    reached = sum(c * v**i for i, c in enumerate(terms)) / math.pi**2
+    return n - 1 if (reach - b) * b <= reached else n
+
+
+def _check_light_cone(transform: HankelTransform, wavelength: float) -> None:
+    """Refuse a grid whose band j_{N+1} / R is below k = 2 pi / wavelength, naming
+    its light-cone floor: fewer points never pass, and a lens whose spectrum
+    crowds the light cone may need a few more to pass a scan's spectrum check."""
+    band = transform._S / transform.max_radius
+    wavenumber = 2.0 * math.pi / wavelength
+    if band < wavenumber:
+        n_min = _light_cone_floor(transform.max_radius, wavelength)
+        raise ResolutionError(
+            f"grid's band {band:.4g} rad/m stops inside the light cone, k = {wavenumber:.4g} "
+            f"rad/m: its floor is grid_points >= {n_min} (a "
+            # in decimal: the kernel bytes of a vast grid overflow a float
+            f"{Decimal(_kernel_bytes(n_min)) / 10**9:.3g} GB kernel, about 4 N^2 bytes)"
+        )
 
 
 def _available_memory() -> int:

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import jn_zeros
 
 from pflens import cli, clear_transform_cache, diffraction, hankel
 from pflens.beamfit import (
@@ -215,9 +216,22 @@ class TestSimulate:
             f"caustic fit skipped: {steps} planes; the fit needs at least 5"
         ]
 
-    def test_undersampled_grid_refused_before_kernel_build(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "setting, n_min",
+        [
+            # the toy window, R = 1.2 x 150 um, at 854 nm: 2 R / lambda = 421.5
+            ("grid_points = 64", 421),
+            # 2 R / lambda = 3.5e11: a window no kernel that fits can reach
+            ("grid_padding_factor = 1e9", None),
+        ],
+    )
+    def test_grid_inside_the_light_cone_refused_before_kernel_build(
+        self, tmp_path, capsys, monkeypatch, setting, n_min
+    ):
+        key = setting.split(" = ")[0]
+        config = [line for line in TOY_CONFIG.splitlines() if not line.startswith(key)]
         path = tmp_path / "coarse.cfg"
-        path.write_text(TOY_CONFIG.replace("grid_points = 2048", "grid_points = 64"))
+        path.write_text("\n".join(config + [setting]) + "\n")
         built, filled = [], []
 
         class RecordingTransform(hankel.HankelTransform):
@@ -233,11 +247,18 @@ class TestSimulate:
         clear_transform_cache()
         monkeypatch.setattr(hankel, "HankelTransform", RecordingTransform)
         monkeypatch.setattr(hankel, "_KernelRows", CountingRows)
-        code = main(["--config", str(path), "simulate", "--scan-output", str(tmp_path / "s.csv")])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["--config", str(path), "simulate", "--scan-output", str(tmp_path / "s.csv")])
+        err = capsys.readouterr().err
         assert code == 3
-        assert "grid_points >= " in capsys.readouterr().err
+        assert err.startswith("numerical error: grid's band ") and err.count("\n") == 1, err
+        assert f"grid_points >= {n_min or ''}" in err
+        if n_min:
+            roots = jn_zeros(0, n_min + 1) / built[0].max_radius
+            assert roots[n_min - 1] < 2 * math.pi / 854e-9 <= roots[n_min]
         assert filled == []
-        assert all(transform._row_blocks is None for transform in built)
+        assert built and all(transform._row_blocks is None for transform in built)
 
     @pytest.mark.parametrize("ideal", [False, True], ids=["binary", "ideal"])
     def test_grid_too_large_for_memory_exits_3_before_any_work(
@@ -350,10 +371,13 @@ class TestSimulate:
         monkeypatch.setattr(hankel, "_available_memory", lambda: 8 * 1024**3)
         clear_transform_cache()
         started = time.perf_counter()
-        code = main(["--config", str(path), "simulate", "--scan-output", str(tmp_path / "s.csv")])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["--config", str(path), "simulate", "--scan-output", str(tmp_path / "s.csv")])
         elapsed = time.perf_counter() - started
         err = capsys.readouterr().err
         assert code == 3
+        assert err.startswith("numerical error: ") and err.count("\n") == 1, err
         assert "Traceback" not in err
         assert elapsed < 2.0
 
@@ -1045,8 +1069,11 @@ class TestConfigEdgeSweep:
     def test_key_exits_cleanly_at_every_edge_value(
         self, tmp_path, capsys, monkeypatch, key, values
     ):
-        # the default 18000-point kernel does not fit in 1 GiB, so simulate
-        # builds the lens and its zone layout, then refuses the grid
+        # the default grid's kernel (0.86 GB at 14400 points) does not fit in
+        # 1 GiB less the headroom, so simulate builds the lens and its zone
+        # layout, then refuses the grid
+        budget = 1024**3 - hankel._MEMORY_HEADROOM_BYTES
+        assert hankel._kernel_bytes(default_config().grid_points) > budget
         monkeypatch.setattr(hankel, "_available_memory", lambda: 1024**3)
         path = tmp_path / "edge.cfg"
         commands = [

@@ -5,11 +5,12 @@ from __future__ import annotations
 import math
 import warnings
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from scipy.special import erfc
+from scipy.special import erfc, jn_zeros
 
 from pflens import (
     DomainError,
@@ -100,6 +101,13 @@ def toy_lens(n_points: int, levels: int = 2):
     """The criterion-03 toy lens on its window, as simulated_lens returns it."""
     design = LensDesign(TOY_FOCAL_LENGTH, TOY_APERTURE, TOY_WAVELENGTH, phase_levels=levels)
     return n_points, TOY_GRID_RADIUS, zone_layout(design), TOY_APERTURE / 4
+
+
+def light_cone_floor(max_radius: float, wavelength: float) -> int:
+    """The smallest N whose band j_{N+1} / R reaches 2 pi / wavelength, by scipy's roots."""
+    wavenumber = 2 * math.pi / wavelength
+    roots = jn_zeros(0, math.ceil(2 * max_radius / wavelength) + 1)
+    return int(np.argmax(roots / max_radius >= wavenumber))
 
 
 def pre_change_transmission(field, layout):
@@ -237,15 +245,16 @@ class TestBinaryLensTransmission:
         np.testing.assert_array_equal(out.amplitude[inside], field.amplitude[inside])
         assert np.all(out.amplitude[~inside] == 0.0)
 
-    def test_undersampled_zones_rejected(self, toy_layout):
+    def test_grid_inside_the_light_cone_rejected(self, toy_layout):
         coarse = get_transform(128, TOY_GRID_RADIUS)
         field = plane_wave(coarse, TOY_WAVELENGTH)
-        with pytest.raises(ResolutionError, match="samples per zone"):
+        with pytest.raises(ResolutionError, match="stops inside the light cone"):
             apply_binary_pfl(field, toy_layout)
 
-    def test_zone_check_names_the_smallest_accepted_grid(self, toy_layout):
-        pitch = toy_layout.ring_radii[-1] - toy_layout.ring_radii[-2]
-        n_min = math.ceil(4 * TOY_GRID_RADIUS / pitch - 0.75)
+    def test_light_cone_check_names_the_smallest_accepted_grid(self, toy_layout):
+        n_min = light_cone_floor(TOY_GRID_RADIUS, TOY_WAVELENGTH)
+        # 2 R / lambda = 936.8: about 3.4 samples per outer zone period
+        assert n_min == 937
         coarse = plane_wave(HankelTransform(n_min - 20, TOY_GRID_RADIUS), TOY_WAVELENGTH)
         with pytest.raises(ResolutionError, match=f"grid_points >= {n_min} "):
             apply_binary_pfl(coarse, toy_layout)
@@ -258,7 +267,84 @@ class TestBinaryLensTransmission:
                 assert f"grid_points >= {n_min} " in str(error)
                 refused.append(n_points)
         # the exact check refuses the coarse end and accepts the named minimum
-        assert refused and max(refused) < n_min
+        assert refused == list(range(n_min - 12, n_min))
+
+    @pytest.mark.parametrize("rank", [5, 6, 20, 300, 937, 5000, 40000])
+    @pytest.mark.parametrize("shift", [-1e-8, 1e-8, 1.5])
+    def test_expansion_names_the_floor_the_roots_do(self, rank, shift):
+        # k R just below, just above and 1.5 past j_rank (about halfway to the
+        # next root), the (N + 1)-th root for N = rank - 1: McMahon's
+        # expansion names the floor scipy's roots do, from j_5, the least
+        # root a refused grid's k R is past
+        root = jn_zeros(0, rank)[-1]
+        wavelength = 2 * math.pi * TOY_GRID_RADIUS / (root + shift)
+        floor = hankel._light_cone_floor(TOY_GRID_RADIUS, wavelength)
+        assert floor == light_cone_floor(TOY_GRID_RADIUS, wavelength)
+        assert floor == (rank - 1 if shift < 0 else rank)
+
+    @pytest.mark.parametrize(
+        "radius, wavelength",
+        [(1e100, TOY_WAVELENGTH), (1e100, 1e-300), (TOY_GRID_RADIUS, 5e-324)],
+        ids=["widest-window", "k-R-overflows", "k-overflows"],
+    )
+    def test_vast_window_names_its_floor_without_a_warning(self, toy_layout, radius, wavelength):
+        # k R / pi = 2 R / lambda is 2.3e106, 2e400 (past a float) and 1.6e320
+        reach = 2 * Fraction(radius) / Fraction(wavelength)
+        field = plane_wave(get_transform(64, radius), wavelength)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ResolutionError) as refusal:
+                apply_binary_pfl(field, toy_layout)
+        n_min = int(str(refusal.value).split("grid_points >= ")[1].split()[0])
+        # (N + 3/4) pi < j_{N+1} < (N + 3/4) pi + 1 / (8 (N + 3/4) pi)
+        assert n_min == math.ceil(reach - Fraction(3, 4))
+        assert "\n" not in str(refusal.value)
+
+    def test_default_grid_sits_just_above_its_light_cone(self):
+        n_points, max_radius, layout, _ = simulated_lens(default_config())
+        wavelength = default_config().wavelength
+        floor = light_cone_floor(max_radius, wavelength)
+        assert floor <= n_points <= 1.01 * floor
+        field = plane_wave(HankelTransform(n_points, max_radius), wavelength)
+        apply_binary_pfl(field, layout)
+        coarse = plane_wave(HankelTransform(floor - 1, max_radius), wavelength)
+        with pytest.raises(ResolutionError, match=f"grid_points >= {floor} "):
+            apply_binary_pfl(coarse, layout)
+
+    @pytest.mark.parametrize(
+        "config, floor, runs_from",
+        [
+            pytest.param(CLI_TOY_CONFIG, 421, 421, id="cli-toy"),
+            # the whole 300 um aperture lit by a 75 um waist: at 937 and 938
+            # points about 1.01 % of the spectrum's power lies within 2 % of k
+            pytest.param(None, 937, 939, id="toy"),
+            pytest.param(default_config(), 14289, 14289, id="default"),
+        ],
+    )
+    def test_a_scan_at_the_named_floor(self, config, floor, runs_from):
+        # the refusal names a floor: one point fewer is refused, the floor
+        # passes the light-cone check, and a scan there runs or, where the
+        # lens's spectrum crowds the light cone, is refused by the spectrum
+        # check until runs_from points
+        if config is None:
+            _, max_radius, layout, waist = toy_lens(floor)
+            wavelength, focal_length = TOY_WAVELENGTH, TOY_FOCAL_LENGTH
+        else:
+            _, max_radius, layout, waist = simulated_lens(config)
+            wavelength, focal_length = config.wavelength, config.focal_length
+        assert light_cone_floor(max_radius, wavelength) == floor
+
+        def scan(n_points):
+            field = gaussian_beam(HankelTransform(n_points, max_radius), waist, wavelength)
+            z_range = (focal_length - 1e-6, focal_length + 1e-6)
+            return focal_scan(field, layout, z_range, n_steps=3)
+
+        with pytest.raises(ResolutionError, match=f"grid_points >= {floor} "):
+            scan(floor - 1)
+        for n_points in range(floor, runs_from):
+            with pytest.raises(ResolutionError, match="angular spectrum carries"):
+                scan(n_points)
+        assert np.all(np.isfinite(scan(runs_from).fitted_waists))
 
     def test_grid_must_cover_aperture(self, toy_layout):
         small = get_transform(512, 100e-6)
