@@ -146,10 +146,11 @@ class ZoneLayout:
 
 @dataclass(frozen=True)
 class ChromaticSpec:
-    """Fractional wavelength (equivalently frequency) detuning.
+    """Fractional frequency detuning delta_nu / nu0, to first order -delta_lam / lam0.
 
-    Valid only in the small-shift regime |detuning| < 1e-2 where the
-    linear focal-shift model applies.
+    Positive for a higher frequency, that is a shorter wavelength. Valid
+    only in the small-shift regime |detuning| < 1e-2 where the linear
+    focal-shift model applies.
     """
 
     fractional_detuning: float
@@ -160,7 +161,10 @@ class ChromaticSpec:
 
 
 def fractional_detuning_from_frequency(frequency_shift: float, wavelength: float) -> ChromaticSpec:
-    """ChromaticSpec for a frequency shift [Hz] on a carrier of given wavelength [m]."""
+    """ChromaticSpec for a frequency shift [Hz] on a carrier of given wavelength [m].
+
+    The detuning is +delta_nu / nu0: a positive shift is a shorter wavelength.
+    """
     c0 = 299792458.0
     return ChromaticSpec(frequency_shift * wavelength / c0)
 
@@ -242,9 +246,11 @@ def fresnel_plate_transmission(substrate_index: float) -> float:
 def chromatic_focal_shift(design: LensDesign, chromatic: ChromaticSpec) -> float:
     """Signed focal shift [m] of a diffractive lens under a small detuning.
 
-    Linear model: delta_f = f0 * (delta_lam / lam0). A diffractive lens
-    focuses shorter wavelengths farther away, so the shift carries the
-    sign of the wavelength detuning.
+    Linear model: a diffractive lens has f proportional to 1 / lam, so
+    delta_f = f0 * (delta_nu / nu0), to first order -f0 * (delta_lam / lam0).
+    It focuses shorter wavelengths farther away and longer ones nearer:
+    the shift carries the sign of the frequency detuning, opposite to
+    that of the wavelength detuning.
     """
     return design.focal_length * chromatic.fractional_detuning
 
@@ -271,8 +277,11 @@ def depth_of_focus(na: float, wavelength: float) -> float:
 def max_focal_length_for_dof(na: float, chromatic: ChromaticSpec, wavelength: float) -> float:
     """Longest focal length keeping the chromatic shift within the depth of focus.
 
-    4 lam / (pi * |detuning| * NA^2); at this focal length the shift
-    equals the nominal depth of focus 4 lam / (pi NA^2) exactly.
+    4 lam / (pi * |detuning| * NA^2), with |detuning| = |delta_nu / nu0|,
+    to first order |delta_lam / lam0|: at this focal length the linear model's shift
+    (chromatic_focal_shift), nearer the lens for a longer wavelength and
+    farther for a shorter one, equals the nominal depth of focus
+    4 lam / (pi NA^2) in magnitude, whichever the detuning's sign.
     """
     detuning = chromatic.fractional_detuning
     require(detuning != 0, "fractional detuning", "nonzero", detuning)

@@ -120,10 +120,12 @@ a tile goes back to a buffer pool once read for the last time, so the
 pass holds the tiles that a later column block still reads, about
 (rows of Y / 2)^2 entries mid-pass. Fills are made in bands of row
 blocks, each filled before its products, long near the ends of the pass
-and short mid-pass, so the pass holds at most two row blocks more than
-that; each switch from products back to a fill costs about 30 ms on
-2 CPUs while the BLAS threads of the products wait for work. The default
-`simulate` scan (rows of Y to 14336 of 14400) peaks at about 665 MiB. A
+and short mid-pass, so the pass holds at most one row block more than
+that: the least an ascending pass that keeps no tile can hold, as the
+row block being filled sits beside the tiles still carried. Each switch
+from products back to a fill costs about 30 ms on 2 CPUs while the BLAS
+threads of the products wait for work. The default `simulate` scan
+(rows of Y to 14336 of 14400) peaks at about 620 MiB. A
 transform keeps its whole kernel or none of it: its second pass, whatever
 its input reaches, first fills every tile once, in one band, and keeps
 them, and it and every later pass read the kept tiles and fill nothing
@@ -213,6 +215,10 @@ _FALLBACK_AVAILABLE_BYTES = 4 * 1024**3
 # largest grid radius [m]: R^2 and 1 / R^2 in the weights stay far inside
 # the float range
 _MAX_RADIUS = 1e100
+# Bessel zeros taken from scipy's jn_zeros; later ones are refined from
+# McMahon's expansion by Newton steps, which give jn_zeros' roots bit for
+# bit (from the 94th on: 19 earlier ones would differ, by 1 ulp)
+_SCIPY_ZEROS = 128
 
 
 def _hankel_coefficients(count: int) -> list[float]:
@@ -307,15 +313,17 @@ def _bands(plan: list, n_points: int, y_rows: int, inner: int) -> list[list]:
     A pass that keeps no tile holds, at row block k, the tiles of earlier
     row blocks that a column block from k's on reads again (_held): up to
     about (y_rows / 2)^2 entries mid-pass, and few near its ends. A band may
-    hold as many more entries as that peak leaves below the peak plus two
-    row blocks, so bands are long near the ends and a row block or two
-    mid-pass. Each switch from products back to a fill costs time while
+    hold as many more entries as that peak leaves below the peak plus one
+    row block, so bands are long near the ends and a row block or two
+    mid-pass. One row block is the floor for an ascending pass that keeps
+    no tile: the row block being filled sits beside the tiles still
+    carried. Each switch from products back to a fill costs time while
     the BLAS threads of the products wait for more work (about 30 ms on
     2 CPUs), so fewer bands are faster.
     """
     height = _PACKED_BLOCK_ROWS
     sizes = [min(height, n_points - start) * (n_points - start) for start, _ in plan]
-    cap = max(_held(start, y_rows, inner) for start, _ in plan) + 2 * max(sizes)
+    cap = max(_held(start, y_rows, inner) for start, _ in plan) + max(sizes)
     bands, size = [], cap
     for block, entries in zip(plan, sizes):
         if size + entries > cap:
@@ -410,6 +418,31 @@ def _kernel_bytes(n_points: int) -> int:
         - _PACKED_BLOCK_ROWS**2 * full * (full - 1) // 2
         + rest * rest
     )
+
+
+def _bessel_zeros(count: int) -> np.ndarray:
+    """The first count positive roots of J0, bit for bit as scipy's jn_zeros(0, count).
+
+    The first _SCIPY_ZEROS come from jn_zeros. Each later root j_i starts
+    from McMahon's expansion, b = (i - 1/4) pi,
+
+        j_i = b + 1/(8b) - 124/(3 (8b)^3) + 120928/(15 (8b)^5) - ...,
+
+    and takes three Newton steps x += J0(x) / J1(x) (J0' = -J1),
+    as whole arrays: jn_zeros refines its roots one at a time, about 40 ms
+    for 14401 roots on a 2 vCPU host, against under 10 ms here.
+    """
+    from scipy.special import j0, j1, jn_zeros
+
+    head = jn_zeros(0, min(count, _SCIPY_ZEROS))
+    if count <= _SCIPY_ZEROS:
+        return head
+    b = (np.arange(_SCIPY_ZEROS + 1, count + 1) - 0.25) * np.pi
+    e = 8 * b
+    roots = b + 1 / e - 124 / (3 * e**3) + 120928 / (15 * e**5)
+    for _ in range(3):
+        roots += j0(roots) / j1(roots)
+    return np.concatenate([head, roots])
 
 
 def _support(values: np.ndarray) -> int:
@@ -654,9 +687,9 @@ class HankelTransform:
         _check_kernel_fits(n_points)
 
         # here, not at the top of the module (see the module docstring)
-        from scipy.special import j1, jn_zeros
+        from scipy.special import j1
 
-        roots = jn_zeros(0, n_points + 1)
+        roots = _bessel_zeros(n_points + 1)
         self._j = roots[:n_points]
         self._S = roots[n_points]
         self.radii = self._j * (self.max_radius / self._S)

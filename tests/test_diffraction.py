@@ -21,11 +21,13 @@ from pflens import (
     WaistPoint,
     apply_binary_pfl,
     apply_ideal_lens,
+    chromatic_focal_shift,
     clear_transform_cache,
     default_config,
     efficiency_into_focus,
     fit_caustic,
     focal_scan,
+    fractional_detuning_from_frequency,
     gaussian_beam,
     get_transform,
     knife_edge_power_curve,
@@ -894,6 +896,31 @@ class TestFocalScans:
         lines = csv_text.strip().splitlines()
         assert lines[0] == "z_m,waist_m"
         assert len(lines) == 8
+
+    def test_a_longer_wavelength_focuses_nearer_as_the_linear_model_signs_it(self, toy_layout):
+        # the layout stays designed at 854 nm; the beam is detuned by +-1e-3 in
+        # wavelength. A diffractive lens has f proportional to 1 / lam, so the
+        # caustic's z0 moves nearer for the longer wavelength and farther for the
+        # shorter, with the sign chromatic_focal_shift gives the frequency detuning.
+        # Only the sign is asserted: the engine's shift is larger than the linear
+        # model's by a factor that grows with NA
+        transform = HankelTransform(4096, TOY_GRID_RADIUS)
+        design = LensDesign(TOY_FOCAL_LENGTH, TOY_APERTURE, TOY_WAVELENGTH)
+        c0 = 299792458.0
+
+        def focus(wavelength):
+            field = gaussian_beam(transform, 75e-6, wavelength)
+            scan = focal_scan(field, toy_layout, (198e-6, 202e-6), 9, fine_points=256)
+            return fit_caustic(caustic_points(scan), wavelength).z0
+
+        z0 = focus(TOY_WAVELENGTH)
+        for factor, sign in ((1 + 1e-3, -1.0), (1 - 1e-3, 1.0)):
+            wavelength = TOY_WAVELENGTH * factor
+            detuning = fractional_detuning_from_frequency(
+                c0 / wavelength - c0 / TOY_WAVELENGTH, TOY_WAVELENGTH
+            )
+            assert np.sign(focus(wavelength) - z0) == sign, factor
+            assert np.sign(chromatic_focal_shift(design, detuning)) == sign, factor
 
 
 def teardown_module():

@@ -62,6 +62,16 @@ class TestGridStructure:
         assert t.fine_span == min(60 * t.max_spacing, t.max_radius)
         assert isinstance(t.max_spacing, float) and isinstance(t.fine_span, float)
 
+    def test_bessel_zeros_are_scipys_bit_for_bit(self):
+        # the grid's N + 1 roots: jn_zeros up to _SCIPY_ZEROS, McMahon and
+        # Newton beyond, so no output bit depends on which made them
+        reference = jn_zeros(0, 60001)
+        for n_points in (4, 5, 127, 128, 129, 2048, 14400, 18000, 60000):
+            roots = hankel._bessel_zeros(n_points + 1)
+            assert np.array_equal(roots, reference[: n_points + 1]), n_points
+        t = HankelTransform(129, 1e-3)
+        assert np.array_equal(t._j, reference[:129]) and t._S == reference[129]
+
     def test_spectral_grid_increasing(self, transform):
         assert transform.k_radial.shape == (512,)
         assert np.all(np.diff(transform.k_radial) > 0)
@@ -897,6 +907,27 @@ class TestMemoryPreflight:
                     earlier = range(0, min(start, y_rows), height)
                     held = sum(min(height, n - i) * max(inner - max(q0, i), 0) for i in earlier)
                     assert hankel._held(start, y_rows, inner) == held, (n, y_rows, start)
+
+    def test_a_band_fills_at_most_one_row_block_beyond_the_most_carried(self):
+        # a band's fill holds the tiles carried into its first row block
+        # (_held) and its own row blocks' tiles: for every pass a grid can
+        # run (a forward's rows of Y are 0; a scan's are a multiple of 512
+        # below N, or N), no more than the most carried at any row block
+        # plus one largest row block, the least an ascending pass can hold
+        height, width = hankel._PACKED_BLOCK_ROWS, hankel._TILE_COLUMNS
+        for n in (1300, 4096, 14400, 18000):
+            entries = {start: min(height, n - start) * (n - start) for start in range(0, n, height)}
+            for y_rows in [0, *range(height, n, height), n]:
+                inner = min(-(-y_rows // width) * width, n)
+                for bound in range(height, n + height, height) if not y_rows else [y_rows]:
+                    plan = [(start, hankel._tile_edges(n, start)) for start in range(0, bound, height)]
+                    bands = hankel._bands(plan, n, y_rows, inner)
+                    assert [block for band in bands for block in band] == plan
+                    carried = max(hankel._held(start, y_rows, inner) for start, _ in plan)
+                    for band in bands:
+                        fill = hankel._held(band[0][0], y_rows, inner)
+                        fill += sum(entries[start] for start, _ in band)
+                        assert fill <= carried + entries[0], (n, y_rows, bound, band[0][0])
 
     @pytest.mark.parametrize("n_points", [1300, 4096, 5000])
     def test_a_first_pass_holds_no_more_tiles_than_the_scan_check_counts(
