@@ -14,7 +14,7 @@ A) holds kernel[A:A + r, A:], r = min(512, N - A), cut at the multiples
 of 1024 into tiles of at most 512 x 1024 entries (4 MiB). The second row
 block of each 1024 columns starts with a 512 x 512 diagonal tile, so
 the tiles of the whole kernel take 8 sum r (N - A) bytes, about
-4 N^2 + 2048 N (1.3 GB at N = 18000; _kernel_bytes), and no N x N
+4 N^2 + 2048 N (0.86 GB at N = 14400; _kernel_bytes), and no N x N
 array is allocated. Tiles are filled in place in rows of 128 from the
 diagonal rightwards; the lower triangle of each diagonal tile's leading
 square is then copied from the upper, so the kernel the tiles stand for
@@ -29,7 +29,7 @@ J0(x), x = j_m s_n with s_n = j_n / S, is evaluated in one of two ways:
 
 * direct: scipy's j0, for the columns where x0 = j_m0 s_n < 60. That is
   all of the first block (so the whole kernel for N <= 128), 6.8 % of
-  the triangle at N = 4096 and 1.8 % at N = 18000.
+  the triangle at N = 4096 and 2.1 % at N = 14400.
 * asymptotic: Hankel's large-argument expansion for the other columns,
 
       J0(x) = Re[ sqrt(2 / pi) e^{-i pi/4} sum_k i^k a_k x^{-k-1/2} e^{ix} ],
@@ -70,7 +70,7 @@ max_spacing is the widest gap between collocation radii. fine_values sums
 spectra at 128 Chebyshev nodes on that span and interpolates from them to
 the fine radii (_FINE_NODES says why 128 suffice on every grid). The
 nodes' Fourier-Bessel matrix (resample_matrix's rows at the nodes) is
-128 x N, 18 MB at N = 18000, the same for every fine_points; the
+128 x N, 14.7 MB at N = 14400, the same for every fine_points; the
 transform allocates it at the first fine_values call and keeps it. It is
 full width, but its columns are filled lazily, each once, as far as the
 spectra reach.
@@ -127,11 +127,13 @@ from products back to a fill costs about 30 ms on 2 CPUs while the BLAS
 threads of the products wait for work. The default `simulate` scan
 (rows of Y to 14336 of 14400) peaks at about 620 MiB. A
 transform keeps its whole kernel or none of it: its second pass, whatever
-its input reaches, first fills every tile once, in one band, and keeps
-them, and it and every later pass read the kept tiles and fill nothing
-(verify_warm's later ops fill nothing). The arithmetic is the same
-either way, so a kept pass and a pass that keeps nothing give
-bit-identical results. Passes on one transform run one at a time.
+its input reaches, first makes every tile of the kernel as its own array
+(239 at N = 14400), fills them once, in one band, and keeps their list,
+and it and every later pass read the kept tiles and fill nothing
+(verify_warm's later ops fill nothing). Both kinds of pass fill their
+tiles through one routine (_tiles), and the arithmetic is the same either
+way, so a kept pass and a pass that keeps nothing give bit-identical
+results. Passes on one transform run one at a time.
 
 A pass reads only the row blocks starting below its row bound b: for
 forward and inverse the input's support s, one past its last nonzero
@@ -157,8 +159,6 @@ which the commands that build no transform (all but simulate) never pay.
 from __future__ import annotations
 
 import bisect
-import functools
-import itertools
 import math
 import os
 import queue
@@ -173,7 +173,7 @@ import numpy as np
 from .errors import DomainError, ResolutionError, require
 
 # rows per block of the kernel fill; also the row count of the shared
-# phase table E, up to 16 B x N bytes (37 MB at N = 18000)
+# phase table E, up to 16 B x N bytes (29.5 MB at N = 14400)
 _KERNEL_BLOCK_ROWS = 128
 # columns per asymptotic chunk: the term count K is chosen per chunk
 _KERNEL_CHUNK_COLUMNS = 512
@@ -219,6 +219,9 @@ _MAX_RADIUS = 1e100
 # McMahon's expansion by Newton steps, which give jn_zeros' roots bit for
 # bit (from the 94th on: 19 earlier ones would differ, by 1 ulp)
 _SCIPY_ZEROS = 128
+# McMahon's expansion of the roots of J0, with b = (i - 1/4) pi:
+# j_i = b + sum c_k / b^(2k + 1) over these c_k
+_MCMAHON = (1 / 8, -31 / 384, 3779 / 15360, -6277237 / 3440640)
 
 
 def _hankel_coefficients(count: int) -> list[float]:
@@ -284,14 +287,6 @@ def _tile_edges(n_points: int, start: int) -> list[int]:
     multiples of _TILE_COLUMNS above it, and n_points."""
     above = (start // _TILE_COLUMNS + 1) * _TILE_COLUMNS
     return [start, *range(above, n_points, _TILE_COLUMNS), n_points]
-
-
-def _row_tile(blocks: list[np.ndarray], n_points: int, start: int, c0: int, c1: int) -> np.ndarray:
-    """Columns c0:c1 of the row block at start, a tile: a view of the row
-    block's flat array in blocks, which holds its tiles one after another."""
-    rows = min(_PACKED_BLOCK_ROWS, n_points - start)
-    flat = blocks[start // _PACKED_BLOCK_ROWS]
-    return flat[rows * (c0 - start) : rows * (c1 - start)].reshape(rows, c1 - c0)
 
 
 def _columns(rows: np.ndarray, shape: tuple) -> np.ndarray:
@@ -374,6 +369,35 @@ class _TileSlots:
         self._free.append(self._taken.pop(id(tile)))
 
 
+def _tiles(band: list, tiles: list[list[np.ndarray]], table: _KernelRows, bound: int) -> None:
+    """Fill tiles, the tiles of each row block (start, edges) in band, below bound (module docstring).
+
+    The band is filled on the row-block pool, one task per fill block of
+    rows starting below bound; a fill block starting at or beyond it is
+    written as zeros. Then each diagonal tile has the lower triangle of its
+    leading square copied from the upper.
+    """
+    work = []
+    for (start, edges), row_tiles in zip(band, tiles):
+        rows = row_tiles[0].shape[0]
+        for row in range(start, start + rows, _KERNEL_BLOCK_ROWS):
+            last = min(row + _KERNEL_BLOCK_ROWS, start + rows)
+            pieces = []
+            for c0, block in zip(edges, row_tiles):
+                first = max(c0, row)
+                pieces.append((first, block[row - start : last - start, first - c0 :]))
+            if row < bound:
+                work.append((row, last, pieces))
+            else:
+                for _, piece in pieces:
+                    piece.fill(0.0)
+    _map_on_pool(lambda item: table.fill(*item), work)
+    for row_tiles in tiles:
+        diagonal = row_tiles[0]
+        for row in range(1, diagonal.shape[0]):
+            diagonal[row, :row] = diagonal[:row, row]
+
+
 def _fine_interpolation(radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The _FINE_NODES Chebyshev nodes on (0, radii[-1]) and the matrix from them to radii.
 
@@ -424,11 +448,8 @@ def _bessel_zeros(count: int) -> np.ndarray:
     """The first count positive roots of J0, bit for bit as scipy's jn_zeros(0, count).
 
     The first _SCIPY_ZEROS come from jn_zeros. Each later root j_i starts
-    from McMahon's expansion, b = (i - 1/4) pi,
-
-        j_i = b + 1/(8b) - 124/(3 (8b)^3) + 120928/(15 (8b)^5) - ...,
-
-    and takes three Newton steps x += J0(x) / J1(x) (J0' = -J1),
+    from McMahon's expansion (_MCMAHON) and takes three Newton steps
+    x += J0(x) / J1(x) (J0' = -J1),
     as whole arrays: jn_zeros refines its roots one at a time, about 40 ms
     for 14401 roots on a 2 vCPU host, against under 10 ms here.
     """
@@ -438,8 +459,7 @@ def _bessel_zeros(count: int) -> np.ndarray:
     if count <= _SCIPY_ZEROS:
         return head
     b = (np.arange(_SCIPY_ZEROS + 1, count + 1) - 0.25) * np.pi
-    e = 8 * b
-    roots = b + 1 / e - 124 / (3 * e**3) + 120928 / (15 * e**5)
+    roots = b + sum(c / b ** (2 * k + 1) for k, c in enumerate(_MCMAHON))
     for _ in range(3):
         roots += j0(roots) / j1(roots)
     return np.concatenate([head, roots])
@@ -461,9 +481,8 @@ def _light_cone_floor(max_radius: float, wavelength: float) -> int:
     # to 3e-4 / b^8, so only a k R within 1e-9 of j_n is misjudged, for every n a
     # refusal meets (its grid has N >= 4 points, so k R is past j_5)
     b = n - Fraction(1, 4)
-    terms = (1 / 8, -31 / 384, 3779 / 15360, -6277237 / 3440640)
     v = float(1 / b**2) / math.pi**2
-    reached = sum(c * v**i for i, c in enumerate(terms)) / math.pi**2
+    reached = sum(c * v**i for i, c in enumerate(_MCMAHON)) / math.pi**2
     return n - 1 if (reach - b) * b <= reached else n
 
 
@@ -535,7 +554,7 @@ class _KernelRows:
         self._scaled = roots / last_root
         # j_i and (i + 3/4) pi are within a factor 2, so this difference is exact
         self._offsets = roots - (np.arange(n) + 0.75) * np.pi
-        # Re E and Im E in one allocation: 37 MB at N = 18000
+        # Re E and Im E in one allocation: 29.5 MB at N = 14400
         phase = np.empty((2, _KERNEL_BLOCK_ROWS, n))
         steps = np.arange(_KERNEL_BLOCK_ROWS) * np.pi
         np.multiply.outer(steps, self._scaled, out=phase[0])
@@ -700,9 +719,9 @@ class HankelTransform:
         self.k_radial = self._j / self.max_radius
         self._j1sq = j1(self._j) ** 2
 
-        # the kept kernel, whole or None: one flat array per row block, its
-        # tiles in column order (_row_tile)
-        self._row_blocks: list[np.ndarray] | None = None
+        # the kept kernel, whole or None: the tiles of each row block, in
+        # column order, each its own array
+        self._row_blocks: list[list[np.ndarray]] | None = None
         # passes that read the kernel: the first keeps no tile, the second
         # fills the whole kernel and keeps it
         self._passes = 0
@@ -717,51 +736,6 @@ class HankelTransform:
         # call, and how many of its columns are filled
         self._fine_matrix: np.ndarray | None = None
         self._fine_filled = 0
-
-    def _tiles(
-        self, band: list, table: _KernelRows, tile: Callable, bound: int
-    ) -> list[list[np.ndarray]]:
-        """Every tile of each row block (start, edges) in band, filled below bound (module docstring).
-
-        tile(start, c0, c1) gives the tile in columns c0:c1 of the row block
-        at start. The band is filled on the row-block pool, one task per fill
-        block of rows starting below bound; a fill block starting at or
-        beyond it is written as zeros. Then each diagonal tile has the lower
-        triangle of its leading square copied from the upper.
-        """
-        tiles, work = [], []
-        for start, edges in band:
-            row_tiles = [tile(start, c0, c1) for c0, c1 in zip(edges, edges[1:])]
-            tiles.append(row_tiles)
-            rows = row_tiles[0].shape[0]
-            for row in range(start, start + rows, _KERNEL_BLOCK_ROWS):
-                last = min(row + _KERNEL_BLOCK_ROWS, start + rows)
-                pieces = []
-                for c0, block in zip(edges, row_tiles):
-                    first = max(c0, row)
-                    pieces.append((first, block[row - start : last - start, first - c0 :]))
-                if row < bound:
-                    work.append((row, last, pieces))
-                else:
-                    for _, piece in pieces:
-                        piece.fill(0.0)
-        _map_on_pool(lambda item: table.fill(*item), work)
-        for row_tiles in tiles:
-            diagonal = row_tiles[0]
-            for row in range(1, diagonal.shape[0]):
-                diagonal[row, :row] = diagonal[:row, row]
-        return tiles
-
-    def _keep_kernel(self) -> None:
-        """Fill the whole kernel into new row-block arrays and keep it."""
-        n, height = self.n_points, _PACKED_BLOCK_ROWS
-        plan = [(start, _tile_edges(n, start)) for start in range(0, n, height)]
-        # allocated before the fill's tables, which then sit above them in the
-        # heap and go when the fill returns
-        blocks = [np.empty(min(height, n - start) * (n - start)) for start, _ in plan]
-        self._tiles(plan, _KernelRows(self._j, self._S), functools.partial(_row_tile, blocks, n), n)
-        # kept only once filled: an error leaves no part-filled kernel kept
-        self._row_blocks = blocks
 
     def _sweep(
         self, x: np.ndarray, support: int, transfer: np.ndarray | None = None
@@ -787,7 +761,8 @@ class HankelTransform:
             bound = rows = _support(transfer) if support else 0
             y_rows = min(-(-rows // height) * height, n)
             y = np.zeros((fields.shape[0], y_rows))
-        plan = [(start, _tile_edges(n, start)) for start in range(0, bound, height)]
+        whole = [(start, _tile_edges(n, start)) for start in range(0, n, height)]
+        plan = whole[: -(-bound // height)]
         if not plan:
             return spectrum, fields
         # column blocks below inner hold rows of Y: their tiles are read again
@@ -799,22 +774,30 @@ class HankelTransform:
             keep = self._passes > 1
             if keep:
                 if self._row_blocks is None:
-                    self._keep_kernel()
-                tile = functools.partial(_row_tile, self._row_blocks, n)
-                row_tiles = [
-                    ((start, edges), [tile(start, c0, c1) for c0, c1 in zip(edges, edges[1:])])
-                    for start, edges in plan
-                ]
+                    # allocated before the fill's tables, which then sit above
+                    # them in the heap and go when the fill returns
+                    kernel = [
+                        [np.empty((min(height, n - start), c1 - c0)) for c0, c1 in zip(edges, edges[1:])]
+                        for start, edges in whole
+                    ]
+                    _tiles(whole, kernel, _KernelRows(self._j, self._S), n)
+                    # kept only once filled: an error leaves no part-filled kernel kept
+                    self._row_blocks = kernel
+                row_tiles = zip(plan, self._row_blocks)
             else:
                 slots = _TileSlots()
                 table = _KernelRows(self._j, self._S)
-                bands = _bands(plan, n, y_rows, inner)
 
-                def take(start: int, c0: int, c1: int) -> np.ndarray:
-                    return slots.take(min(height, n - start), c1 - c0)
+                def filled():
+                    for band in _bands(plan, n, y_rows, inner):
+                        tiles = [
+                            [slots.take(min(height, n - start), c1 - c0) for c0, c1 in zip(edges, edges[1:])]
+                            for start, edges in band
+                        ]
+                        _tiles(band, tiles, table, bound)
+                        yield from zip(band, tiles)
 
-                filled = (zip(band, self._tiles(band, table, take, bound)) for band in bands)
-                row_tiles = itertools.chain.from_iterable(filled)
+                row_tiles = filled()
             release = (lambda tile: None) if keep else slots.give
             held: dict[tuple[int, int], np.ndarray] = {}
             for (start, edges), tiles in row_tiles:
@@ -848,17 +831,14 @@ class HankelTransform:
                 q1, qr = min(q0 + _TILE_COLUMNS, n), min(q0 + _TILE_COLUMNS, y_rows)
                 if stop < qr:
                     continue
-                for i in range(0, q0, height):
-                    block = held.pop((i, q0))
-                    fields[:, q0:q1] += y[:, i : i + height] @ block
-                    fields[:, i : i + height] += y[:, q0:qr] @ block[:, : qr - q0].T
-                    release(block)
-                for d0 in range(q0, qr, height):
-                    block = held.pop((d0, d0))
-                    d1 = d0 + block.shape[0]
-                    fields[:, d0:q1] += y[:, d0:d1] @ block
-                    if d1 < qr:
-                        fields[:, d0:d1] += y[:, d1:qr] @ block[:, d1 - d0 : qr - d0].T
+                for r0 in range(0, qr, height):
+                    c0 = max(r0, q0)
+                    block = held.pop((r0, c0))
+                    r1 = r0 + block.shape[0]
+                    p0 = max(c0, r1)
+                    fields[:, c0:q1] += y[:, r0:r1] @ block
+                    if p0 < qr:
+                        fields[:, r0:r1] += y[:, p0:qr] @ block[:, p0 - c0 : qr - c0].T
                     release(block)
         spectrum[:, rows:] = 0.0
         return spectrum, fields

@@ -32,6 +32,7 @@ from pflens import (
     get_transform,
     knife_edge_power_curve,
     measure_waist_knife_edge,
+    multilevel_efficiency,
     plane_wave,
     propagate,
     scan_field,
@@ -610,6 +611,26 @@ def caustic_points(scan):
     ]
 
 
+def chromatic_shifts(transform, design, waist, half_span):
+    """(engine, linear) shifts [m] of the caustic's z0 for the wavelength detuned
+    by +1e-3 and by -1e-3: the engine's from nine planes at f +- half_span, the
+    layout designed at design's wavelength, and chromatic_focal_shift's."""
+    layout = zone_layout(design)
+    f, wavelength, c0 = design.focal_length, design.design_wavelength, 299792458.0
+
+    def focus(lam):
+        field = gaussian_beam(transform, waist, lam)
+        scan = focal_scan(field, layout, (f - half_span, f + half_span), 9, fine_points=256)
+        return fit_caustic(caustic_points(scan), lam).z0
+
+    z0 = focus(wavelength)
+    shifts = []
+    for lam in (wavelength * (1 + 1e-3), wavelength * (1 - 1e-3)):
+        detuning = fractional_detuning_from_frequency(c0 / lam - c0 / wavelength, wavelength)
+        shifts.append((focus(lam) - z0, chromatic_focal_shift(design, detuning)))
+    return shifts
+
+
 class TestFocalScans:
     def test_gaussian_focus_scan_recovers_unit_m2(self, converging_beam):
         z = np.linspace(
@@ -897,30 +918,56 @@ class TestFocalScans:
         assert lines[0] == "z_m,waist_m"
         assert len(lines) == 8
 
-    def test_a_longer_wavelength_focuses_nearer_as_the_linear_model_signs_it(self, toy_layout):
+    def test_a_longer_wavelength_focuses_nearer_as_the_linear_model_signs_it(self):
         # the layout stays designed at 854 nm; the beam is detuned by +-1e-3 in
         # wavelength. A diffractive lens has f proportional to 1 / lam, so the
         # caustic's z0 moves nearer for the longer wavelength and farther for the
         # shorter, with the sign chromatic_focal_shift gives the frequency detuning.
-        # Only the sign is asserted: the engine's shift is larger than the linear
-        # model's by a factor that grows with NA
-        transform = HankelTransform(4096, TOY_GRID_RADIUS)
+        # The engine's shift is larger than the linear model's, by a factor that
+        # grows with NA: measured 1.1756 / 1.1746 here (-234.88 / +235.16 nm
+        # against -199.80 / +200.20 nm), held to +-0.01
         design = LensDesign(TOY_FOCAL_LENGTH, TOY_APERTURE, TOY_WAVELENGTH)
-        c0 = 299792458.0
+        shifts = chromatic_shifts(HankelTransform(4096, TOY_GRID_RADIUS), design, 75e-6, 2e-6)
+        for (engine, linear), sign, measured in zip(shifts, (-1.0, 1.0), (1.1756, 1.1746)):
+            assert np.sign(engine) == sign
+            assert np.sign(linear) == sign
+            assert engine / linear == pytest.approx(measured, abs=0.01)
 
-        def focus(wavelength):
-            field = gaussian_beam(transform, 75e-6, wavelength)
-            scan = focal_scan(field, toy_layout, (198e-6, 202e-6), 9, fine_points=256)
-            return fit_caustic(caustic_points(scan), wavelength).z0
+    def test_at_na_0_9_the_focus_shifts_about_1_8_times_the_linear_model(self):
+        # f = 50 um at 854 nm and NA 0.9: aperture radius a = f tan(asin 0.9) =
+        # 103.2 um, window 1.5 a, waist a / 2, light-cone floor 363 points. The
+        # ray picture's zone shift f delta (1 + r^2 / f^2) grows toward the rim,
+        # so the gap to the linear model is wider than the NA 0.6 toy lens's
+        # 1.18. Measured at N = 2048: 1.927 / 1.812 (-96.25 / +90.67 nm against
+        # -49.95 / +50.05 nm); N = 372 and 1024 gave 1.69 / 1.84 and 1.91 / 1.77,
+        # so the band is 1.6 to 2.1
+        focal_length = 50e-6
+        aperture = focal_length * math.tan(math.asin(0.9))
+        design = LensDesign(focal_length, 2 * aperture, TOY_WAVELENGTH)
+        transform = HankelTransform(2048, 1.5 * aperture)
+        shifts = chromatic_shifts(transform, design, aperture / 2, 2e-6)
+        for (engine, linear), sign in zip(shifts, (-1.0, 1.0)):
+            assert np.sign(engine) == sign
+            assert np.sign(linear) == sign
+            assert 1.6 < engine / linear < 2.1
 
-        z0 = focus(TOY_WAVELENGTH)
-        for factor, sign in ((1 + 1e-3, -1.0), (1 - 1e-3, 1.0)):
-            wavelength = TOY_WAVELENGTH * factor
-            detuning = fractional_detuning_from_frequency(
-                c0 / wavelength - c0 / TOY_WAVELENGTH, TOY_WAVELENGTH
-            )
-            assert np.sign(focus(wavelength) - z0) == sign, factor
-            assert np.sign(chromatic_focal_shift(design, detuning)) == sign, factor
+    @pytest.mark.parametrize(
+        "levels, bound",
+        [
+            (2, 1.5e-3),  # measured +7.98e-4: 0.40608 against 0.40528
+            (4, 5e-4),  # measured +2.6e-6: 0.81057 against 0.81057
+            (8, 5e-4),  # measured -2.22e-4: 0.94942 against 0.94964
+        ],
+    )
+    def test_focal_efficiency_matches_the_multilevel_grating_efficiency(self, levels, bound):
+        # criterion 03's toy lens at N = 4096 with 2, 4 and 8 phase levels: the
+        # power inside 3 fitted waists at best focus, over the transmitted
+        # power, against [sin(pi / L) / (pi / L)]^2
+        n_points, radius, layout, waist = toy_lens(4096, levels)
+        field = gaussian_beam(get_transform(n_points, radius), waist, TOY_WAVELENGTH)
+        scan = focal_scan(field, layout, (198e-6, 202e-6), 9, fine_points=256)
+        efficiency = efficiency_into_focus(scan, input_power=scan.transmitted_power)
+        assert abs(efficiency - multilevel_efficiency(levels)) < bound
 
 
 def teardown_module():

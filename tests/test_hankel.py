@@ -101,10 +101,10 @@ class TestGridStructure:
 
 def kept_tiles(t: HankelTransform):
     """(start, c0, tile) for each kept tile of t, all or none: tile = kernel[start:start + rows, c0:c1]."""
-    for start in range(0, t.n_points, hankel._PACKED_BLOCK_ROWS) if t._row_blocks else ():
-        edges = hankel._tile_edges(t.n_points, start)
-        for c0, c1 in zip(edges, edges[1:]):
-            yield start, c0, hankel._row_tile(t._row_blocks, t.n_points, start, c0, c1)
+    starts = range(0, t.n_points, hankel._PACKED_BLOCK_ROWS)
+    for start, tiles in zip(starts, t._row_blocks or ()):
+        for c0, tile in zip(hankel._tile_edges(t.n_points, start), tiles):
+            yield start, c0, tile
 
 
 def first_pass(t: HankelTransform) -> None:
@@ -225,7 +225,7 @@ class TestKernel:
         t = packed_case[0]
         n = t.n_points
         rows = hankel._PACKED_BLOCK_ROWS
-        assert sum(flat.nbytes for flat in t._row_blocks) == hankel._kernel_bytes(n)
+        assert sum(tile.nbytes for tiles in t._row_blocks for tile in tiles) == hankel._kernel_bytes(n)
         # a row block's tiles run from its diagonal to N, their edges on
         # multiples of the tile width: the diagonal tile of the second row
         # block of each column block is square
@@ -491,7 +491,7 @@ class TestLazyFill:
             {start: min(128, n - start) * (n - start) for start in range(0, n, 128)}
         )
         rows = hankel._PACKED_BLOCK_ROWS
-        assert [flat.size for flat in t._row_blocks] == [
+        assert [sum(tile.size for tile in tiles) for tiles in t._row_blocks] == [
             min(rows, n - start) * (n - start) for start in range(0, n, rows)
         ]
         filled_entries.clear()
@@ -627,11 +627,9 @@ class TestRowBound:
         kept = run(t)
         assert t._row_blocks is not None
         # a first pass with the bound at N fills its row blocks whole
-        tiles = HankelTransform._tiles
+        tiles = hankel._tiles
         monkeypatch.setattr(
-            HankelTransform,
-            "_tiles",
-            lambda self, band, table, tile, bound: tiles(self, band, table, tile, self.n_points),
+            hankel, "_tiles", lambda band, row_tiles, table, bound: tiles(band, row_tiles, table, n)
         )
         filled_entries.clear()
         whole = run(HankelTransform(n_points=n, max_radius=1e-3))
