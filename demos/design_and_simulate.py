@@ -7,7 +7,7 @@ curves as CSV next to this script's working directory.
 
 Runtime is dominated by filling the 14400-point transform kernel: about
 4 s and 0.95 GB peak memory on 2 CPUs. The binary scan is the
-transform's first pass and keeps no kernel tile (about 620 MiB at its
+transform's first pass and keeps no kernel tile (about 560 MiB at its
 peak), so the control's scan fills the whole kernel again and keeps it.
 """
 

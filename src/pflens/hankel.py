@@ -118,14 +118,16 @@ So each tile is read twice per pass, as forward then inverse read it,
 and the kernel is filled once. A transform's first pass keeps no tile:
 a tile goes back to a buffer pool once read for the last time, so the
 pass holds the tiles that a later column block still reads, about
-(rows of Y / 2)^2 entries mid-pass. Fills are made in bands of row
-blocks, each filled before its products, long near the ends of the pass
-and short mid-pass, so the pass holds at most one row block more than
-that: the least an ascending pass that keeps no tile can hold, as the
-row block being filled sits beside the tiles still carried. Each switch
-from products back to a fill costs about 30 ms on 2 CPUs while the BLAS
-threads of the products wait for work. The default `simulate` scan
-(rows of Y to 14336 of 14400) peaks at about 620 MiB. A
+(rows of Y / 2)^2 entries mid-pass, each tile in a whole 4 MiB buffer
+whatever its shape. Fills are made in bands of row blocks, each filled
+before its products, long near the ends of the pass and short mid-pass.
+No band's fill holds more buffers than the most that one row block's
+tiles and the tiles carried into it take (_slots): the least an
+ascending pass that keeps no tile can hold, as the row block being
+filled sits beside the tiles still carried. Each switch from products
+back to a fill costs about 30 ms on 2 CPUs while the BLAS threads of the
+products wait for work. The default `simulate` scan (rows of Y to 14336
+of 14400) holds at most 113 buffers and peaks at about 560 MiB. A
 transform keeps its whole kernel or none of it: its second pass, whatever
 its input reaches, first makes every tile of the kernel as its own array
 (239 at N = 14400), fills them once, in one band, and keeps their list,
@@ -294,54 +296,57 @@ def _columns(rows: np.ndarray, shape: tuple) -> np.ndarray:
     return np.ascontiguousarray(rows.T).view(np.complex128).reshape(shape)
 
 
-def _held(start: int, y_rows: int, inner: int) -> int:
-    """Entries a pass keeping no tile holds at row block start for the column
-    blocks from start's on: of each (full) earlier row block below y_rows,
-    the columns from q0, start rounded down to _TILE_COLUMNS, to inner."""
-    q0 = start // _TILE_COLUMNS * _TILE_COLUMNS
-    return min(start, y_rows) * max(inner - q0, 0)
+def _slots(plan: list, y_rows: int, inner: int) -> list[int]:
+    """Tile buffers a pass keeping no tile holds at each row block (start,
+    edges) of plan, one per tile, whatever its shape: the row block's own
+    tiles, and the tiles carried into it. A row block starting below y_rows
+    carries, of each earlier row block, the tile in each column block from
+    q0, start rounded down to _TILE_COLUMNS, to inner: a later row block
+    reads them again. From y_rows on, none is carried."""
+    height, width = _PACKED_BLOCK_ROWS, _TILE_COLUMNS
+    return [
+        len(edges) - 1
+        + (start // height * -(-(inner - start // width * width) // width) if start < y_rows else 0)
+        for start, edges in plan
+    ]
 
 
-def _bands(plan: list, n_points: int, y_rows: int, inner: int) -> list[list]:
+def _bands(plan: list, y_rows: int, inner: int) -> list[list]:
     """plan's row blocks (start, edges) in bands, each filled before its products.
 
-    A pass that keeps no tile holds, at row block k, the tiles of earlier
-    row blocks that a column block from k's on reads again (_held): up to
-    about (y_rows / 2)^2 entries mid-pass, and few near its ends. A band may
-    hold as many more entries as that peak leaves below the peak plus one
-    row block, so bands are long near the ends and a row block or two
-    mid-pass. One row block is the floor for an ascending pass that keeps
-    no tile: the row block being filled sits beside the tiles still
-    carried. Each switch from products back to a fill costs time while
-    the BLAS threads of the products wait for more work (about 30 ms on
-    2 CPUs), so fewer bands are faster.
+    A band's fill holds the tiles carried into its first row block and the
+    tiles of all its row blocks. The pass cannot hold fewer than the most
+    _slots counts at one row block: an ascending pass that keeps no tile
+    holds the row block being filled beside the tiles still carried. Each
+    band holds at most that floor, so bands are long near the ends of the
+    pass, where few tiles are carried, and a row block long mid-pass. Each
+    switch from products back to a fill costs time while the BLAS threads
+    of the products wait for more work (about 30 ms on 2 CPUs), so bands
+    are as long as the floor allows.
     """
-    height = _PACKED_BLOCK_ROWS
-    sizes = [min(height, n_points - start) * (n_points - start) for start, _ in plan]
-    cap = max(_held(start, y_rows, inner) for start, _ in plan) + max(sizes)
+    slots = _slots(plan, y_rows, inner)
+    cap = max(slots)
     bands, size = [], cap
-    for block, entries in zip(plan, sizes):
-        if size + entries > cap:
+    for block, count in zip(plan, slots):
+        own = len(block[1]) - 1
+        if size + own > cap:
             bands.append([])
-            size = _held(block[0], y_rows, inner)
+            # the tiles carried into the band's first row block
+            size = count - own
         bands[-1].append(block)
-        size += entries
+        size += own
     return bands
 
 
 def _first_pass_bytes(n_points: int) -> int:
-    """The most bytes of tile buffers a first pass holds, in slot groups:
-    a full-height scan's (rows of Y to N), at the fill of one of its bands,
-    of the band's tiles and, of each earlier row block, the tiles in the
-    column blocks from the band's on, none of which is freed yet."""
-    height, width = _PACKED_BLOCK_ROWS, _TILE_COLUMNS
+    """The most bytes of tile buffers a first pass holds: a full-height
+    scan's floor (_slots with rows of Y to N), in slot groups. Every first
+    pass on the grid holds no more, as its plan is a prefix of that scan's
+    and it carries no more tiles at any row block."""
+    height = _PACKED_BLOCK_ROWS
     plan = [(start, _tile_edges(n_points, start)) for start in range(0, n_points, height)]
-    most = 0
-    for band in _bands(plan, n_points, n_points, n_points):
-        start = band[0][0]
-        held = start // height * -(-(n_points - start // width * width) // width)
-        most = max(most, held + sum(len(edges) - 1 for _, edges in band))
-    return -(-most // _SLOT_GROUP) * _SLOT_GROUP * 8 * height * width
+    most = max(_slots(plan, n_points, n_points))
+    return -(-most // _SLOT_GROUP) * _SLOT_GROUP * 8 * height * _TILE_COLUMNS
 
 
 class _TileSlots:
@@ -789,7 +794,7 @@ class HankelTransform:
                 table = _KernelRows(self._j, self._S)
 
                 def filled():
-                    for band in _bands(plan, n, y_rows, inner):
+                    for band in _bands(plan, y_rows, inner):
                         tiles = [
                             [slots.take(min(height, n - start), c1 - c0) for c0, c1 in zip(edges, edges[1:])]
                             for start, edges in band

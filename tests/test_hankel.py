@@ -893,41 +893,102 @@ class TestMemoryPreflight:
             stored = sum(min(rows, n - start) * (n - start) for start in range(0, n, rows))
             assert hankel._kernel_bytes(n) == 8 * stored, n
 
-    def test_held_entries_closed_form_matches_block_sum(self):
-        # _bands' held entries, summed over the earlier row blocks, at every
-        # rows of Y a pass can have: multiples of 512 below N, and N
+    def test_carried_slots_closed_form_matches_the_tiles_carried(self):
+        # _slots at every row block, against the tiles counted one by one at
+        # every rows of Y a pass can have (0 for a forward, multiples of 512
+        # below N, and N): its own, and each earlier row block's tiles below
+        # inner whose column block's last row block below y_rows (where the
+        # pass frees them) is not yet done
         height, width = hankel._PACKED_BLOCK_ROWS, hankel._TILE_COLUMNS
-        for n in (513, 1300, 2048, 4500, 8192, 18000):
-            for y_rows in [*range(height, n, height), n]:
+        for n in (513, 1300, 2048, 2124, 3124, 4500, 8192, 18000):
+            plan = [(start, hankel._tile_edges(n, start)) for start in range(0, n, height)]
+            for y_rows in [0, *range(height, n, height), n]:
                 inner = min(-(-y_rows // width) * width, n)
-                for start in range(0, n, height):
-                    q0 = start // width * width
-                    earlier = range(0, min(start, y_rows), height)
-                    held = sum(min(height, n - i) * max(inner - max(q0, i), 0) for i in earlier)
-                    assert hankel._held(start, y_rows, inner) == held, (n, y_rows, start)
+                slots = hankel._slots(plan, y_rows, inner)
+                for (start, edges), counted in zip(plan, slots):
+                    carried = sum(
+                        (min(c0 // width * width + width, y_rows) - 1) // height * height >= start
+                        for i, row_edges in plan[: start // height]
+                        if i < y_rows
+                        for c0 in row_edges[:-1]
+                        if c0 < inner
+                    )
+                    assert counted == carried + len(edges) - 1, (n, y_rows, start)
 
-    def test_a_band_fills_at_most_one_row_block_beyond_the_most_carried(self):
-        # a band's fill holds the tiles carried into its first row block
-        # (_held) and its own row blocks' tiles: for every pass a grid can
-        # run (a forward's rows of Y are 0; a scan's are a multiple of 512
-        # below N, or N), no more than the most carried at any row block
-        # plus one largest row block, the least an ascending pass can hold
+    def test_a_band_fills_within_the_floor_of_an_ascending_pass(self):
+        # a band's fill holds the tiles carried into its first row block and
+        # its own row blocks' tiles: for every pass a grid can run (a
+        # forward's rows of Y are 0; a scan's are a multiple of 512 below N,
+        # or N), no more than the most _slots counts at one row block, the
+        # least an ascending pass that keeps no tile can hold
         height, width = hankel._PACKED_BLOCK_ROWS, hankel._TILE_COLUMNS
-        for n in (1300, 4096, 14400, 18000):
-            entries = {start: min(height, n - start) * (n - start) for start in range(0, n, height)}
+        for n in (1300, 2124, 3124, 4096, 14400, 18000):
             for y_rows in [0, *range(height, n, height), n]:
                 inner = min(-(-y_rows // width) * width, n)
                 for bound in range(height, n + height, height) if not y_rows else [y_rows]:
                     plan = [(start, hankel._tile_edges(n, start)) for start in range(0, bound, height)]
-                    bands = hankel._bands(plan, n, y_rows, inner)
+                    bands = hankel._bands(plan, y_rows, inner)
                     assert [block for band in bands for block in band] == plan
-                    carried = max(hankel._held(start, y_rows, inner) for start, _ in plan)
+                    slots = dict(zip((start for start, _ in plan), hankel._slots(plan, y_rows, inner)))
+                    floor = max(slots.values())
                     for band in bands:
-                        fill = hankel._held(band[0][0], y_rows, inner)
-                        fill += sum(entries[start] for start, _ in band)
-                        assert fill <= carried + entries[0], (n, y_rows, bound, band[0][0])
+                        start, edges = band[0]
+                        fill = slots[start] - (len(edges) - 1)
+                        fill += sum(len(edges) - 1 for _, edges in band)
+                        assert fill <= floor, (n, y_rows, bound, start)
 
-    @pytest.mark.parametrize("n_points", [1300, 4096, 5000])
+    @pytest.mark.parametrize("y_rows, peak", [(14336, 113), (14400, 128)])
+    def test_the_default_grids_first_pass_holds_its_floor(self, y_rows, peak):
+        # the default scan (rows of Y to 14336) and the ideal lens's (to N),
+        # replayed without a fill: bands by _bands, tiles freed as _sweep
+        # frees them. Sized by entries, the same passes held 130 and 138
+        n = 14400
+        height, width = hankel._PACKED_BLOCK_ROWS, hankel._TILE_COLUMNS
+        inner = min(-(-y_rows // width) * width, n)
+        plan = [(start, hankel._tile_edges(n, start)) for start in range(0, y_rows, height)]
+        live, most, held = 0, 0, set()
+        for band in hankel._bands(plan, y_rows, inner):
+            live += sum(len(edges) - 1 for _, edges in band)
+            most = max(most, live)
+            for start, edges in band:
+                kept = {(start, c0) for c0 in edges[:-1] if c0 < inner}
+                held |= kept
+                live -= len(edges) - 1 - len(kept)
+                q0 = start // width * width
+                last = min(q0 + width, y_rows)
+                if start + height >= last:
+                    done = {(r0, max(r0, q0)) for r0 in range(0, last, height)}
+                    held -= done
+                    live -= len(done)
+        assert live == 0 and not held
+        assert most == max(hankel._slots(plan, y_rows, inner)) == peak
+        assert hankel._first_pass_bytes(n) == 512 * 2**20
+
+    @pytest.mark.parametrize("n_points, floor", [(2124, 8), (3124, 12)])
+    def test_a_full_height_first_pass_holds_its_floor(self, n_points, floor, monkeypatch):
+        # live tiles counted through the buffer pool on a real pass, on grids
+        # where bands sized by entries held more (10 and 14)
+        live, most = [0], [0]
+        take, give = hankel._TileSlots.take, hankel._TileSlots.give
+
+        def counting_take(slots, rows, columns):
+            live[0] += 1
+            most[0] = max(most[0], live[0])
+            return take(slots, rows, columns)
+
+        def counting_give(slots, tile):
+            live[0] -= 1
+            give(slots, tile)
+
+        monkeypatch.setattr(hankel._TileSlots, "take", counting_take)
+        monkeypatch.setattr(hankel._TileSlots, "give", counting_give)
+        height = hankel._PACKED_BLOCK_ROWS
+        plan = [(start, hankel._tile_edges(n_points, start)) for start in range(0, n_points, height)]
+        HankelTransform(n_points, 1e-3).forward_inverse(np.ones(n_points), cone_transfer(n_points, n_points))
+        assert live[0] == 0
+        assert most[0] == max(hankel._slots(plan, n_points, n_points)) == floor
+
+    @pytest.mark.parametrize("n_points", [1300, 2124, 3124, 4096, 5000])
     def test_a_first_pass_holds_no_more_tiles_than_the_scan_check_counts(
         self, n_points, monkeypatch
     ):
