@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from pflens.beamfit import WaistPoint, fit_caustic
+from pflens.beamfit import fit_caustic
 from pflens.config import default_config
 from pflens.design import (
     LensDesign,
@@ -49,14 +49,6 @@ GRID_POINTS = default_config().grid_points
 GRID_RADIUS = default_config().grid_padding_factor * TRUNCATION
 
 
-def caustic_from_scan(scan, wavelength):
-    points = [
-        WaistPoint(z=z, w=w, w_uncertainty=max(s, 1e-12), direction="in")
-        for z, w, s in zip(scan.z_positions, scan.fitted_waists, scan.waist_uncertainties)
-    ]
-    return fit_caustic(points, wavelength)
-
-
 def main():
     design = LensDesign(FOCAL_LENGTH, APERTURE, WAVELENGTH)
     layout = zone_layout(design)
@@ -84,9 +76,9 @@ def main():
           f"({GRID_POINTS} radial points, truncated at {TRUNCATION * 1e3:.1f} mm) ...")
     transmitted = apply_binary_pfl(beam, layout.truncated(TRUNCATION))
     scan = scan_field(transmitted, z_grid, input_power=input_power)
-    fit = caustic_from_scan(scan, WAVELENGTH)
-    best_z = scan.z_positions[int(np.argmin(scan.fitted_waists))]
-    print(f"  minimum waist          {scan.best_waist * 1e9:.1f} nm at z = {best_z * 1e3:.4f} mm")
+    fit = fit_caustic(scan.points, WAVELENGTH)
+    print(f"  minimum waist          {scan.best_waist * 1e9:.1f} nm "
+          f"at z = {scan.best_focus_z * 1e3:.4f} mm")
     print(f"  fitted w0, M2          {fit.w0 * 1e9:.1f} nm, {fit.m2:.3f}")
     print(f"  focal efficiency       {efficiency_into_focus(scan):.3f} of input "
           f"({DEFAULT_CAPTURE_RADIUS_MULTIPLIER:g}x-waist capture)")
@@ -96,7 +88,7 @@ def main():
     print("\nideal-lens control (paraxial) ...")
     control = apply_ideal_lens(beam, FOCAL_LENGTH, aperture_radius=TRUNCATION, paraxial=True)
     control_scan = scan_field(control, z_grid, input_power=input_power, paraxial=True)
-    control_fit = caustic_from_scan(control_scan, WAVELENGTH)
+    control_fit = fit_caustic(control_scan.points, WAVELENGTH)
     analytic = WAVELENGTH * FOCAL_LENGTH / (math.pi * INPUT_WAIST)
     print(f"  fitted w0              {control_fit.w0 * 1e9:.1f} nm")
     print(f"  thin-lens estimate     {analytic * 1e9:.1f} nm (untruncated Gaussian)")

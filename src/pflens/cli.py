@@ -154,10 +154,7 @@ def cmd_simulate(args, config: ProjectConfig) -> str:
         paraxial=paraxial,
     )
 
-    points = [
-        beamfit.WaistPoint(z=float(z), w=float(w), w_uncertainty=float(s), direction="in")
-        for z, w, s in zip(scan.z_positions, scan.fitted_waists, scan.waist_uncertainties)
-    ]
+    points = scan.points
     warnings, caustic, least = [], None, beamfit.MIN_CAUSTIC_POINTS
     if not scan.has_interior_minimum():
         warnings.append(
@@ -188,9 +185,7 @@ def cmd_simulate(args, config: ProjectConfig) -> str:
         "z_max_m": z_hi,
         "best_focus_z_m": scan.best_focus_z,
         "best_waist_m": scan.best_waist,
-        "best_waist_uncertainty_m": float(
-            scan.waist_uncertainties[scan.best_focus_index]
-        ),
+        "best_waist_uncertainty_m": points[scan.best_focus_index].w_uncertainty,
         "input_power": scan.input_power,
         "transmitted_power_fraction": scan.transmitted_power / scan.input_power,
         "focal_efficiency": efficiency,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._csv import csv_text
-from .beamfit import KnifeEdgeScan, fit_scan, fit_scans
+from .beamfit import _MIN_SCAN_SAMPLES, KnifeEdgeScan, WaistPoint, fit_scan, fit_scans
 from .design import ZoneLayout, path_excess
 from .errors import DomainError, FitError, ResolutionError, require
 from .hankel import HankelTransform, _check_fine_points, _check_light_cone
@@ -209,13 +209,30 @@ def _transfer_wavenumber(
     return np.sqrt((wavenumber**2 - transform.k_radial**2).astype(complex))
 
 
-def _planes(field: RadialField, z_positions: np.ndarray, paraxial: bool) -> np.ndarray:
-    """kz (_transfer_wavenumber) for propagating the field to z_positions [m].
+def _transfer(kz: np.ndarray, z_positions: np.ndarray) -> np.ndarray:
+    """(N, Z) propagator phases exp(i z kz), one column per plane, built in place.
+
+    Beyond the light cone the exact propagator underflows to 0, where
+    forward_inverse's pass stops.
+    """
+    transfer = np.multiply.outer(kz, 1j * z_positions)
+    return np.exp(transfer, out=transfer)
+
+
+def _propagated(
+    field: RadialField, z_positions: np.ndarray, paraxial: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(spectrum, transfer, fields) of the field propagated to z_positions [m]
+    in one kernel pass (HankelTransform.forward_inverse): propagate's and
+    scan_field's one way in.
 
     Refuses, in this order, planes not finite or with k z past 2^52 rad,
-    planes out of increasing order (one plane never is) or none, and
-    negative planes.
+    planes out of increasing order (one plane never is) or none, negative
+    planes, and planes that would not fit in memory (_check_scan_fits), all
+    before the transfer (_transfer) is made or any kernel tile is filled;
+    after the pass, a spectrum that is not resolved (_check_spectrum_resolved).
     """
+    transform = field.transform
     # beyond 2^52 rad floats are a radian or more apart: exp(i k z) is unresolved
     z_limit = 2.0**52 / field.wavenumber
     unresolved = z_positions[~(np.abs(z_positions) <= z_limit)]
@@ -228,34 +245,19 @@ def _planes(field: RadialField, z_positions: np.ndarray, paraxial: bool) -> np.n
         raise DomainError("z_positions must be increasing and non-empty")
     if np.any(z_positions < 0):
         raise DomainError("z_positions must be non-negative (measured from the lens)")
-    return _transfer_wavenumber(field.transform, field.wavenumber, paraxial)
-
-
-def _transfer(kz: np.ndarray, z_positions: np.ndarray) -> np.ndarray:
-    """(N, Z) propagator phases exp(i z kz), one column per plane, built in place.
-
-    Beyond the light cone the exact propagator underflows to 0, where
-    forward_inverse's pass stops.
-    """
-    transfer = np.multiply.outer(kz, 1j * z_positions)
-    return np.exp(transfer, out=transfer)
-
-
-def _propagated(field: RadialField, transfer: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(spectrum, fields) of the field propagated by transfer's columns, in one
-    kernel pass (HankelTransform.forward_inverse), after which the
-    spectrum's guard band is checked (_check_spectrum_resolved)."""
-    transform = field.transform
+    transform._check_scan_fits(z_positions.size)
+    kz = _transfer_wavenumber(transform, field.wavenumber, paraxial)
+    transfer = _transfer(kz, z_positions)
     spectrum, fields = transform.forward_inverse(field.amplitude, transfer)
     _check_spectrum_resolved(transform, spectrum, field.wavenumber)
-    return spectrum, fields
+    return spectrum, transfer, fields
 
 
 def propagate(field: RadialField, distance: float, paraxial: bool = False) -> RadialField:
-    """Propagate a field forward by the given distance [m], at most 2^52 / k."""
+    """Propagate a field forward by the given distance [m], at most 2^52 / k:
+    a one-plane scan's pass (_propagated), refused where that scan would be."""
     require(distance >= 0, "distance", ">= 0", distance)
-    z = np.array([distance], dtype=float)
-    _, fields = _propagated(field, _transfer(_planes(field, z, paraxial), z))
+    _, _, fields = _propagated(field, np.array([distance], dtype=float), paraxial)
     return field if distance == 0.0 else field.with_amplitude(fields[:, 0])
 
 
@@ -390,13 +392,20 @@ def measure_waist_knife_edge(
     scan_field uses by default: DEFAULT_FINE_POINTS fine-grid samples
     resampled from the field's forward transform (transform.fine_values),
     then the native ones. It is fitted with the error-function model
-    applied to measured scans.
+    applied to measured scans. Fewer than 8 blade positions are refused first.
     """
+    _check_blade_positions(n_blade_positions)
     transform = field.transform
     fine_values = transform.fine_values(transform.forward(field.amplitude), DEFAULT_FINE_POINTS)
     blade, powers = _blade_curve(field, n_blade_positions, fine_values)
     point = fit_scan(KnifeEdgeScan(z=0.0, blade_positions=blade, powers=powers, direction="in"))
     return point.w, point.w_uncertainty
+
+
+def _check_blade_positions(n_blade_positions: int) -> None:
+    """Refuse fewer blade positions than a KnifeEdgeScan has samples (_MIN_SCAN_SAMPLES)."""
+    least = _MIN_SCAN_SAMPLES
+    require(n_blade_positions >= least, "n_blade_positions", f">= {least}", n_blade_positions)
 
 
 def _blade_curve(
@@ -421,32 +430,31 @@ def _blade_curve(
 class FocalScanResult:
     """Waist versus axial position, plus encircled power at best focus.
 
+    points are the planes' knife-edge fits (beamfit.WaistPoint) in z order,
+    each at its plane's z, as beamfit.fit_caustic takes them; z_positions,
+    fitted_waists and waist_uncertainties are arrays read from them.
     encircled_radii / encircled_power give the cumulative power within a
     radius at the best-focus plane, in absolute units matching
     input_power. transmitted_power is the power just after the lens.
     """
 
-    z_positions: np.ndarray
-    fitted_waists: np.ndarray
-    waist_uncertainties: np.ndarray
+    points: tuple[WaistPoint, ...]
     encircled_radii: np.ndarray
     encircled_power: np.ndarray
     input_power: float
     transmitted_power: float
 
-    def __post_init__(self):
-        z = np.asarray(self.z_positions, dtype=float)
-        w = np.asarray(self.fitted_waists, dtype=float)
-        s = np.asarray(self.waist_uncertainties, dtype=float)
-        if not (z.shape == w.shape == s.shape):
-            raise DomainError("z, waists and uncertainties must have equal length")
-        if np.any(w <= 0):
-            raise DomainError("fitted waists must be positive")
-        object.__setattr__(self, "z_positions", z)
-        object.__setattr__(self, "fitted_waists", w)
-        object.__setattr__(self, "waist_uncertainties", s)
-        object.__setattr__(self, "encircled_radii", np.asarray(self.encircled_radii, dtype=float))
-        object.__setattr__(self, "encircled_power", np.asarray(self.encircled_power, dtype=float))
+    @property
+    def z_positions(self) -> np.ndarray:
+        return np.array([point.z for point in self.points])
+
+    @property
+    def fitted_waists(self) -> np.ndarray:
+        return np.array([point.w for point in self.points])
+
+    @property
+    def waist_uncertainties(self) -> np.ndarray:
+        return np.array([point.w_uncertainty for point in self.points])
 
     @property
     def best_focus_index(self) -> int:
@@ -454,16 +462,15 @@ class FocalScanResult:
 
     @property
     def best_focus_z(self) -> float:
-        return float(self.z_positions[self.best_focus_index])
+        return self.points[self.best_focus_index].z
 
     @property
     def best_waist(self) -> float:
-        return float(self.fitted_waists[self.best_focus_index])
+        return self.points[self.best_focus_index].w
 
     def has_interior_minimum(self) -> bool:
         """Whether the minimum waist lies strictly inside the scanned range."""
-        i = self.best_focus_index
-        return 0 < i < len(self.z_positions) - 1
+        return 0 < self.best_focus_index < len(self.points) - 1
 
 
 def _encircled_power_curve(
@@ -476,7 +483,8 @@ def _encircled_power_curve(
     transform's quadrature weights, whose total equals the plane power
     exactly. (Trapezoid sums on the native grid lose percent-level power
     to near-Nyquist halo fringes; the quadrature weights integrate the
-    band-limited series exactly.)
+    band-limited series exactly.) A fine grid that reaches the grid
+    radius leaves no rings beyond it, and the curve is the core.
     """
     radii, intensity = _composite_radial_intensity(field_values, transform, fine_values)
     fine_points = fine_values.shape[0]
@@ -486,10 +494,8 @@ def _encircled_power_curve(
         [[0.0], np.cumsum(np.diff(fine_radii) * 0.5 * (integrand[1:] + integrand[:-1]))]
     )
     outer = radii.size - fine_points
-    if outer == 0:
-        return fine_radii, core
     plane_power = transform.radial_power(field_values)
-    ring_power = transform.power_weights[-outer:] * intensity[fine_points:]
+    ring_power = transform.power_weights[transform.n_points - outer :] * intensity[fine_points:]
     beyond = np.cumsum(ring_power[::-1])[::-1] - ring_power
     curve = np.concatenate([core, plane_power - beyond])
     return radii, np.maximum.accumulate(curve)
@@ -505,34 +511,27 @@ def scan_field(
 ) -> FocalScanResult:
     """Waist-versus-z scan of an already-transmitted field.
 
-    z positions are measured from the transmitted plane, and checked as
-    propagate checks its distance (_planes). The scan is one kernel pass
-    (HankelTransform.forward_inverse) over every plane: the forward
-    transform stops at the light cone, where the exact exp(i z kz)
-    underflows to 0 just beyond k, and the propagated spectra, one column
-    per plane, are inverted as one batch. Memory beside the kernel is
-    O(N Z) for Z planes, and a scan that would not fit is refused first
-    (HankelTransform._check_scan_fits). The guard band is checked before
-    any knife edge is taken. The propagated spectra are summed on the
+    z positions are measured from the transmitted plane. Too few fine
+    points or blade positions are refused first. The scan is then the one
+    kernel pass of _propagated over every plane, with propagate's checks:
+    the forward transform stops at the light cone, where the exact
+    exp(i z kz) underflows to 0 just beyond k, and the propagated spectra,
+    one column per plane, are inverted as one batch, in O(N Z) memory
+    beside the kernel for Z planes. The guard band is checked before any
+    knife edge is taken. The propagated spectra are summed on the
     transform's near-axis fine grid (transform.fine_values), and each
     plane's knife-edge curve, built on that grid joined to the native radii
     beyond it, is fitted in one stack (beamfit.fit_scans), with the waists
-    measure_waist_knife_edge would give. The first plane with the smallest
-    waist gives the encircled-power curve, integrated on the same joined
-    grid.
+    measure_waist_knife_edge would give; those fits are the result's
+    points. The first plane with the smallest waist gives the
+    encircled-power curve, integrated on the same joined grid.
     """
     transform = transmitted.transform
     z_positions = np.asarray(z_positions, dtype=float)
     # before the kernel pass, which fills kernel tiles
     _check_fine_points(fine_points)
-    kz = _planes(transmitted, z_positions, paraxial)
-    transform._check_scan_fits(z_positions.size)
-    transmitted_power = transform.radial_power(transmitted.amplitude)
-    if input_power is None:
-        input_power = transmitted_power
-
-    transfer = _transfer(kz, z_positions)
-    spectrum, fields = _propagated(transmitted, transfer)
+    _check_blade_positions(n_blade_positions)
+    spectrum, transfer, fields = _propagated(transmitted, z_positions, paraxial)
     # in place: each plane holds at most three columns of N samples (_check_scan_fits)
     spectra = np.multiply(spectrum[:, None], transfer, out=transfer)
     fine = transform.fine_values(spectra, fine_points)
@@ -543,12 +542,12 @@ def scan_field(
     # default simulations in one process by 2.7 MiB (Linux, glibc malloc)
     curves = np.empty((z_positions.size, 2, n_blade_positions))
     scans, failure = [], None
-    for column in range(z_positions.size):
+    for column, z in enumerate(z_positions.tolist()):
         field = transmitted.with_amplitude(fields[:, column])
         try:
             curves[column] = _blade_curve(field, n_blade_positions, fine[:, column])
             blade, powers = curves[column]
-            scans.append(KnifeEdgeScan(z=0.0, blade_positions=blade, powers=powers))
+            scans.append(KnifeEdgeScan(z=z, blade_positions=blade, powers=powers))
         except DomainError as error:
             failure = error
             break
@@ -558,17 +557,14 @@ def scan_field(
             raise point
     if failure is not None:
         raise failure
-    waists = np.array([point.w for point in points])
-    best = int(np.argmin(waists))
+    best = int(np.argmin([point.w for point in points]))
     enc_r, enc_p = _encircled_power_curve(transform, fields[:, best], fine[:, best])
-
+    transmitted_power = transform.radial_power(transmitted.amplitude)
     return FocalScanResult(
-        z_positions=z_positions,
-        fitted_waists=waists,
-        waist_uncertainties=[point.w_uncertainty for point in points],
+        points=tuple(points),
         encircled_radii=enc_r,
         encircled_power=enc_p,
-        input_power=float(input_power),
+        input_power=float(transmitted_power if input_power is None else input_power),
         transmitted_power=float(transmitted_power),
     )
 

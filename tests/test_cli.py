@@ -21,6 +21,7 @@ from pflens import cli, clear_transform_cache, diffraction, hankel
 from pflens.beamfit import (
     KnifeEdgeScan,
     bundled_caustic_dataset_path,
+    caustic_fit_report,
     fit_caustic,
     fit_scan,
     read_scans_csv,
@@ -29,6 +30,7 @@ from pflens.beamfit import (
 )
 from pflens.cli import build_parser, main
 from pflens.config import ProjectConfig, config_text, default_config
+from pflens.errors import ResolutionError
 
 # small fast lens for the simulation paths: 58 zones at 854 nm, NA 0.6
 TOY_CONFIG = """\
@@ -180,6 +182,33 @@ class TestSimulate:
         assert fitted == pytest.approx(analytic, rel=0.03)
         assert summary["caustic_fit"]["parameters"]["m2"] < 1.2
 
+    def test_scan_points_fit_the_caustic_simulate_reports(
+        self, toy_config_path, tmp_path, capsys, monkeypatch
+    ):
+        # the scan keeps its planes' fits, each at its plane's z, and fitting
+        # them as they are gives simulate's caustic fit bit for bit
+        scans = []
+        scan_field = diffraction.scan_field
+
+        def recording(transmitted, z_positions, **options):
+            scans.append((z_positions, scan_field(transmitted, z_positions, **options)))
+            return scans[-1][1]
+
+        monkeypatch.setattr(diffraction, "scan_field", recording)
+        argv = ["--config", toy_config_path, "simulate", "--scan-output", str(tmp_path / "s.csv")]
+        summary = run_json(argv, capsys)
+        [(z, scan)] = scans
+        points = scan.points
+        assert [point.z for point in points] == z.tolist()
+        np.testing.assert_array_equal(scan.z_positions, z)
+        np.testing.assert_array_equal(scan.fitted_waists, [point.w for point in points])
+        np.testing.assert_array_equal(
+            scan.waist_uncertainties, [point.w_uncertainty for point in points]
+        )
+        wavelength = ProjectConfig(wavelength_nm=854.0).wavelength
+        report = caustic_fit_report(fit_caustic(points, wavelength), wavelength=wavelength)
+        assert json.loads(json.dumps(report)) == summary["caustic_fit"]
+
     def test_scan_window_missing_the_focus_warns(
         self, toy_config_path, tmp_path, capsys
     ):
@@ -323,6 +352,23 @@ class TestSimulate:
         summary = run_json(argv + ["--steps", str(largest)], capsys)
         assert summary["warnings"] == []
         assert len((tmp_path / "s.csv").read_text().splitlines()) == largest + 1
+
+    def test_propagation_refused_as_a_one_plane_scan_before_any_kernel_tile(self, monkeypatch):
+        # a transform's second pass fills the whole kernel and keeps it: with
+        # memory for that kernel alone, a propagation is refused before its
+        # transfer is made or any kernel tile filled, as a one-plane scan is
+        transform = hankel.HankelTransform(n_points=2048, max_radius=400e-6)
+        beam = diffraction.gaussian_beam(transform, 75e-6, 854e-9)
+        diffraction.propagate(beam, 1e-4)
+        available = hankel._MEMORY_HEADROOM_BYTES + hankel._kernel_bytes(2048)
+        monkeypatch.setattr(hankel, "_available_memory", lambda: available)
+        made = self.refused_scans_fill_nothing(monkeypatch)
+        with pytest.raises(ResolutionError, match="a 1-plane scan needs ") as refused:
+            diffraction.propagate(beam, 1e-4)
+        with pytest.raises(ResolutionError) as scan_refused:
+            diffraction.scan_field(beam, np.array([1e-4]))
+        assert str(refused.value) == str(scan_refused.value)
+        assert made == [] and transform._passes == 1 and transform._row_blocks is None
 
     @pytest.mark.parametrize("key", ["scan_steps", "--steps"])
     def test_vast_scan_refused_quickly(self, tmp_path, capsys, monkeypatch, key):

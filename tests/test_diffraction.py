@@ -584,6 +584,23 @@ class TestKnifeEdge:
         assert w == pytest.approx(BEAM_WAIST, rel=5e-3)
         assert sigma < 0.01 * BEAM_WAIST
 
+    @pytest.mark.parametrize("n_blade_positions", [7, 3, -1])
+    def test_short_blade_count_refused_before_any_transform(
+        self, toy_transform, monkeypatch, n_blade_positions
+    ):
+        # a scan takes at least 8 samples: 3 ran the whole kernel pass before
+        # the scan refused it, and -1 ran it and then failed inside numpy
+        calls = []
+        for name in ("forward_inverse", "forward"):
+            monkeypatch.setattr(HankelTransform, name, lambda *args, name=name: calls.append(name))
+        field = gaussian_beam(toy_transform, 75e-6, TOY_WAVELENGTH)
+        message = f"n_blade_positions must be >= 8, got {n_blade_positions}"
+        with pytest.raises(DomainError, match=message):
+            scan_field(field, np.array([TOY_FOCAL_LENGTH]), n_blade_positions=n_blade_positions)
+        with pytest.raises(DomainError, match=message):
+            measure_waist_knife_edge(field, n_blade_positions)
+        assert calls == []
+
 
 # converging reference beam: 100 um Gaussian through an f = 5 mm lens
 LENS_INPUT_WAIST = 100e-6
@@ -716,6 +733,20 @@ class TestFocalScans:
             plane_spectrum = spectrum * np.exp(1j * zi * kz)
             expected = resampler @ plane_spectrum
             assert np.max(np.abs(fine_values - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    def test_encircled_power_is_the_core_where_the_fine_grid_reaches_the_grid_radius(self):
+        # below 60 points, 60 spacings pass the grid radius: no ring lies
+        # beyond the fine grid, and the curve is its trapezoid sums alone
+        transform = HankelTransform(n_points=59, max_radius=BEAM_GRID_RADIUS)
+        assert transform.fine_span == transform.max_radius
+        field = gaussian_beam(transform, BEAM_WAIST, BEAM_WAVELENGTH)
+        fine = transform.fine_values(transform.forward(field.amplitude), 64)
+        radii, power = diffraction._encircled_power_curve(transform, field.amplitude, fine)
+        fine_radii = transform.fine_radii(64)
+        integrand = 2.0 * math.pi * np.abs(fine) ** 2 * fine_radii
+        steps = np.diff(fine_radii) * 0.5 * (integrand[1:] + integrand[:-1])
+        np.testing.assert_array_equal(radii, fine_radii)
+        np.testing.assert_array_equal(power, np.concatenate([[0.0], np.cumsum(steps)]))
 
     def test_fine_resample_matrix_built_once_per_transform(self, monkeypatch):
         # the toy grid's light cone sits at row ~1045 of 2048, so a scan needs
